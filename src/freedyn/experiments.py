@@ -20,27 +20,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .functions import support_box
 from .kernels import killing_profile
 from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
-                          estimate_correlations, glauber_joint_laplace,
+                          bin_counts, correlation_edges,
+                          correlations_from_counts, glauber_joint_laplace,
                           poisson_laplace_exponent)
-from .pointproc import Configuration, parallel_map_ordered
+from .pointproc import Configuration, chunk_sizes, parallel_map_ordered
+from .scaling import PoissonMeasure
 
 CHUNK = 20000
 
 
-def _chunk_sizes(n_samples, chunk=CHUNK):
+def _run_chunks(worker, n_samples, rng, threads=1, chunk=CHUNK):
+    """Concatenate per-chunk replica values in chunk order."""
     n_samples = int(n_samples)
     if n_samples < 2:
         raise ValueError("need at least 2 replicas")
-    n_chunks = max(1, math.ceil(n_samples / int(chunk)))
-    base, extra = divmod(n_samples, n_chunks)
-    return [base + (1 if c < extra else 0) for c in range(n_chunks)]
-
-
-def _run_chunks(worker, n_samples, rng, threads=1, chunk=CHUNK):
-    """Concatenate per-chunk replica values in chunk order."""
-    sizes = _chunk_sizes(n_samples, chunk)
+    sizes = chunk_sizes(n_samples, chunk)
 
     def task(c_idx):
         return worker(sizes[c_idx], rng.child(c_idx).generator())
@@ -95,15 +92,6 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _poisson_batch(domain, intensity, m, gen):
-    lo, hi = domain.lower, domain.upper
-    volume = float(np.prod(hi - lo))
-    counts = gen.poisson(intensity * volume, size=m)
-    pts = lo + (hi - lo) * gen.random((int(counts.sum()), domain.dim))
-    ids = np.repeat(np.arange(m), counts)
-    return pts, ids
-
-
 def _pair_into(acc, ids, values):
     hit = values != 0.0
     if np.any(hit):
@@ -117,7 +105,7 @@ def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
     z = float(intensity)
 
     def worker(m, gen):
-        pts, ids = _poisson_batch(domain, z, m, gen)
+        pts, ids = PoissonMeasure(domain, z).sample_batch(m, gen)
         acc = np.zeros(m)
         _pair_into(acc, ids, np.asarray(phi(pts), dtype=float))
         return np.exp(acc)
@@ -162,12 +150,6 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
         parameters={"variant": kernel.variant, "t": t, "points": n0})
 
 
-def _support_box(phi, pad):
-    lo = np.asarray(phi.support_lo, dtype=float) - pad
-    hi = np.asarray(phi.support_hi, dtype=float) + pad
-    return lo, hi
-
-
 def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
                                  threads=1, tol=1e-8, birth_pad=0.0):
     """Sub-Markov evolution with immigration vs the two-factor closed form.
@@ -186,7 +168,7 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
     rate = killing_profile(kernel)
     pts0 = config.points
     n0 = len(pts0)
-    lo, hi = _support_box(phi, birth_pad)
+    lo, hi = support_box([phi], birth_pad)
     box_vol = float(np.prod(hi - lo))
 
     def worker(m, gen):
@@ -243,8 +225,7 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
     if len(phi_list) != len(times):
         raise ValueError("need one test function per time")
     t_max = times[-1]
-    lo = np.min([p.support_lo for p in phi_list], axis=0)
-    hi = np.max([p.support_hi for p in phi_list], axis=0)
+    lo, hi = support_box(phi_list)
     box_vol = float(np.prod(hi - lo))
 
     if isinstance(start, Configuration):
@@ -295,17 +276,18 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
 
 def poisson_correlation_experiment(domain, intensity, order, bins_per_axis,
                                    n_samples, rng, threads=1):
-    """Correlation-grid estimate on Poisson samples vs the constant z**n."""
+    """Correlation-grid estimate on Poisson samples vs the constant z**n.
+
+    Each chunk bins its flat (points, replica ids) batch into one count row
+    per replica; the rows are stacked in chunk order and reduced once.  No
+    per-replica Configuration is built, so the cost is linear in n_samples.
+    """
     z = float(intensity)
-    sizes = _chunk_sizes(n_samples)
+    edges = correlation_edges(domain, bins_per_axis)
 
-    def task(c_idx):
-        gen = rng.child(c_idx).generator()
-        pts, ids = _poisson_batch(domain, z, sizes[c_idx], gen)
-        return [Configuration(pts[ids == r], domain)
-                for r in range(sizes[c_idx])]
+    def worker(m, gen):
+        pts, ids = PoissonMeasure(domain, z).sample_batch(m, gen)
+        return bin_counts(pts, ids, m, domain, edges)
 
-    chunks = parallel_map_ordered(task, len(sizes), threads)
-    samples = [cfg for chunk in chunks for cfg in chunk]
-    grid = estimate_correlations(samples, order, bins_per_axis)
-    return grid, z ** order
+    counts = _run_chunks(worker, n_samples, rng, threads)
+    return correlations_from_counts(counts, order, edges), z ** order

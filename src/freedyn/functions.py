@@ -174,6 +174,13 @@ class NumericFunction:
                                self.bound * other.bound)
 
 
+def support_box(phis, pad=0.0):
+    """Smallest box holding the supports of all phis, widened by pad."""
+    lo = np.min([p.support_lo for p in phis], axis=0) - pad
+    hi = np.max([p.support_hi for p in phis], axis=0) + pad
+    return lo, hi
+
+
 def box_quad(func, lo, hi, tol=1e-10):
     """Integrate a vectorized function over a box (dim 1 or 2)."""
     lo = np.atleast_1d(np.asarray(lo, dtype=float))

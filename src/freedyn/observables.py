@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import Buffer, EvolutionPlan, GlauberDynamics, TorusExact, \
     evolve_snapshot, glauber_evolve
-from .functions import integrate_function
+from .functions import integrate_function, support_box
 from .pointproc import Configuration, as_field
 
 QUAD_TOL = 1e-8
@@ -326,10 +326,32 @@ def _falling(counts, m):
     return out
 
 
-def estimate_correlations(samples, order, bins_per_axis, tol_combos=20000):
+def correlation_edges(domain, bins_per_axis):
+    """Bin edges per axis of the correlation grid over the domain window."""
+    nb = np.broadcast_to(bins_per_axis, (domain.dim,))
+    return [np.linspace(domain.lower[ax], domain.upper[ax], int(nb[ax]) + 1)
+            for ax in range(domain.dim)]
+
+
+def bin_counts(pts, ids, n_rep, domain, edges):
+    """(n_rep, n_bins) bin counts of a (pts, ids) batch; edge bins clip."""
+    nb = [len(e) - 1 for e in edges]
+    n_flat = int(np.prod(nb))
+    flat = np.zeros(len(pts), dtype=np.int64)
+    for ax in range(domain.dim):
+        width = (domain.upper[ax] - domain.lower[ax]) / nb[ax]
+        i = np.clip(((pts[:, ax] - domain.lower[ax]) / width)
+                    .astype(np.int64), 0, nb[ax] - 1)
+        flat = flat * nb[ax] + i
+    counts = np.bincount(ids * n_flat + flat, minlength=n_rep * n_flat)
+    return counts.reshape(n_rep, n_flat)
+
+
+def correlations_from_counts(counts, order, edges, tol_combos=20000):
     """Factorial-moment estimate of the order-n correlation on a bin grid.
 
-    For bins B_1..B_r with multiplicities m_1..m_r (sum = n), the expected
+    counts holds one row of bin counts per replica (see bin_counts).  For
+    bins B_1..B_r with multiplicities m_1..m_r (sum = n), the expected
     number of ordered distinct n-tuples of points hitting the bin pattern is
     int over the bin product of k^(n), i.e. the product of falling
     factorials of the bin counts estimates k^(n) * prod vol(B_j)^{m_j}.
@@ -338,51 +360,39 @@ def estimate_correlations(samples, order, bins_per_axis, tol_combos=20000):
     """
     if order < 1 or order > 4:
         raise ValueError("order must be in 1..4")
-    if len(samples) == 0:
-        raise ValueError("empty sample set")
-    domain = samples[0].domain
-    dim = domain.dim
-    if np.ndim(bins_per_axis) == 0:
-        bins_per_axis = [int(bins_per_axis)] * dim
-    edges = [np.linspace(domain.lower[ax], domain.upper[ax],
-                         bins_per_axis[ax] + 1) for ax in range(dim)]
-    nb = [len(e) - 1 for e in edges]
-    n_flat = int(np.prod(nb))
-    widths = [(domain.upper[ax] - domain.lower[ax]) / nb[ax]
-              for ax in range(dim)]
-    vol_bin = float(np.prod(widths))
-
-    counts = np.zeros((len(samples), n_flat), dtype=np.int64)
-    for r, cfg in enumerate(samples):
-        if len(cfg) == 0:
-            continue
-        pts = cfg.points
-        flat = np.zeros(len(pts), dtype=np.int64)
-        for ax in range(dim):
-            i = np.clip(((pts[:, ax] - domain.lower[ax]) / widths[ax])
-                        .astype(np.int64), 0, nb[ax] - 1)
-            flat = flat * nb[ax] + i
-        counts[r] = np.bincount(flat, minlength=n_flat)
+    n_rep, n_flat = counts.shape
+    vol_bin = float(np.prod([(e[-1] - e[0]) / (len(e) - 1) for e in edges]))
 
     from itertools import combinations_with_replacement
-    tuples = list(combinations_with_replacement(range(n_flat), order))
-    if len(tuples) > tol_combos:
+    if math.comb(n_flat + order - 1, order) > tol_combos:
         raise ValueError("bin grid too fine for this order")
+    tuples = list(combinations_with_replacement(range(n_flat), order))
     estimates = np.empty(len(tuples))
     stderrs = np.empty(len(tuples))
     for i, tup in enumerate(tuples):
         mult = {}
         for b in tup:
             mult[b] = mult.get(b, 0) + 1
-        vals = np.ones(len(samples))
+        vals = np.ones(n_rep)
         for b, m in mult.items():
             vals = vals * _falling(counts[:, b], m)
         denom = vol_bin ** order
         estimates[i] = np.mean(vals) / denom
         stderrs[i] = (np.std(vals, ddof=1) / math.sqrt(len(vals)) / denom
                       if len(vals) > 1 else 0.0)
-    return CorrelationGrid(order, edges, tuples, estimates, stderrs,
-                           len(samples))
+    return CorrelationGrid(order, edges, tuples, estimates, stderrs, n_rep)
+
+
+def estimate_correlations(samples, order, bins_per_axis, tol_combos=20000):
+    """Correlation grid of a list of Configurations, one replica each."""
+    if len(samples) == 0:
+        raise ValueError("empty sample set")
+    domain = samples[0].domain
+    edges = correlation_edges(domain, bins_per_axis)
+    pts = np.concatenate([cfg.points for cfg in samples])
+    ids = np.repeat(np.arange(len(samples)), [len(cfg) for cfg in samples])
+    counts = bin_counts(pts, ids, len(samples), domain, edges)
+    return correlations_from_counts(counts, order, edges, tol_combos)
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +540,6 @@ class CylinderFunction:
             lambda v: np.array([[0.0, 1.0], [1.0, 0.0]]), [phi1, phi2])
 
 
-def _support_box(phis):
-    lo = np.min([p.support_lo for p in phis], axis=0)
-    hi = np.max([p.support_hi for p in phis], axis=0)
-    return lo, hi
-
-
 def generator_apply(F, config, dynamics_spec, tol=QUAD_TOL):
     """Evaluate the matching generator formula at the configuration.
 
@@ -596,7 +600,7 @@ def _generator_glauber(F, config, spec, tol):
             death += rates[i] * (F.value_at_vector(v - inner_pts[i]) - base)
     birth = 0.0
     if spec.intensity > 0:
-        lo, hi = _support_box(F.phis)
+        lo, hi = support_box(F.phis)
 
         def integrand(pts):
             pts = np.atleast_2d(pts)
@@ -623,7 +627,7 @@ def _generator_kawasaki(F, config, kernel, tol):
     v = F.inner(config)
     base = F.value_at_vector(v)
     lam = kernel.clock_rate
-    lo, hi = _support_box(F.phis)
+    lo, hi = support_box(F.phis)
     total = 0.0
     inner_pts = F.inner_at(config.points)
     for i in range(len(config)):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,13 @@ class RngStream:
     def generator(self):
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def chunk_sizes(n_items, chunk):
+    """Split n_items into ceil(n_items / chunk) near-equal sizes, larger first."""
+    n_chunks = max(1, math.ceil(n_items / int(chunk)))
+    base, extra = divmod(n_items, n_chunks)
+    return [base + (1 if c < extra else 0) for c in range(n_chunks)]
 
 
 def parallel_map_ordered(fn, n_tasks, threads=1):

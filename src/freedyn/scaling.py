@@ -30,7 +30,7 @@ from scipy.special import gammainc
 from .functions import gauss_smooth, gauss_smooth_box_torus, integrate_function
 from .kernels import KawasakiKernel
 from .observables import glauber_joint_laplace
-from .pointproc import Configuration, parallel_map_ordered
+from .pointproc import Configuration, chunk_sizes, parallel_map_ordered
 from .space import Domain
 
 
@@ -514,9 +514,7 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     target = glauber_joint_laplace(measure, a_const, z, times, phi_list,
                                    tol=tol)
 
-    n_chunks = max(1, math.ceil(n_samples / int(chunk_size)))
-    base, extra = divmod(n_samples, n_chunks)
-    sizes = [base + (1 if c < extra else 0) for c in range(n_chunks)]
+    sizes = chunk_sizes(n_samples, chunk_size)
 
     estimates, stderrs = [], []
     for e_idx, eps in enumerate(eps_schedule):
@@ -528,7 +526,7 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
             return _chunk_joint_values(measure, _kernel, times, phi_list,
                                        sizes[c_idx], gen)
 
-        values = np.concatenate(parallel_map_ordered(work, n_chunks, threads))
+        values = np.concatenate(parallel_map_ordered(work, len(sizes), threads))
         estimates.append(float(values.mean()))
         stderrs.append(float(values.std(ddof=1) / math.sqrt(len(values))))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from freedyn.experiments import (
+    CHUNK,
     ExperimentReport,
     glauber_joint_experiment,
     markov_laplace_experiment,
@@ -15,7 +16,9 @@ from freedyn.experiments import (
 )
 from freedyn.functions import TestFunction
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
-from freedyn.pointproc import Configuration, RngStream
+from freedyn.observables import estimate_correlations
+from freedyn.pointproc import Configuration, RngStream, chunk_sizes
+from freedyn.scaling import PoissonMeasure
 from freedyn.space import Domain
 
 
@@ -106,6 +109,34 @@ def test_poisson_correlation_grid():
     assert expected == pytest.approx(2.0)
     sig = np.abs(grid.estimates - expected) / np.maximum(grid.stderrs, 1e-12)
     assert np.max(sig) <= 3.5
+
+
+@pytest.mark.parametrize("domain", [
+    Domain.fullspace((-1.0,), (1.0,)),
+    Domain.fullspace((0.0, 0.0), (1.0, 1.5)),
+], ids=["1d", "2d"])
+def test_poisson_correlation_matches_per_configuration_estimate(domain):
+    # same draws as the experiment's chunks, split into one Configuration
+    # per replica and estimated through the list-of-samples entry point
+    z, n, rng = 1.25, CHUNK + 1, RngStream(13)
+    sizes = chunk_sizes(n, CHUNK)
+    assert len(sizes) == 2
+    samples = []
+    for c_idx, m in enumerate(sizes):
+        pts, ids = PoissonMeasure(domain, z).sample_batch(
+            m, rng.child(c_idx).generator())
+        split = np.cumsum(np.bincount(ids, minlength=m))[:-1]
+        samples.extend(Configuration(p, domain) for p in np.split(pts, split))
+    assert len(samples) == n
+    for order in (1, 2, 3):
+        grid, expected = poisson_correlation_experiment(
+            domain, z, order, 2, n, rng, threads=2)
+        ref = estimate_correlations(samples, order, bins_per_axis=2)
+        assert expected == z ** order
+        assert grid.n_samples == ref.n_samples == n
+        assert grid.index_tuples == ref.index_tuples
+        assert np.array_equal(grid.estimates, ref.estimates)
+        assert np.array_equal(grid.stderrs, ref.stderrs)
 
 
 def test_poisson_correlation_order2_thread_invariance():

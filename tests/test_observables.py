@@ -15,6 +15,9 @@ from freedyn.observables import (
     UrsellTable,
     analytic_laplace_markov,
     analytic_laplace_submarkov,
+    bin_counts,
+    correlation_edges,
+    correlations_from_counts,
     correlations_from_ursell,
     empirical_laplace,
     estimate_correlations,
@@ -197,6 +200,59 @@ class TestCorrelations:
         lines = grid.to_csv().strip().splitlines()
         assert lines[0].startswith("x0_0")
         assert len(lines) == 1 + 4
+
+    def test_bin_counts_keep_trailing_empty_replicas(self):
+        edges = correlation_edges(D1, 5)
+        pts = np.array([[-1.5], [-1.4], [2.9]])
+        counts = bin_counts(pts, np.array([0, 0, 2]), 5, D1, edges)
+        expected = np.zeros((5, 5), dtype=np.int64)
+        expected[0, 0] = 2
+        expected[2, 4] = 1
+        assert np.array_equal(counts, expected)
+
+    def test_bin_counts_match_per_replica_histograms(self):
+        gen = np.random.default_rng(5)
+        d2 = Domain.fullspace((0.0, -1.0), (3.0, 1.0))
+        edges = correlation_edges(d2, (3, 4))
+        ids = np.sort(gen.integers(0, 40, size=300))  # replicas 40..49 empty
+        pts = gen.uniform((0.0, -1.0), (3.0, 1.0), size=(300, 2))
+        counts = bin_counts(pts, ids, 50, d2, edges)
+        assert counts.shape == (50, 12)
+        for r in range(50):
+            ref = np.histogramdd(pts[ids == r], bins=edges)[0].ravel()
+            assert np.array_equal(counts[r], ref)
+
+    def test_upper_window_edge_lands_in_last_bin(self):
+        d2 = Domain.fullspace((0.0, 0.0), (3.0, 3.0))
+        edges = correlation_edges(d2, 3)
+        pts = np.array([[3.0, 3.0], [3.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+        counts = bin_counts(pts, np.arange(4), 4, d2, edges)
+        # flat index is row-major: x0 bin * 3 + x1 bin
+        assert [int(np.flatnonzero(row)[0]) for row in counts] == [8, 6, 2, 0]
+        assert np.array_equal(counts.sum(axis=1), np.ones(4))
+
+    def test_too_fine_grid_is_refused_before_enumeration(self):
+        # 144 bins at order 4 would be 1.9e7 bin tuples
+        d2 = Domain.fullspace((0.0, 0.0), (3.0, 3.0))
+        edges = correlation_edges(d2, 12)
+        counts = np.zeros((2, 144), dtype=np.int64)
+        with pytest.raises(ValueError, match="too fine"):
+            correlations_from_counts(counts, 4, edges)
+        assert len(correlations_from_counts(counts, 2, edges).estimates) == 10440
+
+    def test_all_empty_batch_gives_zero_grid(self):
+        edges = correlation_edges(D1, 3)
+        counts = bin_counts(np.empty((0, 1)), np.empty(0, dtype=np.int64), 7,
+                            D1, edges)
+        assert counts.shape == (7, 3) and not counts.any()
+        for order in (1, 2, 3):
+            grid = correlations_from_counts(counts, order, edges)
+            assert grid.n_samples == 7
+            assert np.all(grid.estimates == 0.0)
+            assert np.all(grid.stderrs == 0.0)
+        empty = [Configuration(np.empty((0, 1)), D1)] * 7
+        grid = estimate_correlations(empty, 2, bins_per_axis=3)
+        assert np.all(grid.estimates == 0.0) and np.all(grid.stderrs == 0.0)
 
 
 # independent partition enumerator via restricted growth strings, used to

@@ -19,7 +19,6 @@ from freedyn import (
     TestFunction,
     analytic_laplace_submarkov,
     submarkov_laplace_experiment,
-    survival_probability,
 )
 
 domain = Domain.fullspace((-4.0,), (4.0,))
@@ -37,7 +36,7 @@ for j, t in enumerate((0.25, 0.5, 1.0, 2.0, 4.0)):
     rep = submarkov_laplace_experiment(kernel, start, phi, t, z, n_rep,
                                        RngStream(31).child(j))
     exact = analytic_laplace_submarkov(kernel, start, phi, t, z)
-    surv = survival_probability(kernel, np.array([0.0]), t)
+    surv = kernel.survival(np.array([0.0]), t)
     print("%6.2f %10.4f %12.6f %12.6f %12.6f %8.2f"
           % (t, surv, rep.estimate, exact, rep.stderr, rep.sigma_distance))
 

@@ -20,8 +20,7 @@ from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       GaussianProfile, KawasakiKernel, KilledBrownianKernel,
                       apply_semigroup, check_summability,
                       default_buffer_width, exit_probability,
-                      kawasaki_polynomial_certificate, killing_profile,
-                      propagate, survival_probability, tail_bound)
+                      kawasaki_polynomial_certificate, killing_profile)
 from .dynamics import (Buffer, EvolutionPlan, Event, EventStream,
                        GlauberDynamics, TorusExact, buffer_leakage_bound,
                        event_stream, evolve_snapshot,

@@ -135,6 +135,29 @@ class GlauberDynamics:
         if not self.intensity >= 0:
             raise ValueError("intensity must be >= 0")
 
+    def events(self, config, horizon, rng):
+        """event_stream's birth and death events, in any order."""
+        rate, z = self.rate, self.intensity
+        gen = rng.child(1).generator()
+        init = config.points
+        deaths = _exponential_lifetimes(rate(init) if len(init) else
+                                        np.zeros(0), gen)
+        events = [Event(float(deaths[j]), "death", tuple(init[j]))
+                  for j in range(len(init)) if deaths[j] <= horizon]
+        if z > 0 and rate.bound > 0:
+            rain = BoundedField(lambda p: rate(p) * z, rate.bound * z)
+            bpts, btimes = sample_poisson_space_time(config.domain, rain,
+                                                     horizon, rng.child(2))
+            bdeaths = btimes + _exponential_lifetimes(
+                rate(bpts) if len(bpts) else np.zeros(0), gen)
+            for j in range(len(bpts)):
+                events.append(Event(float(btimes[j]), "birth",
+                                    tuple(bpts[j])))
+                if bdeaths[j] <= horizon:
+                    events.append(Event(float(bdeaths[j]), "death",
+                                        tuple(bpts[j])))
+        return events
+
 
 def buffer_leakage_bound(kernel, t_max, width, population):
     """Bound on the expected number of particles lost past the collar.
@@ -412,47 +435,5 @@ def event_stream(config, model, horizon, rng):
     """
     if not horizon > 0:
         raise ValueError("horizon must be > 0")
-    domain = config.domain
-    gen = rng.child(1).generator()
-    events = []
-    if isinstance(model, GlauberDynamics) or getattr(model, "variant", "") == "death":
-        if isinstance(model, GlauberDynamics):
-            rate, z = model.rate, model.intensity
-        else:
-            rate, z = model.rate, 0.0
-        init = config.points
-        deaths = _exponential_lifetimes(rate(init) if len(init) else
-                                        np.zeros(0), gen)
-        for j in range(len(init)):
-            if deaths[j] <= horizon:
-                events.append(Event(float(deaths[j]), "death",
-                                    tuple(init[j])))
-        if z > 0 and rate.bound > 0:
-            rain = BoundedField(lambda p: rate(p) * z, rate.bound * z)
-            bpts, btimes = sample_poisson_space_time(domain, rain, horizon,
-                                                     rng.child(2))
-            bdeaths = btimes + _exponential_lifetimes(
-                rate(bpts) if len(bpts) else np.zeros(0), gen)
-            for j in range(len(bpts)):
-                events.append(Event(float(btimes[j]), "birth",
-                                    tuple(bpts[j])))
-                if bdeaths[j] <= horizon:
-                    events.append(Event(float(bdeaths[j]), "death",
-                                        tuple(bpts[j])))
-    elif getattr(model, "variant", "") == "kawasaki":
-        for row in config.points:
-            epochs = model.jump_times(horizon, gen)
-            if len(epochs) == 0:
-                continue
-            disp = model.profile.sample_displacements(gen, len(epochs))
-            path = row + np.cumsum(disp, axis=0)
-            path = domain.wrap(path)
-            prev = tuple(row)
-            for s, nxt in zip(epochs, path):
-                events.append(Event(float(s), "jump", prev, tuple(nxt)))
-                prev = tuple(nxt)
-    else:
-        raise ValueError("event streams exist for birth-death and jump "
-                         "dynamics only")
-    events.sort(key=lambda e: e.time)
+    events = sorted(model.events(config, horizon, rng), key=lambda e: e.time)
     return EventStream(events, float(horizon))

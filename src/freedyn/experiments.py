@@ -23,9 +23,9 @@ import numpy as np
 from .functions import support_box
 from .kernels import killing_profile
 from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
-                          bin_counts, correlation_edges,
-                          correlations_from_counts, glauber_joint_laplace,
-                          poisson_laplace_exponent)
+                          bin_counts, check_correlation_grid,
+                          correlation_edges, correlations_from_counts,
+                          glauber_joint_laplace, poisson_laplace_exponent)
 from .pointproc import Configuration, chunk_sizes, parallel_map_ordered
 from .scaling import PoissonMeasure
 
@@ -281,9 +281,11 @@ def poisson_correlation_experiment(domain, intensity, order, bins_per_axis,
     Each chunk bins its flat (points, replica ids) batch into one count row
     per replica; the rows are stacked in chunk order and reduced once.  No
     per-replica Configuration is built, so the cost is linear in n_samples.
+    The order and the grid size are checked before the first draw.
     """
     z = float(intensity)
     edges = correlation_edges(domain, bins_per_axis)
+    check_correlation_grid(order, int(np.prod([len(e) - 1 for e in edges])))
 
     def worker(m, gen):
         pts, ids = PoissonMeasure(domain, z).sample_batch(m, gen)

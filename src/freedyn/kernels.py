@@ -1,6 +1,6 @@
 """One-particle (sub-)Markov kernels and their analytic semigroups.
 
-Four kernel variants drive the particle dynamics:
+Four kernels drive the particle dynamics:
 
 * Brownian: standard heat flow, position x + sqrt(t) * Normal(0, Id).
 * Death: the particle sits still and dies at rate a(x); the semigroup is
@@ -22,6 +22,21 @@ that controls infinite-volume well-definedness: a direct one with radius
 schedule delta * n**(1/(alpha*m)) and certified analytic remainders, and a
 polynomial-route certificate for jump kernels whose profile tail decays
 like C / r**alpha with alpha > m.
+
+Every kernel subclasses Kernel and keeps its own behaviour in methods;
+the module functions validate and delegate.  A kernel sets ``variant`` (a
+report label), ``conservative`` and, if it kills, ``rate``, and implements
+
+* ``propagate_batch(pts, dts, gen)`` -> (positions, alive);
+* ``semigroup(phi, t, tol)``, ``survival(x, t)`` and ``tail_bound(t, r)``;
+* ``escape_series(epsilon, delta, beta, n_direct, target_tol)`` -> (terms,
+  remainder bound), for check_summability;
+* ``exit_paths(x, r, epsilon, n_paths, path_step, gen)`` -> exit flags,
+  for exit_probability.
+
+It may override Kernel's defaults: ``image_integral`` (quadrature),
+``buffer_width`` (bisection on tail_bound), ``escape_report``,
+``exit_probability`` and ``events`` (no discrete-event form).
 """
 
 from __future__ import annotations
@@ -33,8 +48,8 @@ import numpy as np
 from scipy import integrate, optimize
 from scipy.special import gammainc, gammaincc, zeta
 
-from .functions import (NumericFunction, TestFunction, gauss_smooth,
-                        gauss_smooth_box_torus)
+from .functions import (NumericFunction, gauss_smooth, gauss_smooth_box_torus,
+                        integrate_function)
 from .pointproc import as_field
 
 DEFAULT_TOL = 1e-8
@@ -233,31 +248,77 @@ class BumpProfile:
 
 
 # ---------------------------------------------------------------------------
-# propagation results
-
-@dataclass(frozen=True)
-class Fate:
-    """Outcome of propagating one particle: final position or death time."""
-
-    alive: bool
-    position: object = None
-    death_time: float = None
-
-    @staticmethod
-    def survived(position):
-        return Fate(True, position=np.asarray(position, dtype=float))
-
-    @staticmethod
-    def died(death_time):
-        return Fate(False, death_time=float(death_time))
-
+# kernels
 
 def _effective_pad(var):
     # support padding for semigroup images: Gaussian reach at ~8 sigma
     return 8.0 * math.sqrt(max(var, 0.0)) + 1e-9
 
 
-class BrownianKernel:
+def _batch_times(dts, n):
+    """Per-row times of a batch; checked before broadcasting, so O(1) if scalar."""
+    dts = np.asarray(dts, dtype=float)
+    if dts.min(initial=0.0) < 0:
+        raise ValueError("t must be >= 0")
+    return np.broadcast_to(dts, (n,))
+
+
+def _heat_tail(dim, t, r):
+    """Exact tail P(|sqrt(t) Z| > r) via the chi-square upper tail."""
+    if t <= 0 or r <= 0:
+        raise ValueError("need t > 0 and r > 0")
+    return float(gammaincc(dim / 2.0, r * r / (2.0 * t)))
+
+
+class Kernel:
+    """Defaults shared by the kernels; see the module docstring."""
+
+    def image_integral(self, phi, image, t, tol):
+        """int (T_t phi) dx given the image T_t phi: quadrature by default."""
+        return integrate_function(image, tol)
+
+    def buffer_width(self, t_max, target):
+        """Smallest radius with tail_bound(t_max, radius) <= target."""
+        lo, hi = 1e-6, 1.0
+        while self.tail_bound(t_max, hi) > target:
+            hi *= 2.0
+            if hi > 1e6:
+                raise RuntimeError("no finite buffer width reaches the target")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if self.tail_bound(t_max, mid) > target:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    def escape_report(self, params, epsilon, delta, beta, target_tol, n_direct):
+        """check_summability's report, built from escape_series."""
+        terms, remainder = self.escape_series(epsilon, delta, beta, n_direct,
+                                              target_tol)
+        sums = np.cumsum(terms)
+        keep = list(sums[:16]) + list(sums[31::32])
+        params["n_direct"] = int(len(terms))
+        return ConvergenceReport(keep + [float(sums[-1])], float(remainder),
+                                 bool(remainder <= target_tol), params)
+
+    def exit_probability(self, x, r, epsilon, n_paths, path_step, rng):
+        """exit_probability's (estimate, stderr, bound), from exit_paths."""
+        bound = min(2.0 * self.tail_bound(epsilon, r / 2.0), 1.0)
+        exited = self.exit_paths(x, r, epsilon, n_paths, path_step,
+                                 rng.generator())
+        mean = float(np.mean(exited))
+        stderr = float(np.std(exited, ddof=1) / math.sqrt(n_paths)) \
+            if n_paths > 1 else 0.0
+        return mean, stderr, bound
+
+    def events(self, config, horizon, rng):
+        """event_stream's events, in any order."""
+        raise ValueError("event streams exist for birth-death and jump "
+                         "dynamics only")
+
+
+class BrownianKernel(Kernel):
     """Heat-flow kernel: increments sqrt(t) * standard Gaussian."""
 
     variant = "brownian"
@@ -266,18 +327,8 @@ class BrownianKernel:
     def __init__(self, domain):
         self.domain = domain
 
-    def propagate(self, x, t, rng):
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        x = np.asarray(x, dtype=float)
-        if t == 0:
-            return Fate.survived(x)
-        gen = rng.generator()
-        out = x + math.sqrt(t) * gen.standard_normal(self.domain.dim)
-        return Fate.survived(self.domain.wrap(out))
-
     def propagate_batch(self, pts, dts, gen):
-        dts = np.broadcast_to(np.asarray(dts, dtype=float), (len(pts),))
+        dts = _batch_times(dts, len(pts))
         out = pts + np.sqrt(dts)[:, None] * gen.standard_normal(pts.shape)
         return self.domain.wrap(out), np.ones(len(pts), dtype=bool)
 
@@ -306,13 +357,17 @@ class BrownianKernel:
         return 1.0
 
     def tail_bound(self, t, r):
-        """Exact tail: P(|sqrt(t) Z| > r) via the chi-square upper tail."""
-        if t <= 0 or r <= 0:
-            raise ValueError("need t > 0 and r > 0")
-        return float(gammaincc(self.domain.dim / 2.0, r * r / (2.0 * t)))
+        return _heat_tail(self.domain.dim, t, r)
+
+    def escape_series(self, epsilon, delta, beta, n_direct, target_tol):
+        return _heat_escape_series(self.domain.dim, epsilon, delta, beta,
+                                   n_direct)
+
+    def exit_paths(self, x, r, epsilon, n_paths, path_step, gen):
+        return _diffusion_exit_paths(x, r, epsilon, n_paths, path_step, gen)
 
 
-class DeathKernel:
+class DeathKernel(Kernel):
     """The particle stays put and dies at position-dependent rate a(x)."""
 
     variant = "death"
@@ -322,25 +377,8 @@ class DeathKernel:
         self.domain = domain
         self.rate = as_field(rate)
 
-    def propagate(self, x, t, rng):
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        x = np.asarray(x, dtype=float)
-        if t == 0:
-            return Fate.survived(x)
-        a = float(self.rate(x[None, :])[0])
-        if a == 0:
-            return Fate.survived(x)
-        gen = rng.generator()
-        if gen.random() < math.exp(-a * t):
-            return Fate.survived(x)
-        # death time conditioned to lie in (0, t]
-        u = gen.random()
-        tau = -math.log1p(-u * (1.0 - math.exp(-a * t))) / a
-        return Fate.died(tau)
-
     def propagate_batch(self, pts, dts, gen):
-        dts = np.broadcast_to(np.asarray(dts, dtype=float), (len(pts),))
+        dts = _batch_times(dts, len(pts))
         a = self.rate(pts)
         alive = gen.random(len(pts)) < np.exp(-a * dts)
         return pts, alive
@@ -359,11 +397,27 @@ class DeathKernel:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return float(np.exp(-self.rate(x)[0] * t))
 
+    # the particle never moves: no tail, no escape, no exit, no collar
+
     def tail_bound(self, t, r):
         return 0.0
 
+    def escape_report(self, params, epsilon, delta, beta, target_tol, n_direct):
+        return ConvergenceReport([0.0], 0.0, True, params | {"note": "no motion"})
 
-class KawasakiKernel:
+    def exit_probability(self, x, r, epsilon, n_paths, path_step, rng):
+        return 0.0, 0.0, 0.0
+
+    def buffer_width(self, t_max, target):
+        return 0.0
+
+    def events(self, config, horizon, rng):
+        # birth-and-death events without births; dynamics imports this module
+        from .dynamics import GlauberDynamics
+        return GlauberDynamics(self.rate, 0.0).events(config, horizon, rng)
+
+
+class KawasakiKernel(Kernel):
     """Compound-Poisson jump kernel driven by a jump profile.
 
     The clock rate is the profile's total mass; displacements are i.i.d.
@@ -385,19 +439,8 @@ class KawasakiKernel:
     def clock_rate(self):
         return self.profile.mass
 
-    def propagate(self, x, t, rng):
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        x = np.asarray(x, dtype=float)
-        gen = rng.generator()
-        n = gen.poisson(self.clock_rate * t) if t > 0 else 0
-        if n == 0:
-            return Fate.survived(x)
-        disp = self.profile.sample_displacements(gen, n).sum(axis=0)
-        return Fate.survived(self.domain.wrap(x + disp))
-
     def propagate_batch(self, pts, dts, gen):
-        dts = np.broadcast_to(np.asarray(dts, dtype=float), (len(pts),))
+        dts = _batch_times(dts, len(pts))
         counts = gen.poisson(self.clock_rate * dts)
         out = np.array(pts, copy=True)
         if isinstance(self.profile, GaussianProfile):
@@ -502,8 +545,47 @@ class KawasakiKernel:
             out[i:i + chunk] = probs @ weights
         return np.minimum(out + remainder, 1.0)
 
+    def escape_series(self, epsilon, delta, beta, n_direct, target_tol):
+        remainder, n_from = _kawasaki_remainder(self.profile, epsilon, delta,
+                                                beta, n_direct, target_tol)
+        n = np.arange(1, n_from + 1)
+        return self.tail_bound_batch(epsilon, delta * n ** (1.0 / beta)), \
+            remainder
 
-class KilledBrownianKernel:
+    def exit_paths(self, x, r, epsilon, n_paths, path_step, gen):
+        # exact at the jump epochs: path i takes its counts[i] draws in
+        # order, and step k moves every path with more than k jumps
+        counts = gen.poisson(self.clock_rate * epsilon, size=n_paths)
+        draws = self.profile.sample_displacements(gen, int(counts.sum()))
+        start = np.cumsum(counts) - counts
+        pos = np.zeros((n_paths, self.domain.dim))
+        exited = np.zeros(n_paths, dtype=bool)
+        for k in range(int(counts.max(initial=0))):
+            active = np.flatnonzero(counts > k)
+            moved = pos[active] + draws[start[active] + k]
+            pos[active] = moved
+            exited[active] |= np.linalg.norm(moved, axis=1) > r
+        return exited
+
+    def events(self, config, horizon, rng):
+        from .dynamics import Event  # dynamics imports this module
+        domain = config.domain
+        gen = rng.child(1).generator()
+        events = []
+        for row in config.points:
+            epochs = self.jump_times(horizon, gen)
+            if len(epochs) == 0:
+                continue
+            disp = self.profile.sample_displacements(gen, len(epochs))
+            path = domain.wrap(row + np.cumsum(disp, axis=0))
+            prev = tuple(row)
+            for s, nxt in zip(epochs, path):
+                events.append(Event(float(s), "jump", prev, tuple(nxt)))
+                prev = tuple(nxt)
+        return events
+
+
+class KilledBrownianKernel(Kernel):
     """Brownian motion killed at position-dependent rate a along the path.
 
     Sampling thins the path on a grid of step h_kill (bias O(h_kill)).
@@ -527,26 +609,8 @@ class KilledBrownianKernel:
     def _step(self, t):
         return self.h_kill if self.h_kill is not None else max(t / 1000.0, 1e-9)
 
-    def propagate(self, x, t, rng):
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        x = np.asarray(x, dtype=float)
-        if t == 0:
-            return Fate.survived(x)
-        gen = rng.generator()
-        h = self._step(t)
-        n_steps = max(int(math.ceil(t / h)), 1)
-        h = t / n_steps
-        pos = x.copy()
-        for i in range(n_steps):
-            a = float(self.rate(pos[None, :])[0])
-            if a > 0 and gen.random() >= math.exp(-a * h):
-                return Fate.died((i + gen.random()) * h)
-            pos = pos + math.sqrt(h) * gen.standard_normal(self.domain.dim)
-        return Fate.survived(self.domain.wrap(pos))
-
     def propagate_batch(self, pts, dts, gen):
-        dts = np.broadcast_to(np.asarray(dts, dtype=float), (len(pts),))
+        dts = _batch_times(dts, len(pts))
         t_max = float(np.max(dts)) if len(dts) else 0.0
         if t_max == 0.0:
             return pts, np.ones(len(pts), dtype=bool)
@@ -632,17 +696,25 @@ class KilledBrownianKernel:
 
     def tail_bound(self, t, r):
         # killing only removes mass, so the conservative heat tail dominates
-        if t <= 0 or r <= 0:
-            raise ValueError("need t > 0 and r > 0")
-        return float(gammaincc(self.domain.dim / 2.0, r * r / (2.0 * t)))
+        return _heat_tail(self.domain.dim, t, r)
+
+    def image_integral(self, phi, image, t, tol):
+        if self._constant_rate:
+            # heat flow preserves the integral; killing scales it
+            return math.exp(-self._rate_const * t) * integrate_function(phi, tol)
+        return integrate_function(image, tol)
+
+    def escape_series(self, epsilon, delta, beta, n_direct, target_tol):
+        return _heat_escape_series(self.domain.dim, epsilon, delta, beta,
+                                   n_direct)
+
+    def exit_paths(self, x, r, epsilon, n_paths, path_step, gen):
+        return _diffusion_exit_paths(x, r, epsilon, n_paths, path_step, gen,
+                                     self.rate)
 
 
 # ---------------------------------------------------------------------------
 # operation wrappers
-
-def propagate(kernel, x, t, rng):
-    return kernel.propagate(x, t, rng)
-
 
 def apply_semigroup(kernel, phi, t, x, tol=DEFAULT_TOL):
     """Semigroup image of phi at time t, evaluated at a single point."""
@@ -651,19 +723,11 @@ def apply_semigroup(kernel, phi, t, x, tol=DEFAULT_TOL):
     return float(image(x)[0])
 
 
-def survival_probability(kernel, x, t, **kw):
-    return kernel.survival(x, t, **kw) if kw else kernel.survival(x, t)
-
-
 def killing_profile(kernel):
     """Killing rate g with survival = 1 - g(x) t + o(t); zero if conservative."""
     if kernel.conservative:
         return as_field(0.0)
     return kernel.rate
-
-
-def tail_bound(kernel, t, r):
-    return kernel.tail_bound(t, r)
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +759,14 @@ def _tail_integral(c, q, n_from):
     return math.gamma(s) / (q * c ** s) * float(gammaincc(s, c * n_from ** q))
 
 
-def _brownian_remainder(dim, epsilon, delta, beta, n_from):
+def _heat_escape_series(dim, epsilon, delta, beta, n_direct):
+    """Heat-tail escape terms for n <= n_direct and a bound on the rest."""
+    n = np.arange(1, n_direct + 1)
+    radii = delta * n ** (1.0 / beta)
+    terms = gammaincc(dim / 2.0, np.square(radii) / (2.0 * epsilon))
     # coordinate union bound: tail(r) <= dim * exp(-r^2 / (2 dim eps))
     c = delta * delta / (2.0 * dim * epsilon)
-    return dim * _tail_integral(c, 2.0 / beta, n_from)
+    return terms, dim * _tail_integral(c, 2.0 / beta, n_direct)
 
 
 def _kawasaki_remainder_at(profile, epsilon, delta, beta, n_from, c2):
@@ -769,40 +837,19 @@ def check_summability(kernel, alpha, m, epsilon, delta, target_tol=1e-10,
     """Convergence check for the escape series with radii delta * n**(1/(alpha m)).
 
     Sums sup_{t <= epsilon} of the spatial tail at radius delta * n**(1/(alpha*m))
-    over n.  The supremum in t is attained at epsilon for every variant here
+    over n.  The supremum in t is attained at epsilon for every kernel here
     (tails are stochastically monotone in t), which is unit-tested rather than
     assumed.  Terms up to n_direct use the kernel tail bound directly; the
-    infinite remainder is bounded analytically per variant.  converges means
-    the certified remainder is below target_tol.
+    kernel's escape_series bounds the infinite remainder analytically.
+    converges means the certified remainder is below target_tol.
     """
     if alpha < 1 or m < 1 or epsilon <= 0 or delta <= 0:
         raise ValueError("need alpha >= 1, m >= 1, epsilon > 0, delta > 0")
     beta = alpha * m
     params = {"alpha": alpha, "m": m, "epsilon": epsilon, "delta": delta,
               "radius_exponent": 1.0 / beta, "variant": kernel.variant}
-    if kernel.variant == "death":
-        return ConvergenceReport([0.0], 0.0, True, params | {"note": "no motion"})
-
-    if kernel.variant in ("brownian", "killed_brownian"):
-        n = np.arange(1, n_direct + 1)
-        radii = delta * n ** (1.0 / beta)
-        dim = kernel.domain.dim
-        terms = gammaincc(dim / 2.0, np.square(radii) / (2.0 * epsilon))
-        remainder = _brownian_remainder(dim, epsilon, delta, beta, n_direct)
-    elif kernel.variant == "kawasaki":
-        remainder, n_from = _kawasaki_remainder(kernel.profile, epsilon, delta,
-                                                beta, n_direct, target_tol)
-        n = np.arange(1, n_from + 1)
-        radii = delta * n ** (1.0 / beta)
-        terms = kernel.tail_bound_batch(epsilon, radii)
-    else:
-        raise ValueError(f"unsupported kernel variant {kernel.variant}")
-
-    sums = np.cumsum(terms)
-    keep = list(sums[:16]) + list(sums[31::32])
-    params["n_direct"] = int(len(terms))
-    return ConvergenceReport(keep + [float(sums[-1])], float(remainder),
-                             bool(remainder <= target_tol), params)
+    return kernel.escape_report(params, epsilon, delta, beta, target_tol,
+                                n_direct)
 
 
 def kawasaki_polynomial_certificate(profile, alpha, m, epsilon=1.0, delta=1.0,
@@ -859,69 +906,40 @@ def exit_probability(kernel, x, r, epsilon, n_paths, path_step, rng):
     """
     if r <= 0 or epsilon <= 0:
         raise ValueError("need r > 0 and epsilon > 0")
-    x = np.asarray(x, dtype=float)
-    bound = min(2.0 * kernel.tail_bound(epsilon, r / 2.0), 1.0) \
-        if kernel.variant != "death" else 0.0
-    if kernel.variant == "death":
-        return 0.0, 0.0, 0.0
-    gen = rng.generator()
-    if kernel.variant in ("brownian", "killed_brownian"):
-        n_steps = max(int(math.ceil(epsilon / path_step)), 1)
-        h = epsilon / n_steps
-        exited = np.zeros(n_paths, dtype=bool)
-        pos = np.tile(x, (n_paths, 1))
-        alive = np.ones(n_paths, dtype=bool)
-        for _ in range(n_steps):
+    return kernel.exit_probability(np.asarray(x, dtype=float), r, epsilon,
+                                   n_paths, path_step, rng)
+
+
+def _diffusion_exit_paths(x, r, epsilon, n_paths, path_step, gen, rate=None):
+    """Exit flags of Gaussian paths sampled every path_step from x.
+
+    With a killing rate, paths are thinned before every step and a killed
+    path stops without exiting.
+    """
+    n_steps = max(int(math.ceil(epsilon / path_step)), 1)
+    h = epsilon / n_steps
+    exited = np.zeros(n_paths, dtype=bool)
+    pos = np.tile(x, (n_paths, 1))
+    alive = np.ones(n_paths, dtype=bool)
+    for _ in range(n_steps):
+        act = alive & ~exited
+        if not np.any(act):
+            break
+        if rate is not None:
+            a = rate(pos[act])
+            surv = gen.random(int(act.sum())) < np.exp(-a * h)
+            idx = np.where(act)[0]
+            alive[idx[~surv]] = False
             act = alive & ~exited
             if not np.any(act):
                 break
-            if kernel.variant == "killed_brownian":
-                a = kernel.rate(pos[act])
-                surv = gen.random(int(act.sum())) < np.exp(-a * h)
-                idx = np.where(act)[0]
-                alive[idx[~surv]] = False
-                act = alive & ~exited
-                if not np.any(act):
-                    break
-            pos[act] += math.sqrt(h) * gen.standard_normal((int(act.sum()), len(x)))
-            dist = np.linalg.norm(pos[act] - x, axis=1)
-            idx = np.where(act)[0]
-            exited[idx[dist > r]] = True
-        est = exited
-    elif kernel.variant == "kawasaki":
-        counts = gen.poisson(kernel.clock_rate * epsilon, size=n_paths)
-        total = int(counts.sum())
-        draws = kernel.profile.sample_displacements(gen, total) if total else \
-            np.zeros((0, kernel.domain.dim))
-        est = np.zeros(n_paths, dtype=bool)
-        offset = 0
-        for i in range(n_paths):
-            c = counts[i]
-            if c == 0:
-                continue
-            path = np.cumsum(draws[offset:offset + c], axis=0)
-            offset += c
-            est[i] = bool(np.any(np.linalg.norm(path, axis=1) > r))
-    else:
-        raise ValueError(f"unsupported kernel variant {kernel.variant}")
-    mean = float(np.mean(est))
-    stderr = float(np.std(est, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return mean, stderr, bound
+        pos[act] += math.sqrt(h) * gen.standard_normal((int(act.sum()), len(x)))
+        dist = np.linalg.norm(pos[act] - x, axis=1)
+        idx = np.where(act)[0]
+        exited[idx[dist > r]] = True
+    return exited
 
 
 def default_buffer_width(kernel, t_max, target=1e-4):
-    """Smallest radius with tail_bound(t_max, radius) <= target."""
-    if kernel.variant == "death":
-        return 0.0
-    lo, hi = 1e-6, 1.0
-    while kernel.tail_bound(t_max, hi) > target:
-        hi *= 2.0
-        if hi > 1e6:
-            raise RuntimeError("no finite buffer width reaches the target")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if kernel.tail_bound(t_max, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    """Smallest radius with tail_bound(t_max, radius) <= target (0: no motion)."""
+    return kernel.buffer_width(t_max, target)

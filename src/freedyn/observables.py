@@ -134,16 +134,6 @@ def analytic_laplace_markov(kernel, config, phi, t, tol=QUAD_TOL):
     return float(math.exp(np.sum(np.log1p(vals))))
 
 
-def _integral_of_image(kernel, phi, image, t, tol):
-    # int (T_t phi): closed forms where the kernel structure gives them
-    if kernel.variant == "death":
-        return integrate_function(image, tol)
-    if kernel.variant == "killed_brownian" and kernel._constant_rate:
-        # heat flow preserves the integral; killing scales it
-        return math.exp(-kernel._rate_const * t) * integrate_function(phi, tol)
-    return integrate_function(image, tol)
-
-
 def analytic_laplace_submarkov(kernel, config, phi, t, z, tol=QUAD_TOL):
     """Two-factor closed form for killing with immigration at intensity z.
 
@@ -161,8 +151,8 @@ def analytic_laplace_submarkov(kernel, config, phi, t, z, tol=QUAD_TOL):
         first = float(np.sum(np.log1p(vals)))
     else:
         first = 0.0
-    deficit = integrate_function(phi, tol) - _integral_of_image(
-        kernel, phi, image, t, tol)
+    deficit = integrate_function(phi, tol) - kernel.image_integral(
+        phi, image, t, tol)
     return math.exp(first + z * deficit)
 
 
@@ -347,6 +337,14 @@ def bin_counts(pts, ids, n_rep, domain, edges):
     return counts.reshape(n_rep, n_flat)
 
 
+def check_correlation_grid(order, n_bins, tol_combos=20000):
+    """Refuse an order outside 1..4 or a grid with too many bin tuples."""
+    if order < 1 or order > 4:
+        raise ValueError("order must be in 1..4")
+    if math.comb(n_bins + order - 1, order) > tol_combos:
+        raise ValueError("bin grid too fine for this order")
+
+
 def correlations_from_counts(counts, order, edges, tol_combos=20000):
     """Factorial-moment estimate of the order-n correlation on a bin grid.
 
@@ -358,14 +356,11 @@ def correlations_from_counts(counts, order, edges, tol_combos=20000):
     This equals the symmetrized subset-sum estimator (n! over unordered
     subsets) termwise.
     """
-    if order < 1 or order > 4:
-        raise ValueError("order must be in 1..4")
     n_rep, n_flat = counts.shape
+    check_correlation_grid(order, n_flat, tol_combos)
     vol_bin = float(np.prod([(e[-1] - e[0]) / (len(e) - 1) for e in edges]))
 
     from itertools import combinations_with_replacement
-    if math.comb(n_flat + order - 1, order) > tol_combos:
-        raise ValueError("bin grid too fine for this order")
     tuples = list(combinations_with_replacement(range(n_flat), order))
     estimates = np.empty(len(tuples))
     stderrs = np.empty(len(tuples))

@@ -276,9 +276,8 @@ class ThetaReport:
     """Window-truncated ball-growth certificate.
 
     kmin is the least integer K with count(r) <= K * vol(B(r))**alpha for
-    every probed radius r = 1 .. r_max.  member reports whether such a K
-    exists at all for the probed radii (always true for finite data), so
-    the honest content is kmin itself plus the truncation note.
+    every probed radius r = 1 .. r_max.  Such a K always exists for finite
+    data, so the content is kmin itself plus the truncation note.
     """
 
     alpha: float
@@ -286,7 +285,6 @@ class ThetaReport:
     radii: tuple
     counts: tuple
     kmin: int
-    member: bool
     note: str = field(default="certificate truncated to the probed radii")
 
     def to_dict(self):
@@ -296,7 +294,6 @@ class ThetaReport:
             "radii": list(self.radii),
             "counts": list(self.counts),
             "kmin": self.kmin,
-            "member": self.member,
             "note": self.note,
         }
 
@@ -324,4 +321,4 @@ def theta_check(config, alpha, r_max, center=None):
         denom = ball_volume(config.domain.dim, r) ** alpha
         kmin = max(kmin, int(np.ceil(c / denom - 1e-12)))
     return ThetaReport(alpha=float(alpha), center=tuple(float(v) for v in center),
-                       radii=radii, counts=counts, kmin=kmin, member=True)
+                       radii=radii, counts=counts, kmin=kmin)

@@ -139,6 +139,29 @@ def test_poisson_correlation_matches_per_configuration_estimate(domain):
         assert np.array_equal(grid.stderrs, ref.stderrs)
 
 
+class _Sentinel(Exception):
+    """Raised by _NoDraws; not a ValueError."""
+
+
+class _NoDraws:
+    """RngStream stand-in that refuses to hand out any stream."""
+
+    def child(self, *indices):
+        raise _Sentinel("a stream was requested")
+
+    def generator(self):
+        raise _Sentinel("a generator was requested")
+
+
+@pytest.mark.parametrize("order, bins, message", (
+    (5, 3, "order must be in 1..4"),
+    (3, 60, "bin grid too fine"),
+))
+def test_poisson_correlation_refuses_before_sampling(order, bins, message):
+    with pytest.raises(ValueError, match=message):
+        poisson_correlation_experiment(D1, 1.0, order, bins, 400_000, _NoDraws())
+
+
 def test_poisson_correlation_order2_thread_invariance():
     ga, ea = poisson_correlation_experiment(D1, 1.5, 2, 3, 30000, RngStream(11), threads=1)
     gb, eb = poisson_correlation_experiment(D1, 1.5, 2, 3, 30000, RngStream(11), threads=4)

@@ -1,5 +1,6 @@
 """One-particle kernels: samplers, semigroups, tails, summability."""
 
+import copy
 import math
 
 import numpy as np
@@ -20,11 +21,10 @@ from freedyn.kernels import (
     exit_probability,
     kawasaki_polynomial_certificate,
     killing_profile,
-    propagate,
-    survival_probability,
-    tail_bound,
 )
-from freedyn.pointproc import RngStream
+from freedyn.dynamics import event_stream
+from freedyn.observables import analytic_laplace_submarkov
+from freedyn.pointproc import Configuration, RngStream
 from freedyn.space import Domain
 
 
@@ -33,11 +33,25 @@ D2 = Domain.fullspace((-10.0, -10.0), (10.0, 10.0))
 BOX = TestFunction.box(-0.5, (-1.0,), (1.0,))
 
 
+# one instance of every kernel, the Kawasaki kernel with both profiles
+KERNELS = (
+    BrownianKernel(D1),
+    DeathKernel(D1, 1.0),
+    KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.7)),
+    KawasakiKernel(D1, BumpProfile(1, 1.2, 0.8)),
+    KilledBrownianKernel(D1, 0.5),
+)
+
+
 class TestPropagate:
     def test_brownian_identity_at_zero(self):
-        fate = propagate(BrownianKernel(D1), np.array([1.25]), 0.0, RngStream(3))
-        assert fate.alive
-        assert np.array_equal(fate.position, [1.25])
+        # a single particle is a 1-row batch; at time 0 no kernel moves or
+        # kills it
+        for kernel in KERNELS:
+            pts = np.array([[1.25]])
+            out, alive = kernel.propagate_batch(pts, 0.0, RngStream(3).generator())
+            assert alive.tolist() == [True], kernel.variant
+            assert np.array_equal(out, pts), kernel.variant
 
     def test_death_survival_frequency(self):
         # a=1, t=ln2: survival probability 1/2
@@ -50,11 +64,14 @@ class TestPropagate:
         se = math.sqrt(p * (1 - p) / len(alive))
         assert abs(p - 0.5) <= 3 * se
 
-    def test_death_times_conditioned_below_t(self):
+    def test_death_batch_keeps_positions(self):
+        # dead or alive, every row keeps its position bit for bit
         kernel = DeathKernel(D1, 1.0)
-        fate = propagate(kernel, np.array([0.0]), 0.05, RngStream(9))
-        if not fate.alive:
-            assert 0.0 <= fate.death_time <= 0.05
+        pts = RngStream(9).generator().uniform(-5.0, 5.0, (500, 1))
+        before = pts.copy()
+        out, alive = kernel.propagate_batch(pts, 0.7, RngStream(9).child(1).generator())
+        assert 0 < alive.sum() < len(alive)
+        assert out.tobytes() == before.tobytes()
 
     def test_kawasaki_jump_count_mean(self):
         kernel = KawasakiKernel(D1, GaussianProfile(1, 1.0, 1.0))
@@ -65,8 +82,11 @@ class TestPropagate:
         assert abs(mean - 2.0) <= 3 * se
 
     def test_negative_time_rejected(self):
-        with pytest.raises(ValueError):
-            propagate(BrownianKernel(D1), np.array([0.0]), -1.0, RngStream(1))
+        for kernel in KERNELS:
+            for dts in (-1.0, np.array([-1.0])):
+                with pytest.raises(ValueError, match="t must be >= 0"):
+                    kernel.propagate_batch(np.array([[0.0]]), dts,
+                                           RngStream(1).generator())
 
 
 class TestSemigroup:
@@ -136,17 +156,17 @@ class TestSemigroup:
 
 class TestSurvival:
     def test_conservative_kernels(self):
-        assert survival_probability(BrownianKernel(D1), np.array([0.0]), 5.0) == 1.0
+        assert BrownianKernel(D1).survival(np.array([0.0]), 5.0) == 1.0
         kk = KawasakiKernel(D1, GaussianProfile(1, 2.0, 1.0))
-        assert survival_probability(kk, np.array([0.0]), 5.0) == 1.0
+        assert kk.survival(np.array([0.0]), 5.0) == 1.0
 
     def test_death_rate_two(self):
-        val = survival_probability(DeathKernel(D1, 2.0), np.array([0.0]), 1.0)
+        val = DeathKernel(D1, 2.0).survival(np.array([0.0]), 1.0)
         assert val == pytest.approx(0.1353352832366127, abs=1e-12)
 
     def test_time_zero(self):
         for kernel in (DeathKernel(D1, 3.0), KilledBrownianKernel(D1, 1.0)):
-            assert survival_probability(kernel, np.array([0.0]), 0.0) == pytest.approx(1.0)
+            assert kernel.survival(np.array([0.0]), 0.0) == pytest.approx(1.0)
 
 
 class TestKillingProfile:
@@ -168,19 +188,19 @@ class TestKillingProfile:
 
 class TestTailBound:
     def test_death_zero(self):
-        assert tail_bound(DeathKernel(D1, 1.0), 1.0, 0.5) == 0.0
+        assert DeathKernel(D1, 1.0).tail_bound(1.0, 0.5) == 0.0
 
     def test_brownian_d2_closed_form(self):
         r = math.sqrt(2.0 * math.log(2.0))
-        assert tail_bound(BrownianKernel(D2), 1.0, r) == pytest.approx(0.5, abs=1e-12)
+        assert BrownianKernel(D2).tail_bound(1.0, r) == pytest.approx(0.5, abs=1e-12)
 
     def test_brownian_r_to_zero(self):
-        assert tail_bound(BrownianKernel(D1), 1.0, 1e-12) == pytest.approx(1.0)
+        assert BrownianKernel(D1).tail_bound(1.0, 1e-12) == pytest.approx(1.0)
 
     def test_nonincreasing_in_r(self):
         for kernel in (BrownianKernel(D1), KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.7))):
             rs = np.linspace(0.1, 5.0, 25)
-            bounds = [tail_bound(kernel, 0.5, r) for r in rs]
+            bounds = [kernel.tail_bound(0.5, r) for r in rs]
             assert all(b1 >= b2 - 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
             assert all(0.0 <= b <= 1.0 for b in bounds)
 
@@ -191,7 +211,7 @@ class TestTailBound:
             out, _ = kernel.propagate_batch(np.zeros((n, 1)), np.full(n, t), gen)
             freq = np.mean(np.abs(out[:, 0]) > r)
             se = math.sqrt(max(freq * (1 - freq), 1e-12) / n)
-            assert freq <= tail_bound(kernel, t, r) + 3 * se
+            assert freq <= kernel.tail_bound(t, r) + 3 * se
 
 
 class TestKawasakiStructure:
@@ -294,4 +314,101 @@ class TestExitProbability:
 def test_default_buffer_width_controls_leakage():
     kernel = BrownianKernel(D1)
     w = default_buffer_width(kernel, t_max=1.0, target=1e-4)
-    assert tail_bound(kernel, 1.0, w) <= 1e-4 + 1e-15
+    assert kernel.tail_bound(1.0, w) <= 1e-4 + 1e-15
+
+
+def relabelled(kernel):
+    """The same kernel under a subclass that changes only the variant label."""
+    cls = type(kernel)
+    twin = copy.copy(kernel)
+    twin.__class__ = type("Relabelled" + cls.__name__, (cls,),
+                          {"variant": "relabelled"})
+    return twin
+
+
+class TestKernelProtocol:
+    """Kernel behaviour follows the kernel's class, never its variant label."""
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+    def test_relabelled_summability_report(self, kernel):
+        args = dict(alpha=2.0, m=1, epsilon=0.25, delta=1.0)
+        rep = check_summability(kernel, **args).to_dict()
+        twin = check_summability(relabelled(kernel), **args).to_dict()
+        assert twin["parameters"].pop("variant") == "relabelled"
+        assert rep["parameters"].pop("variant") == kernel.variant
+        assert twin == rep
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+    def test_relabelled_exit_probability(self, kernel):
+        args = (np.array([0.0]), 0.8, 0.25, 500, 0.25 / 50)
+        assert exit_probability(relabelled(kernel), *args, RngStream(6)) == \
+            exit_probability(kernel, *args, RngStream(6))
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+    def test_relabelled_buffer_width(self, kernel):
+        assert default_buffer_width(relabelled(kernel), 1.0) == \
+            default_buffer_width(kernel, 1.0)
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
+    def test_relabelled_event_stream(self, kernel):
+        cfg = Configuration(np.array([[-1.0], [0.5], [2.0]]), D1)
+
+        def record(model):
+            try:
+                return event_stream(cfg, model, 2.0, RngStream(14)).to_jsonl()
+            except ValueError as exc:
+                return str(exc)
+
+        assert record(relabelled(kernel)) == record(kernel)
+
+    @pytest.mark.parametrize("kernel", (DeathKernel(D1, 1.0),
+                                        KilledBrownianKernel(D1, 0.5)),
+                             ids=lambda k: k.variant)
+    def test_relabelled_submarkov_laplace(self, kernel):
+        # the constant-rate killed kernel integrates its image in closed form,
+        # which differs from quadrature of the image in the last digits
+        cfg = Configuration(np.array([[-0.5], [0.0], [0.5]]), D1)
+        phi = TestFunction.bump(-0.5, (0.0,), 1.0)
+        assert analytic_laplace_submarkov(relabelled(kernel), cfg, phi, 0.5, 1.0) \
+            == analytic_laplace_submarkov(kernel, cfg, phi, 0.5, 1.0)
+
+
+def reference_kawasaki_exit(kernel, r, epsilon, n_paths, gen):
+    """Per-path loop: a path exits if a partial sum of its jumps leaves B(0, r)."""
+    counts = gen.poisson(kernel.clock_rate * epsilon, size=n_paths)
+    total = int(counts.sum())
+    draws = kernel.profile.sample_displacements(gen, total) if total else \
+        np.zeros((0, kernel.domain.dim))
+    exited = np.zeros(n_paths, dtype=bool)
+    offset = 0
+    for i in range(n_paths):
+        c = counts[i]
+        if c == 0:
+            continue
+        path = np.cumsum(draws[offset:offset + c], axis=0)
+        offset += c
+        exited[i] = bool(np.any(np.linalg.norm(path, axis=1) > r))
+    return exited, counts
+
+
+@pytest.mark.parametrize("kernel", (
+    KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.7)),
+    KawasakiKernel(D2, GaussianProfile(2, 1.5, 0.5)),
+    KawasakiKernel(D1, BumpProfile(1, 1.2, 0.8)),
+    KawasakiKernel(D2, BumpProfile(2, 1.2, 0.8)),
+), ids=("gauss1d", "gauss2d", "bump1d", "bump2d"))
+@pytest.mark.parametrize("r", (0.6, 1.3, 1000.0))
+def test_kawasaki_exit_matches_per_path_loop(kernel, r):
+    eps, n_paths = 1.0, 3000
+    x = np.zeros(kernel.domain.dim)
+    for seed in (1, 2):
+        exited, counts = reference_kawasaki_exit(
+            kernel, r, eps, n_paths, RngStream(seed).generator())
+        assert np.any(counts == 0) and np.any(counts >= 3)
+        mean = float(np.mean(exited))
+        stderr = float(np.std(exited, ddof=1) / math.sqrt(n_paths))
+        bound = min(2.0 * kernel.tail_bound(eps, r / 2.0), 1.0)
+        assert exit_probability(kernel, x, r, eps, n_paths, 0.01,
+                                RngStream(seed)) == (mean, stderr, bound)
+        if r == 1000.0:
+            assert mean == 0.0

@@ -161,7 +161,7 @@ class TestSpaceTime:
 class TestThetaCheck:
     def test_empty_config(self):
         rep = theta_check(Configuration(np.empty((0, 1)), D1), 1.0, 3)
-        assert rep.kmin == 1 and rep.member
+        assert rep.kmin == 1
 
     def test_unit_density_line(self):
         r_max = 5
@@ -177,9 +177,8 @@ class TestThetaCheck:
         rep = theta_check(cfg, 1.0, 3)
         # vol(B(1)) = 2 in d=1, so K_min = ceil(100/2)
         assert rep.kmin == 50
-        assert rep.member
 
     def test_report_dict(self):
         rep = theta_check(Configuration(np.array([[0.0]]), D1), 1.0, 2)
         d = rep.to_dict()
-        assert set(d) >= {"alpha", "radii", "counts", "kmin", "member"}
+        assert set(d) >= {"alpha", "radii", "counts", "kmin"}

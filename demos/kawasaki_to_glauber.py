@@ -9,10 +9,8 @@ the distance measurable, with a closed-form target on the limit side.
 
 Sweeps eps on a circle of circumference 100 with a Poisson(1) start and
 prints one distance per eps; the distances fall toward Monte Carlo noise.
+Writes the table as a CSV into the working directory.
 """
-
-import csv
-import os
 
 from freedyn import (
     Domain,
@@ -45,7 +43,7 @@ for eps, est, se, d in zip(rep.eps_schedule, rep.estimates, rep.stderrs,
 print()
 print("distances nonincreasing:", rep.monotone)
 
-out = os.path.join(os.path.dirname(__file__), "kawasaki_to_glauber.csv")
+out = "kawasaki_to_glauber.csv"
 with open(out, "w", newline="") as fh:
     fh.write(rep.to_csv())
 print("wrote", out)

@@ -25,8 +25,8 @@ from .dynamics import (Buffer, EvolutionPlan, Event, EventStream,
                        GlauberDynamics, TorusExact, buffer_leakage_bound,
                        event_stream, evolve_snapshot,
                        evolve_with_immigration, glauber_evolve)
-from .observables import (CylinderFunction, FixedStart, LaplaceEstimate,
-                          PoissonStart, UrsellTable, analytic_laplace_markov,
+from .observables import (CylinderFunction, LaplaceEstimate, UrsellTable,
+                          analytic_laplace_markov,
                           analytic_laplace_submarkov,
                           correlations_from_ursell, empirical_laplace,
                           estimate_correlations, generator_apply,

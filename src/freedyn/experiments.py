@@ -1,15 +1,8 @@
-"""Replicated Monte Carlo experiments with deterministic chunked streams.
+"""Replicated Monte Carlo experiments against their closed-form targets.
 
-Every estimator here follows the same scheme: the replica budget is split
-into fixed-size chunks, chunk i draws all of its randomness from the child
-stream rng.child(i), chunks may run on a thread pool, and results are
-reduced in chunk order.  The estimate is therefore a pure function of
-(seed, budget), independent of the thread count.
-
-The chunk workers are vectorized across replicas: a chunk holds one flat
-point array plus a replica-id column, so 10^5 replicas of a 50-point
-configuration cost a handful of array operations rather than 10^5 Python
-loop iterations.
+Every estimator here is a vectorized chunk worker run by the chunk driver
+``pointproc.run_chunks``, so its estimate is a pure function of (seed,
+budget), independent of the thread count.
 """
 
 from __future__ import annotations
@@ -26,28 +19,8 @@ from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
                           bin_counts, check_correlation_grid,
                           correlation_edges, correlations_from_counts,
                           glauber_joint_laplace, poisson_laplace_exponent)
-from .pointproc import Configuration, chunk_sizes, parallel_map_ordered
+from .pointproc import Configuration, mean_se, pair_into, run_chunks
 from .scaling import PoissonMeasure
-
-CHUNK = 20000
-
-
-def _run_chunks(worker, n_samples, rng, threads=1, chunk=CHUNK):
-    """Concatenate per-chunk replica values in chunk order."""
-    n_samples = int(n_samples)
-    if n_samples < 2:
-        raise ValueError("need at least 2 replicas")
-    sizes = chunk_sizes(n_samples, chunk)
-
-    def task(c_idx):
-        return worker(sizes[c_idx], rng.child(c_idx).generator())
-
-    values = np.concatenate(parallel_map_ordered(task, len(sizes), threads))
-    return values
-
-
-def _mean_se(values):
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
 @dataclass(frozen=True)
@@ -92,13 +65,6 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _pair_into(acc, ids, values):
-    hit = values != 0.0
-    if np.any(hit):
-        acc += np.bincount(ids[hit], weights=values[hit], minlength=len(acc))
-    return acc
-
-
 def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
                                threads=1, tol=1e-10):
     """Empirical E[exp<phi, gamma>] for Poisson gamma vs the closed form."""
@@ -107,11 +73,11 @@ def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
     def worker(m, gen):
         pts, ids = PoissonMeasure(domain, z).sample_batch(m, gen)
         acc = np.zeros(m)
-        _pair_into(acc, ids, np.asarray(phi(pts), dtype=float))
+        pair_into(acc, ids, np.asarray(phi(pts), dtype=float))
         return np.exp(acc)
 
-    values = _run_chunks(worker, n_samples, rng, threads)
-    est, se = _mean_se(values)
+    values = run_chunks(worker, n_samples, rng, threads)
+    est, se = mean_se(values)
     analytic = math.exp(poisson_laplace_exponent(phi, z, tol))
     return ExperimentReport(
         kind="poisson-laplace", estimate=est, stderr=se, analytic=analytic,
@@ -138,11 +104,11 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
         moved, _ = kernel.propagate_batch(pts, t, gen)
         acc = np.zeros(m)
         vals = np.asarray(phi(moved), dtype=float)
-        _pair_into(acc, ids, np.log1p(vals))
+        pair_into(acc, ids, np.log1p(vals))
         return np.exp(acc)
 
-    values = _run_chunks(worker, n_samples, rng, threads)
-    est, se = _mean_se(values)
+    values = run_chunks(worker, n_samples, rng, threads)
+    est, se = mean_se(values)
     analytic = analytic_laplace_markov(kernel, config, phi, t, tol)
     return ExperimentReport(
         kind="markov-laplace", estimate=est, stderr=se, analytic=analytic,
@@ -178,7 +144,7 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
         ids = np.repeat(np.arange(m), n0)
         moved, alive = kernel.propagate_batch(pts, t, gen)
         vals = np.log1p(np.asarray(phi(moved[alive]), dtype=float))
-        _pair_into(acc, ids[alive], vals)
+        pair_into(acc, ids[alive], vals)
         # immigrant stream, thinned to rate z * a(x), then evolved to time t
         counts = gen.poisson(z * rate.bound * box_vol * t, size=m)
         total = int(counts.sum())
@@ -191,11 +157,11 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
             if len(bpts):
                 moved, alive = kernel.propagate_batch(bpts, t - btimes, gen)
                 vals = np.log1p(np.asarray(phi(moved[alive]), dtype=float))
-                _pair_into(acc, bids[alive], vals)
+                pair_into(acc, bids[alive], vals)
         return np.exp(acc)
 
-    values = _run_chunks(worker, n_samples, rng, threads)
-    est, se = _mean_se(values)
+    values = run_chunks(worker, n_samples, rng, threads)
+    est, se = mean_se(values)
     analytic = analytic_laplace_submarkov(kernel, config, phi, t, z, tol)
     return ExperimentReport(
         kind="submarkov-laplace", estimate=est, stderr=se, analytic=analytic,
@@ -259,14 +225,14 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
         for t_i, phi_i in zip(times, phi_list):
             alive0 = death0 > t_i
             vals = np.log1p(np.asarray(phi_i(pts0[alive0]), dtype=float))
-            _pair_into(acc, ids0[alive0], vals)
+            pair_into(acc, ids0[alive0], vals)
             aliveb = (btimes <= t_i) & (bdeath > t_i)
             vals = np.log1p(np.asarray(phi_i(bpts[aliveb]), dtype=float))
-            _pair_into(acc, bids[aliveb], vals)
+            pair_into(acc, bids[aliveb], vals)
         return np.exp(acc)
 
-    values = _run_chunks(worker, n_samples, rng, threads)
-    est, se = _mean_se(values)
+    values = run_chunks(worker, n_samples, rng, threads)
+    est, se = mean_se(values)
     analytic = glauber_joint_laplace(oracle_start, a, z, times, phi_list, tol)
     return ExperimentReport(
         kind="glauber-joint-laplace", estimate=est, stderr=se,
@@ -281,9 +247,12 @@ def poisson_correlation_experiment(domain, intensity, order, bins_per_axis,
     Each chunk bins its flat (points, replica ids) batch into one count row
     per replica; the rows are stacked in chunk order and reduced once.  No
     per-replica Configuration is built, so the cost is linear in n_samples.
-    The order and the grid size are checked before the first draw.
+    The budget, the order and the grid size are checked before the first
+    draw.
     """
     z = float(intensity)
+    if int(n_samples) < 2:
+        raise ValueError("need at least 2 replicas")
     edges = correlation_edges(domain, bins_per_axis)
     check_correlation_grid(order, int(np.prod([len(e) - 1 for e in edges])))
 
@@ -291,5 +260,5 @@ def poisson_correlation_experiment(domain, intensity, order, bins_per_axis,
         pts, ids = PoissonMeasure(domain, z).sample_batch(m, gen)
         return bin_counts(pts, ids, m, domain, edges)
 
-    counts = _run_chunks(worker, n_samples, rng, threads)
+    counts = run_chunks(worker, n_samples, rng, threads)
     return correlations_from_counts(counts, order, edges), z ** order

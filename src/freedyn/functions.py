@@ -63,9 +63,6 @@ class TestFunction:
         return TestFunction("bump", level, center - radius, center + radius,
                             params={"center": center, "radius": radius})
 
-    def _inside(self, pts):
-        return np.all((pts >= self.support_lo) & (pts <= self.support_hi), axis=1)
-
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.family == "box":

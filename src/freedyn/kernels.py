@@ -590,9 +590,9 @@ class KilledBrownianKernel(Kernel):
 
     Sampling thins the path on a grid of step h_kill (bias O(h_kill)).
     With a constant rate the semigroup and survival are exact:
-    exp(-a t) times the conservative heat flow.  For nonconstant rates the
-    semigroup uses a splitting scheme on a spatial grid (dimension one),
-    with documented O(h) time-step bias.
+    exp(-a t) times the conservative heat flow (wrapped on a torus).  For
+    nonconstant rates the semigroup uses a splitting scheme on a spatial
+    grid (dimension one, full space), with documented O(h) time-step bias.
     """
 
     variant = "killed_brownian"
@@ -639,19 +639,16 @@ class KilledBrownianKernel(Kernel):
             raise ValueError("t must be >= 0")
         if t == 0:
             return phi
-        pad = _effective_pad(t)
         if self._constant_rate:
             damp = math.exp(-self._rate_const * t)
-
-            def func(pts):
-                return damp * gauss_smooth(phi, t, pts)
-
-            return NumericFunction(func, phi.support_lo - pad,
-                                   phi.support_hi + pad, phi.bound)
-        if self.domain.dim != 1:
+            heat = BrownianKernel(self.domain).semigroup(phi, t, tol)
+            return NumericFunction(lambda pts: damp * heat(pts),
+                                   heat.support_lo, heat.support_hi, phi.bound)
+        if self.domain.dim != 1 or self.domain.is_torus:
             raise NotImplementedError(
-                "nonconstant killing semigroup implemented in dim 1")
-        return self._splitting_semigroup(phi, t, pad)
+                "nonconstant killing semigroup implemented in dim 1, "
+                "full space")
+        return self._splitting_semigroup(phi, t, _effective_pad(t))
 
     def _splitting_semigroup(self, phi, t, pad):
         # Lie splitting: alternate exact heat smoothing and killing

@@ -17,10 +17,9 @@ from functools import reduce
 
 import numpy as np
 
-from .dynamics import Buffer, EvolutionPlan, GlauberDynamics, TorusExact, \
-    evolve_snapshot, glauber_evolve
+from .dynamics import GlauberDynamics, _exponential_lifetimes
 from .functions import integrate_function, support_box
-from .pointproc import Configuration, as_field
+from .pointproc import Configuration, pair_into, run_chunks
 
 QUAD_TOL = 1e-8
 
@@ -159,16 +158,6 @@ def analytic_laplace_submarkov(kernel, config, phi, t, z, tol=QUAD_TOL):
 # ---------------------------------------------------------------------------
 # birth-and-death joint multi-time Laplace functional
 
-@dataclass(frozen=True)
-class FixedStart:
-    config: Configuration
-
-
-@dataclass(frozen=True)
-class PoissonStart:
-    intensity: float
-
-
 def _index_tuples(n):
     # nonempty increasing tuples of {0..n-1}, by subset bitmask
     for mask in range(1, 1 << n):
@@ -211,28 +200,14 @@ def glauber_joint_laplace(start, a_const, z, times, phi_list, tol=QUAD_TOL):
             math.exp(-a * (last - first)) * integral
         terms.append((math.exp(-a * last), prod_fn, tup))
 
-    start = _coerce_start(start)
-    if isinstance(start, FixedStart):
-        second = _fixed_product(start.config, terms, phis)
-    elif isinstance(start, PoissonStart):
+    if isinstance(start, Configuration):
+        return math.exp(exponent) * _fixed_product(start, terms, phis)
+    if isinstance(start, (int, float)):
         total = sum(c * integrate_function(fn, tol) for c, fn, _ in terms)
-        second = start.intensity * total
-        return math.exp(exponent + second)
-    else:
+        return math.exp(exponent + float(start) * total)
+    if hasattr(start, "expected_product_functional"):
         return math.exp(exponent) * start.expected_product_functional(
             [(c, fn) for c, fn, _ in terms], tol)
-    return math.exp(exponent) * second
-
-
-def _coerce_start(start):
-    if isinstance(start, Configuration):
-        return FixedStart(start)
-    if isinstance(start, (int, float)):
-        return PoissonStart(float(start))
-    if isinstance(start, (FixedStart, PoissonStart)):
-        return start
-    if hasattr(start, "expected_product_functional"):
-        return start
     raise ValueError("unsupported starting measure")
 
 
@@ -487,9 +462,11 @@ def correlations_from_ursell(table, n_max=None):
 class CylinderFunction:
     """F(gamma) = outer(<phi_1, gamma>, ..., <phi_N, gamma>).
 
-    outer takes the inner-pairing vector; gradient and hessian are its
-    derivative evaluators (hessian may be None when no diffusion generator
-    will be applied).
+    outer maps an array of inner-pairing vectors, shape (..., N), to the
+    values of F, shape (...): a single vector gives one value and an (m, N)
+    matrix gives one value per row.  gradient and hessian are its
+    derivative evaluators at a single vector (hessian may be None when no
+    diffusion generator will be applied).
     """
 
     def __init__(self, outer, gradient, hessian, phis):
@@ -515,14 +492,14 @@ class CylinderFunction:
 
     @staticmethod
     def linear(phi):
-        return CylinderFunction(lambda v: v[0],
+        return CylinderFunction(lambda v: v[..., 0],
                                 lambda v: np.array([1.0]),
                                 lambda v: np.zeros((1, 1)), [phi])
 
     @staticmethod
     def exp_pairing(phi):
         """F = exp(<phi, gamma>); bounded by 1 for nonpositive phi."""
-        return CylinderFunction(lambda v: math.exp(v[0]),
+        return CylinderFunction(lambda v: np.exp(v[..., 0]),
                                 lambda v: np.array([math.exp(v[0])]),
                                 lambda v: np.array([[math.exp(v[0])]]), [phi])
 
@@ -530,7 +507,7 @@ class CylinderFunction:
     def product_pairing(phi1, phi2):
         """F = <phi1, gamma> * <phi2, gamma>."""
         return CylinderFunction(
-            lambda v: v[0] * v[1],
+            lambda v: v[..., 0] * v[..., 1],
             lambda v: np.array([v[1], v[0]]),
             lambda v: np.array([[0.0, 1.0], [1.0, 0.0]]), [phi1, phi2])
 
@@ -590,19 +567,15 @@ def _generator_glauber(F, config, spec, tol):
     death = 0.0
     if len(config):
         rates = spec.rate(config.points)
-        inner_pts = F.inner_at(config.points)
-        for i in range(len(config)):
-            death += rates[i] * (F.value_at_vector(v - inner_pts[i]) - base)
+        death = float(np.sum(rates * (F.outer(v - F.inner_at(config.points))
+                                      - base)))
     birth = 0.0
     if spec.intensity > 0:
         lo, hi = support_box(F.phis)
 
         def integrand(pts):
             pts = np.atleast_2d(pts)
-            inner = F.inner_at(pts)
-            vals = np.array([F.value_at_vector(v + row) - base
-                             for row in inner])
-            return spec.rate(pts) * vals
+            return spec.rate(pts) * (F.outer(v + F.inner_at(pts)) - base)
 
         birth = spec.intensity * box_quad(integrand, lo, hi, tol)
     return death + birth
@@ -628,17 +601,15 @@ def _generator_kawasaki(F, config, kernel, tol):
     for i in range(len(config)):
         x = config.points[i]
         removed = v - inner_pts[i]
-        total += lam * (F.value_at_vector(removed) - base)
+        f_removed = F.value_at_vector(removed)
+        total += lam * (f_removed - base)
 
-        def integrand(pts, removed=removed, x=x):
+        def integrand(pts, removed=removed, x=x, f_removed=f_removed):
             pts = np.atleast_2d(pts)
             delta = domain.displacement(pts, x[None, :]) if domain.is_torus \
                 else pts - x[None, :]
             dens = kernel.profile.density(delta)
-            inner = F.inner_at(pts)
-            fvals = np.array([F.value_at_vector(removed + row)
-                              for row in inner])
-            return dens * (fvals - F.value_at_vector(removed))
+            return dens * (F.outer(removed + F.inner_at(pts)) - f_removed)
 
         total += box_quad(integrand, lo, hi, tol)
     return total
@@ -664,33 +635,65 @@ class FDCheck:
 def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     """(E[F(gamma_h)] - F(gamma)) / h against the generator value.
 
-    The finite difference carries an O(h) semigroup bias on top of Monte
-    Carlo noise, so acceptance is |fd - analytic| <= 3 stderr + C h.
+    Each chunk evolves exactly the given particles of its replicas as one
+    batch, with no collar seeding.  Glauber births rain on the support box
+    of the phis inside the window, which is exact since particles never
+    move.  The finite difference carries an O(h) semigroup bias on top of
+    Monte Carlo noise, so acceptance is |fd - analytic| <= 3 stderr + C h.
     """
     from .kernels import BrownianKernel, KawasakiKernel
 
-    base = F(config)
-    analytic = generator_apply(F, config, dynamics_spec)
-    diffs = np.empty(n_replicas)
+    domain = config.domain
     if isinstance(dynamics_spec, GlauberDynamics):
-        for r in range(n_replicas):
-            snaps = glauber_evolve(config, dynamics_spec.rate,
-                                   dynamics_spec.intensity,
-                                   EvolutionPlan.conservative((h,)),
-                                   rng.child(r))
-            diffs[r] = F(snaps[0]) - base
+        rate = dynamics_spec.rate
+        lo, hi = support_box(F.phis)
+        lo, hi = np.maximum(lo, domain.lower), np.minimum(hi, domain.upper)
+        rain = dynamics_spec.intensity * rate.bound * h * float(
+            np.prod(np.clip(hi - lo, 0.0, None)))
+
+        def evolve(pts, ids, m, gen):
+            keep = _exponential_lifetimes(rate(pts), gen) > h
+            counts = gen.poisson(rain, size=m)
+            n_b = int(counts.sum())
+            bpts = lo + (hi - lo) * gen.random((n_b, len(lo)))
+            b_rate = rate(bpts)
+            # thin the rain to rate z * a(x); a birth at time h * (1 - u)
+            # is still alive at h when its lifetime exceeds h * u
+            born = (gen.random(n_b) * rate.bound < b_rate) & \
+                (_exponential_lifetimes(b_rate, gen) > h * gen.random(n_b))
+            return (np.vstack([pts[keep], bpts[born]]),
+                    np.concatenate([ids[keep],
+                                    np.repeat(np.arange(m), counts)[born]]))
     elif isinstance(dynamics_spec, (BrownianKernel, KawasakiKernel)):
-        # evolve exactly the given particles: no collar seeding, so the
-        # finite difference targets the generator at this configuration
-        boundary = TorusExact() if config.domain.is_torus \
-            else Buffer(intensity=0.0)
-        plan = EvolutionPlan.conservative((h,), boundary)
-        for r in range(n_replicas):
-            snaps = evolve_snapshot(config, dynamics_spec, plan, rng.child(r))
-            diffs[r] = F(snaps[0]) - base
+        if dynamics_spec.domain != domain:
+            raise ValueError("kernel and configuration domains differ")
+
+        def evolve(pts, ids, m, gen):
+            pts, _ = dynamics_spec.propagate_batch(pts, h, gen)
+            if domain.is_torus:
+                return pts, ids
+            inside = np.all((pts >= domain.lower) & (pts <= domain.upper),
+                            axis=1)
+            return pts[inside], ids[inside]
     else:
         raise ValueError("unsupported dynamics for generator_fd_check")
+
+    def values(pts, ids, m):
+        inner = np.zeros((m, len(F.phis)))
+        for j, phi in enumerate(F.phis):
+            pair_into(inner[:, j], ids, np.asarray(phi(pts), dtype=float))
+        return F.outer(inner)
+
+    base = values(config.points, np.zeros(len(config), dtype=np.int64), 1)[0]
+
+    def worker(m, gen):
+        pts, ids = evolve(np.tile(config.points, (m, 1)),
+                          np.repeat(np.arange(m), len(config)), m, gen)
+        return values(pts, ids, m) - base
+
+    diffs = run_chunks(worker, n_replicas, rng)
     fd = float(np.mean(diffs) / h)
     stderr = float(np.std(diffs, ddof=1) / math.sqrt(n_replicas) / h) \
         if n_replicas > 1 else 0.0
+    analytic = generator_apply(F, config, dynamics_spec)
     return FDCheck(fd, stderr, analytic, abs(fd - analytic), h, n_replicas)

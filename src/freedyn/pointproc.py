@@ -89,6 +89,45 @@ def parallel_map_ordered(fn, n_tasks, threads=1):
         return list(pool.map(fn, range(n_tasks)))
 
 
+CHUNK = 20000
+
+
+def run_chunks(worker, n_samples, rng, threads=1):
+    """Run worker(size, generator) per chunk; concatenate results in order.
+
+    The budget is split by chunk_sizes(n_samples, CHUNK), chunk c draws all
+    of its randomness from rng.child(c).generator(), chunks may run on a
+    thread pool, and results are concatenated in chunk order, so the output
+    is a pure function of (seed, budget) for any thread count.  Workers are
+    vectorized across replicas: a chunk holds one flat point array plus a
+    replica-id column, not one Python loop turn per replica.
+    """
+    n_samples = int(n_samples)
+    if n_samples < 1:
+        raise ValueError("need a positive number of replicas")
+    sizes = chunk_sizes(n_samples, CHUNK)
+
+    def task(c_idx):
+        return worker(sizes[c_idx], rng.child(c_idx).generator())
+
+    return np.concatenate(parallel_map_ordered(task, len(sizes), threads))
+
+
+def pair_into(acc, ids, values):
+    """acc[r] += sum of the values whose replica id is r; returns acc."""
+    hit = values != 0.0
+    if np.any(hit):
+        acc += np.bincount(ids[hit], weights=values[hit], minlength=len(acc))
+    return acc
+
+
+def mean_se(values):
+    """Mean and standard error of replica values; needs two replicas."""
+    if len(values) < 2:
+        raise ValueError("need at least 2 replicas")
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
 @dataclass(frozen=True)
 class BoundedField:
     """Nonnegative measurable function together with a known sup bound.

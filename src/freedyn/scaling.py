@@ -23,6 +23,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import gammainc
@@ -30,7 +31,7 @@ from scipy.special import gammainc
 from .functions import gauss_smooth, gauss_smooth_box_torus, integrate_function
 from .kernels import KawasakiKernel
 from .observables import glauber_joint_laplace
-from .pointproc import Configuration, chunk_sizes, parallel_map_ordered
+from .pointproc import Configuration, mean_se, pair_into, run_chunks
 from .space import Domain
 
 
@@ -469,17 +470,14 @@ def _chunk_joint_values(measure, kernel, times, phis, n_rep, gen):
         if len(pts):
             pts, _ = kernel.propagate_batch(pts, t - prev, gen)
             vals = np.asarray(phi(pts), dtype=float)
-            hit = vals != 0.0
-            if np.any(hit):
-                acc += np.bincount(ids[hit], weights=np.log1p(vals[hit]),
-                                   minlength=n_rep)
+            hit = vals != 0.0  # most points miss phi; skip their log1p
+            pair_into(acc, ids[hit], np.log1p(vals[hit]))
         prev = t
     return np.exp(acc)
 
 
 def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
-                           n_samples, rng, threads=1, chunk_size=20000,
-                           tol=1e-8):
+                           n_samples, rng, threads=1, tol=1e-8):
     """Estimate joint Laplace functionals of the contracted jump dynamics.
 
     For each epsilon in the schedule, starts n_samples replicas from the
@@ -487,8 +485,8 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     that epsilon, and estimates E[prod_i exp<log(1+phi_i), gamma_{t_i}>].
     The closed-form target is the birth-and-death value with death rate
     <profile> and immigration equal to the measure's intensity.  Replicas
-    are split into fixed-size chunks with per-chunk random streams, so the
-    result is independent of the thread count.
+    are run by the chunk driver on the stream rng.child(e) of the e-th
+    epsilon, so the result is independent of the thread count.
 
     Raises ValueError if the measure fails its admissibility checks.
     """
@@ -514,21 +512,15 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     target = glauber_joint_laplace(measure, a_const, z, times, phi_list,
                                    tol=tol)
 
-    sizes = chunk_sizes(n_samples, chunk_size)
-
     estimates, stderrs = [], []
     for e_idx, eps in enumerate(eps_schedule):
-        scaled = scale_profile(profile, eps)
-        kernel = KawasakiKernel(measure.domain, scaled.profile)
-
-        def work(c_idx, _kernel=kernel, _e=e_idx):
-            gen = rng.child(_e, c_idx).generator()
-            return _chunk_joint_values(measure, _kernel, times, phi_list,
-                                       sizes[c_idx], gen)
-
-        values = np.concatenate(parallel_map_ordered(work, len(sizes), threads))
-        estimates.append(float(values.mean()))
-        stderrs.append(float(values.std(ddof=1) / math.sqrt(len(values))))
+        kernel = KawasakiKernel(measure.domain,
+                                scale_profile(profile, eps).profile)
+        worker = partial(_chunk_joint_values, measure, kernel, times, phi_list)
+        est, se = mean_se(run_chunks(worker, n_samples, rng.child(e_idx),
+                                     threads))
+        estimates.append(est)
+        stderrs.append(se)
 
     distances = [abs(e - target) for e in estimates]
     monotone = all(b <= a for a, b in zip(distances, distances[1:]))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from freedyn.experiments import (
-    CHUNK,
     ExperimentReport,
     glauber_joint_experiment,
     markov_laplace_experiment,
@@ -17,7 +16,7 @@ from freedyn.experiments import (
 from freedyn.functions import TestFunction
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
 from freedyn.observables import estimate_correlations
-from freedyn.pointproc import Configuration, RngStream, chunk_sizes
+from freedyn.pointproc import CHUNK, Configuration, RngStream, chunk_sizes
 from freedyn.scaling import PoissonMeasure
 from freedyn.space import Domain
 
@@ -51,6 +50,18 @@ def test_poisson_laplace_thread_invariance():
     b = poisson_laplace_experiment(D1, 2.0, BOX, 50000, RngStream(2), threads=6)
     assert a.estimate == b.estimate
     assert a.stderr == b.stderr
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_budgets_below_two_replicas_are_refused(n):
+    cfg = Configuration(np.array([[0.0]]), D1)
+    with pytest.raises(ValueError, match="replicas"):
+        poisson_laplace_experiment(D1, 2.0, BOX, n, RngStream(1))
+    with pytest.raises(ValueError, match="replicas"):
+        markov_laplace_experiment(BrownianKernel(D1), cfg, BOX, 0.5, n,
+                                  RngStream(1))
+    with pytest.raises(ValueError, match="replicas"):
+        poisson_correlation_experiment(D1, 1.0, 2, 2, n, RngStream(1))
 
 
 def test_markov_laplace_brownian():

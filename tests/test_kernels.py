@@ -24,7 +24,7 @@ from freedyn.kernels import (
 )
 from freedyn.dynamics import event_stream
 from freedyn.observables import analytic_laplace_submarkov
-from freedyn.pointproc import Configuration, RngStream
+from freedyn.pointproc import BoundedField, Configuration, RngStream
 from freedyn.space import Domain
 
 
@@ -152,6 +152,27 @@ class TestSemigroup:
             mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
             target = apply_semigroup(kernel, BOX, t, np.array([x0]))
             assert abs(mean - target) <= 3 * se, kernel.variant
+
+    def test_killed_brownian_constant_rate_wraps_on_torus(self):
+        # mass that wraps around the circle reaches the box; a constant
+        # rate kills independently of the path, so the coarse killing grid
+        # is exact in law
+        torus = Domain.torus(1, 4.0)
+        kernel = KilledBrownianKernel(torus, 0.5, h_kill=0.1)
+        phi = TestFunction.box(-0.5, (0.0,), (1.0,))
+        x0, t, n = 3.8, 1.0, 200_000
+        out, alive = kernel.propagate_batch(np.full((n, 1), x0), t,
+                                            RngStream(33).generator())
+        vals = np.where(alive, phi(out), 0.0)
+        mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
+        target = apply_semigroup(kernel, phi, t, np.array([x0]))
+        assert abs(mean - target) <= 4 * se, (mean, se, target)
+
+    def test_killed_brownian_nonconstant_rate_on_torus_refused(self):
+        rate = BoundedField(lambda p: 0.25 * (1.0 + np.cos(p[:, 0])), 0.5)
+        kernel = KilledBrownianKernel(Domain.torus(1, 4.0), rate)
+        with pytest.raises(NotImplementedError):
+            kernel.semigroup(TestFunction.box(-0.5, (0.0,), (1.0,)), 1.0)
 
 
 class TestSurvival:

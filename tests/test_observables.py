@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from freedyn.dynamics import GlauberDynamics
+from freedyn.dynamics import (Buffer, EvolutionPlan, GlauberDynamics,
+                              TorusExact, evolve_snapshot, glauber_evolve)
 from freedyn.functions import TestFunction
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
 from freedyn.observables import (
@@ -29,7 +30,7 @@ from freedyn.observables import (
     set_partitions,
     ursell_from_correlations,
 )
-from freedyn.pointproc import Configuration, RngStream, sample_poisson
+from freedyn.pointproc import BoundedField, Configuration, RngStream, sample_poisson
 from freedyn.space import Domain
 
 
@@ -132,6 +133,10 @@ class TestAnalyticSubmarkov:
 
 
 class TestGlauberJointLaplace:
+    def test_unsupported_start_refused(self):
+        with pytest.raises(ValueError, match="unsupported starting measure"):
+            glauber_joint_laplace("poisson", 1.0, 1.0, (0.5,), (BOX,))
+
     def test_all_zero_functions(self):
         zero = TestFunction.box(0.0, (-1.0,), (1.0,))
         cfg = config_of(0.0)
@@ -402,3 +407,84 @@ class TestGenerators:
         F = CylinderFunction.linear(BOX)
         chk = generator_fd_check(F, cfg, kernel, 0.02, 40000, RngStream(72))
         assert abs(chk.discrepancy) <= 3 * chk.stderr + 10.0 * 0.02
+
+    def test_fd_unsupported_dynamics_refused(self):
+        F = CylinderFunction.linear(BOX)
+        with pytest.raises(ValueError, match="unsupported dynamics"):
+            generator_fd_check(F, config_of(0.0), DeathKernel(D1, 1.0), 0.01,
+                               10, RngStream(73))
+
+    def test_fd_single_replica_has_zero_stderr(self):
+        F = CylinderFunction.linear(BOX)
+        chk = generator_fd_check(F, config_of(0.0, 0.5),
+                                 GlauberDynamics(1.0, 1.0), 0.01, 1,
+                                 RngStream(74))
+        assert chk.stderr == 0.0
+        assert chk.n_replicas == 1
+
+
+BUMP = TestFunction.bump(-0.4, (0.5,), 1.2)
+ROWS = np.array([[0.0, 0.0], [-0.5, -1.5], [-1.0, 0.25], [-2.75, -0.1]])
+
+
+@pytest.mark.parametrize("F", [
+    CylinderFunction.linear(BOX),
+    CylinderFunction.exp_pairing(BOX),
+    CylinderFunction.product_pairing(BOX, BUMP),
+], ids=["linear", "exp_pairing", "product_pairing"])
+def test_outer_on_matrix_matches_rows(F):
+    rows = ROWS[:, :len(F.phis)]
+    expected = [F.value_at_vector(row) for row in rows]
+    assert np.array_equal(F.outer(rows), expected)
+
+
+def per_replica_fd(F, config, spec, h, n_replicas, rng):
+    """Finite difference with one evolve_snapshot/glauber_evolve per replica.
+
+    The reference generator_fd_check is checked against: every replica
+    evolves the configuration on its own child stream.
+    """
+    base = F(config)
+    diffs = np.empty(n_replicas)
+    if isinstance(spec, GlauberDynamics):
+        for r in range(n_replicas):
+            snaps = glauber_evolve(config, spec.rate, spec.intensity,
+                                   EvolutionPlan.conservative((h,)),
+                                   rng.child(r))
+            diffs[r] = F(snaps[0]) - base
+    else:
+        boundary = TorusExact() if config.domain.is_torus \
+            else Buffer(intensity=0.0)
+        plan = EvolutionPlan.conservative((h,), boundary)
+        for r in range(n_replicas):
+            snaps = evolve_snapshot(config, spec, plan, rng.child(r))
+            diffs[r] = F(snaps[0]) - base
+    return (float(np.mean(diffs) / h),
+            float(np.std(diffs, ddof=1) / math.sqrt(n_replicas) / h))
+
+
+TORUS4 = Domain.torus(1, 4.0)
+# a box reaching past the upper window edge at 3: points that jump into
+# (3, 4) leave the window and stop counting, and births land in [2, 3) only
+EDGE_BOX = TestFunction.box(-0.5, (2.0,), (4.0,))
+WAVY_RATE = BoundedField(lambda p: 0.5 + 0.5 * np.cos(p[:, 0]) ** 2, 1.0)
+
+
+@pytest.mark.parametrize("F, config, spec, h", [
+    (CylinderFunction.exp_pairing(EDGE_BOX), config_of(2.5, 2.9),
+     GlauberDynamics(1.0, 1.0), 0.05),
+    (CylinderFunction.product_pairing(BOX, BUMP), config_of(-0.5, 0.5, 1.0),
+     GlauberDynamics(WAVY_RATE, 2.0), 0.05),
+    (CylinderFunction.linear(EDGE_BOX), config_of(2.5, 2.9),
+     KawasakiKernel(D1, GaussianProfile(1, 2.0, 1.0)), 0.1),
+    (CylinderFunction.exp_pairing(TestFunction.bump(-0.5, (3.6,), 0.35)),
+     Configuration(np.array([[3.9], [0.1]]), TORUS4), BrownianKernel(TORUS4),
+     0.05),
+], ids=["glauber-constant", "glauber-bounded-field", "kawasaki-window",
+        "brownian-torus"])
+def test_batch_fd_matches_per_replica_reference(F, config, spec, h):
+    chk = generator_fd_check(F, config, spec, h, 20000, RngStream(75))
+    ref, ref_se = per_replica_fd(F, config, spec, h, 5000, RngStream(76))
+    assert chk.stderr > 0 and ref_se > 0
+    assert abs(chk.fd_estimate - ref) <= 4.0 * math.hypot(chk.stderr, ref_se), \
+        (chk.fd_estimate, chk.stderr, ref, ref_se)

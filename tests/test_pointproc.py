@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 
 from freedyn.pointproc import (
+    CHUNK,
     Configuration,
     RngStream,
+    chunk_sizes,
+    mean_se,
     parallel_map_ordered,
+    run_chunks,
     sample_poisson,
     sample_poisson_space_time,
     theta_check,
@@ -50,6 +54,23 @@ def test_parallel_map_ordered_matches_serial():
     serial = parallel_map_ordered(fn, 20, threads=1)
     threaded = parallel_map_ordered(fn, 20, threads=5)
     assert serial == threaded == [i * i for i in range(20)]
+
+
+def test_run_chunks_draws_chunk_c_from_child_c_in_order():
+    rng, n = RngStream(9), 2 * CHUNK + 3
+    sizes = chunk_sizes(n, CHUNK)
+    expected = np.concatenate([rng.child(c).generator().random(m)
+                               for c, m in enumerate(sizes)])
+    for threads in (1, 2):
+        out = run_chunks(lambda m, gen: gen.random(m), n, rng, threads)
+        assert np.array_equal(out, expected)
+
+
+def test_run_chunks_and_mean_se_refuse_small_budgets():
+    with pytest.raises(ValueError, match="positive number of replicas"):
+        run_chunks(lambda m, gen: gen.random(m), 0, RngStream(9))
+    with pytest.raises(ValueError, match="at least 2 replicas"):
+        mean_se(np.ones(1))
 
 
 class TestConfiguration:

@@ -256,11 +256,17 @@ def _effective_pad(var):
 
 
 def _batch_times(dts, n):
-    """Per-row times of a batch; checked before broadcasting, so O(1) if scalar."""
+    """Checked times of a batch: a 0-d array for one time shared by all
+    rows (checked in O(1), never broadcast), else one time per row."""
     dts = np.asarray(dts, dtype=float)
     if dts.min(initial=0.0) < 0:
         raise ValueError("t must be >= 0")
-    return np.broadcast_to(dts, (n,))
+    return dts if dts.ndim == 0 else np.broadcast_to(dts, (n,))
+
+
+def _row_scale(scale):
+    # a per-row factor as a column, so it multiplies (n, dim) rows
+    return scale[:, None] if scale.ndim else scale
 
 
 def _heat_tail(dim, t, r):
@@ -329,8 +335,10 @@ class BrownianKernel(Kernel):
 
     def propagate_batch(self, pts, dts, gen):
         dts = _batch_times(dts, len(pts))
-        out = pts + np.sqrt(dts)[:, None] * gen.standard_normal(pts.shape)
-        return self.domain.wrap(out), np.ones(len(pts), dtype=bool)
+        out = gen.standard_normal(pts.shape)
+        out *= _row_scale(np.sqrt(dts))
+        out += pts
+        return self.domain._wrap_owned(out), np.ones(len(pts), dtype=bool)
 
     def semigroup(self, phi, t, tol=DEFAULT_TOL):
         if t < 0:
@@ -440,24 +448,28 @@ class KawasakiKernel(Kernel):
         return self.profile.mass
 
     def propagate_batch(self, pts, dts, gen):
-        dts = _batch_times(dts, len(pts))
-        counts = gen.poisson(self.clock_rate * dts)
-        out = np.array(pts, copy=True)
+        n = len(pts)
+        dts = _batch_times(dts, n)
+        # a scalar rate draws the same counts as a broadcast one, cheaper
+        counts = gen.poisson(self.clock_rate * dts, size=n)
+        out = np.array(pts, dtype=float)
         if isinstance(self.profile, GaussianProfile):
             # sum of n i.i.d. centered Gaussians is Gaussian with n-fold variance
-            hop = counts > 0
-            if np.any(hop):
-                scale = self.profile.std * np.sqrt(counts[hop])
-                out[hop] += scale[:, None] * gen.standard_normal((int(hop.sum()), pts.shape[1]))
+            # nonzero of a bool mask is ~5x faster than of the int64 counts
+            hop = np.flatnonzero(counts > 0)
+            if len(hop):
+                step = gen.standard_normal((len(hop), pts.shape[1]))
+                step *= (self.profile.std * np.sqrt(counts[hop]))[:, None]
+                out[hop] += step
         else:
             total = int(counts.sum())
             if total:
                 draws = self.profile.sample_displacements(gen, total)
-                owner = np.repeat(np.arange(len(pts)), counts)
+                owner = np.repeat(np.arange(n), counts)
                 for j in range(pts.shape[1]):
                     out[:, j] += np.bincount(owner, weights=draws[:, j],
-                                             minlength=len(pts))
-        return self.domain.wrap(out), np.ones(len(pts), dtype=bool)
+                                             minlength=n)
+        return self.domain._wrap_owned(out), np.ones(n, dtype=bool)
 
     def jump_times(self, t, gen):
         n = gen.poisson(self.clock_rate * t)
@@ -577,7 +589,7 @@ class KawasakiKernel(Kernel):
             if len(epochs) == 0:
                 continue
             disp = self.profile.sample_displacements(gen, len(epochs))
-            path = domain.wrap(row + np.cumsum(disp, axis=0))
+            path = domain._wrap_owned(row + np.cumsum(disp, axis=0))
             prev = tuple(row)
             for s, nxt in zip(epochs, path):
                 events.append(Event(float(s), "jump", prev, tuple(nxt)))
@@ -611,28 +623,35 @@ class KilledBrownianKernel(Kernel):
 
     def propagate_batch(self, pts, dts, gen):
         dts = _batch_times(dts, len(pts))
-        t_max = float(np.max(dts)) if len(dts) else 0.0
+        t_max = float(np.max(dts)) if len(pts) else 0.0
         if t_max == 0.0:
             return pts, np.ones(len(pts), dtype=bool)
         h = self._step(t_max)
         n_steps = max(int(math.ceil(t_max / h)), 1)
-        out = np.array(pts, copy=True)
+        out = np.array(pts, dtype=float)
         alive = np.ones(len(pts), dtype=bool)
+        # a shared time stays one number: every live row has the same clock
+        per_row = dts.ndim == 1
         remaining = dts.copy()
         for _ in range(n_steps):
             step = np.minimum(remaining, t_max / n_steps)
             act = alive & (step > 0)
-            if not np.any(act):
+            idx = np.flatnonzero(act)
+            if not len(idx):
                 break
-            a = self.rate(out[act])
-            surv = gen.random(int(act.sum())) < np.exp(-a * step[act])
-            idx = np.where(act)[0]
+            a = self.rate(out[idx])
+            surv = gen.random(len(idx)) < np.exp(
+                -a * (step[idx] if per_row else step))
             alive[idx[~surv]] = False
             move = idx[surv]
-            out[move] += np.sqrt(step[move])[:, None] * \
-                gen.standard_normal((len(move), pts.shape[1]))
-            remaining[act] -= step[act]
-        return self.domain.wrap(out), alive
+            dx = gen.standard_normal((len(move), pts.shape[1]))
+            dx *= _row_scale(np.sqrt(step[move] if per_row else step))
+            out[move] += dx
+            if per_row:
+                remaining[idx] -= step[idx]
+            else:
+                remaining -= step
+        return self.domain._wrap_owned(out), alive
 
     def semigroup(self, phi, t, tol=DEFAULT_TOL):
         if t < 0:

@@ -636,10 +636,13 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     """(E[F(gamma_h)] - F(gamma)) / h against the generator value.
 
     Each chunk evolves exactly the given particles of its replicas as one
-    batch, with no collar seeding.  Glauber births rain on the support box
-    of the phis inside the window, which is exact since particles never
-    move.  The finite difference carries an O(h) semigroup bias on top of
-    Monte Carlo noise, so acceptance is |fd - analytic| <= 3 stderr + C h.
+    batch, with no collar seeding.  On full space particles live in all of
+    R^d, as in the generator formulas: no row is clipped to the window, and
+    Glauber births rain on the whole support box of the phis (on a torus,
+    its part in the cell), which is exact since particles never move and F
+    only sees points in the supports.  The finite difference carries an
+    O(h) semigroup bias on top of Monte Carlo noise, so acceptance is
+    |fd - analytic| <= 3 stderr + C h.
     """
     from .kernels import BrownianKernel, KawasakiKernel
 
@@ -647,7 +650,8 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     if isinstance(dynamics_spec, GlauberDynamics):
         rate = dynamics_spec.rate
         lo, hi = support_box(F.phis)
-        lo, hi = np.maximum(lo, domain.lower), np.minimum(hi, domain.upper)
+        if domain.is_torus:  # births land in the cell
+            lo, hi = np.maximum(lo, domain.lower), np.minimum(hi, domain.upper)
         rain = dynamics_spec.intensity * rate.bound * h * float(
             np.prod(np.clip(hi - lo, 0.0, None)))
 
@@ -669,12 +673,7 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
             raise ValueError("kernel and configuration domains differ")
 
         def evolve(pts, ids, m, gen):
-            pts, _ = dynamics_spec.propagate_batch(pts, h, gen)
-            if domain.is_torus:
-                return pts, ids
-            inside = np.all((pts >= domain.lower) & (pts <= domain.upper),
-                            axis=1)
-            return pts[inside], ids[inside]
+            return dynamics_spec.propagate_batch(pts, h, gen)[0], ids
     else:
         raise ValueError("unsupported dynamics for generator_fd_check")
 

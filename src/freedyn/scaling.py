@@ -271,11 +271,10 @@ class NeymanScottMeasure:
         total_parents = int(n_parents.sum())
         parent_pts = lo + (hi - lo) * gen.random((total_parents, domain.dim))
         sizes = 1 + (gen.random(total_parents) < self.second_prob).astype(np.int64)
-        owner = np.repeat(np.arange(total_parents), sizes)
-        offsets = self.cluster_std * gen.standard_normal((len(owner), domain.dim))
-        pts = domain.wrap(parent_pts[owner] + offsets)
+        pts = self.cluster_std * gen.standard_normal((int(sizes.sum()), domain.dim))
+        pts += np.repeat(parent_pts, sizes, axis=0)
         parent_rep = np.repeat(np.arange(n_rep), n_parents)
-        return pts, parent_rep[owner]
+        return domain._wrap_owned(pts), np.repeat(parent_rep, sizes)
 
     def sample(self, rng):
         pts, _ = self.sample_batch(1, rng.generator())

@@ -109,12 +109,31 @@ class Domain:
         return np.sqrt(np.sum(np.square(delta), axis=-1))
 
     def wrap(self, points):
-        """Map positions into the fundamental cell (no-op in full space)."""
-        pts = np.asarray(points, dtype=float)
+        """Map positions into the fundamental cell (no-op in full space).
+
+        Never mutates ``points``: on a torus the result is a new array,
+        ``np.mod(points, side)`` with results equal to ``side`` set to 0.
+        """
         if self.is_torus:
-            pts = np.mod(pts, self.side)
-            # np.mod can round up to the divisor itself for huge inputs
-            pts = np.where(pts >= self.side, 0.0, pts)
+            return self._wrap_owned(np.array(points, dtype=float))
+        return np.asarray(points, dtype=float)
+
+    def _wrap_owned(self, pts):
+        """``wrap`` in place, for a float array the caller owns.
+
+        Only the entries outside (0, side) go through ``np.mod``; entries
+        strictly inside are their own image.  Zeros, NaN and infinities
+        count as outside, so the result is bitwise that of ``np.mod`` on
+        the whole array with the same fix-up (-0.0 becomes +0.0).
+        """
+        if self.is_torus:
+            side = self.side
+            outside = ~((pts > 0.0) & (pts < side))
+            if outside.any():
+                folded = np.mod(pts[outside], side)
+                # np.mod rounds tiny negative inputs up to the divisor itself
+                folded[folded >= side] = 0.0
+                pts[outside] = folded
         return pts
 
     def contains(self, points):

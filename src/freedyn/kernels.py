@@ -264,11 +264,6 @@ def _batch_times(dts, n):
     return dts if dts.ndim == 0 else np.broadcast_to(dts, (n,))
 
 
-def _row_scale(scale):
-    # a per-row factor as a column, so it multiplies (n, dim) rows
-    return scale[:, None] if scale.ndim else scale
-
-
 def _heat_tail(dim, t, r):
     """Exact tail P(|sqrt(t) Z| > r) via the chi-square upper tail."""
     if t <= 0 or r <= 0:
@@ -335,10 +330,8 @@ class BrownianKernel(Kernel):
 
     def propagate_batch(self, pts, dts, gen):
         dts = _batch_times(dts, len(pts))
-        out = gen.standard_normal(pts.shape)
-        out *= _row_scale(np.sqrt(dts))
-        out += pts
-        return self.domain._wrap_owned(out), np.ones(len(pts), dtype=bool)
+        out = pts + np.sqrt(dts)[..., None] * gen.standard_normal(pts.shape)
+        return self.domain.wrap(out), np.ones(len(pts), dtype=bool)
 
     def semigroup(self, phi, t, tol=DEFAULT_TOL):
         if t < 0:
@@ -469,7 +462,7 @@ class KawasakiKernel(Kernel):
                 for j in range(pts.shape[1]):
                     out[:, j] += np.bincount(owner, weights=draws[:, j],
                                              minlength=n)
-        return self.domain._wrap_owned(out), np.ones(n, dtype=bool)
+        return self.domain.wrap(out), np.ones(n, dtype=bool)
 
     def jump_times(self, t, gen):
         n = gen.poisson(self.clock_rate * t)
@@ -589,7 +582,7 @@ class KawasakiKernel(Kernel):
             if len(epochs) == 0:
                 continue
             disp = self.profile.sample_displacements(gen, len(epochs))
-            path = domain._wrap_owned(row + np.cumsum(disp, axis=0))
+            path = domain.wrap(row + np.cumsum(disp, axis=0))
             prev = tuple(row)
             for s, nxt in zip(epochs, path):
                 events.append(Event(float(s), "jump", prev, tuple(nxt)))
@@ -622,36 +615,29 @@ class KilledBrownianKernel(Kernel):
         return self.h_kill if self.h_kill is not None else max(t / 1000.0, 1e-9)
 
     def propagate_batch(self, pts, dts, gen):
-        dts = _batch_times(dts, len(pts))
-        t_max = float(np.max(dts)) if len(pts) else 0.0
+        n = len(pts)
+        dts = np.broadcast_to(_batch_times(dts, n), (n,))
+        t_max = float(np.max(dts)) if n else 0.0
         if t_max == 0.0:
-            return pts, np.ones(len(pts), dtype=bool)
+            return pts, np.ones(n, dtype=bool)
         h = self._step(t_max)
         n_steps = max(int(math.ceil(t_max / h)), 1)
-        out = np.array(pts, dtype=float)
-        alive = np.ones(len(pts), dtype=bool)
-        # a shared time stays one number: every live row has the same clock
-        per_row = dts.ndim == 1
+        out = np.array(pts, copy=True)
+        alive = np.ones(n, dtype=bool)
         remaining = dts.copy()
         for _ in range(n_steps):
             step = np.minimum(remaining, t_max / n_steps)
-            act = alive & (step > 0)
-            idx = np.flatnonzero(act)
+            idx = np.flatnonzero(alive & (step > 0))
             if not len(idx):
                 break
             a = self.rate(out[idx])
-            surv = gen.random(len(idx)) < np.exp(
-                -a * (step[idx] if per_row else step))
+            surv = gen.random(len(idx)) < np.exp(-a * step[idx])
             alive[idx[~surv]] = False
             move = idx[surv]
-            dx = gen.standard_normal((len(move), pts.shape[1]))
-            dx *= _row_scale(np.sqrt(step[move] if per_row else step))
-            out[move] += dx
-            if per_row:
-                remaining[idx] -= step[idx]
-            else:
-                remaining -= step
-        return self.domain._wrap_owned(out), alive
+            out[move] += np.sqrt(step[move])[:, None] * \
+                gen.standard_normal((len(move), pts.shape[1]))
+            remaining[idx] -= step[idx]
+        return self.domain.wrap(out), alive
 
     def semigroup(self, phi, t, tol=DEFAULT_TOL):
         if t < 0:

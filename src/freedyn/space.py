@@ -112,28 +112,20 @@ class Domain:
         """Map positions into the fundamental cell (no-op in full space).
 
         Never mutates ``points``: on a torus the result is a new array,
-        ``np.mod(points, side)`` with results equal to ``side`` set to 0.
+        bitwise ``np.mod(points, side)`` with results equal to ``side`` set
+        to 0.  Only the entries outside (0, side) go through ``np.mod``;
+        zeros, NaN and infinities count as outside, so -0.0 becomes +0.0.
         """
-        if self.is_torus:
-            return self._wrap_owned(np.array(points, dtype=float))
-        return np.asarray(points, dtype=float)
-
-    def _wrap_owned(self, pts):
-        """``wrap`` in place, for a float array the caller owns.
-
-        Only the entries outside (0, side) go through ``np.mod``; entries
-        strictly inside are their own image.  Zeros, NaN and infinities
-        count as outside, so the result is bitwise that of ``np.mod`` on
-        the whole array with the same fix-up (-0.0 becomes +0.0).
-        """
-        if self.is_torus:
-            side = self.side
-            outside = ~((pts > 0.0) & (pts < side))
-            if outside.any():
-                folded = np.mod(pts[outside], side)
-                # np.mod rounds tiny negative inputs up to the divisor itself
-                folded[folded >= side] = 0.0
-                pts[outside] = folded
+        if not self.is_torus:
+            return np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)
+        side = self.side
+        outside = ~((pts > 0.0) & (pts < side))
+        if outside.any():
+            folded = np.mod(pts[outside], side)
+            # np.mod rounds tiny negative inputs up to the divisor itself
+            folded[folded >= side] = 0.0
+            pts[outside] = folded
         return pts
 
     def contains(self, points):

@@ -331,7 +331,7 @@ class BrownianKernel(Kernel):
     def propagate_batch(self, pts, dts, gen):
         dts = _batch_times(dts, len(pts))
         out = pts + np.sqrt(dts)[..., None] * gen.standard_normal(pts.shape)
-        return self.domain.wrap(out), np.ones(len(pts), dtype=bool)
+        return self.domain.wrap(out, copy=False), np.ones(len(pts), dtype=bool)
 
     def semigroup(self, phi, t, tol=DEFAULT_TOL):
         if t < 0:
@@ -462,7 +462,7 @@ class KawasakiKernel(Kernel):
                 for j in range(pts.shape[1]):
                     out[:, j] += np.bincount(owner, weights=draws[:, j],
                                              minlength=n)
-        return self.domain.wrap(out), np.ones(n, dtype=bool)
+        return self.domain.wrap(out, copy=False), np.ones(n, dtype=bool)
 
     def jump_times(self, t, gen):
         n = gen.poisson(self.clock_rate * t)
@@ -637,7 +637,7 @@ class KilledBrownianKernel(Kernel):
             out[move] += np.sqrt(step[move])[:, None] * \
                 gen.standard_normal((len(move), pts.shape[1]))
             remaining[idx] -= step[idx]
-        return self.domain.wrap(out), alive
+        return self.domain.wrap(out, copy=False), alive
 
     def semigroup(self, phi, t, tol=DEFAULT_TOL):
         if t < 0:

@@ -274,7 +274,7 @@ class NeymanScottMeasure:
         pts = self.cluster_std * gen.standard_normal((int(sizes.sum()), domain.dim))
         pts += np.repeat(parent_pts, sizes, axis=0)
         parent_rep = np.repeat(np.arange(n_rep), n_parents)
-        return domain.wrap(pts), np.repeat(parent_rep, sizes)
+        return domain.wrap(pts, copy=False), np.repeat(parent_rep, sizes)
 
     def sample(self, rng):
         pts, _ = self.sample_batch(1, rng.generator())

@@ -108,17 +108,20 @@ class Domain:
         delta = self.displacement(x, y)
         return np.sqrt(np.sum(np.square(delta), axis=-1))
 
-    def wrap(self, points):
+    def wrap(self, points, copy=True):
         """Map positions into the fundamental cell (no-op in full space).
 
-        Never mutates ``points``: on a torus the result is a new array,
-        bitwise ``np.mod(points, side)`` with results equal to ``side`` set
-        to 0.  Only the entries outside (0, side) go through ``np.mod``;
-        zeros, NaN and infinities count as outside, so -0.0 becomes +0.0.
+        On a torus the result is bitwise ``np.mod(points, side)`` with
+        results equal to ``side`` set to 0.  Only the entries outside
+        (0, side) go through ``np.mod``; zeros, NaN and infinities count as
+        outside, so -0.0 becomes +0.0.  By default ``points`` is never
+        mutated and the result is a new array; with ``copy=False`` a float
+        array is folded in place and returned, for callers that own it.
         """
         if not self.is_torus:
             return np.asarray(points, dtype=float)
-        pts = np.array(points, dtype=float)
+        pts = (np.array(points, dtype=float) if copy
+               else np.asarray(points, dtype=float))
         side = self.side
         outside = ~((pts > 0.0) & (pts < side))
         if outside.any():

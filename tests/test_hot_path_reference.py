@@ -231,6 +231,11 @@ def test_wrap_bitwise_matches_mod(arr, side, strided):
     _same(got, want)
     _same(arr, before)  # the argument is left unchanged
     assert got is not arr
+    with np.errstate(invalid="ignore"):
+        folded = domain.wrap(arr, copy=False)
+    _same(folded, want)
+    _same(arr, want)  # folded in place, the view too
+    assert folded is arr
 
 
 def test_wrap_special_values():

@@ -12,10 +12,10 @@ import numpy as np
 
 from freedyn import (
     Domain,
+    PoissonMeasure,
     RngStream,
     TestFunction,
     empirical_laplace,
-    sample_poisson,
 )
 
 domain = Domain.fullspace((0.0,), (10.0,))
@@ -32,7 +32,7 @@ phis = [
 # one snapshot list per replica, reusing the same snapshot for every phi
 samples = []
 for i in range(n_snapshots):
-    config = sample_poisson(domain, intensity, rng.child(i))
+    config = PoissonMeasure(domain, intensity).sample(rng.child(i))
     samples.append([config] * len(phis))
 
 print("Poisson(z=%.1f) on [0, 10], %d snapshots" % (intensity, n_snapshots))

@@ -11,8 +11,8 @@ small-jump scaling limit connecting jump dynamics to birth-and-death.
 __version__ = "0.1.0"
 
 from .space import Domain, ball_volume, doubling_constants
-from .pointproc import (BoundedField, Configuration, RngStream, as_field,
-                        parallel_map_ordered, sample_poisson,
+from .pointproc import (BoundedField, Configuration, PoissonMeasure,
+                        RngStream, as_field, parallel_map_ordered,
                         sample_poisson_space_time, theta_check)
 from .functions import (NumericFunction, TestFunction, gauss_smooth,
                         integrate_function, integrate_product)
@@ -33,10 +33,9 @@ from .observables import (CylinderFunction, LaplaceEstimate, UrsellTable,
                           generator_fd_check, glauber_joint_laplace,
                           pairing, poisson_laplace_exponent, set_partitions,
                           ursell_from_correlations)
-from .scaling import (GtSeries, NeymanScottMeasure, PoissonMeasure,
-                      ScaledProfile, ScalingReport, g_t_series,
-                      run_scaling_experiment, scale_profile,
-                      verify_mu_conditions)
+from .scaling import (GtSeries, NeymanScottMeasure, ScaledProfile,
+                      ScalingReport, g_t_series, run_scaling_experiment,
+                      scale_profile, verify_mu_conditions)
 from .experiments import (ExperimentReport, glauber_joint_experiment,
                           markov_laplace_experiment,
                           poisson_correlation_experiment,

@@ -30,15 +30,15 @@ from .experiments import (glauber_joint_experiment, markov_laplace_experiment,
                           poisson_correlation_experiment,
                           poisson_laplace_experiment,
                           submarkov_laplace_experiment)
-from .functions import TestFunction
+from .functions import TestFunction, support_box
 from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       GaussianProfile, KawasakiKernel, KilledBrownianKernel,
                       check_summability, exit_probability,
                       kawasaki_polynomial_certificate)
 from .observables import CylinderFunction, generator_fd_check
-from .pointproc import Configuration, RngStream, sample_poisson, theta_check
-from .scaling import (NeymanScottMeasure, PoissonMeasure,
-                      run_scaling_experiment, verify_mu_conditions)
+from .pointproc import Configuration, PoissonMeasure, RngStream, theta_check
+from .scaling import (NeymanScottMeasure, run_scaling_experiment,
+                      verify_mu_conditions)
 from .space import Domain
 
 
@@ -169,7 +169,8 @@ def build_phis(cfg, dim):
 
 
 def build_start(block, domain, config_dir):
-    """Return ('fixed', Configuration) | ('poisson', z) | ('measure', m)."""
+    """The starting measure: a Configuration, PoissonMeasure or
+    NeymanScottMeasure."""
     _check_keys(block, {"kind", "points", "csv", "intensity",
                         "parent_intensity", "second_prob", "cluster_std"},
                 "start")
@@ -185,19 +186,19 @@ def build_start(block, domain, config_dir):
             if config.domain != domain:
                 raise ConfigError("'start.csv' domain differs from config "
                                   "domain")
-            return "fixed", config
+            return config
         points = _get(block, "points", "start")
         if not isinstance(points, list):
             raise ConfigError("'start.points' must be a list of points")
-        return "fixed", Configuration(np.asarray(points, dtype=float), domain)
+        return Configuration(np.asarray(points, dtype=float), domain)
     if kind == "poisson":
         intensity = _num(_get(block, "intensity", "start"),
                          "start.intensity")
         if not intensity > 0:
             raise ConfigError("'start.intensity' must be > 0")
-        return "poisson", intensity
+        return PoissonMeasure(domain, intensity)
     if kind == "neyman-scott":
-        return "measure", NeymanScottMeasure(
+        return NeymanScottMeasure(
             domain,
             _num(_get(block, "parent_intensity", "start"),
                  "start.parent_intensity"),
@@ -289,19 +290,18 @@ def cmd_sample_poisson(run):
     _check_keys(cfg, {"domain", "start", "observables", "samples", "rng",
                       "output"}, "config")
     domain = build_domain(_get(cfg, "domain", "config"))
-    kind, value = build_start(_get(cfg, "start", "config"), domain,
-                              run.config_dir)
-    if kind != "poisson":
+    start = build_start(_get(cfg, "start", "config"), domain, run.config_dir)
+    if not isinstance(start, PoissonMeasure):
         raise ConfigError("sample-poisson needs start.kind = 'poisson'")
     phis = build_phis(cfg, domain.dim)
     n = _samples(cfg)
 
-    config = sample_poisson(domain, value, run.rng.child(0))
+    config = start.sample(run.rng.child(0))
     run.write_csv("configuration.csv", config.to_csv())
 
     reports = []
     for i, phi in enumerate(phis):
-        rep = poisson_laplace_experiment(domain, value, phi, n,
+        rep = poisson_laplace_experiment(domain, start.intensity, phi, n,
                                          run.rng.child(1, i),
                                          threads=run.threads)
         reports.append(rep.to_dict())
@@ -331,14 +331,8 @@ def cmd_evolve(run):
                 "dynamics")
     times = _times(dyn, "dynamics")
     mode = dyn.get("mode", "conservative")
-    kind, value = build_start(_get(cfg, "start", "config"), domain,
-                              run.config_dir)
-    if kind == "poisson":
-        config = sample_poisson(domain, value, run.rng.child(0))
-    elif kind == "fixed":
-        config = value
-    else:
-        config = value.sample(run.rng.child(0))
+    config = build_start(_get(cfg, "start", "config"), domain,
+                         run.config_dir).sample(run.rng.child(0))
 
     boundary = TorusExact() if domain.is_torus else Buffer()
     if dyn.get("events", False):
@@ -391,30 +385,33 @@ def cmd_laplace(run):
     if len(phis) != len(times):
         raise ConfigError("need one observable per time")
     n = _samples(cfg)
-    kind, value = build_start(_get(cfg, "start", "config"), domain,
-                              run.config_dir)
+    start = build_start(_get(cfg, "start", "config"), domain, run.config_dir)
 
     if mode == "glauber":
         a = _num(_get(dyn, "death_rate", "dynamics"), "dynamics.death_rate")
         z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
-        start = value if kind in ("fixed", "measure") else float(value)
+        if isinstance(start, PoissonMeasure):
+            # particles never move under Glauber dynamics, so only the
+            # start's points on the observables' support box matter
+            start = PoissonMeasure(Domain.fullspace(*support_box(phis)),
+                                   start.intensity)
         report = glauber_joint_experiment(start, a, z, times, phis, n,
                                           run.rng.child(2),
                                           threads=run.threads)
     else:
-        if kind != "fixed":
+        if not isinstance(start, Configuration):
             raise ConfigError("kernel laplace checks need a fixed start")
         if len(times) != 1:
             raise ConfigError("kernel laplace checks take a single time")
         kernel = build_kernel(_get(cfg, "kernel", "config"), domain)
         if mode == "conservative":
-            report = markov_laplace_experiment(kernel, value, phis[0],
+            report = markov_laplace_experiment(kernel, start, phis[0],
                                                times[0], n, run.rng.child(2),
                                                threads=run.threads)
         elif mode == "submarkov_immigration":
             z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
             pad = _num(dyn.get("birth_pad", 0.0), "dynamics.birth_pad")
-            report = submarkov_laplace_experiment(kernel, value, phis[0],
+            report = submarkov_laplace_experiment(kernel, start, phis[0],
                                                   times[0], z, n,
                                                   run.rng.child(2),
                                                   threads=run.threads,
@@ -438,9 +435,8 @@ def cmd_correlation(run):
     _check_keys(cfg, {"domain", "start", "correlation", "samples", "rng",
                       "output"}, "config")
     domain = build_domain(_get(cfg, "domain", "config"))
-    kind, value = build_start(_get(cfg, "start", "config"), domain,
-                              run.config_dir)
-    if kind != "poisson":
+    start = build_start(_get(cfg, "start", "config"), domain, run.config_dir)
+    if not isinstance(start, PoissonMeasure):
         raise ConfigError("correlation experiment needs start.kind = "
                           "'poisson'")
     corr = _get(cfg, "correlation", "config")
@@ -450,7 +446,8 @@ def cmd_correlation(run):
     n = _samples(cfg)
 
     grid, expected = poisson_correlation_experiment(
-        domain, value, order, bins, n, run.rng.child(3), threads=run.threads)
+        domain, start.intensity, order, bins, n, run.rng.child(3),
+        threads=run.threads)
     sigmas = [abs(float(e) - expected) / float(s) if s > 0 else
               (0.0 if e == expected else math.inf)
               for e, s in zip(grid.estimates, grid.stderrs)]
@@ -468,14 +465,8 @@ def cmd_check_theta(run):
     cfg = run.cfg
     _check_keys(cfg, {"domain", "start", "theta", "rng", "output"}, "config")
     domain = build_domain(_get(cfg, "domain", "config"))
-    kind, value = build_start(_get(cfg, "start", "config"), domain,
-                              run.config_dir)
-    if kind == "poisson":
-        config = sample_poisson(domain, value, run.rng.child(0))
-    elif kind == "fixed":
-        config = value
-    else:
-        config = value.sample(run.rng.child(0))
+    config = build_start(_get(cfg, "start", "config"), domain,
+                         run.config_dir).sample(run.rng.child(0))
     theta = _get(cfg, "theta", "config")
     _check_keys(theta, {"alpha", "r_max", "center"}, "theta")
     alpha = _num(_get(theta, "alpha", "theta"), "theta.alpha")
@@ -552,9 +543,8 @@ def cmd_generator_check(run):
     _check_keys(cfg, {"domain", "kernel", "dynamics", "cylinder", "fd",
                       "start", "rng", "output"}, "config")
     domain = build_domain(_get(cfg, "domain", "config"))
-    kind, value = build_start(_get(cfg, "start", "config"), domain,
-                              run.config_dir)
-    if kind != "fixed":
+    start = build_start(_get(cfg, "start", "config"), domain, run.config_dir)
+    if not isinstance(start, Configuration):
         raise ConfigError("generator check needs a fixed start")
 
     dyn = cfg.get("dynamics", {"mode": "kernel"})
@@ -594,7 +584,7 @@ def cmd_generator_check(run):
 
     checks = []
     for i, h in enumerate(h_list):
-        chk = generator_fd_check(func, value, spec, h, replicas,
+        chk = generator_fd_check(func, start, spec, h, replicas,
                                  run.rng.child(5, i))
         within = chk.discrepancy <= 3.0 * chk.stderr + slope * h
         entry = chk.to_dict()
@@ -619,13 +609,9 @@ def cmd_scaling(run):
     domain = build_domain(_get(cfg, "domain", "config"))
     profile = build_profile(_get(cfg, "profile", "config"), domain.dim,
                             "profile")
-    kind, value = build_start(_get(cfg, "start", "config"), domain,
-                              run.config_dir)
-    if kind == "poisson":
-        measure = PoissonMeasure(domain, value)
-    elif kind == "measure":
-        measure = value
-    else:
+    measure = build_start(_get(cfg, "start", "config"), domain,
+                          run.config_dir)
+    if isinstance(measure, Configuration):
         raise ConfigError("scaling needs start.kind 'poisson' or "
                           "'neyman-scott'")
     dyn = _get(cfg, "dynamics", "config")

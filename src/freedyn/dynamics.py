@@ -27,8 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import default_buffer_width
-from .pointproc import BoundedField, Configuration, as_field, sample_poisson, \
-    sample_poisson_space_time
+from .pointproc import (BoundedField, Configuration, PoissonMeasure,
+                        as_field, sample_poisson_space_time)
+from .space import Domain
 
 CONSERVATIVE = "conservative"
 SUBMARKOV_IMMIGRATION = "submarkov_immigration"
@@ -102,21 +103,6 @@ class EvolutionPlan:
     @property
     def t_max(self):
         return self.times[-1]
-
-
-@dataclass
-class ParticleTrack:
-    """One particle's life: birth time, positions at covered plan times.
-
-    positions has one row per entry of times, which is the subset of the
-    plan's observation grid falling in [birth_time, death_time).
-    """
-
-    birth_time: float
-    origin: str  # "initial" | "immigrant"
-    times: tuple
-    positions: np.ndarray
-    death_time: float = None
 
 
 @dataclass(frozen=True)
@@ -197,7 +183,8 @@ def _seed_buffer(config, kernel, plan, rng):
     hi = domain.upper + width
     pts = config.points
     if width > 0 and density > 0:
-        shell = sample_poisson(domain, density, rng.child(0xB0FF), lo=lo, hi=hi)
+        shell = PoissonMeasure(Domain.fullspace(lo, hi), density).sample(
+            rng.child(0xB0FF))
         outside = ~np.all((shell.points >= domain.lower)
                           & (shell.points <= domain.upper), axis=1)
         pts = np.vstack([pts, shell.points[outside]])
@@ -310,7 +297,7 @@ def _exponential_lifetimes(rate_vals, gen):
                         np.inf)
 
 
-def glauber_evolve(config, a, z, plan, rng, return_tracks=False):
+def glauber_evolve(config, a, z, plan, rng):
     """Exact event-free birth-and-death simulation, snapshot per plan time.
 
     No time grid: each particle's death time is one exponential draw, and
@@ -342,23 +329,7 @@ def glauber_evolve(config, a, z, plan, rng, return_tracks=False):
         pts = np.vstack([alive_init, alive_born]) if len(init) or len(bpts) \
             else np.zeros((0, domain.dim))
         out.append(Configuration(pts, domain))
-    if not return_tracks:
-        return out
-    times = np.asarray(plan.times)
-    tracks = []
-    for j in range(len(init)):
-        covered = tuple(times[times < init_death[j]])
-        tracks.append(ParticleTrack(0.0, "initial", covered,
-                                    np.tile(init[j], (len(covered), 1)),
-                                    None if math.isinf(init_death[j])
-                                    else float(init_death[j])))
-    for j in range(len(bpts)):
-        covered = tuple(times[(times >= btimes[j]) & (times < bdeath[j])])
-        tracks.append(ParticleTrack(float(btimes[j]), "immigrant", covered,
-                                    np.tile(bpts[j], (len(covered), 1)),
-                                    None if math.isinf(bdeath[j])
-                                    else float(bdeath[j])))
-    return out, tracks
+    return out
 
 
 # ---------------------------------------------------------------------------

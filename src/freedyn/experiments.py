@@ -19,8 +19,7 @@ from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
                           bin_counts, check_correlation_grid,
                           correlation_edges, correlations_from_counts,
                           glauber_joint_laplace, poisson_laplace_exponent)
-from .pointproc import Configuration, mean_se, pair_into, run_chunks
-from .scaling import PoissonMeasure
+from .pointproc import PoissonMeasure, mean_se, pair_into, run_chunks
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,10 @@ def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
                                threads=1, tol=1e-10):
     """Empirical E[exp<phi, gamma>] for Poisson gamma vs the closed form."""
     z = float(intensity)
+    measure = PoissonMeasure(domain, z)
 
     def worker(m, gen):
-        pts, ids = PoissonMeasure(domain, z).sample_batch(m, gen)
+        pts, ids = measure.sample_batch(m, gen)
         acc = np.zeros(m)
         pair_into(acc, ids, np.asarray(phi(pts), dtype=float))
         return np.exp(acc)
@@ -94,13 +94,10 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
     """
     if not kernel.conservative:
         raise ValueError("markov identity needs a conservative kernel")
-    pts0 = config.points
-    n0 = len(pts0)
     t = float(t)
 
     def worker(m, gen):
-        pts = np.tile(pts0, (m, 1))
-        ids = np.repeat(np.arange(m), n0)
+        pts, ids = config.sample_batch(m, gen)
         moved, _ = kernel.propagate_batch(pts, t, gen)
         acc = np.zeros(m)
         vals = np.asarray(phi(moved), dtype=float)
@@ -113,7 +110,7 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
     return ExperimentReport(
         kind="markov-laplace", estimate=est, stderr=se, analytic=analytic,
         n_samples=len(values),
-        parameters={"variant": kernel.variant, "t": t, "points": n0})
+        parameters={"variant": kernel.variant, "t": t, "points": len(config)})
 
 
 def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
@@ -132,16 +129,13 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
     t = float(t)
     z = float(z)
     rate = killing_profile(kernel)
-    pts0 = config.points
-    n0 = len(pts0)
     lo, hi = support_box([phi], birth_pad)
     box_vol = float(np.prod(hi - lo))
 
     def worker(m, gen):
         acc = np.zeros(m)
         # survivors of the initial configuration
-        pts = np.tile(pts0, (m, 1))
-        ids = np.repeat(np.arange(m), n0)
+        pts, ids = config.sample_batch(m, gen)
         moved, alive = kernel.propagate_batch(pts, t, gen)
         vals = np.log1p(np.asarray(phi(moved[alive]), dtype=float))
         pair_into(acc, ids[alive], vals)
@@ -166,19 +160,20 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
     return ExperimentReport(
         kind="submarkov-laplace", estimate=est, stderr=se, analytic=analytic,
         n_samples=len(values),
-        parameters={"variant": kernel.variant, "t": t, "z": z, "points": n0})
+        parameters={"variant": kernel.variant, "t": t, "z": z,
+                    "points": len(config)})
 
 
 def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
                              rng, threads=1, tol=1e-8):
     """Joint Laplace functional of birth-and-death dynamics vs closed form.
 
-    start is a fixed Configuration, a Poisson intensity (float), or a
-    starting-measure object with sample_batch.  The death rate must be a
-    constant; lifetimes are exponential and births form a space-time
-    Poisson stream with rate z * a.  Particles never move, so only births
-    inside the union of the test-function supports can matter and the
-    birth box is clipped accordingly (this is exact, not an approximation).
+    start is any starting measure, a fixed Configuration included.  The
+    death rate must be a constant; lifetimes are exponential and births
+    form a space-time Poisson stream with rate z * a.  Particles never
+    move, so only points inside the union of the test-function supports
+    can matter: the birth box is clipped to it (this is exact, not an
+    approximation), and a Poisson start needs no domain beyond it.
     """
     a = float(a_rate)
     z = float(z)
@@ -194,26 +189,8 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
     lo, hi = support_box(phi_list)
     box_vol = float(np.prod(hi - lo))
 
-    if isinstance(start, Configuration):
-        def draw_initial(m, gen):
-            n0 = len(start)
-            return np.tile(start.points, (m, 1)), np.repeat(np.arange(m), n0)
-        oracle_start = start
-    elif isinstance(start, (int, float)):
-        z0 = float(start)
-
-        def draw_initial(m, gen):
-            counts = gen.poisson(z0 * box_vol, size=m)
-            pts = lo + (hi - lo) * gen.random((int(counts.sum()), len(lo)))
-            return pts, np.repeat(np.arange(m), counts)
-        oracle_start = z0
-    else:
-        def draw_initial(m, gen):
-            return start.sample_batch(m, gen)
-        oracle_start = start
-
     def worker(m, gen):
-        pts0, ids0 = draw_initial(m, gen)
+        pts0, ids0 = start.sample_batch(m, gen)
         death0 = gen.exponential(1.0 / a, size=len(pts0))
         counts = gen.poisson(z * a * box_vol * t_max, size=m)
         total = int(counts.sum())
@@ -233,7 +210,7 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
 
     values = run_chunks(worker, n_samples, rng, threads)
     est, se = mean_se(values)
-    analytic = glauber_joint_laplace(oracle_start, a, z, times, phi_list, tol)
+    analytic = glauber_joint_laplace(start, a, z, times, phi_list, tol)
     return ExperimentReport(
         kind="glauber-joint-laplace", estimate=est, stderr=se,
         analytic=analytic, n_samples=len(values),
@@ -256,8 +233,10 @@ def poisson_correlation_experiment(domain, intensity, order, bins_per_axis,
     edges = correlation_edges(domain, bins_per_axis)
     check_correlation_grid(order, int(np.prod([len(e) - 1 for e in edges])))
 
+    measure = PoissonMeasure(domain, z)
+
     def worker(m, gen):
-        pts, ids = PoissonMeasure(domain, z).sample_batch(m, gen)
+        pts, ids = measure.sample_batch(m, gen)
         return bin_counts(pts, ids, m, domain, edges)
 
     counts = run_chunks(worker, n_samples, rng, threads)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dynamics import GlauberDynamics, _exponential_lifetimes
 from .functions import integrate_function, support_box
-from .pointproc import Configuration, pair_into, run_chunks
+from .pointproc import pair_into, run_chunks
 
 QUAD_TOL = 1e-8
 
@@ -173,11 +173,12 @@ def glauber_joint_laplace(start, a_const, z, times, phi_list, tol=QUAD_TOL):
       exp[ sum over increasing index tuples (i_1<...<i_k) of
            z (1-e^{-a t_{i_1}}) e^{-a (t_{i_k}-t_{i_1})} <phi_{i_1}...phi_{i_k}> ]
 
-    times a starting-measure term: for a fixed configuration the product
-    over its points of (1 + sum over tuples e^{-a t_{i_k}} (phi...)(x)),
-    for a Poisson(z0) start exp[z0 <sum-term>], and for any other measure
-    whatever its expected_product_functional reports.
+    times the start's expected_product_functional of (1 + sum over tuples
+    e^{-a t_{i_k}} (phi_{i_1}...phi_{i_k})): for a fixed configuration the
+    product over its points, for a Poisson(z0) start exp[z0 <sum-term>].
     """
+    if not hasattr(start, "expected_product_functional"):
+        raise ValueError("unsupported starting measure")
     times = [float(t) for t in times]
     if any(t <= 0 for t in times) or any(b <= a for a, b in
                                          zip(times, times[1:])):
@@ -191,40 +192,15 @@ def glauber_joint_laplace(start, a_const, z, times, phi_list, tol=QUAD_TOL):
     a = float(a_const)
 
     exponent = 0.0
-    terms = []  # (coefficient e^{-a t_last}, product function, index tuple)
+    terms = []  # (coefficient e^{-a t_last}, product function)
     for tup in _index_tuples(n):
         prod_fn = reduce(lambda f, g: f.product(g), [phis[i] for i in tup])
         integral = integrate_function(prod_fn, tol)
         first, last = times[tup[0]], times[tup[-1]]
         exponent += z * (1.0 - math.exp(-a * first)) * \
             math.exp(-a * (last - first)) * integral
-        terms.append((math.exp(-a * last), prod_fn, tup))
-
-    if isinstance(start, Configuration):
-        return math.exp(exponent) * _fixed_product(start, terms, phis)
-    if isinstance(start, (int, float)):
-        total = sum(c * integrate_function(fn, tol) for c, fn, _ in terms)
-        return math.exp(exponent + float(start) * total)
-    if hasattr(start, "expected_product_functional"):
-        return math.exp(exponent) * start.expected_product_functional(
-            [(c, fn) for c, fn, _ in terms], tol)
-    raise ValueError("unsupported starting measure")
-
-
-def _fixed_product(config, terms, phis):
-    if len(config) == 0:
-        return 1.0
-    pts = config.points
-    vals = {i: np.asarray(p(pts), dtype=float) for i, p in enumerate(phis)}
-    acc = np.ones(len(pts))
-    for coef, _fn, tup in terms:
-        prod = np.ones(len(pts))
-        for i in tup:
-            prod = prod * vals[i]
-        acc = acc + coef * prod
-    if np.any(acc <= 0.0):
-        raise ValueError("product factor left (0, inf); functions too large")
-    return float(math.exp(np.sum(np.log(acc))))
+        terms.append((math.exp(-a * last), prod_fn))
+    return math.exp(exponent) * start.expected_product_functional(terms, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +662,7 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     base = values(config.points, np.zeros(len(config), dtype=np.int64), 1)[0]
 
     def worker(m, gen):
-        pts, ids = evolve(np.tile(config.points, (m, 1)),
-                          np.repeat(np.arange(m), len(config)), m, gen)
+        pts, ids = evolve(*config.sample_batch(m, gen), m, gen)
         return values(pts, ids, m) - base
 
     diffs = run_chunks(worker, n_replicas, rng)

@@ -1,10 +1,15 @@
-"""Random point configurations and Poisson sampling.
+"""Random point configurations, starting measures and Poisson sampling.
 
 A configuration is a finite simple point set (all points distinct) in a
-domain.  Poisson samples are drawn with constant or bounded inhomogeneous
-intensity, in space or in space-time, using counter-based random streams so
-that every draw is reproducible from a (seed, stream) pair regardless of
-how work is scheduled.
+domain.  Every starting measure of the dynamics speaks one protocol:
+``sample_batch(n_rep, gen) -> (points, replica ids)``, ``sample(rng) ->
+Configuration`` (a one-replica batch) and
+``expected_product_functional(terms, tol)``.  A Configuration is the
+point-mass measure at itself; PoissonMeasure is the homogeneous Poisson
+measure and the one Poisson configuration sampler.  Space-time Poisson
+arrivals are drawn with constant or bounded inhomogeneous rate.  All draws
+use counter-based random streams, so every draw is reproducible from a
+(seed, stream) pair regardless of how work is scheduled.
 
 The growth certificate ``theta_check`` reports, for an observed
 configuration, the smallest integer K such that the ball counts around a
@@ -24,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
+from .functions import integrate_function
 from .space import Domain, ball_volume
 
 _MASK64 = (1 << 64) - 1
@@ -157,7 +163,11 @@ def as_field(intensity):
 
 
 class Configuration:
-    """Immutable finite simple point configuration in a domain."""
+    """Immutable finite simple point configuration in a domain.
+
+    It is also the point-mass starting measure at itself: its batches tile
+    the points and draw nothing.
+    """
 
     def __init__(self, points, domain):
         pts = np.array(points, dtype=float, copy=True)
@@ -204,6 +214,25 @@ class Configuration:
             raise ValueError("configurations live in different domains")
         return Configuration(np.vstack([self._points, other.points]), self.domain)
 
+    def sample_batch(self, n_rep, gen):
+        """n_rep copies of the points as (points, replica ids); no draw."""
+        return (np.tile(self._points, (n_rep, 1)),
+                np.repeat(np.arange(n_rep), len(self._points)))
+
+    def sample(self, rng):
+        return self
+
+    def expected_product_functional(self, terms, tol=None):
+        """prod over points of (1 + sum_j coef_j fn_j(x)); exact, no tol."""
+        if len(self._points) == 0:
+            return 1.0
+        acc = np.ones(len(self._points))
+        for coef, fn in terms:
+            acc = acc + coef * np.asarray(fn(self._points), dtype=float)
+        if np.any(acc <= 0.0):
+            raise ValueError("product factor left (0, inf); functions too large")
+        return float(math.exp(np.sum(np.log(acc))))
+
     def _kdtree(self):
         # lazy; cKDTree with boxsize handles min-image queries on the torus
         if self._tree is None:
@@ -241,6 +270,51 @@ class Configuration:
         return Configuration(pts, domain)
 
 
+class BatchMeasure:
+    """Random starting measure: sample() is a one-replica sample_batch."""
+
+    def sample(self, rng):
+        pts, _ = self.sample_batch(1, rng.generator())
+        return Configuration(pts, self.domain)
+
+
+@dataclass(frozen=True)
+class PoissonMeasure(BatchMeasure):
+    """Homogeneous Poisson starting measure with constant intensity."""
+
+    domain: Domain
+    intensity: float
+
+    family = "poisson"
+
+    def __post_init__(self):
+        if not self.intensity > 0:
+            raise ValueError("intensity must be > 0")
+
+    @property
+    def k1(self):
+        return self.intensity
+
+    def u2(self, distance):
+        """Second cluster correlation; identically zero for Poisson."""
+        return np.zeros_like(np.asarray(distance, dtype=float))
+
+    def sample_batch(self, n_rep, gen):
+        """Sample n_rep independent configurations as (points, replica ids)."""
+        lo, hi = self.domain.lower, self.domain.upper
+        volume = float(np.prod(hi - lo))
+        counts = gen.poisson(self.intensity * volume, size=n_rep)
+        total = int(counts.sum())
+        pts = lo + (hi - lo) * gen.random((total, self.domain.dim))
+        ids = np.repeat(np.arange(n_rep), counts)
+        return pts, ids
+
+    def expected_product_functional(self, terms, tol=1e-10):
+        """E[prod over points of (1 + sum_j coef_j fn_j)] in closed form."""
+        total = sum(coef * integrate_function(fn, tol) for coef, fn in terms)
+        return math.exp(self.intensity * total)
+
+
 def _sampling_box(domain, lo, hi):
     lo = domain.lower if lo is None else np.asarray(lo, dtype=float)
     hi = domain.upper if hi is None else np.asarray(hi, dtype=float)
@@ -251,38 +325,6 @@ def _sampling_box(domain, lo, hi):
     if domain.is_torus and (np.any(lo < 0) or np.any(hi > domain.side)):
         raise ValueError("sampling box must lie inside the torus cell")
     return lo, hi
-
-
-def _uniform_points(gen, count, lo, hi):
-    return lo + (hi - lo) * gen.random((count, len(lo)))
-
-
-def sample_poisson(domain, intensity, rng, lo=None, hi=None):
-    """Sample a Poisson configuration on a box.
-
-    intensity is a constant or a BoundedField; inhomogeneous intensities
-    are realized by thinning a homogeneous proposal at the sup bound.  The
-    box defaults to the domain window (the full cell on a torus).  Returns
-    a Configuration.
-    """
-    field_ = as_field(intensity)
-    lo, hi = _sampling_box(domain, lo, hi)
-    volume = float(np.prod(hi - lo))
-    gen = rng.generator()
-    count = gen.poisson(field_.bound * volume)
-    pts = _uniform_points(gen, count, lo, hi)
-    if field_.bound > 0 and count > 0:
-        accept = gen.random(count) * field_.bound < field_(pts)
-        pts = pts[accept]
-    # duplicate rows have probability zero; resample defensively anyway
-    while len(pts) > 1:
-        order = np.lexsort(pts.T[::-1])
-        dup = np.all(pts[order][1:] == pts[order][:-1], axis=1)
-        if not np.any(dup):
-            break
-        bad = order[1:][dup]
-        pts[bad] = _uniform_points(gen, len(bad), lo, hi)
-    return Configuration(pts, domain)
 
 
 def sample_poisson_space_time(domain, rate, horizon, rng, lo=None, hi=None):
@@ -301,7 +343,7 @@ def sample_poisson_space_time(domain, rate, horizon, rng, lo=None, hi=None):
     volume = float(np.prod(hi - lo))
     gen = rng.generator()
     count = gen.poisson(field_.bound * volume * horizon)
-    pts = _uniform_points(gen, count, lo, hi)
+    pts = lo + (hi - lo) * gen.random((count, len(lo)))
     times = horizon * gen.random(count)
     if field_.bound > 0 and count > 0:
         accept = gen.random(count) * field_.bound < field_(pts)

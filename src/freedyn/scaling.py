@@ -10,11 +10,11 @@ equal to the first correlation of the starting measure.
 
 This module provides the pieces needed to observe that limit numerically:
 the contracted profiles, the continuous part of the one-particle transition
-law as a certified truncated series, admissible starting measures (Poisson
-and a two-point Neyman-Scott cluster process) with their closed-form
-correlation data, and an experiment harness that estimates joint Laplace
-functionals of the jump dynamics along an epsilon schedule against the
-closed-form limit.
+law as a certified truncated series, a two-point Neyman-Scott cluster
+starting measure with its closed-form correlation data (the Poisson one is
+``pointproc.PoissonMeasure``), their admissibility checks, and an
+experiment harness that estimates joint Laplace functionals of the jump
+dynamics along an epsilon schedule against the closed-form limit.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from functools import partial
 import numpy as np
 from scipy.special import gammainc
 
-from .functions import gauss_smooth, gauss_smooth_box_torus, integrate_function
+from .functions import gauss_smooth, gauss_smooth_box_torus
 from .kernels import KawasakiKernel
 from .observables import glauber_joint_laplace
-from .pointproc import Configuration, mean_se, pair_into, run_chunks
+from .pointproc import (BatchMeasure, PoissonMeasure, mean_se, pair_into,
+                        run_chunks)
 from .space import Domain
 
 
@@ -168,48 +169,7 @@ def _involution_numbers(n_max):
 
 
 @dataclass(frozen=True)
-class PoissonMeasure:
-    """Homogeneous Poisson starting measure with constant intensity."""
-
-    domain: Domain
-    intensity: float
-
-    family = "poisson"
-
-    def __post_init__(self):
-        if not self.intensity > 0:
-            raise ValueError("intensity must be > 0")
-
-    @property
-    def k1(self):
-        return self.intensity
-
-    def u2(self, distance):
-        """Second cluster correlation; identically zero for Poisson."""
-        return np.zeros_like(np.asarray(distance, dtype=float))
-
-    def sample_batch(self, n_rep, gen):
-        """Sample n_rep independent configurations as (points, replica ids)."""
-        lo, hi = self.domain.lower, self.domain.upper
-        volume = float(np.prod(hi - lo))
-        counts = gen.poisson(self.intensity * volume, size=n_rep)
-        total = int(counts.sum())
-        pts = lo + (hi - lo) * gen.random((total, self.domain.dim))
-        ids = np.repeat(np.arange(n_rep), counts)
-        return pts, ids
-
-    def sample(self, rng):
-        pts, _ = self.sample_batch(1, rng.generator())
-        return Configuration(pts, self.domain)
-
-    def expected_product_functional(self, terms, tol=1e-10):
-        """E[prod over points of (1 + sum_j coef_j fn_j)] in closed form."""
-        total = sum(coef * integrate_function(fn, tol) for coef, fn in terms)
-        return math.exp(self.intensity * total)
-
-
-@dataclass(frozen=True)
-class NeymanScottMeasure:
+class NeymanScottMeasure(BatchMeasure):
     """Cluster starting measure: Poisson parents, one or two offspring each.
 
     Parents form a homogeneous Poisson process with intensity
@@ -275,10 +235,6 @@ class NeymanScottMeasure:
         pts += np.repeat(parent_pts, sizes, axis=0)
         parent_rep = np.repeat(np.arange(n_rep), n_parents)
         return domain.wrap(pts, copy=False), np.repeat(parent_rep, sizes)
-
-    def sample(self, rng):
-        pts, _ = self.sample_batch(1, rng.generator())
-        return Configuration(pts, self.domain)
 
     def _smooth(self, terms, c_pts):
         # G(c) = E[F(c + offset)], the cluster-displacement smoothing of F
@@ -487,8 +443,13 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     are run by the chunk driver on the stream rng.child(e) of the e-th
     epsilon, so the result is independent of the thread count.
 
-    Raises ValueError if the measure fails its admissibility checks.
+    The domain must be a torus: on full space the start is sampled on the
+    window only and particles that jump out never come back, so the
+    estimates converge to the wrong value.  Raises ValueError for a
+    full-space domain or a measure that fails its admissibility checks.
     """
+    if not measure.domain.is_torus:
+        raise ValueError("scaling needs a torus domain")
     conditions = verify_mu_conditions(measure)
     if not conditions.admissible:
         raise ValueError("starting measure fails admissibility: %s"

@@ -45,6 +45,7 @@ from freedyn import (
     submarkov_laplace_experiment,
     ursell_from_correlations,
 )
+from freedyn.functions import support_box
 
 from cli_env import checkout_env
 
@@ -127,7 +128,9 @@ def test_criterion_04_glauber_joint_law():
                                      RngStream(1004, 0))
     assert fixed.sigma_distance <= 3.0, fixed.to_dict()
 
-    poisson = glauber_joint_experiment(1.5, 1.0, 1.0, times, (BOX1, phi2), N,
+    on_box = Domain.fullspace(*support_box((BOX1, phi2)))
+    poisson = glauber_joint_experiment(PoissonMeasure(on_box, 1.5), 1.0, 1.0,
+                                       times, (BOX1, phi2), N,
                                        RngStream(1004, 1))
     assert poisson.sigma_distance <= 3.0, poisson.to_dict()
 
@@ -136,7 +139,8 @@ def test_criterion_04_glauber_joint_law():
     invariant = math.exp(z * BOX1.integral())
     worst = 0.0
     for j, t in enumerate((0.25, 1.0, 4.0)):
-        rep = glauber_joint_experiment(z, 1.0, z, (t,), (BOX1,), N,
+        start = PoissonMeasure(Domain.fullspace(*support_box((BOX1,))), z)
+        rep = glauber_joint_experiment(start, 1.0, z, (t,), (BOX1,), N,
                                        RngStream(1004).child(2, j))
         assert rep.analytic == pytest.approx(invariant, abs=1e-10)
         assert rep.sigma_distance <= 3.0, (t, rep.to_dict())

@@ -199,3 +199,25 @@ def test_bad_threads_value(tmp_path):
                   str(tmp_path))
     assert res.returncode == 2, res.stderr
     assert "--threads" in res.stderr
+
+
+def test_scaling_on_full_space_is_a_config_error(tmp_path):
+    cfg = {
+        "domain": {"mode": "fullspace", "window": [[0.0], [10.0]]},
+        "profile": {"kind": "gaussian", "mass": 1.0, "std": 1.0},
+        "start": {"kind": "poisson", "intensity": 1.0},
+        "dynamics": {"times": [0.5]},
+        "observables": [
+            {"family": "box", "level": -0.5, "lo": [4.0], "hi": [6.0]}],
+        "scaling": {"eps": [1.0]},
+        "samples": 200,
+        "rng": {"seed": 3},
+        "output": {"prefix": "probe"},
+    }
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    res = run_cli(["scaling", "--config", path, "--out", str(out)],
+                  str(tmp_path))
+    assert res.returncode == 2
+    assert "scaling needs a torus domain" in res.stderr
+    assert not list(out.iterdir())

@@ -16,7 +16,7 @@ from freedyn.dynamics import (
     glauber_evolve,
 )
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
-from freedyn.pointproc import Configuration, RngStream, sample_poisson
+from freedyn.pointproc import Configuration, PoissonMeasure, RngStream
 from freedyn.space import Domain
 
 
@@ -134,7 +134,7 @@ class TestGlauberEvolve:
         plan = EvolutionPlan(times=(1.0,), boundary=Buffer(width=0.0, intensity=0.0))
         counts = []
         for i in range(3000):
-            start = sample_poisson(D1, z, rng.child(0, i))
+            start = PoissonMeasure(D1, z).sample(rng.child(0, i))
             counts.append(len(glauber_evolve(start, 1.0, z, plan, rng.child(1, i))[0]))
         mean = np.mean(counts)
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))

@@ -13,7 +13,7 @@ from freedyn.experiments import (
     poisson_laplace_experiment,
     submarkov_laplace_experiment,
 )
-from freedyn.functions import TestFunction
+from freedyn.functions import TestFunction, support_box
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
 from freedyn.observables import estimate_correlations
 from freedyn.pointproc import CHUNK, Configuration, RngStream, chunk_sizes
@@ -101,7 +101,8 @@ def test_glauber_joint_two_time_fixed_start():
 
 
 def test_glauber_joint_poisson_start_stationary():
-    rep = glauber_joint_experiment(1.5, 1.0, 1.5, (0.7,), (BOX,), 30000, RngStream(8))
+    start = PoissonMeasure(Domain.fullspace(*support_box([BOX])), 1.5)
+    rep = glauber_joint_experiment(start, 1.0, 1.5, (0.7,), (BOX,), 30000, RngStream(8))
     assert rep.analytic == pytest.approx(math.exp(1.5 * BOX.integral()), abs=1e-9)
     assert rep.sigma_distance <= 3.5
 

@@ -1,11 +1,16 @@
-"""The torus hot path against a frozen copy of the code it replaced.
+"""Rewritten hot paths against frozen copies of the code they replaced.
 
 ``propagate_batch`` of the Brownian, killed Brownian and Kawasaki
 kernels and ``Domain.wrap`` were rewritten for speed (scalar-rate draws,
 sparse hop updates, folding only what left the cell) under the promise
-of the same bits at the same seeds.  The functions below are the earlier
-implementations, kept verbatim; every test compares the new code with
-them using ``==`` over dimensions, time shapes, domains and seeds.
+of the same bits at the same seeds.  The Poisson configuration sampler
+``sample_poisson``, the float-intensity Glauber start and the fixed-start
+product oracle were folded into the starting-measure protocol
+(``PoissonMeasure.sample`` / ``sample_batch`` and
+``Configuration.expected_product_functional``) under the same promise.
+The functions below are the earlier implementations, kept verbatim; every
+test compares the new code with them using ``==`` over dimensions, time
+shapes, domains and seeds.
 """
 
 import math
@@ -15,9 +20,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from freedyn.functions import TestFunction, support_box
 from freedyn.kernels import (BrownianKernel, BumpProfile, GaussianProfile,
                              KawasakiKernel, KilledBrownianKernel)
-from freedyn.pointproc import BoundedField, RngStream
+from freedyn.observables import glauber_joint_laplace
+from freedyn.pointproc import (BoundedField, Configuration, PoissonMeasure,
+                               RngStream, as_field)
 from freedyn.scaling import NeymanScottMeasure
 from freedyn.space import Domain
 
@@ -111,6 +119,75 @@ def ref_neyman_scott(measure, n_rep, gen):
     return pts, parent_rep[owner]
 
 
+def _sampling_box(domain, lo, hi):
+    lo = domain.lower if lo is None else np.asarray(lo, dtype=float)
+    hi = domain.upper if hi is None else np.asarray(hi, dtype=float)
+    if lo.shape != (domain.dim,) or hi.shape != (domain.dim,):
+        raise ValueError("sampling box bounds must have length dim")
+    if not np.all(hi > lo):
+        raise ValueError("sampling box must have positive extent")
+    if domain.is_torus and (np.any(lo < 0) or np.any(hi > domain.side)):
+        raise ValueError("sampling box must lie inside the torus cell")
+    return lo, hi
+
+
+def _uniform_points(gen, count, lo, hi):
+    return lo + (hi - lo) * gen.random((count, len(lo)))
+
+
+def ref_sample_poisson(domain, intensity, rng, lo=None, hi=None):
+    """Sample a Poisson configuration on a box.
+
+    intensity is a constant or a BoundedField; inhomogeneous intensities
+    are realized by thinning a homogeneous proposal at the sup bound.  The
+    box defaults to the domain window (the full cell on a torus).  Returns
+    a Configuration.
+    """
+    field_ = as_field(intensity)
+    lo, hi = _sampling_box(domain, lo, hi)
+    volume = float(np.prod(hi - lo))
+    gen = rng.generator()
+    count = gen.poisson(field_.bound * volume)
+    pts = _uniform_points(gen, count, lo, hi)
+    if field_.bound > 0 and count > 0:
+        accept = gen.random(count) * field_.bound < field_(pts)
+        pts = pts[accept]
+    # duplicate rows have probability zero; resample defensively anyway
+    while len(pts) > 1:
+        order = np.lexsort(pts.T[::-1])
+        dup = np.all(pts[order][1:] == pts[order][:-1], axis=1)
+        if not np.any(dup):
+            break
+        bad = order[1:][dup]
+        pts[bad] = _uniform_points(gen, len(bad), lo, hi)
+    return Configuration(pts, domain)
+
+
+def ref_float_start(z0, phi_list, m, gen):
+    # glauber_joint_experiment's draw_initial for a float intensity z0
+    lo, hi = support_box(phi_list)
+    box_vol = float(np.prod(hi - lo))
+    counts = gen.poisson(z0 * box_vol, size=m)
+    pts = lo + (hi - lo) * gen.random((int(counts.sum()), len(lo)))
+    return pts, np.repeat(np.arange(m), counts)
+
+
+def ref_fixed_product(config, terms, phis):
+    if len(config) == 0:
+        return 1.0
+    pts = config.points
+    vals = {i: np.asarray(p(pts), dtype=float) for i, p in enumerate(phis)}
+    acc = np.ones(len(pts))
+    for coef, _fn, tup in terms:
+        prod = np.ones(len(pts))
+        for i in tup:
+            prod = prod * vals[i]
+        acc = acc + coef * prod
+    if np.any(acc <= 0.0):
+        raise ValueError("product factor left (0, inf); functions too large")
+    return float(math.exp(np.sum(np.log(acc))))
+
+
 # ---------------------------------------------------------------------------
 # the grid: dimension, domain, time shape, seed
 
@@ -194,6 +271,93 @@ def test_neyman_scott_sample_batch_matches_reference(mode, seed):
     want = ref_neyman_scott(measure, 40, RngStream(seed).generator())
     _same(got[0], want[0])
     _same(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# the starting-measure protocol: Poisson draws and the fixed-start oracle
+
+INTENSITIES = (0.3, 1.5, 4.0)
+SAMPLER_SEEDS = range(40)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["torus", "fullspace"])
+def test_poisson_measure_sample_matches_sample_poisson(dim, mode):
+    domain = _domains(dim)[mode]
+    for z in INTENSITIES:
+        measure = PoissonMeasure(domain, z)
+        for seed in SAMPLER_SEEDS:
+            got = measure.sample(RngStream(seed, 5))
+            want = ref_sample_poisson(domain, z, RngStream(seed, 5))
+            assert got.domain == domain
+            _same(got.points, want.points)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_poisson_measure_on_collar_box_matches_sample_poisson(dim):
+    # dynamics seeds the buffer collar on window +- width of a full-space
+    # domain; the measure samples that box as its own full-space window
+    domain = _domains(dim)["fullspace"]
+    lo, hi = domain.lower - 2.5, domain.upper + 2.5
+    for z in INTENSITIES:
+        measure = PoissonMeasure(Domain.fullspace(lo, hi), z)
+        for seed in SAMPLER_SEEDS:
+            got = measure.sample(RngStream(seed).child(0xB0FF))
+            want = ref_sample_poisson(domain, z, RngStream(seed).child(0xB0FF),
+                                      lo=lo, hi=hi)
+            _same(got.points, want.points)
+
+
+PHI_SETS = {
+    "1d": [TestFunction.box(-0.5, (-1.0,), (1.0,)),
+           TestFunction.bump(-0.6, (0.5,), 1.5)],
+    "2d": [TestFunction.box(-0.5, (0.0, 0.0), (2.0, 1.5)),
+           TestFunction.bump(-0.4, (1.0, 1.0), 0.8),
+           TestFunction.box(-0.3, (0.5, 0.2), (2.5, 2.0))],
+}
+
+
+@pytest.mark.parametrize("phis", sorted(PHI_SETS))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_support_box_poisson_start_matches_float_start(phis, seed):
+    phi_list = PHI_SETS[phis]
+    for z in INTENSITIES:
+        measure = PoissonMeasure(Domain.fullspace(*support_box(phi_list)), z)
+        got = measure.sample_batch(50, RngStream(seed).generator())
+        want = ref_float_start(z, phi_list, 50, RngStream(seed).generator())
+        _same(got[0], want[0])
+        _same(got[1], want[1])
+
+
+@pytest.mark.parametrize("phis", sorted(PHI_SETS))
+def test_fixed_start_oracle_matches_fixed_product(phis):
+    # the product terms glauber_joint_laplace builds, with their index tuples
+    phi_list = PHI_SETS[phis]
+    times, a = (0.3, 0.6, 1.2)[:len(phi_list)], 1.3
+    terms = []
+    for mask in range(1, 1 << len(phi_list)):
+        tup = tuple(i for i in range(len(phi_list)) if mask >> i & 1)
+        fn = phi_list[tup[0]]
+        for i in tup[1:]:
+            fn = fn.product(phi_list[i])
+        terms.append((math.exp(-a * times[tup[-1]]), fn, tup))
+    lo, hi = support_box(phi_list)
+    pts = np.random.default_rng(7).uniform(lo - 0.5, hi + 0.5,
+                                           size=(40, len(lo)))
+    config = Configuration(pts, Domain.fullspace(lo - 0.5, hi + 0.5))
+    pairs = [(c, fn) for c, fn, _ in terms]
+    got = config.expected_product_functional(pairs)
+    assert got == ref_fixed_product(config, terms, phi_list)
+    assert glauber_joint_laplace(config, a, 0.0, times, phi_list) == got
+    empty = Configuration(np.empty((0, len(lo))), config.domain)
+    assert empty.expected_product_functional(pairs) == 1.0
+
+
+def test_fixed_start_oracle_refuses_nonpositive_factor():
+    phi = TestFunction.box(-0.9, (0.0,), (1.0,))
+    config = Configuration(np.array([[0.5]]), Domain.fullspace((0.0,), (1.0,)))
+    with pytest.raises(ValueError, match="product factor left"):
+        config.expected_product_functional([(1.0, phi), (1.0, phi)])
 
 
 # ---------------------------------------------------------------------------

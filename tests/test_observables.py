@@ -30,7 +30,7 @@ from freedyn.observables import (
     set_partitions,
     ursell_from_correlations,
 )
-from freedyn.pointproc import BoundedField, Configuration, RngStream, sample_poisson
+from freedyn.pointproc import BoundedField, Configuration, PoissonMeasure, RngStream
 from freedyn.space import Domain
 
 
@@ -72,7 +72,7 @@ class TestEmpiricalLaplace:
 
     def test_values_in_unit_interval(self):
         rng = RngStream(55)
-        samples = [[sample_poisson(D1, 2.0, rng.child(i))] for i in range(200)]
+        samples = [[PoissonMeasure(D1, 2.0).sample(rng.child(i))] for i in range(200)]
         est = empirical_laplace(samples, [BOX])
         assert 0.0 < est.mean <= 1.0
 
@@ -80,7 +80,7 @@ class TestEmpiricalLaplace:
         # E prod(1+phi) over Poisson(z) equals exp(z*int(phi))
         z = 2.0
         rng = RngStream(56)
-        samples = [[sample_poisson(D1, z, rng.child(i))] for i in range(20000)]
+        samples = [[PoissonMeasure(D1, z).sample(rng.child(i))] for i in range(20000)]
         est = empirical_laplace(samples, [BOX])
         target = math.exp(z * BOX.integral())
         assert abs(est.mean - target) <= 3 * est.stderr
@@ -157,7 +157,8 @@ class TestGlauberJointLaplace:
         z = 1.7
         target = math.exp(z * BOX.integral())
         for t in (0.25, 1.0, 4.0):
-            val = glauber_joint_laplace(z, 1.0, z, (t,), (BOX,))
+            start = PoissonMeasure(Domain.fullspace(*support_box([BOX])), z)
+            val = glauber_joint_laplace(start, 1.0, z, (t,), (BOX,))
             assert val == pytest.approx(target, abs=1e-10)
 
     def test_two_time_poisson_hand_oracle(self):
@@ -172,7 +173,8 @@ class TestGlauberJointLaplace:
             + (1 - e2) * i2 + e2 * i2
             + (1 - e1) * e1 * i12 + e2 * i12
         )
-        val = glauber_joint_laplace(1.0, 1.0, 1.0, (0.5, 1.0), (phi1, phi2))
+        start = PoissonMeasure(Domain.fullspace(*support_box([phi1, phi2])), 1.0)
+        val = glauber_joint_laplace(start, 1.0, 1.0, (0.5, 1.0), (phi1, phi2))
         assert val == pytest.approx(math.exp(expo), abs=1e-10)
 
 
@@ -180,7 +182,7 @@ class TestCorrelations:
     def test_poisson_first_order(self):
         z = 2.0
         rng = RngStream(60)
-        samples = [sample_poisson(D1, z, rng.child(i)) for i in range(8000)]
+        samples = [PoissonMeasure(D1, z).sample(rng.child(i)) for i in range(8000)]
         grid = estimate_correlations(samples, 1, bins_per_axis=5)
         sig = np.abs(grid.estimates - z) / np.maximum(grid.stderrs, 1e-12)
         assert np.max(sig) <= 3.5
@@ -188,7 +190,7 @@ class TestCorrelations:
     def test_poisson_second_order_disjoint(self):
         z = 2.0
         rng = RngStream(61)
-        samples = [sample_poisson(D1, z, rng.child(i)) for i in range(8000)]
+        samples = [PoissonMeasure(D1, z).sample(rng.child(i)) for i in range(8000)]
         grid = estimate_correlations(samples, 2, bins_per_axis=3)
         off = [k for k, idx in enumerate(grid.index_tuples) if len(set(idx)) == 2]
         sig = np.abs(grid.estimates[off] - z * z) / np.maximum(grid.stderrs[off], 1e-12)

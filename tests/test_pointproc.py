@@ -8,12 +8,12 @@ import pytest
 from freedyn.pointproc import (
     CHUNK,
     Configuration,
+    PoissonMeasure,
     RngStream,
     chunk_sizes,
     mean_se,
     parallel_map_ordered,
     run_chunks,
-    sample_poisson,
     sample_poisson_space_time,
     theta_check,
 )
@@ -109,14 +109,15 @@ class TestConfiguration:
 
 
 class TestSamplePoisson:
-    def test_zero_intensity_empty(self):
-        cfg = sample_poisson(D1, 0.0, RngStream(1))
-        assert len(cfg) == 0
+    def test_nonpositive_intensity_refused(self):
+        for z in (0.0, -1.0):
+            with pytest.raises(ValueError, match="intensity must be > 0"):
+                PoissonMeasure(D1, z)
 
     def test_mean_count(self):
         # z=2 on [0,5]: mean count 10
         rng = RngStream(11)
-        gen_counts = [len(sample_poisson(D1, 2.0, rng.child(i))) for i in range(4000)]
+        gen_counts = [len(PoissonMeasure(D1, 2.0).sample(rng.child(i))) for i in range(4000)]
         mean = np.mean(gen_counts)
         se = np.std(gen_counts, ddof=1) / math.sqrt(len(gen_counts))
         assert abs(mean - 10.0) <= 3 * se
@@ -125,25 +126,12 @@ class TestSamplePoisson:
         rng = RngStream(12)
         left, right = [], []
         for i in range(4000):
-            pts = sample_poisson(D1, 2.0, rng.child(i)).points
+            pts = PoissonMeasure(D1, 2.0).sample(rng.child(i)).points
             left.append(np.sum(pts[:, 0] < 2.5))
             right.append(np.sum(pts[:, 0] >= 2.5))
         cov = np.cov(left, right, ddof=1)[0, 1]
         se = np.std(np.array(left) * np.array(right), ddof=1) / math.sqrt(len(left))
         assert abs(cov) <= 3 * se
-
-    def test_inhomogeneous_thinning(self):
-        from freedyn.pointproc import BoundedField
-
-        field = BoundedField(lambda pts: 2.0 * (pts[:, 0] < 1.0), 2.0)
-        rng = RngStream(13)
-        counts_in = counts_out = 0
-        for i in range(2000):
-            pts = sample_poisson(D1, field, rng.child(i)).points
-            counts_in += np.sum(pts[:, 0] < 1.0)
-            counts_out += np.sum(pts[:, 0] >= 1.0)
-        assert counts_out == 0
-        assert abs(counts_in / 2000.0 - 2.0) < 0.15
 
 
 class TestSpaceTime:
@@ -177,6 +165,19 @@ class TestSpaceTime:
         se = counts.std(axis=0, ddof=1) / math.sqrt(reps)
         # per-bin expectation: z*T*bin_vol = 2*3*1
         assert np.all(np.abs(mean - 6.0) <= 3 * se)
+
+    def test_inhomogeneous_thinning(self):
+        from freedyn.pointproc import BoundedField
+
+        field = BoundedField(lambda pts: 2.0 * (pts[:, 0] < 1.0), 2.0)
+        rng = RngStream(13)
+        counts_in = counts_out = 0
+        for i in range(2000):
+            pts, _ = sample_poisson_space_time(D1, field, 1.0, rng.child(i))
+            counts_in += np.sum(pts[:, 0] < 1.0)
+            counts_out += np.sum(pts[:, 0] >= 1.0)
+        assert counts_out == 0
+        assert abs(counts_in / 2000.0 - 2.0) < 0.15
 
 
 class TestThetaCheck:

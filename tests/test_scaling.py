@@ -256,6 +256,21 @@ class TestRunScalingExperiment:
         for est, se in zip(rep.estimates, rep.stderrs):
             assert abs(est - target) <= 3.5 * se
 
+    def test_full_space_refused(self):
+        # on full space the start covers the window only and jumpers never
+        # come back: these arguments gave estimates 16 and 90 sigma off
+        phi = TestFunction.box(-0.5, (4.0,), (6.0,))
+        with pytest.raises(ValueError, match="scaling needs a torus domain"):
+            run_scaling_experiment(
+                PoissonMeasure(Domain.fullspace((0.0,), (10.0,)), 1.0),
+                GaussianProfile(1, 1.0, 1.0),
+                times=(0.5, 1.0),
+                phi_list=(phi, phi),
+                eps_schedule=(1.0, 0.1),
+                n_samples=40000,
+                rng=RngStream(3),
+            )
+
     def test_thread_count_invariance(self):
         phi = TestFunction.box(-0.5, (48.0,), (52.0,))
         kwargs = dict(

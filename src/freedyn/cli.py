@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 config error, 3 numerical nonconvergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -390,11 +391,13 @@ def cmd_laplace(run):
     if mode == "glauber":
         a = _num(_get(dyn, "death_rate", "dynamics"), "dynamics.death_rate")
         z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
-        if isinstance(start, PoissonMeasure):
+        if isinstance(start, PoissonMeasure) or (
+                isinstance(start, NeymanScottMeasure) and not domain.is_torus):
             # particles never move under Glauber dynamics, so only the
-            # start's points on the observables' support box matter
-            start = PoissonMeasure(Domain.fullspace(*support_box(phis)),
-                                   start.intensity)
+            # start's points on the observables' support box matter; the
+            # oracle integrates over all space, whatever the window
+            start = dataclasses.replace(
+                start, domain=Domain.fullspace(*support_box(phis)))
         report = glauber_joint_experiment(start, a, z, times, phis, n,
                                           run.rng.child(2),
                                           threads=run.threads)

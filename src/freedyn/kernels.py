@@ -9,7 +9,14 @@ Four kernels drive the particle dynamics:
 * Kawasaki: a compound-Poisson jump process.  A Poisson clock with rate
   equal to the total mass of the jump profile rings; at each ring the
   particle adds an independent displacement drawn from the normalized
-  profile.
+  profile.  ``propagate_batch`` draws a batch's ring counts by inversion:
+  one uniform per row, compared with the Poisson cdf.  The stream then
+  holds the displacements of the rows that jump, and of no other row: one
+  normal vector per such row for a Gaussian profile, else the profile's
+  draws for every ring.  The inversion's cost grows with mass * t, so a
+  batch with some mass * t above 16 draws its counts with numpy's Poisson
+  sampler instead; the acceptance criteria, demos and benchmark all have
+  mass * t <= 4.
 * KilledBrownian: Brownian motion killed at rate a along the path
   (path-thinning on a fine grid, step h_kill, with O(h_kill) bias).
 
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, optimize
-from scipy.special import gammainc, gammaincc, zeta
+from scipy.special import gammainc, gammaincc, pdtr, zeta
 
 from .functions import (NumericFunction, gauss_smooth, gauss_smooth_box_torus,
                         integrate_function)
@@ -264,6 +271,50 @@ def _batch_times(dts, n):
     return dts if dts.ndim == 0 else np.broadcast_to(dts, (n,))
 
 
+# Above this clock mean the counts come from numpy's Poisson sampler: the
+# inversion below makes about one pass over the rows per unit of mean.
+_MAX_INVERSION_MEAN = 16.0
+
+
+def _jump_counts(lam, gen, n):
+    """Poisson(lam) clock counts of n rows, by inversion of one uniform each.
+
+    lam is a 0-d array shared by all rows or one mean per row.  Row i draws
+    u_i = gen.random() and rings k_i times, the first k with u_i < F(k) for
+    F = pdtr(., lam_i) the Poisson cdf (so #{k >= 0 : F(k) <= u_i}); k steps
+    up over the rows still ringing, so the cost grows with max(lam).  A
+    batch whose largest mean exceeds _MAX_INVERSION_MEAN draws all its
+    counts with gen.poisson instead.  Either way a shared mean and a
+    constant per-row one give the same bits.  Returns (hop, k): the rows
+    that ring at least once, ascending, and their counts.
+    """
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("jump clock mean must be finite")
+    if np.max(lam, initial=0.0) > _MAX_INVERSION_MEAN:
+        counts = gen.poisson(lam, size=n)
+        hop = np.flatnonzero(counts)
+        return hop, counts[hop]
+    u = gen.random(n)
+    hop = np.flatnonzero(u >= pdtr(0, lam))
+    u = u[hop]
+    if lam.ndim:
+        lam = lam[hop]
+    k = np.ones(len(hop), dtype=np.intp)
+    # u and lam shrink to the rows still ringing; ringing holds their
+    # positions in hop (None while that is every row, which saves an arange)
+    ringing, level = None, 1
+    while True:
+        keep = np.flatnonzero(u >= pdtr(level, lam))
+        if not len(keep):
+            return hop, k
+        ringing = keep if ringing is None else ringing[keep]
+        u = u[keep]
+        if lam.ndim:
+            lam = lam[keep]
+        k[ringing] += 1
+        level += 1
+
+
 def _heat_tail(dim, t, r):
     """Exact tail P(|sqrt(t) Z| > r) via the chi-square upper tail."""
     if t <= 0 or r <= 0:
@@ -443,22 +494,23 @@ class KawasakiKernel(Kernel):
     def propagate_batch(self, pts, dts, gen):
         n = len(pts)
         dts = _batch_times(dts, n)
-        # a scalar rate draws the same counts as a broadcast one, cheaper
-        counts = gen.poisson(self.clock_rate * dts, size=n)
+        # stream layout: one uniform per row for its jump count (a Poisson
+        # draw per row once some mass * t exceeds 16), then the displacements
+        # of the rows that jump only (Gaussian: one normal vector per such
+        # row; otherwise the profile's draws, count by count)
+        hop, k = _jump_counts(self.clock_rate * dts, gen, n)
         out = np.array(pts, dtype=float)
         if isinstance(self.profile, GaussianProfile):
-            # sum of n i.i.d. centered Gaussians is Gaussian with n-fold variance
-            # nonzero of a bool mask is ~5x faster than of the int64 counts
-            hop = np.flatnonzero(counts > 0)
+            # sum of k i.i.d. centered Gaussians is Gaussian with k-fold variance
             if len(hop):
                 step = gen.standard_normal((len(hop), pts.shape[1]))
-                step *= (self.profile.std * np.sqrt(counts[hop]))[:, None]
+                step *= (self.profile.std * np.sqrt(k))[:, None]
                 out[hop] += step
         else:
-            total = int(counts.sum())
+            total = int(k.sum())
             if total:
                 draws = self.profile.sample_displacements(gen, total)
-                owner = np.repeat(np.arange(n), counts)
+                owner = np.repeat(hop, k)
                 for j in range(pts.shape[1]):
                     out[:, j] += np.bincount(owner, weights=draws[:, j],
                                              minlength=n)

@@ -127,6 +127,30 @@ def test_laplace_csv_columns(tmp_path):
     assert int(fields[6]) == 2000
 
 
+def test_glauber_laplace_neyman_scott_start_off_window(tmp_path):
+    # the observable sits outside the window; the start has to be sampled
+    # on its support box, as the oracle integrates over all space
+    cfg = {
+        "domain": {"mode": "fullspace", "window": [[-3.0], [3.0]]},
+        "dynamics": {"times": [0.5], "mode": "glauber", "death_rate": 1.0,
+                     "z": 1.0},
+        "start": {"kind": "neyman-scott", "parent_intensity": 0.6,
+                  "second_prob": 0.5, "cluster_std": 0.3},
+        "observables": [
+            {"family": "box", "level": -0.5, "lo": [4.0], "hi": [8.0]}],
+        "samples": 20000,
+        "rng": {"seed": 13},
+        "output": {"prefix": "probe", "formats": ["json"]},
+    }
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    res = run_cli(["laplace", "--config", path, "--out", str(out)],
+                  str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    rep = json.loads((out / "probe_laplace.json").read_text())["report"]
+    assert rep["sigma_distance"] <= 4.0, rep
+
+
 def test_reruns_are_byte_identical(tmp_path):
     path = write_config(tmp_path, "cfg.json", SAMPLE_CFG)
     outs = []

@@ -10,7 +10,10 @@ product oracle were folded into the starting-measure protocol
 ``Configuration.expected_product_functional``) under the same promise.
 The functions below are the earlier implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
-shapes, domains and seeds.
+shapes, domains and seeds.  One line changed on purpose: the Kawasaki
+jump counts no longer come from numpy's Poisson sampler but from one
+uniform per row inverted through the Poisson cdf (a new stream layout),
+and ``ref_kawasaki`` spells that rule out row by row.
 """
 
 import math
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.special import pdtr
 
 from freedyn.functions import TestFunction, support_box
 from freedyn.kernels import (BrownianKernel, BumpProfile, GaussianProfile,
@@ -56,7 +60,13 @@ def ref_brownian(kernel, pts, dts, gen):
 
 def ref_kawasaki(kernel, pts, dts, gen):
     dts = ref_batch_times(dts, len(pts))
-    counts = gen.poisson(kernel.clock_rate * dts)
+    # one uniform per row, inverted through the Poisson cdf row by row
+    lam = kernel.clock_rate * dts
+    u = gen.random(len(pts))
+    counts = np.zeros(len(pts), dtype=np.int64)
+    for i in range(len(pts)):
+        while u[i] >= pdtr(counts[i], lam[i]):
+            counts[i] += 1
     out = np.array(pts, copy=True)
     if isinstance(kernel.profile, GaussianProfile):
         hop = counts > 0

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import ndtr
+from scipy.stats import chi2, poisson
 
 from freedyn.functions import TestFunction
 from freedyn.kernels import (
@@ -15,6 +16,7 @@ from freedyn.kernels import (
     GaussianProfile,
     KawasakiKernel,
     KilledBrownianKernel,
+    _jump_counts,
     apply_semigroup,
     check_summability,
     default_buffer_width,
@@ -433,3 +435,89 @@ def test_kawasaki_exit_matches_per_path_loop(kernel, r):
                                 RngStream(seed)) == (mean, stderr, bound)
         if r == 1000.0:
             assert mean == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Kawasaki jump counts: one uniform per row, inverted through the Poisson cdf
+
+# the last mean is above kernels._MAX_INVERSION_MEAN: numpy's Poisson sampler
+JUMP_MEANS = (0.05, 0.5, 2.0, 8.0, 50.0)
+
+
+def _all_counts(hop, k, n):
+    counts = np.zeros(n, dtype=np.int64)
+    counts[hop] = k
+    return counts
+
+
+def _assert_poisson_law(counts, lam):
+    """Mean and variance within 4 sigma, and a chi-square over the cells
+    k = 0, 1, ... whose expectation is >= 5, the last cell holding k >= top."""
+    n = len(counts)
+    assert abs(counts.mean() - lam) <= 4.0 * math.sqrt(lam / n)
+    assert abs(counts.var(ddof=1) - lam) <= \
+        4.0 * math.sqrt((lam + 2.0 * lam ** 2) / n)
+    ks = np.arange(int(lam + 20.0 * math.sqrt(lam)) + 20)
+    top = int(ks[n * poisson.pmf(ks, lam) >= 5.0][-1])
+    observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
+    expected = n * np.append(poisson.pmf(ks[:top], lam), poisson.sf(top - 1, lam))
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    assert chi2.sf(stat, top) > 1e-3
+
+
+@pytest.mark.parametrize("lam", JUMP_MEANS)
+def test_jump_counts_follow_poisson_law(lam):
+    n = 200_000
+    hop, k = _jump_counts(np.float64(lam), np.random.default_rng(31), n)
+    assert np.all(np.diff(hop) > 0) and np.all(k >= 1)
+    _assert_poisson_law(_all_counts(hop, k, n), lam)
+    # per-row means; every other row has zero time and never jumps
+    rows = np.where(np.arange(n) % 2 == 0, lam, 0.0)
+    hop, k = _jump_counts(rows, np.random.default_rng(32), n)
+    assert np.all(hop % 2 == 0) and np.all(k >= 1)
+    _assert_poisson_law(_all_counts(hop, k, n)[::2], lam)
+
+
+@pytest.mark.parametrize("lam", JUMP_MEANS)
+def test_jump_counts_scalar_and_constant_rows_agree(lam):
+    n = 50_000
+    shared = _jump_counts(np.float64(lam), np.random.default_rng(7), n)
+    rows = _jump_counts(np.full(n, lam), np.random.default_rng(7), n)
+    for a, b in zip(shared, rows):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("profile", (GaussianProfile(2, 1.3, 0.7),
+                                     BumpProfile(2, 2.0, 1.1)),
+                         ids=("gauss", "bump"))
+@pytest.mark.parametrize("lam", (0.0,) + JUMP_MEANS)
+def test_kawasaki_scalar_time_matches_constant_rows(profile, lam):
+    kernel = KawasakiKernel(Domain.torus(2, 7.0), profile)
+    pts = np.random.default_rng(3).uniform(0.0, 7.0, size=(5000, 2))
+    t = lam / profile.mass
+    got, _ = kernel.propagate_batch(pts, t, RngStream(9).generator())
+    want, _ = kernel.propagate_batch(pts, np.full(len(pts), t),
+                                     RngStream(9).generator())
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if lam == 0.0:  # zero time: no row jumps
+        assert np.array_equal(got, pts)
+
+
+def test_kawasaki_large_time_stays_cheap():
+    # inversion would take about mass * t passes over the rows
+    kernel = KawasakiKernel(Domain.torus(1, 5.0), GaussianProfile(1, 1.0, 0.7))
+    pts = np.zeros((1000, 1))
+    for dts in (1e9, np.where(np.arange(1000) % 2 == 0, 1e9, 0.0)):
+        out, _ = kernel.propagate_batch(pts, dts, RngStream(4).generator())
+        assert np.all((out >= 0.0) & (out < 5.0))
+    hop, k = _jump_counts(np.float64(1e9), np.random.default_rng(5), 1000)
+    assert np.array_equal(hop, np.arange(1000))
+    assert abs(k.mean() - 1e9) <= 4.0 * math.sqrt(1e9 / 1000)
+
+
+def test_kawasaki_infinite_time_rejected():
+    kernel = KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.7))
+    for dts in (np.inf, np.array([0.5, np.inf])):
+        with pytest.raises(ValueError, match="finite"):
+            kernel.propagate_batch(np.zeros((2, 1)), dts,
+                                   RngStream(1).generator())

@@ -9,12 +9,16 @@ Four kernels drive the particle dynamics:
 * Kawasaki: a compound-Poisson jump process.  A Poisson clock with rate
   equal to the total mass of the jump profile rings; at each ring the
   particle adds an independent displacement drawn from the normalized
-  profile.  ``propagate_batch`` draws a batch's ring counts by inversion:
-  one uniform per row, compared with the Poisson cdf.  The stream then
-  holds the displacements of the rows that jump, and of no other row: one
-  normal vector per such row for a Gaussian profile, else the profile's
-  draws for every ring.  The inversion's cost grows with mass * t, so a
-  batch with some mass * t above 16 draws its counts with numpy's Poisson
+  profile.  ``jumps`` is the one draw of a batch's moves: it draws the
+  ring counts by inversion (one uniform per row, compared with the Poisson
+  cdf), then the displacements of the rows that jump, and of no other row:
+  one normal vector per such row for a Gaussian profile, else the
+  profile's draws for every ring.  ``propagate_batch`` adds these jumps
+  to the start and wraps.  The scaling experiment draws them once with
+  the base profile and divides them by eps for every contraction eps of
+  its schedule, so one start and one set of jumps per replica serve the
+  whole schedule.  The inversion's cost grows with mass * t, so a batch
+  with some mass * t above 16 draws its counts with numpy's Poisson
   sampler instead; the acceptance criteria, demos and benchmark all have
   mass * t <= 4.
 * KilledBrownian: Brownian motion killed at rate a along the path
@@ -99,6 +103,13 @@ class GaussianProfile:
 
     def sample_displacements(self, gen, n):
         return self.std * gen.standard_normal((n, self.dim))
+
+    def sum_displacements(self, gen, k):
+        """Row i: the sum of k[i] >= 1 normalized jumps, a Gaussian with
+        k[i]-fold variance (one normal vector per row)."""
+        step = gen.standard_normal((len(k), self.dim))
+        step *= (self.std * np.sqrt(k))[:, None]
+        return step
 
     def convpow_density(self, n, pts):
         """Density of the n-fold self-convolution of the normalized profile."""
@@ -209,6 +220,16 @@ class BumpProfile:
             filled += take
         return out
 
+    def sum_displacements(self, gen, k):
+        """Row i: the sum of k[i] normalized jumps, drawn ring by ring."""
+        draws = self.sample_displacements(gen, int(k.sum()))
+        owner = np.repeat(np.arange(len(k)), k)
+        step = np.empty((len(k), self.dim))
+        for j in range(self.dim):
+            step[:, j] = np.bincount(owner, weights=draws[:, j],
+                                     minlength=len(k))
+        return step
+
     def convpow_density(self, n, pts):
         if self.dim != 1:
             raise NotImplementedError("bump convolution powers implemented in dim 1")
@@ -295,10 +316,15 @@ def _jump_counts(lam, gen, n):
         hop = np.flatnonzero(counts)
         return hop, counts[hop]
     u = gen.random(n)
-    hop = np.flatnonzero(u >= pdtr(0, lam))
-    u = u[hop]
     if lam.ndim:
+        # exp(-lam) is pdtr(0, lam) to far better than 1e-12, so the exact
+        # cdf is needed only for the few rows past this cheap bound
+        hop = np.flatnonzero(u >= np.exp(-lam) * (1.0 - 1e-12))
+        hop = hop[u[hop] >= pdtr(0, lam[hop])]
         lam = lam[hop]
+    else:
+        hop = np.flatnonzero(u >= pdtr(0, lam))
+    u = u[hop]
     k = np.ones(len(hop), dtype=np.intp)
     # u and lam shrink to the rows still ringing; ringing holds their
     # positions in hop (None while that is every row, which saves an arange)
@@ -491,29 +517,27 @@ class KawasakiKernel(Kernel):
     def clock_rate(self):
         return self.profile.mass
 
+    def jumps(self, n, dts, gen):
+        """The moves of n rows over times dts, as (hop, step).
+
+        hop holds the rows that ring at least once, ascending, and step
+        (one row per entry of hop) the sum of their displacements.  Stream
+        layout: one uniform per row for its jump count (a Poisson draw per
+        row once some mass * t exceeds 16), then the profile's
+        sum_displacements of the rows in hop.
+        """
+        hop, k = _jump_counts(self.clock_rate * _batch_times(dts, n), gen, n)
+        return hop, self.profile.sum_displacements(gen, k)
+
     def propagate_batch(self, pts, dts, gen):
         n = len(pts)
-        dts = _batch_times(dts, n)
-        # stream layout: one uniform per row for its jump count (a Poisson
-        # draw per row once some mass * t exceeds 16), then the displacements
-        # of the rows that jump only (Gaussian: one normal vector per such
-        # row; otherwise the profile's draws, count by count)
-        hop, k = _jump_counts(self.clock_rate * dts, gen, n)
+        hop, step = self.jumps(n, dts, gen)
         out = np.array(pts, dtype=float)
-        if isinstance(self.profile, GaussianProfile):
-            # sum of k i.i.d. centered Gaussians is Gaussian with k-fold variance
-            if len(hop):
-                step = gen.standard_normal((len(hop), pts.shape[1]))
-                step *= (self.profile.std * np.sqrt(k))[:, None]
-                out[hop] += step
-        else:
-            total = int(k.sum())
-            if total:
-                draws = self.profile.sample_displacements(gen, total)
-                owner = np.repeat(hop, k)
-                for j in range(pts.shape[1]):
-                    out[:, j] += np.bincount(owner, weights=draws[:, j],
-                                             minlength=n)
+        if len(hop) and not isinstance(self.profile, GaussianProfile):
+            # keeps the bits of the earlier full-length bincount update,
+            # which added +0.0 to every row (so -0.0 became +0.0)
+            out += 0.0
+        out[hop] += step
         return self.domain.wrap(out, copy=False), np.ones(n, dtype=bool)
 
     def jump_times(self, t, gen):

@@ -415,33 +415,92 @@ class ScalingReport:
         return out.getvalue()
 
 
-def _chunk_joint_values(measure, kernel, times, phis, n_rep, gen):
-    # one replica = sample a start, push all its points through the jump
-    # dynamics, read off the joint Laplace integrand
+def _pair_log1p(acc, ids, vals):
+    # acc[r] += sum of log1p(phi) over replica r's points
+    vals = np.asarray(vals, dtype=float)
+    hit = vals != 0.0  # most points miss phi; skip their log1p
+    pair_into(acc, ids[hit], np.log1p(vals[hit]))
+
+
+def _contracted_paths(domain, pts, draws, eps):
+    """Positions of pts after each step of draws, every jump divided by eps.
+
+    draws holds one (hop, step) pair per time step, as KawasakiKernel.jumps
+    gives them for the base profile: the profile contracted by eps moves
+    row hop[i] by step[i] / eps.  pts must lie in the cell; one array is
+    updated in place and yielded after every step.
+    """
+    pos = pts.copy()
+    for hop, step in draws:
+        moved = step / eps
+        moved += pos[hop]
+        pos[hop] = domain.wrap(moved, copy=False)
+        yield pos
+
+
+def _rings(kernel, n, dts, gen):
+    # kernel.jumps of n rows per time step, with the rows that ring as a mask
+    for dt in dts:
+        hop, step = kernel.jumps(n, dt, gen)
+        ring = np.zeros(n, dtype=bool)
+        ring[hop] = True
+        yield ring, step
+
+
+def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
+                        gen):
+    # one replica = one start and one set of base-profile jumps, read off
+    # at every eps of the schedule: column e holds the joint Laplace
+    # integrand of the dynamics contracted by eps_schedule[e]
+    domain = measure.domain
     pts, ids = measure.sample_batch(n_rep, gen)
+    pts = domain.wrap(pts, copy=False)  # rows that never ring are read here
+    n = len(pts)
+    draws = list(_rings(kernel, n, np.diff(times, prepend=0.0), gen))
+    moved = np.zeros(n, dtype=bool)
+    for ring, _ in draws:
+        moved |= ring
+    # a row that never rings sits at its start at every time and every eps:
+    # pair it once, then keep only the movers
+    # (one full-length array at a time, to keep the chunk's peak memory low)
     acc = np.zeros(n_rep)
-    prev = 0.0
-    for t, phi in zip(times, phis):
-        if len(pts):
-            pts, _ = kernel.propagate_batch(pts, t - prev, gen)
-            vals = np.asarray(phi(pts), dtype=float)
-            hit = vals != 0.0  # most points miss phi; skip their log1p
-            pair_into(acc, ids[hit], np.log1p(vals[hit]))
-        prev = t
-    return np.exp(acc)
+    still_pts, still_ids = pts[~moved], ids[~moved]
+    for phi in phis:
+        _pair_log1p(acc, still_ids, phi(still_pts))
+    del still_pts, still_ids
+    pts = pts[moved]
+    ids = ids[moved]
+    draws = [(np.flatnonzero(ring[moved]), step) for ring, step in draws]
+    del moved
+    out = np.empty((n_rep, len(eps_schedule)))
+    for col, eps in enumerate(eps_schedule):
+        logs = acc.copy()
+        for pos, phi in zip(_contracted_paths(domain, pts, draws, eps), phis):
+            _pair_log1p(logs, ids, phi(pos))
+        out[:, col] = np.exp(logs)
+    return out
 
 
 def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
                            n_samples, rng, threads=1, tol=1e-8):
     """Estimate joint Laplace functionals of the contracted jump dynamics.
 
-    For each epsilon in the schedule, starts n_samples replicas from the
-    measure, evolves them under the jump kernel with profile contracted by
-    that epsilon, and estimates E[prod_i exp<log(1+phi_i), gamma_{t_i}>].
-    The closed-form target is the birth-and-death value with death rate
-    <profile> and immigration equal to the measure's intensity.  Replicas
-    are run by the chunk driver on the stream rng.child(e) of the e-th
-    epsilon, so the result is independent of the thread count.
+    For each epsilon in the schedule, evolves n_samples replicas of the
+    measure under the jump kernel with profile contracted by that epsilon,
+    and estimates E[prod_i exp<log(1+phi_i), gamma_{t_i}>].  The closed-form
+    target is the birth-and-death value with death rate <profile> and
+    immigration equal to the measure's intensity.
+
+    The contracted jump law is the base one divided by epsilon (mass fixed,
+    jumps stretched by 1/epsilon), so one start and one set of base-profile
+    jumps per replica serve every epsilon: replica r's row e is its
+    trajectory with every jump divided by eps_schedule[e].  The rows of the
+    schedule are therefore correlated (common random numbers), which makes
+    their differences far less noisy, while each standard error stays the
+    marginal one of its epsilon.  Replicas are run by the chunk driver on
+    the stream rng.child(0); an epsilon's estimate does not depend on the
+    rest of the schedule, and the result does not depend on the thread
+    count.
 
     The domain must be a torus: on full space the start is sampled on the
     window only and particles that jump out never come back, so the
@@ -461,6 +520,8 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     if len(phi_list) != len(times):
         raise ValueError("need one test function per time")
     eps_schedule = [float(e) for e in eps_schedule]
+    if not eps_schedule:
+        raise ValueError("need at least one epsilon")
     if any(e <= 0 for e in eps_schedule):
         raise ValueError("epsilons must be > 0")
     n_samples = int(n_samples)
@@ -472,21 +533,17 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     target = glauber_joint_laplace(measure, a_const, z, times, phi_list,
                                    tol=tol)
 
-    estimates, stderrs = [], []
-    for e_idx, eps in enumerate(eps_schedule):
-        kernel = KawasakiKernel(measure.domain,
-                                scale_profile(profile, eps).profile)
-        worker = partial(_chunk_joint_values, measure, kernel, times, phi_list)
-        est, se = mean_se(run_chunks(worker, n_samples, rng.child(e_idx),
-                                     threads))
-        estimates.append(est)
-        stderrs.append(se)
+    kernel = KawasakiKernel(measure.domain, profile)
+    worker = partial(_chunk_joint_values, measure, kernel, times, phi_list,
+                     eps_schedule)
+    values = run_chunks(worker, n_samples, rng.child(0), threads)
+    estimates, stderrs = zip(*map(mean_se, np.ascontiguousarray(values.T)))
 
     distances = [abs(e - target) for e in estimates]
     monotone = all(b <= a for a, b in zip(distances, distances[1:]))
     return ScalingReport(
-        eps_schedule=tuple(eps_schedule), estimates=tuple(estimates),
-        stderrs=tuple(stderrs), target=float(target),
+        eps_schedule=tuple(eps_schedule), estimates=estimates,
+        stderrs=stderrs, target=float(target),
         distances=tuple(distances), monotone=monotone,
         n_samples=n_samples, times=tuple(times), death_rate=float(a_const),
         immigration=float(z), measure_family=measure.family,

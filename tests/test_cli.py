@@ -245,3 +245,31 @@ def test_scaling_on_full_space_is_a_config_error(tmp_path):
     assert res.returncode == 2
     assert "scaling needs a torus domain" in res.stderr
     assert not list(out.iterdir())
+
+
+def test_scaling_outputs_identical_across_reruns_and_threads(tmp_path):
+    # two chunks, so threads really split the work
+    cfg = {
+        "domain": {"mode": "torus", "dim": 1, "side": 10.0},
+        "profile": {"kind": "bump", "mass": 1.0, "radius": 1.5},
+        "start": {"kind": "neyman-scott", "parent_intensity": 0.6,
+                  "second_prob": 0.5, "cluster_std": 0.25},
+        "dynamics": {"times": [0.5, 1.0]},
+        "observables": [
+            {"family": "box", "level": -0.5, "lo": [4.0], "hi": [6.0]},
+            {"family": "box", "level": -0.6, "lo": [4.5], "hi": [7.0]}],
+        "scaling": {"eps": [1.0, 0.5, 0.2]},
+        "samples": 25000,
+        "rng": {"seed": 5},
+        "output": {"prefix": "probe", "formats": ["json", "csv"]},
+    }
+    path = write_config(tmp_path, "cfg.json", cfg)
+    outputs = []
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "4")):
+        out = tmp_path / name
+        res = run_cli(["scaling", "--config", path, "--threads", threads,
+                       "--out", str(out)], str(tmp_path))
+        assert res.returncode == 0, res.stderr
+        outputs.append([(out / f).read_bytes()
+                        for f in ("probe_scaling.json", "probe_scaling.csv")])
+    assert all(o == outputs[0] for o in outputs[1:])

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import ndtr
 
 from freedyn.functions import TestFunction
-from freedyn.kernels import GaussianProfile, KawasakiKernel
+from freedyn.kernels import BumpProfile, GaussianProfile, KawasakiKernel
 from freedyn.pointproc import RngStream
 from freedyn.scaling import (
     NeymanScottMeasure,
@@ -303,3 +303,82 @@ class TestRunScalingExperiment:
         lines = rep.to_csv().strip().splitlines()
         assert lines[0] == "eps,estimate,stderr,target,distance"
         assert len(lines) == 2
+
+
+class TestSharedDraws:
+    """One start and one set of jumps per replica serve every epsilon."""
+
+    SCHEDULE = (1.0, 0.5, 0.2)
+
+    @staticmethod
+    def _run(measure, phis, schedule, n_samples, seed=11):
+        times = (0.5, 1.0)[:len(phis)]
+        return run_scaling_experiment(measure, GaussianProfile(
+            measure.domain.dim, 1.0, 0.8), times, phis, schedule, n_samples,
+            RngStream(seed))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_each_eps_matches_its_own_run(self, dim):
+        from freedyn.pointproc import CHUNK
+
+        if dim == 1:
+            measure = PoissonMeasure(Domain.torus(1, 10.0), 1.0)
+            phis = (TestFunction.box(-0.5, (4.0,), (6.0,)),
+                    TestFunction.bump(-0.6, (5.0,), 1.5))
+        else:
+            measure = PoissonMeasure(Domain.torus(2, 4.0), 1.0)
+            phis = (TestFunction.box(-0.5, (1.0, 1.0), (3.0, 2.0)),
+                    TestFunction.box(-0.4, (1.5, 0.5), (2.5, 3.0)))
+        n = CHUNK + 5000  # two chunks, joined by run_chunks
+        full = self._run(measure, phis, self.SCHEDULE, n)
+        for i, eps in enumerate(self.SCHEDULE):
+            one = self._run(measure, phis, (eps,), n)
+            assert one.estimates == (full.estimates[i],)
+            assert one.stderrs == (full.stderrs[i],)
+        order = (2, 0, 1)
+        permuted = self._run(measure, phis,
+                             tuple(self.SCHEDULE[i] for i in order), n)
+        assert permuted.estimates == tuple(full.estimates[i] for i in order)
+        assert permuted.stderrs == tuple(full.stderrs[i] for i in order)
+        # the rows really differ: the contraction moves the estimates
+        assert len(set(full.estimates)) == len(self.SCHEDULE)
+
+    def test_chunk_without_points(self):
+        measure = PoissonMeasure(Domain.torus(1, 10.0), 1e-9)
+        phis = (TestFunction.box(-0.5, (4.0,), (6.0,)),)
+        full = self._run(measure, phis, self.SCHEDULE, 50)
+        assert full.estimates == (1.0,) * len(self.SCHEDULE)
+        assert full.stderrs == (0.0,) * len(self.SCHEDULE)
+        assert self._run(measure, phis, (0.5,), 50).estimates == (1.0,)
+
+
+@pytest.mark.parametrize("profile", (GaussianProfile(1, 1.0, 0.8),
+                                     BumpProfile(1, 2.0, 1.1)),
+                         ids=("gauss", "bump"))
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_shared_jumps_over_eps_match_the_contracted_kernel_in_law(profile,
+                                                                  eps):
+    # base jumps divided by eps against the kernel of the contracted
+    # profile, over two time steps from one start point
+    from scipy.stats import ks_2samp
+
+    from freedyn.scaling import _contracted_paths
+
+    domain = Domain.torus(1, 100.0)
+    n, dts = 20_000, (0.5, 0.7)
+    pts = np.full((n, 1), 50.0)
+    base = KawasakiKernel(domain, profile)
+    gen = RngStream(21).generator()
+    draws = [base.jumps(n, dt, gen) for dt in dts]
+    shared = [pos[:, 0].copy()
+              for pos in _contracted_paths(domain, pts, draws, eps)]
+    contracted = KawasakiKernel(domain, profile.scaled(eps))
+    gen = RngStream(22).generator()
+    pos = pts
+    for dt, elapsed, got in zip(dts, np.cumsum(dts), shared):
+        pos, _ = contracted.propagate_batch(pos, dt, gen)
+        assert ks_2samp(got, pos[:, 0]).pvalue > 1e-3
+        # the atom of rows that have not moved yet, within 4 sigma
+        stay = math.exp(-profile.mass * elapsed)
+        assert abs(np.mean(got == 50.0) - stay) <= \
+            4.0 * math.sqrt(stay * (1.0 - stay) / n)

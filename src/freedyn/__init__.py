@@ -15,7 +15,7 @@ from .pointproc import (BoundedField, Configuration, PoissonMeasure,
                         RngStream, as_field, parallel_map_ordered,
                         sample_poisson_space_time, theta_check)
 from .functions import (NumericFunction, TestFunction, gauss_smooth,
-                        integrate_function, integrate_product)
+                        integrate_function)
 from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       GaussianProfile, KawasakiKernel, KilledBrownianKernel,
                       apply_semigroup, check_summability,
@@ -33,9 +33,9 @@ from .observables import (CylinderFunction, LaplaceEstimate, UrsellTable,
                           generator_fd_check, glauber_joint_laplace,
                           pairing, poisson_laplace_exponent, set_partitions,
                           ursell_from_correlations)
-from .scaling import (GtSeries, NeymanScottMeasure, ScaledProfile,
-                      ScalingReport, g_t_series, run_scaling_experiment,
-                      scale_profile, verify_mu_conditions)
+from .scaling import (GtSeries, NeymanScottMeasure, ScalingReport,
+                      g_t_series, run_scaling_experiment,
+                      verify_mu_conditions)
 from .experiments import (ExperimentReport, glauber_joint_experiment,
                           markov_laplace_experiment,
                           poisson_correlation_experiment,

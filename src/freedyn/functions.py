@@ -9,7 +9,8 @@ feed the diffusion generator, which needs two derivatives).
 
 The module also provides Gaussian smoothing (heat-kernel convolution) with
 closed forms for boxes, including the image-sum version on a torus, and
-small quadrature wrappers used by the analytic oracles.
+the package's one quadrature engine, ``box_quad``: every analytic oracle
+that needs an integral the closed forms do not give calls it.
 """
 
 from __future__ import annotations
@@ -80,12 +81,7 @@ class TestFunction:
         if self.family == "box":
             return self.level * float(np.prod(self.support_hi - self.support_lo))
         r, d = self.params["radius"], self.dim
-        # radial: level * r^d * surface(unit sphere) * int_0^1 w(s^2) s^(d-1) ds
-        surf = 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
-        val, _ = integrate.quad(
-            lambda s: math.exp(1.0 - 1.0 / (1.0 - s * s)) * s ** (d - 1)
-            if s < 1.0 else 0.0, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-        return self.level * r ** d * surf * val
+        return self.level * r ** d * bump_shape_integral(d)
 
     def gradient(self, pts):
         """Gradient; only the smooth bump family supports derivatives."""
@@ -179,43 +175,58 @@ def support_box(phis, pad=0.0):
 
 
 def box_quad(func, lo, hi, tol=1e-10):
-    """Integrate a vectorized function over a box (dim 1 or 2)."""
+    """Integrate a vectorized function over the box [lo, hi], any dimension.
+
+    The package's one quadrature engine: globally adaptive cubature
+    (``scipy.integrate.cubature``, a product Gauss-Kronrod 21-point rule
+    that splits the region of largest error along every axis) to absolute
+    and relative tolerance tol.  func maps (n, dim) points to (n,) values,
+    or to (n, m) rows for m integrals over the same nodes.  Returns
+    (value, error estimate): floats, or length-m arrays.  Raises
+    RuntimeError when the cubature stops before reaching tol or returns a
+    value or error that is not finite.
+    """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    dim = len(lo)
-    if dim == 1:
-        val, _ = integrate.quad(lambda x: float(np.ravel(func(np.array([[x]])))[0]),
-                                lo[0], hi[0], epsabs=tol, epsrel=tol, limit=400)
-        return val
-    if dim == 2:
-        val, _ = integrate.nquad(
-            lambda x, y: float(np.ravel(func(np.array([[x, y]])))[0]),
-            [(lo[0], hi[0]), (lo[1], hi[1])],
-            opts={"epsabs": tol, "epsrel": tol, "limit": 200})
-        return val
-    raise NotImplementedError("quadrature implemented for dim <= 2")
+    res = integrate.cubature(func, lo, hi, rtol=tol, atol=tol)
+    value, error = res.estimate, res.error
+    if res.status != "converged" or not (np.all(np.isfinite(value))
+                                         and np.all(np.isfinite(error))):
+        raise RuntimeError(
+            "quadrature over [%s, %s] did not reach tolerance %g: error "
+            "estimate %s after %d subdivisions" % (
+                lo.tolist(), hi.tolist(), tol, np.max(error),
+                res.subdivisions))
+    if np.ndim(value) == 0:
+        return float(value), float(error)
+    return value, error
+
+
+def bump_shape_integral(dim):
+    """Integral of exp(1 - 1/(1 - |x|**2)) over the unit ball of R^dim."""
+    # radial: surface(unit sphere) * int_0^1 exp(1 - 1/(1 - s^2)) s^(dim-1) ds
+    surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+
+    def radial(s):
+        s = s[:, 0]
+        return np.exp(1.0 - 1.0 / (1.0 - s * s)) * s ** (dim - 1)
+
+    return surf * box_quad(radial, 0.0, 1.0, tol=1e-13)[0]
 
 
 def integrate_function(func, tol=1e-10):
     """Integral over the support, closed form where available."""
     if isinstance(func, TestFunction):
         return func.integral()
-    return box_quad(func, func.support_lo, func.support_hi, tol=tol)
-
-
-def integrate_product(funcs, tol=1e-10):
-    """Integral of a pointwise product of supported functions."""
-    prod = funcs[0]
-    for f in funcs[1:]:
-        prod = prod.product(f)
-    return integrate_function(prod, tol=tol)
+    return box_quad(func, func.support_lo, func.support_hi, tol)[0]
 
 
 def gauss_smooth(func, var, points):
     """Heat smoothing: E[func(x + Z)] with Z ~ Normal(0, var * Id).
 
     Boxes get the exact product-of-normal-cdf form; other supported
-    functions are integrated numerically over their support box.
+    functions are integrated over their support box, in one array-valued
+    quadrature that serves every evaluation point.
     var = 0 returns func itself.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -228,17 +239,15 @@ def gauss_smooth(func, var, points):
         upper = ndtr((func.support_hi - points) / sd)
         lower = ndtr((func.support_lo - points) / sd)
         return func.level * np.prod(upper - lower, axis=1)
-    lo, hi = func.support_lo, func.support_hi
-    dim = func.dim
-    norm = (2.0 * math.pi * var) ** (-dim / 2.0)
+    norm = (2.0 * math.pi * var) ** (-func.dim / 2.0)
 
-    def one(x):
-        def integrand(pts):
-            sq = np.sum(np.square(pts - x), axis=1)
-            return func(pts) * norm * np.exp(-sq / (2.0 * var))
-        return box_quad(integrand, lo, hi, tol=1e-11)
+    def integrand(pts):
+        # column j: func times the Gaussian density centred at points[j]
+        sq = sum(np.square(pts[:, k, None] - points[None, :, k])
+                 for k in range(func.dim))
+        return (norm * func(pts))[:, None] * np.exp(-sq / (2.0 * var))
 
-    return np.array([one(x) for x in points])
+    return box_quad(integrand, func.support_lo, func.support_hi, tol=1e-11)[0]
 
 
 def gauss_smooth_box_torus(func, var, points, side):

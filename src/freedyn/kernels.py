@@ -56,11 +56,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 from scipy.special import gammainc, gammaincc, pdtr, zeta
 
-from .functions import (NumericFunction, gauss_smooth, gauss_smooth_box_torus,
-                        integrate_function)
+from .functions import (NumericFunction, bump_shape_integral, gauss_smooth,
+                        gauss_smooth_box_torus, integrate_function)
 from .pointproc import as_field
 
 DEFAULT_TOL = 1e-8
@@ -166,11 +166,7 @@ class BumpProfile:
         self.mass = float(mass)
         self.radius = float(radius)
         # normalization: integral of the shape over the ball
-        surf = 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
-        val, _ = integrate.quad(
-            lambda s: math.exp(1.0 - 1.0 / (1.0 - s * s)) * s ** (dim - 1)
-            if s < 1.0 else 0.0, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13)
-        self._shape_integral = radius ** dim * surf * val
+        self._shape_integral = radius ** dim * bump_shape_integral(dim)
         self._radial_cdf = None
 
     def density(self, pts):

@@ -18,7 +18,7 @@ from functools import reduce
 import numpy as np
 
 from .dynamics import GlauberDynamics, _exponential_lifetimes
-from .functions import integrate_function, support_box
+from .functions import box_quad, integrate_function, support_box
 from .pointproc import pair_into, run_chunks
 
 QUAD_TOL = 1e-8
@@ -111,12 +111,10 @@ def poisson_laplace_exponent(phi, intensity, tol=QUAD_TOL, transform=None):
         def transform(v):
             return np.expm1(v)
 
-    from .functions import box_quad
-
     def integrand(pts):
         return transform(np.asarray(phi(pts), dtype=float))
 
-    val = box_quad(integrand, phi.support_lo, phi.support_hi, tol)
+    val, _ = box_quad(integrand, phi.support_lo, phi.support_hi, tol)
     return float(intensity) * val
 
 
@@ -537,7 +535,6 @@ def _generator_brownian(F, config):
 def _generator_glauber(F, config, spec, tol):
     """sum_x a(x)(F(gamma without x) - F(gamma))
        + z * int a(x)(F(gamma with x) - F(gamma)) dx."""
-    from .functions import box_quad
     v = F.inner(config)
     base = F.value_at_vector(v)
     death = 0.0
@@ -550,10 +547,9 @@ def _generator_glauber(F, config, spec, tol):
         lo, hi = support_box(F.phis)
 
         def integrand(pts):
-            pts = np.atleast_2d(pts)
             return spec.rate(pts) * (F.outer(v + F.inner_at(pts)) - base)
 
-        birth = spec.intensity * box_quad(integrand, lo, hi, tol)
+        birth = spec.intensity * box_quad(integrand, lo, hi, tol)[0]
     return death + birth
 
 
@@ -562,33 +558,28 @@ def _generator_kawasaki(F, config, kernel, tol):
 
     Split per particle as rate * (F(gamma without x) - F(gamma)) plus an
     integral over the compact union support of the phis, where the
-    integrand vanishes outside it.
+    integrand vanishes outside it; one array-valued quadrature gives the
+    integral of every particle.
     """
-    from .functions import box_quad
     if len(config) == 0:
         return 0.0
     domain = kernel.domain
     v = F.inner(config)
     base = F.value_at_vector(v)
-    lam = kernel.clock_rate
+    x = config.points
+    removed = v - F.inner_at(x)        # pairings without particle i, row i
+    f_removed = F.outer(removed)
     lo, hi = support_box(F.phis)
-    total = 0.0
-    inner_pts = F.inner_at(config.points)
-    for i in range(len(config)):
-        x = config.points[i]
-        removed = v - inner_pts[i]
-        f_removed = F.value_at_vector(removed)
-        total += lam * (f_removed - base)
 
-        def integrand(pts, removed=removed, x=x, f_removed=f_removed):
-            pts = np.atleast_2d(pts)
-            delta = domain.displacement(pts, x[None, :]) if domain.is_torus \
-                else pts - x[None, :]
-            dens = kernel.profile.density(delta)
-            return dens * (F.outer(removed + F.inner_at(pts)) - f_removed)
+    def integrand(pts):
+        # column i: jump density from particle i times the change of F
+        delta = domain.displacement(pts[:, None, :], x[None, :, :])
+        dens = kernel.profile.density(delta.reshape(-1, x.shape[1]))
+        moved = F.outer(removed[None, :, :] + F.inner_at(pts)[:, None, :])
+        return dens.reshape(len(pts), len(x)) * (moved - f_removed)
 
-        total += box_quad(integrand, lo, hi, tol)
-    return total
+    jumps_in, _ = box_quad(integrand, lo, hi, tol)
+    return float(np.sum(kernel.clock_rate * (f_removed - base) + jumps_in))
 
 
 @dataclass

@@ -8,9 +8,10 @@ jumping back in acts as immigration: the dynamics converges to the free
 birth-and-death process with death rate ``<xi>`` and immigration intensity
 equal to the first correlation of the starting measure.
 
-This module provides the pieces needed to observe that limit numerically:
-the contracted profiles, the continuous part of the one-particle transition
-law as a certified truncated series, a two-point Neyman-Scott cluster
+This module provides the pieces needed to observe that limit numerically
+(the contracted profiles are the jump profiles' own ``scaled``): the
+continuous part of the one-particle transition law as a certified
+truncated series, a two-point Neyman-Scott cluster
 starting measure with its closed-form correlation data (the Poisson one is
 ``pointproc.PoissonMeasure``), their admissibility checks, and an
 experiment harness that estimates joint Laplace functionals of the jump
@@ -28,47 +29,13 @@ from functools import partial
 import numpy as np
 from scipy.special import gammainc
 
-from .functions import gauss_smooth, gauss_smooth_box_torus
+from .functions import (box_quad, gauss_smooth, gauss_smooth_box_torus,
+                        support_box)
 from .kernels import KawasakiKernel
 from .observables import glauber_joint_laplace
 from .pointproc import (BatchMeasure, PoissonMeasure, mean_se, pair_into,
                         run_chunks)
 from .space import Domain
-
-
-@dataclass(frozen=True)
-class ScaledProfile:
-    """Jump profile contracted by eps, with total mass unchanged.
-
-    ``profile`` is the concrete contracted profile (usable wherever a plain
-    profile is) and evaluating the object gives the contracted density
-    eps**dim * base(eps * x).
-    """
-
-    base: object
-    eps: float
-    profile: object
-
-    @property
-    def dim(self):
-        return self.base.dim
-
-    @property
-    def mass(self):
-        return self.profile.mass
-
-    def density(self, pts):
-        return self.profile.density(pts)
-
-    def __call__(self, pts):
-        return self.density(pts)
-
-
-def scale_profile(base, eps):
-    """Contract a jump profile: scaled density is eps**dim * base(eps * x)."""
-    if not eps > 0:
-        raise ValueError("eps must be > 0")
-    return ScaledProfile(base=base, eps=float(eps), profile=base.scaled(eps))
 
 
 @dataclass(frozen=True)
@@ -257,27 +224,18 @@ class NeymanScottMeasure(BatchMeasure):
 
             exp[ rho * integral of ((1 + q) G + q G**2) ].
         """
-        from scipy.integrate import quad
-
         q = self.second_prob
 
-        def integrand_at(c_pts):
+        def integrand(c_pts):
             g = self._smooth(terms, c_pts)
             return (1.0 + q) * g + q * g * g
 
-        if self.domain.dim != 1:
-            raise NotImplementedError("closed form integrated in dim 1 only")
         if self.domain.is_torus:
-            lo, hi = 0.0, self.domain.side
+            lo, hi = self.domain.lower, self.domain.upper
         else:
-            pad = 10.0 * self.cluster_std
-            los = [fn.support_lo[0] for _, fn in terms]
-            his = [fn.support_hi[0] for _, fn in terms]
-            lo, hi = min(los) - pad, max(his) + pad
-        value, err = quad(lambda c: float(integrand_at(np.array([[c]]))[0]),
-                          lo, hi, epsabs=tol, epsrel=0.0, limit=400)
-        if err > 10.0 * max(tol, 1e-14):
-            raise RuntimeError("parent integral did not reach tolerance")
+            lo, hi = support_box([fn for _, fn in terms],
+                                 10.0 * self.cluster_std)
+        value, _ = box_quad(integrand, lo, hi, tol)
         return math.exp(self.parent_intensity * value)
 
 

@@ -1,17 +1,22 @@
 """Test-function families, quadrature, Gaussian smoothing."""
 
+import ast
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import integrate
 from scipy.special import ndtr
 
+import freedyn
 from freedyn.functions import (
     TestFunction,
     box_quad,
     gauss_smooth,
     gauss_smooth_box_torus,
     integrate_function,
-    integrate_product,
 )
 
 
@@ -75,14 +80,88 @@ def test_product_integral():
     b = TestFunction.box(-0.6, (0.5,), (2.0,))
     # overlap [0.5, 1.0), product level 0.3
     assert a.product(b).integral() == pytest.approx(0.15)
-    assert integrate_product([a, b]) == pytest.approx(0.15)
+    assert integrate_function(a.product(b)) == pytest.approx(0.15)
+    # a bump times a box covering its support is a numeric product
+    bump = TestFunction.bump(-0.5, (1.2,), 0.5)
+    assert integrate_function(bump.product(b)) == pytest.approx(
+        -0.6 * bump.integral(), abs=1e-10)
 
 
 def test_box_quad_matches_quadrature():
     f = TestFunction.bump(-0.5, (0.0,), 1.0)
-    val = box_quad(lambda pts: f(pts) ** 2, np.array([-1.0]), np.array([1.0]))
+    val, err = box_quad(lambda pts: f(pts) ** 2, np.array([-1.0]),
+                        np.array([1.0]))
     xs = np.linspace(-1.0, 1.0, 100001)
     assert val == pytest.approx(np.trapezoid(f(xs[:, None]) ** 2, xs), abs=1e-7)
+    assert 0.0 <= err <= 1e-10
+
+
+@pytest.mark.parametrize("dim, tol", [(1, 1e-10), (2, 1e-10), (3, 1e-6)])
+def test_box_quad_closed_forms_in_any_dimension(dim, tol):
+    lo, hi = -np.arange(1.0, dim + 1.0), np.full(dim, 2.0)
+    sd = 0.7
+
+    def gauss(pts):
+        return np.exp(-np.sum(np.square(pts), axis=1) / (2 * sd * sd)) / \
+            (2 * math.pi * sd * sd) ** (dim / 2)
+
+    bump = TestFunction.bump(-0.5, np.full(dim, 0.3), 1.2)
+    cases = [
+        (lambda pts: np.ones(len(pts)), lo, hi, float(np.prod(hi - lo))),
+        (gauss, lo, hi, float(np.prod(ndtr(hi / sd) - ndtr(lo / sd)))),
+        (bump, bump.support_lo, bump.support_hi, bump.integral()),
+    ]
+    for func, a, b, exact in cases:
+        val, err = box_quad(func, a, b, tol)
+        assert abs(val - exact) <= tol * (1.0 + abs(exact))
+        assert abs(val - exact) <= err + 1e-14
+
+
+def test_box_quad_array_output_matches_columns():
+    centers = np.array([[-0.5, 0.0], [0.2, 0.3], [1.0, -0.4]])
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.5, 1.0])
+
+    def column(c):
+        return lambda pts: np.exp(-np.sum(np.square(pts - c), axis=1))
+
+    def stacked(pts):
+        return np.column_stack([column(c)(pts) for c in centers])
+
+    vals, errs = box_quad(stacked, lo, hi, 1e-10)
+    assert vals.shape == errs.shape == (len(centers),)
+    for c, val in zip(centers, vals):
+        assert val == pytest.approx(box_quad(column(c), lo, hi, 1e-10)[0],
+                                    abs=1e-10)
+
+
+def test_box_quad_raises_when_tolerance_not_reached():
+    # 1/x is not integrable at 0: the estimate overflows on refinement
+    with np.errstate(divide="ignore", over="ignore"):
+        with pytest.raises(RuntimeError, match="did not reach tolerance"):
+            box_quad(lambda pts: 1.0 / pts[:, 0], 0.0, 1.0)
+    with pytest.raises(RuntimeError, match="did not reach tolerance"):
+        box_quad(lambda pts: np.full(len(pts), np.nan), 0.0, 1.0)
+
+
+def test_only_functions_imports_scipy_integrate():
+    # the quadrature decision lives in one module
+    package = Path(freedyn.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "functions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "") + "." + a.name for a in node.names]
+                names.append(node.module or "")
+            else:
+                continue
+            if any(n == "scipy.integrate" or n.startswith("scipy.integrate.")
+                   for n in names):
+                offenders.append(path.name)
+    assert offenders == []
 
 
 def test_integrate_function_agrees_with_integral():
@@ -113,6 +192,22 @@ def test_gauss_smooth_bump_against_numeric_convolution():
     for row, x in zip(sm, pts[:, 0]):
         kern = np.exp(-((x - ys) ** 2) / (2 * var)) / np.sqrt(2 * np.pi * var)
         assert row == pytest.approx(np.trapezoid(fy * kern, ys), abs=1e-6)
+
+
+def test_gauss_smooth_bump_matches_pointwise_quad():
+    # one array-valued quadrature against a per-point scalar reference
+    f = TestFunction.bump(-0.7, (0.4,), 1.3)
+    var = 0.3
+    pts = np.linspace(-2.5, 3.5, 49)[:, None]
+    sm = gauss_smooth(f, var, pts)
+    norm = 1.0 / math.sqrt(2 * math.pi * var)
+    for row, x in zip(sm, pts[:, 0]):
+        ref, _ = integrate.quad(
+            lambda y: float(f(np.array([[y]]))[0])
+            * norm * math.exp(-(x - y) ** 2 / (2 * var)),
+            f.support_lo[0], f.support_hi[0], epsabs=1e-13, epsrel=1e-13,
+            limit=200)
+        assert row == pytest.approx(ref, abs=1e-10)
 
 
 def test_gauss_smooth_torus_image_sum():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from freedyn.functions import TestFunction
+from freedyn.functions import TestFunction, box_quad
 from freedyn.kernels import BumpProfile, GaussianProfile, KawasakiKernel
 from freedyn.pointproc import RngStream
 from freedyn.scaling import (
@@ -15,7 +15,6 @@ from freedyn.scaling import (
     PoissonMeasure,
     g_t_series,
     run_scaling_experiment,
-    scale_profile,
     verify_mu_conditions,
 )
 from freedyn.space import Domain
@@ -25,42 +24,50 @@ T100 = Domain.torus(1, 100.0)
 
 
 class TestScaleProfile:
+    """profile.scaled(eps): density eps**dim * base(eps * x), same mass."""
+
+    BASES = (GaussianProfile(1, 1.5, 1.1), BumpProfile(1, 1.5, 1.1))
+
     def test_eps_one_unchanged(self):
-        base = GaussianProfile(1, 1.0, 0.7)
-        scaled = scale_profile(base, 1.0)
         xs = np.linspace(-3, 3, 31)[:, None]
-        assert np.allclose(scaled.density(xs), base.density(xs))
+        for base in self.BASES:
+            assert np.allclose(base.scaled(1.0).density(xs), base.density(xs))
 
     def test_gaussian_maps_to_gaussian(self):
-        base = GaussianProfile(1, 2.0, 0.7)
-        scaled = scale_profile(base, 0.25)
-        assert scaled.profile.mass == pytest.approx(2.0)
-        assert scaled.profile.std == pytest.approx(0.7 / 0.25)
+        scaled = GaussianProfile(1, 2.0, 0.7).scaled(0.25)
+        assert isinstance(scaled, GaussianProfile)
+        assert scaled.mass == pytest.approx(2.0)
+        assert scaled.std == pytest.approx(0.7 / 0.25)
+        bump = BumpProfile(1, 2.0, 0.7).scaled(0.25)
+        assert isinstance(bump, BumpProfile)
+        assert bump.radius == pytest.approx(0.7 / 0.25)
 
     def test_definition_pointwise(self):
         # scaled(x) = eps^d * base(eps x)
-        base = GaussianProfile(1, 1.5, 1.1)
         eps = 0.4
-        scaled = scale_profile(base, eps)
         xs = np.linspace(-8, 8, 41)[:, None]
-        assert np.allclose(scaled.density(xs), eps * base.density(eps * xs))
+        for base in self.BASES:
+            assert np.allclose(base.scaled(eps).density(xs),
+                               eps * base.density(eps * xs))
+        base = GaussianProfile(2, 1.5, 1.1)
+        pts = np.column_stack([xs[:, 0], xs[::-1, 0] / 2])
+        assert np.allclose(base.scaled(eps).density(pts),
+                           eps ** 2 * base.density(eps * pts))
 
     def test_mass_invariant_by_quadrature(self):
-        from scipy import integrate
-
-        base = GaussianProfile(1, 1.0, 1.0)
-        for eps in (0.1, 0.5, 2.0):
-            scaled = scale_profile(base, eps)
-            half = 12.0 / eps  # 12 standard deviations of the stretched profile
-            mass, _ = integrate.quad(
-                lambda x: scaled.density(np.array([[x]]))[0], -half, half,
-                epsabs=1e-10, limit=400,
-            )
-            assert mass == pytest.approx(1.0, abs=1e-8)
+        for base, reach in zip(self.BASES, (12.0 * 1.1, 1.1)):
+            for eps in (0.1, 0.5, 2.0):
+                scaled = base.scaled(eps)
+                # 12 standard deviations, or the support, of the stretched profile
+                half = reach / eps
+                mass, _ = box_quad(scaled.density, -half, half, tol=1e-10)
+                assert mass == pytest.approx(1.5, abs=1e-8)
 
     def test_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            scale_profile(GaussianProfile(1, 1.0, 1.0), 0.0)
+        for base in self.BASES:
+            for eps in (0.0, -0.5):
+                with pytest.raises(ValueError):
+                    base.scaled(eps)
 
 
 class TestGtSeries:
@@ -197,6 +204,18 @@ class TestNeymanScottMeasure:
         mc = np.exp(acc)
         mean, se = mc.mean(), mc.std(ddof=1) / math.sqrt(len(mc))
         assert abs(mean - val) <= 3.5 * se
+
+    def test_product_functional_2d_torus_against_monte_carlo(self):
+        meas = NeymanScottMeasure(Domain.torus(2, 6.0), 0.5, 0.5, 0.4)
+        terms = [(1.0, TestFunction.box(-0.5, (1.0, 1.5), (3.0, 4.0))),
+                 (0.5, TestFunction.box(-0.6, (2.0, 0.5), (5.0, 2.5)))]
+        val = meas.expected_product_functional(terms, tol=1e-10)
+        n = 100_000
+        pts, ids = meas.sample_batch(n, RngStream(5).generator())
+        F = sum(coef * fn(pts) for coef, fn in terms)
+        mc = np.exp(np.bincount(ids, weights=np.log1p(F), minlength=n))
+        mean, se = mc.mean(), mc.std(ddof=1) / math.sqrt(n)
+        assert abs(mean - val) <= 4.0 * se
 
 
 class TestMuConditions:

@@ -17,9 +17,10 @@ from .pointproc import (BoundedField, Configuration, PoissonMeasure,
 from .functions import (NumericFunction, TestFunction, gauss_smooth,
                         integrate_function)
 from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
-                      GaussianProfile, KawasakiKernel, KilledBrownianKernel,
-                      apply_semigroup, check_summability,
-                      default_buffer_width, exit_probability,
+                      GaussianProfile, GtSeries, KawasakiKernel,
+                      KilledBrownianKernel, apply_semigroup,
+                      check_summability, default_buffer_width,
+                      exit_probability, g_t_series,
                       kawasaki_polynomial_certificate, killing_profile)
 from .dynamics import (Buffer, EvolutionPlan, Event, EventStream,
                        GlauberDynamics, TorusExact, buffer_leakage_bound,
@@ -33,9 +34,8 @@ from .observables import (CylinderFunction, LaplaceEstimate, UrsellTable,
                           generator_fd_check, glauber_joint_laplace,
                           pairing, poisson_laplace_exponent, set_partitions,
                           ursell_from_correlations)
-from .scaling import (GtSeries, NeymanScottMeasure, ScalingReport,
-                      g_t_series, run_scaling_experiment,
-                      verify_mu_conditions)
+from .scaling import (NeymanScottMeasure, ScalingReport,
+                      run_scaling_experiment, verify_mu_conditions)
 from .experiments import (ExperimentReport, glauber_joint_experiment,
                           markov_laplace_experiment,
                           poisson_correlation_experiment,

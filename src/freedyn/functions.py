@@ -221,31 +221,37 @@ def integrate_function(func, tol=1e-10):
     return box_quad(func, func.support_lo, func.support_hi, tol)[0]
 
 
-def gauss_smooth(func, var, points):
+def gauss_smooth(func, var, points, weights=1.0):
     """Heat smoothing: E[func(x + Z)] with Z ~ Normal(0, var * Id).
 
-    Boxes get the exact product-of-normal-cdf form; other supported
-    functions are integrated over their support box, in one array-valued
-    quadrature that serves every evaluation point.
-    var = 0 returns func itself.
+    var and weights may be matching arrays: the sum over the Gaussian
+    mixture sum_n weights[n] * Normal(0, var[n] * Id).  Boxes get the exact
+    product-of-normal-cdf form; other supported functions are integrated
+    over their support box, in one array-valued quadrature that serves
+    every evaluation point and every mixture term.
+    var = 0 returns func itself (times the total weight).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    if var < 0:
+    var = np.atleast_1d(np.asarray(var, dtype=float))
+    weights = np.broadcast_to(np.asarray(weights, dtype=float), var.shape)
+    if np.any(var < 0):
         raise ValueError("var must be >= 0")
-    if var == 0:
-        return func(points)
-    sd = math.sqrt(var)
+    if not np.any(var):
+        return np.sum(weights) * func(points)
+    sd = np.sqrt(var)[:, None, None]
     if isinstance(func, TestFunction) and func.family == "box":
         upper = ndtr((func.support_hi - points) / sd)
         lower = ndtr((func.support_lo - points) / sd)
-        return func.level * np.prod(upper - lower, axis=1)
-    norm = (2.0 * math.pi * var) ** (-func.dim / 2.0)
+        return func.level * (weights @ np.prod(upper - lower, axis=2))
+    norm = weights * (2.0 * math.pi * var) ** (-func.dim / 2.0)
 
     def integrand(pts):
-        # column j: func times the Gaussian density centred at points[j]
+        # column j: func times the mixture density centred at points[j],
+        # summed term by term so the array stays (nodes, points)
         sq = sum(np.square(pts[:, k, None] - points[None, :, k])
                  for k in range(func.dim))
-        return (norm * func(pts))[:, None] * np.exp(-sq / (2.0 * var))
+        dens = sum(c * np.exp(-sq / (2.0 * v)) for c, v in zip(norm, var))
+        return func(pts)[:, None] * dens
 
     return box_quad(integrand, func.support_lo, func.support_hi, tol=1e-11)[0]
 

@@ -20,7 +20,11 @@ Four kernels drive the particle dynamics:
   whole schedule.  The inversion's cost grows with mass * t, so a batch
   with some mass * t above 16 draws its counts with numpy's Poisson
   sampler instead; the acceptance criteria, demos and benchmark all have
-  mass * t <= 4.
+  mass * t <= 4.  Its time-t law is an atom exp(-mass * t) plus the
+  jump-count series ``g_t_series`` (a ``GtSeries``), whose Poisson weights
+  come from ``_poisson_weights`` alone, as do those of ``tail_bound`` and
+  ``kawasaki_polynomial_certificate``; ``semigroup`` smooths by the whole
+  series at once through the profile's ``smooth``.
 * KilledBrownian: Brownian motion killed at rate a along the path
   (path-thinning on a fine grid, step h_kill, with O(h_kill) bias).
 
@@ -111,21 +115,24 @@ class GaussianProfile:
         step *= (self.std * np.sqrt(k))[:, None]
         return step
 
-    def convpow_density(self, n, pts):
-        """Density of the n-fold self-convolution of the normalized profile."""
-        if n < 1:
-            raise ValueError("n >= 1")
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        var = n * self.std ** 2
+    def mixture_density(self, weights, pts):
+        """Density of the jump mixture sum_n weights[n-1] * (n-fold
+        normalized self-convolution), term n Gaussian of variance n std**2."""
+        var = self.std ** 2 * np.arange(1, len(weights) + 1)
+        sq = np.sum(np.square(np.atleast_2d(pts)), axis=1)
         norm = (2.0 * math.pi * var) ** (-self.dim / 2.0)
-        return norm * np.exp(-np.sum(np.square(pts), axis=1) / (2.0 * var))
+        return np.exp(-sq[:, None] / (2.0 * var)) @ (weights * norm)
 
-    def smooth(self, func, n, pts, torus_side=None):
-        """(n-fold normalized self-convolution * func) at pts."""
-        var = n * self.std ** 2
+    def smooth(self, func, weights, pts, torus_side=None):
+        """E[func(x + D)] at the rows x of pts, D with the jump mixture law,
+        term n Gaussian of variance n std**2: gauss_smooth of the whole
+        mixture (the wrapped box closed form on a torus, which refuses
+        other functions)."""
+        var = self.std ** 2 * np.arange(1, len(weights) + 1)
         if torus_side is not None:
-            return gauss_smooth_box_torus(func, var, pts, torus_side)
-        return gauss_smooth(func, var, pts)
+            return sum(w * gauss_smooth_box_torus(func, v, pts, torus_side)
+                       for w, v in zip(weights, var))
+        return gauss_smooth(func, var, pts, weights)
 
     def scaled(self, eps):
         if not eps > 0:
@@ -226,39 +233,53 @@ class BumpProfile:
                                      minlength=len(k))
         return step
 
-    def convpow_density(self, n, pts):
+    def _mixture_grid(self, weights, n_grid=(1 << 13) + 1):
+        """(grid, density) of the jump mixture on one FFT grid that holds the
+        largest power; an odd node count keeps 0 a node and the powers of
+        the even profile centred."""
         if self.dim != 1:
-            raise NotImplementedError("bump convolution powers implemented in dim 1")
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        grid, dens = self._convpow_grid(n)
-        return np.interp(pts[:, 0], grid, dens, left=0.0, right=0.0)
-
-    def _convpow_grid(self, n, n_grid=1 << 13):
-        half = self.radius * n * 1.05 + 1.0
+            raise NotImplementedError("bump convolution powers implemented "
+                                      "in dim 1")
+        half = self.radius * len(weights) * 1.05 + 1.0
         grid = np.linspace(-half, half, n_grid)
         dx = grid[1] - grid[0]
         base = self.density(grid[:, None]) / self.mass
         spec = np.fft.rfft(np.fft.ifftshift(base)) * dx
-        # n-fold convolution via the spectrum; phase-safe because the
-        # grid is symmetric and the profile is even
-        conv = np.fft.fftshift(np.fft.irfft(spec ** n, n=n_grid)) / dx
-        conv = np.maximum(conv, 0.0)
+        # the mixture's spectrum is a polynomial in the profile's spectrum
+        mix = np.polynomial.polynomial.polyval(spec, np.append(0.0, weights))
+        dens = np.maximum(np.fft.fftshift(np.fft.irfft(mix, n_grid)) / dx, 0.0)
         # normalize away accumulated FFT rounding
-        conv = conv / max(np.trapezoid(conv, grid), 1e-300)
-        return grid, conv
+        dens *= np.sum(weights) / max(np.trapezoid(dens, grid), 1e-300)
+        return grid, dens
 
-    def smooth(self, func, n, pts, torus_side=None):
-        if self.dim != 1:
-            raise NotImplementedError("bump smoothing implemented in dim 1")
+    def mixture_density(self, weights, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        grid, dens = self._convpow_grid(n)
-        out = np.empty(len(pts))
-        for i, x in enumerate(pts):
-            shifted = x[0] + grid
-            if torus_side is not None:
-                shifted = np.mod(shifted, torus_side)
-            vals = func(shifted[:, None])
-            out[i] = np.trapezoid(vals * dens, grid)
+        grid, dens = self._mixture_grid(weights)
+        return np.interp(pts[:, 0], grid, dens, left=0.0, right=0.0)
+
+    def smooth(self, func, weights, pts, torus_side=None):
+        """E[func(x + D)] at the rows x of pts, D with the jump mixture law:
+        one midpoint rule over supp func (its part in the cell on a torus,
+        with the density's periodic images) for all points at once."""
+        grid, dens = self._mixture_grid(weights)
+        x = np.atleast_2d(np.asarray(pts, dtype=float))[:, 0]
+        lo, hi = float(func.support_lo[0]), float(func.support_hi[0])
+        shifts = np.zeros(1)
+        if torus_side is not None:
+            x = np.mod(x, torus_side)
+            lo, hi = max(lo, 0.0), min(hi, torus_side)
+            reach = math.ceil(grid[-1] / torus_side) + 1
+            shifts = torus_side * np.arange(-reach, reach + 1)
+        n = max(1, math.ceil((hi - lo) / (grid[1] - grid[0])))
+        y = lo + (hi - lo) / n * (np.arange(n) + 0.5)
+        fy = func(y[:, None]) * ((hi - lo) / n)
+        out = np.empty(len(x))
+        # blocks of points keep the (points, images, nodes) array near 8 MiB
+        rows = max(1, (1 << 20) // (n * len(shifts)))
+        for i in range(0, len(x), rows):
+            offsets = y - x[i:i + rows, None, None] + shifts[:, None]
+            out[i:i + rows] = np.interp(offsets, grid, dens, left=0.0,
+                                        right=0.0).sum(axis=1) @ fy
         return out
 
     def scaled(self, eps):
@@ -269,6 +290,82 @@ class BumpProfile:
     def poly_tail_constant(self, alpha):
         # tail vanishes beyond the support radius, so C = mass * radius**alpha works
         return self.mass * self.radius ** alpha
+
+
+# ---------------------------------------------------------------------------
+# jump-count series
+
+_MAX_SERIES_TERMS = 100000  # longest jump-count series before refusal
+
+
+def _poisson_weights(mu, n):
+    """P[Poisson(mu) = k] for k = 0..n (mu > 0), in log space: the package's
+    one computation of jump-count weights."""
+    k = np.arange(n + 1)
+    return np.exp(-mu + k * math.log(mu) - np.cumsum(np.log(np.maximum(k, 1))))
+
+
+@dataclass(frozen=True)
+class GtSeries:
+    """Continuous part of the time-t jump transition law, truncated.
+
+    The law of a single jumping particle at time t is an atom of weight
+    exp(-t * mass) at the start plus the density
+
+        sum_{n >= 1} P[Poisson(t * mass) = n] * (n-fold normalized profile)
+
+    truncated at ``truncation`` terms (``weights[n-1]`` is term n).
+    ``remainder_density`` bounds the dropped part pointwise and
+    ``remainder_mass`` is its integral, so atom + mean + remainder_mass = 1
+    and mean ~ 1 - exp(-t * mass).
+    """
+
+    profile: object
+    t: float
+    rate: float
+    truncation: int
+    weights: np.ndarray
+    remainder_density: float
+    remainder_mass: float
+
+    def density(self, pts):
+        return self.profile.mixture_density(self.weights, pts)
+
+    @property
+    def mean(self):
+        """Integral of the truncated continuous part."""
+        return float(np.sum(self.weights))
+
+    @property
+    def mean_target(self):
+        """Exact integral of the untruncated continuous part."""
+        return -math.expm1(-self.rate * self.t)
+
+
+def g_t_series(profile, t, tol=1e-8):
+    """Truncated jump-count series for the continuous transition density.
+
+    The smallest truncation whose remainder is <= tol in total mass and in
+    sup norm (every convolution power is bounded by the normalized
+    profile's peak); RuntimeError past _MAX_SERIES_TERMS terms.
+    """
+    if not (t > 0 and tol > 0):
+        raise ValueError("need t > 0 and tol > 0")
+    rate, mu = profile.mass, profile.mass * t
+    peak = float(profile.density(np.zeros((1, profile.dim)))[0]) / rate
+    scale = max(peak, 1.0)
+    n = max(int(mu + 10.0 * math.sqrt(mu + 1.0)), 4)
+    while n <= _MAX_SERIES_TERMS and scale * float(gammainc(n + 1, mu)) > tol:
+        n *= 2
+    if n > _MAX_SERIES_TERMS:
+        raise RuntimeError("series truncation for tolerance %g exceeds the "
+                           "term cap %d" % (tol, _MAX_SERIES_TERMS))
+    # the smallest truncation that reaches tol (the tail falls with n)
+    n = 1 + int(np.argmax(scale * gammainc(np.arange(2, n + 2), mu) <= tol))
+    tail = float(gammainc(n + 1, mu))
+    return GtSeries(profile=profile, t=float(t), rate=rate, truncation=n,
+                    weights=_poisson_weights(mu, n)[1:],
+                    remainder_density=peak * tail, remainder_mass=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -540,48 +637,31 @@ class KawasakiKernel(Kernel):
         n = gen.poisson(self.clock_rate * t)
         return np.sort(t * gen.random(n))
 
-    def series_truncation(self, t, tol, bound=1.0):
-        """Smallest N with Poisson(mass*t) tail * bound <= tol."""
-        mu = self.clock_rate * t
-        n = max(int(mu + 10.0 * math.sqrt(mu + 1.0)), 8)
-        while bound * float(gammainc(n + 1, mu)) > tol and n < 100000:
-            n *= 2
-        while n > 1 and bound * float(gammainc(n, mu)) <= tol:
-            n -= 1
-        return n
-
     def semigroup(self, phi, t, tol=DEFAULT_TOL):
+        """The atom term exp(-mass*t) * phi plus the profile's smoothing of
+        phi by the continuous part, g_t_series truncated at tol / phi.bound."""
         if t < 0:
             raise ValueError("t must be >= 0")
-        if t == 0:
+        if t == 0 or phi.bound == 0:
             return phi
-        mu = self.clock_rate * t
-        n_max = self.series_truncation(t, tol, bound=max(phi.bound, 1e-300))
-        log_weights = -mu + np.arange(n_max + 1) * math.log(mu) - \
-            np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, n_max + 1))]))
-        weights = np.exp(log_weights)
-        profile = self.profile
+        atom = self.atom_weight(t)
+        series = g_t_series(self.profile, t, tol / phi.bound)
+        smooth, weights = self.profile.smooth, series.weights
         side = self.domain.side if self.domain.is_torus else None
 
         def func(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
-            acc = weights[0] * phi(pts)
-            for n in range(1, n_max + 1):
-                if weights[n] * phi.bound < tol * 1e-3:
-                    continue
-                acc = acc + weights[n] * profile.smooth(phi, n, pts, torus_side=side)
-            return acc
+            return atom * phi(pts) + smooth(phi, weights, pts, side)
 
         if self.domain.is_torus:
-            return NumericFunction(func, np.zeros(self.domain.dim),
-                                   np.full(self.domain.dim, self.domain.side),
-                                   phi.bound)
-        if isinstance(profile, GaussianProfile):
-            pad = _effective_pad(n_max * profile.std ** 2)
+            lo, hi = self.domain.lower, self.domain.upper
         else:
-            pad = n_max * profile.radius + 1e-9
-        return NumericFunction(func, phi.support_lo - pad, phi.support_hi + pad,
-                               phi.bound)
+            n = series.truncation
+            pad = _effective_pad(n * self.profile.std ** 2) \
+                if isinstance(self.profile, GaussianProfile) \
+                else n * self.profile.radius + 1e-9
+            lo, hi = phi.support_lo - pad, phi.support_hi + pad
+        return NumericFunction(func, lo, hi, phi.bound)
 
     def survival(self, x, t):
         return 1.0
@@ -590,15 +670,13 @@ class KawasakiKernel(Kernel):
         """Probability of no jump by time t (the transition law's atom)."""
         return math.exp(-self.clock_rate * t)
 
-    def tail_bound(self, t, r, tol=1e-14):
+    def tail_bound(self, t, r):
         """Union bound over jump counts with certified series remainder.
 
         P(|X_t - x| > r) <= sum_k Pois_k(mass*t) * k * tail(r/k) plus the
         exact remainder mass*t * P(Pois(mass*t) >= N) for the dropped terms.
         Nondecreasing in t (stochastically more jumps, monotone summand).
         """
-        if t <= 0 or r <= 0:
-            raise ValueError("need t > 0 and r > 0")
         return float(self.tail_bound_batch(t, np.array([r]))[0])
 
     def tail_bound_batch(self, t, radii):
@@ -609,8 +687,7 @@ class KawasakiKernel(Kernel):
         mu = self.clock_rate * t
         n_terms = max(int(mu + 12.0 * math.sqrt(mu + 1.0)), 32)
         k = np.arange(1, n_terms + 1)
-        log_w = -mu + k * math.log(mu) - np.cumsum(np.log(k))
-        weights = np.exp(log_w) * k
+        weights = _poisson_weights(mu, n_terms)[1:] * k
         # sum_{k>N} k * Pois_k(mu) = mu * P(Pois(mu) >= N)
         remainder = mu * float(gammainc(n_terms, mu))
         out = np.empty(len(radii))
@@ -934,21 +1011,29 @@ def kawasaki_polynomial_certificate(profile, alpha, m, epsilon=1.0, delta=1.0,
     tail_mass(r) <= C / r**alpha.  Each term is then at most
     C * E[N^(alpha+1)] / (mass * (delta n**(1/m))**alpha) with N the Poisson
     jump count, and the series converges exactly when alpha > m, with total
-    bounded through the Riemann zeta value at alpha/m.
+    bounded through the Riemann zeta value at alpha/m.  The moment's series
+    is truncated where its dropped tail is certified below 1e-15 of the
+    moment, and RuntimeError is raised where no truncation within
+    _MAX_SERIES_TERMS terms is.  That bound covers the truncation only: the
+    rounding of the log-space Poisson weights, which grows with
+    mass * epsilon (5.6e-11 relative at 5000), is not in it.
     """
     if alpha <= 0 or m < 1 or epsilon <= 0 or delta <= 0:
         raise ValueError("bad parameters")
     c_poly = profile.poly_tail_constant(alpha)
-    mu = profile.mass * epsilon
-    # E[N^(alpha+1)] by direct series, terms vanish factorially
-    moment, k, term = 0.0, 1, None
-    while k < 2000:
-        log_t = -mu + k * math.log(mu) - math.lgamma(k + 1) + (alpha + 1) * math.log(k)
-        term = math.exp(log_t)
-        moment += term
-        if term < 1e-17 * max(moment, 1.0) and k > mu + 5:
+    # E[N^(alpha+1)]: term n+1 / term n = r_n = mu/(n+1) * (1+1/n)**(alpha+1)
+    # decreases in n, so the terms past n sum to at most term_n r_n/(1-r_n)
+    mu, power = profile.mass * epsilon, alpha + 1.0
+    n = max(int(mu + 10.0 * math.sqrt(mu + 1.0)), 8)
+    while True:
+        terms = _poisson_weights(mu, n) * np.arange(n + 1) ** power
+        moment, ratio = float(np.sum(terms)), mu / (n + 1) * (1 + 1 / n) ** power
+        if n > _MAX_SERIES_TERMS or not math.isfinite(moment):
+            raise RuntimeError("moment of order %g of a Poisson(%g) count not "
+                               "certified" % (power, mu))
+        if ratio < 1.0 and terms[-1] * ratio <= 1e-15 * moment * (1 - ratio):
             break
-        k += 1
+        n *= 2
     s = alpha / m
     params = {"alpha": alpha, "m": m, "epsilon": epsilon, "delta": delta,
               "radius_exponent": 1.0 / m, "tail_constant": c_poly,

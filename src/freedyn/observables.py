@@ -127,7 +127,7 @@ def analytic_laplace_markov(kernel, config, phi, t, tol=QUAD_TOL):
     image = kernel.semigroup(phi, t, tol=tol)
     vals = np.asarray(image(config.points), dtype=float)
     if np.any(vals <= -1.0):
-        raise ValueError("semigroup image left class D")
+        raise RuntimeError("semigroup image left class D")
     return float(math.exp(np.sum(np.log1p(vals))))
 
 
@@ -144,7 +144,7 @@ def analytic_laplace_submarkov(kernel, config, phi, t, z, tol=QUAD_TOL):
     if len(config):
         vals = np.asarray(image(config.points), dtype=float)
         if np.any(vals <= -1.0):
-            raise ValueError("semigroup image left class D")
+            raise RuntimeError("semigroup image left class D")
         first = float(np.sum(np.log1p(vals)))
     else:
         first = 0.0

@@ -9,10 +9,9 @@ birth-and-death process with death rate ``<xi>`` and immigration intensity
 equal to the first correlation of the starting measure.
 
 This module provides the pieces needed to observe that limit numerically
-(the contracted profiles are the jump profiles' own ``scaled``): the
-continuous part of the one-particle transition law as a certified
-truncated series, a two-point Neyman-Scott cluster
-starting measure with its closed-form correlation data (the Poisson one is
+(the contracted profiles are the profiles' own ``scaled``, the jump-count
+series ``kernels.g_t_series``): a two-point Neyman-Scott cluster starting
+measure with its closed-form correlation data (the Poisson one is
 ``pointproc.PoissonMeasure``), their admissibility checks, and an
 experiment harness that estimates joint Laplace functionals of the jump
 dynamics along an epsilon schedule against the closed-form limit.
@@ -27,104 +26,13 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import gammainc
 
-from .functions import (box_quad, gauss_smooth, gauss_smooth_box_torus,
-                        support_box)
-from .kernels import KawasakiKernel
+from .functions import box_quad, support_box
+from .kernels import GaussianProfile, KawasakiKernel
 from .observables import glauber_joint_laplace
 from .pointproc import (BatchMeasure, PoissonMeasure, mean_se, pair_into,
                         run_chunks)
 from .space import Domain
-
-
-@dataclass(frozen=True)
-class GtSeries:
-    """Continuous part of the time-t jump transition law, truncated.
-
-    The law of a single jumping particle at time t is an atom of weight
-    exp(-t * mass) at the start plus the density
-
-        sum_{n >= 1} P[Poisson(t * mass) = n] * (n-fold normalized profile)
-
-    truncated at ``truncation`` terms.  ``remainder_density`` bounds the
-    dropped part pointwise, ``remainder_mass`` bounds its integral.  The
-    truncated total mass plus the atom weight recovers 1 up to exactly
-    ``remainder_mass``, which gives a free consistency identity:
-    mean ~ 1 - exp(-t * mass).
-    """
-
-    profile: object
-    t: float
-    rate: float
-    truncation: int
-    weights: np.ndarray
-    remainder_density: float
-    remainder_mass: float
-
-    def density(self, pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        acc = np.zeros(len(pts))
-        for n in range(1, self.truncation + 1):
-            acc += self.weights[n - 1] * self.profile.convpow_density(n, pts)
-        return acc
-
-    def __call__(self, pts):
-        return self.density(pts)
-
-    @property
-    def mean(self):
-        """Integral of the truncated continuous part."""
-        return float(np.sum(self.weights))
-
-    @property
-    def mean_target(self):
-        """Exact integral of the untruncated continuous part."""
-        return -math.expm1(-self.rate * self.t)
-
-    def to_dict(self):
-        return {
-            "t": self.t,
-            "rate": self.rate,
-            "truncation": self.truncation,
-            "mean": self.mean,
-            "mean_target": self.mean_target,
-            "remainder_density": self.remainder_density,
-            "remainder_mass": self.remainder_mass,
-        }
-
-
-def g_t_series(profile, t, tol=1e-8, n_cap=100000):
-    """Truncated jump-count series for the continuous transition density.
-
-    Chooses the smallest truncation whose certified remainder (both in sup
-    norm and in total mass) is <= tol.  The sup-norm certificate uses that
-    every convolution power of the normalized profile is bounded by the
-    normalized profile's own peak.
-    """
-    if not t > 0:
-        raise ValueError("t must be > 0")
-    if not tol > 0:
-        raise ValueError("tol must be > 0")
-    rate = profile.mass
-    mu = rate * t
-    origin = np.zeros((1, profile.dim))
-    peak = float(profile.density(origin)[0]) / profile.mass
-    scale = max(peak, 1.0)
-    n = max(int(mu + 10.0 * math.sqrt(mu + 1.0)), 4)
-    while scale * float(gammainc(n + 1, mu)) > tol:
-        n *= 2
-        if n > n_cap:
-            raise RuntimeError("series truncation for tolerance %g exceeds "
-                               "the term cap %d" % (tol, n_cap))
-    while n > 1 and scale * float(gammainc(n, mu)) <= tol:
-        n -= 1
-    counts = np.arange(1, n + 1)
-    log_w = -mu + counts * math.log(mu) - np.cumsum(np.log(counts))
-    tail = float(gammainc(n + 1, mu))
-    return GtSeries(profile=profile, t=float(t), rate=rate, truncation=n,
-                    weights=np.exp(log_w), remainder_density=peak * tail,
-                    remainder_mass=tail)
 
 
 def _involution_numbers(n_max):
@@ -204,16 +112,12 @@ class NeymanScottMeasure(BatchMeasure):
         return domain.wrap(pts, copy=False), np.repeat(parent_rep, sizes)
 
     def _smooth(self, terms, c_pts):
-        # G(c) = E[F(c + offset)], the cluster-displacement smoothing of F
-        var = self.cluster_std ** 2
-        acc = np.zeros(len(np.atleast_2d(c_pts)))
-        for coef, fn in terms:
-            if self.domain.is_torus:
-                acc = acc + coef * gauss_smooth_box_torus(
-                    fn, var, c_pts, self.domain.side)
-            else:
-                acc = acc + coef * gauss_smooth(fn, var, c_pts)
-        return acc
+        # G(c) = E[F(c + offset)], the cluster-displacement smoothing of F:
+        # the offset is the one-term Gaussian mixture of scale cluster_std
+        offset = GaussianProfile(self.domain.dim, 1.0, self.cluster_std)
+        side = self.domain.side if self.domain.is_torus else None
+        return sum(coef * offset.smooth(fn, np.ones(1), c_pts, side)
+                   for coef, fn in terms)
 
     def expected_product_functional(self, terms, tol=1e-10):
         """E[prod over points of (1 + F)] with F = sum_j coef_j fn_j.

@@ -273,3 +273,36 @@ def test_scaling_outputs_identical_across_reruns_and_threads(tmp_path):
         outputs.append([(out / f).read_bytes()
                         for f in ("probe_scaling.json", "probe_scaling.csv")])
     assert all(o == outputs[0] for o in outputs[1:])
+
+
+def test_polynomial_certificate_moment_and_exit_class(tmp_path):
+    # a jump count far above 2000 gets its exact fourth moment; a count the
+    # series cannot certify is a numerical failure (exit 3)
+    def cfg(mass):
+        return {
+            "domain": {"mode": "fullspace", "window": [[0.0], [1.0]]},
+            "kernel": {"variant": "kawasaki",
+                       "profile": {"kind": "gaussian", "mass": mass,
+                                   "std": 0.7}},
+            "summability": {"alpha": 3.0, "m": 1,
+                            "certificate": "polynomial"},
+            "rng": {"seed": 1},
+            "output": {"prefix": "probe"},
+        }
+
+    out = tmp_path / "out"
+    res = run_cli(["check-summability", "--config",
+                   write_config(tmp_path, "ok.json", cfg(2500.0)),
+                   "--out", str(out)], str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    payload = json.loads(
+        (out / "probe_summability.json").read_text())["report"]
+    mu = 2500.0
+    exact = mu ** 4 + 6 * mu ** 3 + 7 * mu ** 2 + mu
+    assert payload["parameters"]["count_moment"] == pytest.approx(exact,
+                                                                  rel=1e-9)
+    res = run_cli(["check-summability", "--config",
+                   write_config(tmp_path, "big.json", cfg(1e6)),
+                   "--out", str(tmp_path / "big")], str(tmp_path))
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("numerical nonconvergence:")

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 from scipy.special import ndtr
 from scipy.stats import chi2, poisson
 
@@ -21,6 +23,7 @@ from freedyn.kernels import (
     check_summability,
     default_buffer_width,
     exit_probability,
+    g_t_series,
     kawasaki_polynomial_certificate,
     killing_profile,
 )
@@ -126,6 +129,35 @@ class TestSemigroup:
             expected += w * smoothed
         assert val == pytest.approx(expected, abs=1e-8)
 
+    def test_kawasaki_gaussian_bump_image_per_term_reference(self):
+        # the one mixture quadrature against the atom plus a scalar quad
+        # per point of the series written out term by term, weights from
+        # scipy's Poisson pmf
+        sigma, lam, t = 0.7, 1.0, 0.8
+        phi = TestFunction.bump(-0.5, (0.3,), 1.0)
+        kernel = KawasakiKernel(D1, GaussianProfile(1, lam, sigma))
+        xs = np.array([[-2.5], [-0.4], [0.3], [1.1], [3.0]])
+        n = np.arange(1, 40)
+        weights, var = poisson.pmf(n, lam * t), n * sigma ** 2
+
+        def mixture(z):
+            return float(np.sum(weights * np.exp(-z * z / (2.0 * var))
+                                / np.sqrt(2.0 * math.pi * var)))
+
+        reference = math.exp(-lam * t) * phi(xs)
+        for i, x in enumerate(xs[:, 0]):
+            reference[i] += quad(lambda y: float(phi(np.array([[y]]))[0])
+                                 * mixture(x - y), -0.7, 1.3,
+                                 epsabs=1e-13, epsrel=1e-12)[0]
+        image = kernel.semigroup(phi, t)(xs)
+        assert np.max(np.abs(image - reference)) <= 1e-8
+
+    def test_kawasaki_torus_refuses_non_box_gaussian_image(self):
+        kernel = KawasakiKernel(Domain.torus(1, 10.0), GaussianProfile(1, 1.0, 0.7))
+        image = kernel.semigroup(TestFunction.bump(-0.5, (5.0,), 1.0), 0.5)
+        with pytest.raises(ValueError, match="box functions"):
+            image(np.array([[5.0]]))
+
     def test_brownian_chapman_kolmogorov_oracle(self):
         # T_{0.5} applied to the closed-form T_{0.5} box equals T_1 box
         x = 0.3
@@ -146,6 +178,7 @@ class TestSemigroup:
         for kernel in (
             BrownianKernel(D1),
             KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.7)),
+            KawasakiKernel(D1, BumpProfile(1, 1.2, 0.8)),
             DeathKernel(D1, 1.0),
         ):
             gen = RngStream(31).generator()
@@ -237,6 +270,40 @@ class TestTailBound:
             assert freq <= kernel.tail_bound(t, r) + 3 * se
 
 
+class TestJumpCountSeries:
+    @settings(max_examples=60, deadline=None)
+    @given(mass=st.floats(0.05, 4.0), t=st.floats(0.01, 4.0),
+           log_tol=st.floats(-12.0, -4.0), scale=st.floats(0.1, 3.0),
+           bump=st.booleans())
+    def test_mass_identity_and_certified_remainder(self, mass, t, log_tol,
+                                                   scale, bump):
+        # the rounding of the log-space weights grows like mass * t * 5e-16
+        # (7e-15 at 16, 5e-14 at 100), so the 1e-14 identity is checked up
+        # to mass * t = 16, the largest clock mean the count inversion serves
+        profile = BumpProfile(1, mass, scale) if bump else \
+            GaussianProfile(1, mass, scale)
+        tol = 10.0 ** log_tol
+        series = g_t_series(profile, t, tol)
+        atom = KawasakiKernel(D1, profile).atom_weight(t)
+        total = atom + np.sum(series.weights) + series.remainder_mass
+        assert total == pytest.approx(1.0, abs=1e-14)
+        peak = float(profile.density(np.zeros((1, 1)))[0]) / mass
+        assert series.remainder_density <= tol * max(peak, 1.0)
+        assert series.remainder_mass <= tol
+
+    def test_bump_mixture_is_centred(self):
+        # the FFT grid keeps every convolution power centred on 0
+        series = g_t_series(BumpProfile(1, 2.0, 0.8), 1.5)
+        xs = np.linspace(-30.0, 30.0, 60001)
+        dens = series.density(xs[:, None])
+        assert np.trapezoid(xs * dens, xs) == pytest.approx(0.0, abs=1e-12)
+        assert np.trapezoid(dens, xs) == pytest.approx(series.mean, abs=1e-9)
+
+    def test_truncation_cap_raises(self):
+        with pytest.raises(RuntimeError, match="term cap"):
+            g_t_series(GaussianProfile(1, 1e6, 0.7), 1.0)
+
+
 class TestKawasakiStructure:
     def test_atom_weight_formula(self):
         kernel = KawasakiKernel(D1, GaussianProfile(1, 2.0, 1.0))
@@ -306,6 +373,19 @@ class TestPolynomialCertificate:
     def test_alpha_equals_m_fails(self):
         cert = kawasaki_polynomial_certificate(GaussianProfile(1, 1.0, 0.7), alpha=1.0, m=1)
         assert not cert.converges
+
+    @pytest.mark.parametrize("mu", (1.0, 100.0, 2500.0, 5000.0))
+    def test_count_moment_closed_form(self, mu):
+        # E[N^4] of a Poisson(mu) count, also far past the mean of 2000
+        cert = kawasaki_polynomial_certificate(GaussianProfile(1, mu, 0.7),
+                                               alpha=3.0, m=1)
+        exact = mu ** 4 + 6 * mu ** 3 + 7 * mu ** 2 + mu
+        assert cert.parameters["count_moment"] == pytest.approx(exact, rel=1e-9)
+
+    def test_uncertified_count_moment_raises(self):
+        with pytest.raises(RuntimeError, match="not certified"):
+            kawasaki_polynomial_certificate(GaussianProfile(1, 1e6, 0.7),
+                                            alpha=3.0, m=1)
 
 
 class TestExitProbability:

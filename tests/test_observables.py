@@ -9,7 +9,7 @@ from scipy.special import ndtr
 
 from freedyn.dynamics import (Buffer, EvolutionPlan, GlauberDynamics,
                               TorusExact, evolve_snapshot, glauber_evolve)
-from freedyn.functions import TestFunction, support_box
+from freedyn.functions import NumericFunction, TestFunction, support_box
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
 from freedyn.observables import (
     CylinderFunction,
@@ -107,6 +107,26 @@ class TestAnalyticMarkov:
         cfg = config_of(0.0)
         val = analytic_laplace_markov(BrownianKernel(D1), cfg, BOX, 1.0)
         assert val == pytest.approx(0.6586552539314571, abs=1e-8)
+
+
+class ClassDViolator:
+    """Kernel stub whose semigroup image is -1 everywhere: only an oracle
+    fault can push a Markov image of a class-D function there."""
+
+    def __init__(self, conservative):
+        self.conservative = conservative
+
+    def semigroup(self, phi, t, tol):
+        return NumericFunction(lambda pts: -np.ones(len(pts)), phi.support_lo,
+                               phi.support_hi, 1.0)
+
+
+def test_image_leaving_class_d_is_numerical_error():
+    cfg = config_of(0.0, 0.5)
+    with pytest.raises(RuntimeError, match="left class D"):
+        analytic_laplace_markov(ClassDViolator(True), cfg, BOX, 1.0)
+    with pytest.raises(RuntimeError, match="left class D"):
+        analytic_laplace_submarkov(ClassDViolator(False), cfg, BOX, 1.0, 1.0)
 
 
 class TestAnalyticSubmarkov:

@@ -8,12 +8,12 @@ import pytest
 from scipy.special import ndtr
 
 from freedyn.functions import TestFunction, box_quad
-from freedyn.kernels import BumpProfile, GaussianProfile, KawasakiKernel
+from freedyn.kernels import (BumpProfile, GaussianProfile, KawasakiKernel,
+                             g_t_series)
 from freedyn.pointproc import RngStream
 from freedyn.scaling import (
     NeymanScottMeasure,
     PoissonMeasure,
-    g_t_series,
     run_scaling_experiment,
     verify_mu_conditions,
 )

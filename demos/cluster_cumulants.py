@@ -4,16 +4,20 @@ A Neyman-Scott process plants parents with intensity rho and lets each
 parent drop a Gaussian-displaced second point with probability q.  The
 clustering shows up as a strictly positive pair cumulant
 u2(x, y) = 2 rho q N(x - y; 0, 2 s^2), while a Poisson process of equal
-first-order intensity has u2 identically zero.  We estimate second-order
-correlations on a bin grid, subtract the product of intensities, and
-compare with the formula averaged over the same bins.
+first-order intensity has u2 identically zero.  We bin a batch of
+replicas on a grid, estimate second-order correlations from the bin
+counts, subtract the product of intensities, and compare with the formula
+averaged over the same bins.
 """
 
 import math
 
 import numpy as np
 
-from freedyn import Domain, NeymanScottMeasure, RngStream, estimate_correlations
+from freedyn import Domain, NeymanScottMeasure, RngStream
+from freedyn.observables import (bin_counts, correlation_edges,
+                                 correlations_from_counts)
+from freedyn.pointproc import run_chunks
 
 rho = 1.0
 q = 0.5
@@ -23,9 +27,15 @@ domain = Domain.torus(1, side)
 measure = NeymanScottMeasure(domain, rho, q, s)
 n_rep = 40000
 rng = RngStream(17)
+edges = correlation_edges(domain, 12)
 
-samples = [measure.sample(rng.child(i)) for i in range(n_rep)]
-grid = estimate_correlations(samples, order=2, bins_per_axis=12)
+
+def worker(m, gen):
+    pts, ids = measure.sample_batch(m, gen)
+    return bin_counts(pts, ids, m, domain, edges)
+
+
+grid = correlations_from_counts(run_chunks(worker, n_rep, rng), 2, edges)
 
 k1 = rho * (1.0 + q)
 w = side / 12.0

@@ -2,21 +2,17 @@
 
 For a Poisson process with flat intensity z the mean of the point-wise
 product prod (1 + phi(x)) is exp(z * integral of phi).  Here we draw many
-independent snapshots on a 1d window, average that product for a few test
-functions, and print the estimate next to the formula.
+independent snapshots on a 1d window as one replica batch, average that
+product for a few test functions, and print the estimate next to the
+formula.
 """
 
 import math
 
 import numpy as np
 
-from freedyn import (
-    Domain,
-    PoissonMeasure,
-    RngStream,
-    TestFunction,
-    empirical_laplace,
-)
+from freedyn import Domain, PoissonMeasure, RngStream, TestFunction
+from freedyn.pointproc import mean_se, pair_into, run_chunks
 
 domain = Domain.fullspace((0.0,), (10.0,))
 intensity = 1.5
@@ -28,29 +24,33 @@ phis = [
     TestFunction.box(-0.9, (4.0,), (5.0,)),
     TestFunction.bump(-0.7, (7.0,), 2.0),
 ]
+measure = PoissonMeasure(domain, intensity)
 
-# one snapshot list per replica, reusing the same snapshot for every phi
-samples = []
-for i in range(n_snapshots):
-    config = PoissonMeasure(domain, intensity).sample(rng.child(i))
-    samples.append([config] * len(phis))
+
+def worker(m, gen):
+    # one column per phi holding prod (1 + phi) of each snapshot, and a
+    # last column holding its point count; every phi sees the same snapshot
+    pts, ids = measure.sample_batch(m, gen)
+    logs = np.zeros((len(phis), m))
+    for acc, phi in zip(logs, phis):
+        pair_into(acc, ids, np.log1p(phi(pts)))
+    return np.column_stack([np.exp(logs.T), np.bincount(ids, minlength=m)])
+
+
+values = run_chunks(worker, n_snapshots, rng)
 
 print("Poisson(z=%.1f) on [0, 10], %d snapshots" % (intensity, n_snapshots))
 print("%-28s %12s %12s %12s %8s" % ("phi", "estimate", "exact", "stderr",
                                     "sigmas"))
 for j, phi in enumerate(phis):
     exact = math.exp(intensity * phi.integral())
-    # empirical_laplace averages the product over the snapshot list, so
-    # isolate phi_j by zeroing the others
-    row = [TestFunction.box(0.0, (0.0,), (1.0,))] * len(phis)
-    row[j] = phi
-    est = empirical_laplace(samples, row)
-    sig = abs(est.mean - exact) / est.stderr
+    mean, stderr = mean_se(values[:, j])
+    sig = abs(mean - exact) / stderr
     label = "box" if j < 2 else "bump"
     print("%-28s %12.6f %12.6f %12.6f %8.2f"
-          % ("%s #%d" % (label, j), est.mean, exact, est.stderr, sig))
+          % ("%s #%d" % (label, j), mean, exact, stderr, sig))
 
-counts = np.array([len(s[0]) for s in samples])
+counts = values[:, -1]
 print()
 print("mean count %.3f (expected %.3f), variance %.3f (Poisson: equal)"
       % (counts.mean(), intensity * 10.0, counts.var(ddof=1)))

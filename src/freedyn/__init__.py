@@ -26,13 +26,13 @@ from .dynamics import (Buffer, EvolutionPlan, Event, EventStream,
                        GlauberDynamics, TorusExact, buffer_leakage_bound,
                        event_stream, evolve_snapshot,
                        evolve_with_immigration, glauber_evolve)
-from .observables import (CylinderFunction, LaplaceEstimate, UrsellTable,
+from .observables import (CylinderFunction, UrsellTable,
                           analytic_laplace_markov,
                           analytic_laplace_submarkov,
-                          correlations_from_ursell, empirical_laplace,
-                          estimate_correlations, generator_apply,
-                          generator_fd_check, glauber_joint_laplace,
-                          pairing, poisson_laplace_exponent, set_partitions,
+                          correlations_from_ursell, estimate_correlations,
+                          generator_apply, generator_fd_check,
+                          glauber_joint_laplace, pairing,
+                          poisson_laplace_exponent, set_partitions,
                           ursell_from_correlations)
 from .scaling import (NeymanScottMeasure, ScalingReport,
                       run_scaling_experiment, verify_mu_conditions)

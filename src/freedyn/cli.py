@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 
@@ -29,7 +28,7 @@ from .dynamics import (Buffer, EvolutionPlan, GlauberDynamics, TorusExact,
                        glauber_evolve)
 from .experiments import (glauber_joint_experiment, markov_laplace_experiment,
                           poisson_correlation_experiment,
-                          poisson_laplace_experiment,
+                          poisson_laplace_experiment, sigma_distance,
                           submarkov_laplace_experiment)
 from .functions import TestFunction, support_box
 from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
@@ -451,10 +450,8 @@ def cmd_correlation(run):
     grid, expected = poisson_correlation_experiment(
         domain, start.intensity, order, bins, n, run.rng.child(3),
         threads=run.threads)
-    sigmas = [abs(float(e) - expected) / float(s) if s > 0 else
-              (0.0 if e == expected else math.inf)
-              for e, s in zip(grid.estimates, grid.stderrs)]
-    worst = float(max(sigmas))
+    worst = max(sigma_distance(float(e), float(s), expected)
+                for e, s in zip(grid.estimates, grid.stderrs))
     passed = worst <= 3.0
     run.write_csv("correlation.csv", grid.to_csv())
     run.write_json("correlation.json", {

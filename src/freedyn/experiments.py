@@ -22,6 +22,14 @@ from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
 from .pointproc import PoissonMeasure, mean_se, pair_into, run_chunks
 
 
+def sigma_distance(estimate, stderr, target):
+    """|estimate - target| in standard errors; 0/0 is 0 and x/0 is inf."""
+    err = abs(estimate - target)
+    if stderr == 0.0:
+        return 0.0 if err == 0.0 else math.inf
+    return err / stderr
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Monte Carlo estimate next to its analytic target."""
@@ -39,9 +47,7 @@ class ExperimentReport:
 
     @property
     def sigma_distance(self):
-        if self.stderr == 0.0:
-            return 0.0 if self.abs_error == 0.0 else math.inf
-        return self.abs_error / self.stderr
+        return sigma_distance(self.estimate, self.stderr, self.analytic)
 
     @property
     def within_3sigma(self):

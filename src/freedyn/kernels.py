@@ -65,7 +65,7 @@ from scipy.special import gammainc, gammaincc, pdtr, zeta
 
 from .functions import (NumericFunction, bump_shape_integral, gauss_smooth,
                         gauss_smooth_box_torus, integrate_function)
-from .pointproc import as_field
+from .pointproc import as_field, mean_se
 
 DEFAULT_TOL = 1e-8
 
@@ -478,9 +478,7 @@ class Kernel:
         bound = min(2.0 * self.tail_bound(epsilon, r / 2.0), 1.0)
         exited = self.exit_paths(x, r, epsilon, n_paths, path_step,
                                  rng.generator())
-        mean = float(np.mean(exited))
-        stderr = float(np.std(exited, ddof=1) / math.sqrt(n_paths)) \
-            if n_paths > 1 else 0.0
+        mean, stderr = mean_se(exited)
         return mean, stderr, bound
 
     def events(self, config, horizon, rng):

@@ -1,16 +1,16 @@
 """Laplace functionals, correlation estimation, Ursell conversion, generators.
 
-The verification layer: empirical Laplace functionals of simulated snapshots
-against their closed forms (product form for conservative kernels, the
-two-factor form for killing with immigration, and the birth-and-death joint
-multi-time form), factorial-moment estimation of correlation functions on
-bin grids, exact set-partition conversion between correlation and Ursell
-tables, and the three generators with finite-difference consistency checks.
+The verification layer: closed-form Laplace functionals (product form for
+conservative kernels, the two-factor form for killing with immigration, and
+the birth-and-death joint multi-time form) that the replica-batch
+estimators in ``experiments`` are checked against, factorial-moment
+estimation of correlation functions from per-replica bin counts, exact
+set-partition conversion between correlation and Ursell tables, and the
+three generators with finite-difference consistency checks.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -19,82 +19,19 @@ import numpy as np
 
 from .dynamics import GlauberDynamics, _exponential_lifetimes
 from .functions import box_quad, integrate_function, support_box
-from .pointproc import pair_into, run_chunks
+from .pointproc import mean_se, pair_into, run_chunks
 
 QUAD_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
-# pairings and empirical Laplace functionals
+# pairings
 
 def pairing(phi, config):
     """Sum of phi over the configuration's points (0 for the empty one)."""
     if len(config) == 0:
         return 0.0
     return float(np.sum(phi(config.points)))
-
-
-def _log1p_pairing(phi, config):
-    if len(config) == 0:
-        return 0.0
-    vals = np.asarray(phi(config.points), dtype=float)
-    if np.any(vals <= -1.0):
-        raise ValueError("test function leaves class D: some value <= -1")
-    return float(np.sum(np.log1p(vals)))
-
-
-def _describe_phi(phi):
-    fam = getattr(phi, "family", type(phi).__name__)
-    desc = {"family": fam}
-    for key in ("level", "support_lo", "support_hi", "params"):
-        val = getattr(phi, key, None)
-        if val is None:
-            continue
-        if isinstance(val, np.ndarray):
-            val = [float(v) for v in val]
-        desc[key] = val
-    return desc
-
-
-@dataclass
-class LaplaceEstimate:
-    """Monte Carlo estimate of a (multi-time) Laplace functional."""
-
-    mean: float
-    stderr: float
-    n_samples: int
-    descriptor: dict
-
-    def to_dict(self):
-        return {"mean": self.mean, "stderr": self.stderr,
-                "n_samples": self.n_samples, "descriptor": self.descriptor}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-def empirical_laplace(samples, phi_list, times=None):
-    """Mean over replicas of prod_i exp<log(1+phi_i), gamma_i>.
-
-    samples: one entry per replica, each a list of snapshots matching
-    phi_list position by position.  Values lie in (0, 1] for class-D
-    functions, so the estimate does too.
-    """
-    if len(samples) == 0:
-        raise ValueError("no samples")
-    phis = list(phi_list)
-    vals = np.empty(len(samples))
-    for r, snaps in enumerate(samples):
-        if len(snaps) != len(phis):
-            raise ValueError("snapshot/function count mismatch")
-        vals[r] = math.exp(sum(_log1p_pairing(p, c)
-                               for p, c in zip(phis, snaps)))
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
-        if len(vals) > 1 else 0.0
-    desc = {"times": list(times) if times is not None else None,
-            "functions": [_describe_phi(p) for p in phis]}
-    return LaplaceEstimate(mean, stderr, len(vals), desc)
 
 
 # ---------------------------------------------------------------------------
@@ -656,9 +593,7 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
         pts, ids = evolve(*config.sample_batch(m, gen), m, gen)
         return values(pts, ids, m) - base
 
-    diffs = run_chunks(worker, n_replicas, rng)
-    fd = float(np.mean(diffs) / h)
-    stderr = float(np.std(diffs, ddof=1) / math.sqrt(n_replicas) / h) \
-        if n_replicas > 1 else 0.0
+    fd, stderr = mean_se(run_chunks(worker, n_replicas, rng))
+    fd, stderr = fd / h, stderr / h
     analytic = generator_apply(F, config, dynamics_spec)
     return FDCheck(fd, stderr, analytic, abs(fd - analytic), h, n_replicas)

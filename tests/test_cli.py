@@ -306,3 +306,21 @@ def test_polynomial_certificate_moment_and_exit_class(tmp_path):
                    "--out", str(tmp_path / "big")], str(tmp_path))
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("numerical nonconvergence:")
+
+
+def test_single_replica_generator_check_is_a_config_error(tmp_path):
+    # one replica has no standard error: refused instead of reporting 0
+    box = {"family": "box", "level": -0.5, "lo": [-1.0], "hi": [1.0]}
+    path = write_config(tmp_path, "gen.json", {
+        "domain": {"mode": "fullspace", "window": [[-6.0], [6.0]]},
+        "dynamics": {"mode": "glauber", "death_rate": 1.0, "z": 1.0},
+        "start": {"kind": "fixed", "points": [[0.0]]},
+        "cylinder": {"outer": "linear", "observables": [box]},
+        "fd": {"h": [0.01], "replicas": 1},
+        "rng": {"seed": 1},
+        "output": {"prefix": "probe"},
+    })
+    res = run_cli(["generator-check", "--config", path, "--out",
+                   str(tmp_path / "out")], str(tmp_path))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == "config error: need at least 2 replicas\n"

@@ -7,6 +7,7 @@ import pytest
 
 from freedyn.dynamics import (
     Buffer,
+    EventStream,
     EvolutionPlan,
     GlauberDynamics,
     TorusExact,
@@ -16,7 +17,8 @@ from freedyn.dynamics import (
     glauber_evolve,
 )
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
-from freedyn.pointproc import Configuration, PoissonMeasure, RngStream
+from freedyn.pointproc import (Configuration, PoissonMeasure, RngStream,
+                               mean_se, pair_into)
 from freedyn.space import Domain
 
 
@@ -192,13 +194,33 @@ class TestEventStream:
             rec = json.loads(line)
             assert rec["event"] in ("birth", "death", "jump")
 
+    @pytest.mark.parametrize("model", ["glauber", "kawasaki", "empty"])
+    def test_jsonl_parse_reserialize_and_replay(self, model):
+        cfg = fixed_config(6, T1)
+        if model == "glauber":
+            stream = event_stream(cfg, GlauberDynamics(1.0, 1.0), 1.5,
+                                  RngStream(15))
+            assert {e.kind for e in stream.events} == {"birth", "death"}
+        elif model == "kawasaki":
+            kernel = KawasakiKernel(T1, GaussianProfile(1, 1.0, 0.5))
+            stream = event_stream(cfg, kernel, 1.5, RngStream(16))
+            assert {e.kind for e in stream.events} == {"jump"}
+        else:
+            stream = EventStream([], 1.5)
+        text = stream.to_jsonl()
+        back = EventStream.from_jsonl(text)
+        assert back.events == stream.events
+        assert back.horizon == stream.horizon
+        assert back.to_jsonl() == text
+        for t in (0.0, 0.7, 1.5):
+            assert back.snapshot(cfg, t) == stream.snapshot(cfg, t)
+
 
 class TestMarkovPropertyInLaw:
     def test_two_step_equals_one_step(self):
         # evolve to 0.4 then fresh evolve to 0.6 vs directly to 1.0:
         # single-time empirical Laplace functionals agree within 3 sigma
         from freedyn.functions import TestFunction
-        from freedyn.observables import empirical_laplace
 
         phi = TestFunction.box(-0.5, (1.0,), (3.0,))
         kernel = KawasakiKernel(T1, GaussianProfile(1, 1.0, 0.5))
@@ -216,9 +238,15 @@ class TestMarkovPropertyInLaw:
             fin = evolve_snapshot(
                 mid, kernel, EvolutionPlan(times=(0.6,), boundary=TorusExact()), rng.child(2, i)
             )[0]
-            one.append([direct])
-            two.append([fin])
-        est1 = empirical_laplace(one, [phi])
-        est2 = empirical_laplace(two, [phi])
-        gap = abs(est1.mean - est2.mean)
-        assert gap <= 3 * math.hypot(est1.stderr, est2.stderr)
+            one.append(direct)
+            two.append(fin)
+
+        def laplace(snaps):
+            # prod (1 + phi) of every snapshot, paired as one replica batch
+            pts = np.concatenate([c.points for c in snaps])
+            ids = np.repeat(np.arange(len(snaps)), [len(c) for c in snaps])
+            return mean_se(np.exp(pair_into(np.zeros(len(snaps)), ids,
+                                            np.log1p(phi(pts)))))
+
+        (mean1, se1), (mean2, se2) = laplace(one), laplace(two)
+        assert abs(mean1 - mean2) <= 3 * math.hypot(se1, se2)

@@ -413,6 +413,13 @@ class TestExitProbability:
         assert est <= (1.0 - math.exp(-eps)) + 3 * se
         assert est <= bound + 3 * se
 
+    def test_single_path_is_refused(self):
+        # one path has no standard error; mean_se refuses it
+        kernel = KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.5))
+        with pytest.raises(ValueError, match="at least 2 replicas"):
+            exit_probability(kernel, np.array([0.0]), 1.0, 0.1, 1, 0.001,
+                             RngStream(10))
+
 
 def test_default_buffer_width_controls_leakage():
     kernel = BrownianKernel(D1)

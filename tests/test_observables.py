@@ -20,7 +20,6 @@ from freedyn.observables import (
     correlation_edges,
     correlations_from_counts,
     correlations_from_ursell,
-    empirical_laplace,
     estimate_correlations,
     generator_apply,
     generator_fd_check,
@@ -30,7 +29,8 @@ from freedyn.observables import (
     set_partitions,
     ursell_from_correlations,
 )
-from freedyn.pointproc import BoundedField, Configuration, PoissonMeasure, RngStream
+from freedyn.pointproc import (BoundedField, Configuration, PoissonMeasure,
+                               RngStream, mean_se, pair_into, run_chunks)
 from freedyn.space import Domain
 
 
@@ -56,34 +56,42 @@ class TestPairing:
         assert pairing(BOX, a.union(b)) == pytest.approx(pairing(BOX, a) + pairing(BOX, b))
 
 
+def batch_laplace(measure, phi, n, rng):
+    """Replica values of prod (1 + phi) over n draws of the measure."""
+    def worker(m, gen):
+        pts, ids = measure.sample_batch(m, gen)
+        return np.exp(pair_into(np.zeros(m), ids, np.log1p(phi(pts))))
+
+    return run_chunks(worker, n, rng)
+
+
 class TestEmpiricalLaplace:
+    """prod (1 + phi) on the replica-batch engine: sample_batch, pair_into,
+    run_chunks and mean_se."""
+
     def test_zero_function_exactly_one(self):
         zero = TestFunction.box(0.0, (-1.0,), (1.0,))
-        samples = [[config_of(0.0, 0.5)] for _ in range(10)]
-        est = empirical_laplace(samples, [zero])
-        assert est.mean == 1.0
-        assert est.stderr == 0.0
+        values = batch_laplace(config_of(0.0, 0.5), zero, 10, RngStream(0))
+        assert mean_se(values) == (1.0, 0.0)
 
     def test_deterministic_config_exact_product(self):
-        cfg = config_of(0.0, 0.5, 2.0)
-        est = empirical_laplace([[cfg]] * 5, [BOX])
-        assert est.mean == pytest.approx(0.5 * 0.5 * 1.0)
-        assert est.stderr == 0.0
+        # a Configuration's batch draws nothing: every replica is the product
+        values = batch_laplace(config_of(0.0, 0.5, 2.0), BOX, 5, RngStream(0))
+        assert np.all(values == 0.5 * 0.5 * 1.0)
+        assert mean_se(values) == (0.25, 0.0)
 
     def test_values_in_unit_interval(self):
-        rng = RngStream(55)
-        samples = [[PoissonMeasure(D1, 2.0).sample(rng.child(i))] for i in range(200)]
-        est = empirical_laplace(samples, [BOX])
-        assert 0.0 < est.mean <= 1.0
+        values = batch_laplace(PoissonMeasure(D1, 2.0), BOX, 200, RngStream(55))
+        assert np.all((values > 0.0) & (values <= 1.0))
+        assert 0.0 < mean_se(values)[0] <= 1.0
 
     def test_poisson_matches_closed_form(self):
         # E prod(1+phi) over Poisson(z) equals exp(z*int(phi))
         z = 2.0
-        rng = RngStream(56)
-        samples = [[PoissonMeasure(D1, z).sample(rng.child(i))] for i in range(20000)]
-        est = empirical_laplace(samples, [BOX])
+        mean, stderr = mean_se(batch_laplace(PoissonMeasure(D1, z), BOX,
+                                             20000, RngStream(56)))
         target = math.exp(z * BOX.integral())
-        assert abs(est.mean - target) <= 3 * est.stderr
+        assert abs(mean - target) <= 3 * stderr
 
 
 def test_poisson_laplace_exponent_box_oracle():
@@ -199,19 +207,27 @@ class TestGlauberJointLaplace:
 
 
 class TestCorrelations:
+    @staticmethod
+    def poisson_grid(z, order, bins, rng):
+        edges = correlation_edges(D1, bins)
+        measure = PoissonMeasure(D1, z)
+
+        def worker(m, gen):
+            pts, ids = measure.sample_batch(m, gen)
+            return bin_counts(pts, ids, m, D1, edges)
+
+        return correlations_from_counts(run_chunks(worker, 8000, rng), order,
+                                        edges)
+
     def test_poisson_first_order(self):
         z = 2.0
-        rng = RngStream(60)
-        samples = [PoissonMeasure(D1, z).sample(rng.child(i)) for i in range(8000)]
-        grid = estimate_correlations(samples, 1, bins_per_axis=5)
+        grid = self.poisson_grid(z, 1, 5, RngStream(60))
         sig = np.abs(grid.estimates - z) / np.maximum(grid.stderrs, 1e-12)
         assert np.max(sig) <= 3.5
 
     def test_poisson_second_order_disjoint(self):
         z = 2.0
-        rng = RngStream(61)
-        samples = [PoissonMeasure(D1, z).sample(rng.child(i)) for i in range(8000)]
-        grid = estimate_correlations(samples, 2, bins_per_axis=3)
+        grid = self.poisson_grid(z, 2, 3, RngStream(61))
         off = [k for k, idx in enumerate(grid.index_tuples) if len(set(idx)) == 2]
         sig = np.abs(grid.estimates[off] - z * z) / np.maximum(grid.stderrs[off], 1e-12)
         assert np.max(sig) <= 3.5
@@ -436,13 +452,13 @@ class TestGenerators:
             generator_fd_check(F, config_of(0.0), DeathKernel(D1, 1.0), 0.01,
                                10, RngStream(73))
 
-    def test_fd_single_replica_has_zero_stderr(self):
+    def test_fd_single_replica_is_refused(self):
+        # one replica has no standard error; mean_se refuses it
         F = CylinderFunction.linear(BOX)
-        chk = generator_fd_check(F, config_of(0.0, 0.5),
-                                 GlauberDynamics(1.0, 1.0), 0.01, 1,
-                                 RngStream(74))
-        assert chk.stderr == 0.0
-        assert chk.n_replicas == 1
+        with pytest.raises(ValueError, match="at least 2 replicas"):
+            generator_fd_check(F, config_of(0.0, 0.5),
+                               GlauberDynamics(1.0, 1.0), 0.01, 1,
+                               RngStream(74))
 
 
 BUMP = TestFunction.bump(-0.4, (0.5,), 1.2)

@@ -12,6 +12,7 @@ from freedyn.pointproc import (
     RngStream,
     chunk_sizes,
     mean_se,
+    pair_into,
     parallel_map_ordered,
     run_chunks,
     sample_poisson_space_time,
@@ -71,6 +72,22 @@ def test_run_chunks_and_mean_se_refuse_small_budgets():
         run_chunks(lambda m, gen: gen.random(m), 0, RngStream(9))
     with pytest.raises(ValueError, match="at least 2 replicas"):
         mean_se(np.ones(1))
+
+
+class TestPairInto:
+    def test_trailing_empty_replicas_stay_zero(self):
+        acc = np.zeros(5)
+        out = pair_into(acc, np.array([0, 0, 2]), np.array([1.0, 2.0, 3.0]))
+        assert out is acc
+        assert np.array_equal(acc, [3.0, 0.0, 3.0, 0.0, 0.0])
+
+    def test_zero_values_are_skipped(self):
+        # a zero adds nothing, so even an id past the end is never read
+        acc = np.full(3, 0.5)
+        pair_into(acc, np.array([1, 7]), np.array([2.0, 0.0]))
+        assert np.array_equal(acc, [0.5, 2.5, 0.5])
+        pair_into(acc, np.array([9, 9]), np.zeros(2))
+        assert np.array_equal(acc, [0.5, 2.5, 0.5])
 
 
 class TestConfiguration:

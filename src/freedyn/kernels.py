@@ -296,6 +296,7 @@ class BumpProfile:
 # jump-count series
 
 _MAX_SERIES_TERMS = 100000  # longest jump-count series before refusal
+_MAX_DIRECT_RADII = 1 << 21  # most escape-series terms bounded one by one
 
 
 def _poisson_weights(mu, n):
@@ -700,6 +701,13 @@ class KawasakiKernel(Kernel):
     def escape_series(self, epsilon, delta, beta, n_direct, target_tol):
         remainder, n_from = _kawasaki_remainder(self.profile, epsilon, delta,
                                                 beta, n_direct, target_tol)
+        if n_from > _MAX_DIRECT_RADII:
+            # the direct terms run up to the remainder's first index: refuse
+            # before allocating one radius per term
+            raise RuntimeError(
+                "direct escape series needs %d radii, past the cap %d; "
+                'the "certificate": "polynomial" route bounds it in closed '
+                "form" % (n_from, _MAX_DIRECT_RADII))
         n = np.arange(1, n_from + 1)
         return self.tail_bound_batch(epsilon, delta * n ** (1.0 / beta)), \
             remainder
@@ -990,7 +998,9 @@ def check_summability(kernel, alpha, m, epsilon, delta, target_tol=1e-10,
     (tails are stochastically monotone in t), which is unit-tested rather than
     assumed.  Terms up to n_direct use the kernel tail bound directly; the
     kernel's escape_series bounds the infinite remainder analytically.
-    converges means the certified remainder is below target_tol.
+    converges means the certified remainder is below target_tol.  A jump
+    kernel whose remainder starts past _MAX_DIRECT_RADII terms raises
+    RuntimeError (kawasaki_polynomial_certificate covers that case).
     """
     if alpha < 1 or m < 1 or epsilon <= 0 or delta <= 0:
         raise ValueError("need alpha >= 1, m >= 1, epsilon > 0, delta > 0")

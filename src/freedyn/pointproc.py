@@ -123,7 +123,8 @@ def pair_into(acc, ids, values):
     """acc[r] += sum of the values whose replica id is r; returns acc."""
     hit = values != 0.0
     if np.any(hit):
-        acc += np.bincount(ids[hit], weights=values[hit], minlength=len(acc))
+        acc += np.bincount(ids.compress(hit), weights=values.compress(hit),
+                           minlength=len(acc))
     return acc
 
 

@@ -277,11 +277,21 @@ class ScalingReport:
         return out.getvalue()
 
 
-def _pair_log1p(acc, ids, vals):
-    # acc[r] += sum of log1p(phi) over replica r's points
-    vals = np.asarray(vals, dtype=float)
-    hit = vals != 0.0  # most points miss phi; skip their log1p
-    pair_into(acc, ids[hit], np.log1p(vals[hit]))
+def _pair_log1p(acc, ids, phi, pts):
+    """acc[r] += sum of log1p(phi) over replica r's points; returns acc.
+
+    phi must be a TestFunction: it is exactly 0 off its closed support box
+    [support_lo, support_hi], so only the points inside that box are
+    evaluated.  The nonzero (id, value) pairs, and their order, are those
+    of phi at every point, so acc gets the same bits.
+    """
+    inside = np.ones(len(pts), dtype=bool)
+    for col, lo, hi in zip(pts.T, phi.support_lo, phi.support_hi):
+        inside &= col >= lo  # column by column: a reduce over axis 1
+        inside &= col <= hi  # is several times slower in 2-D
+    rows = np.flatnonzero(inside)  # few rows: one scan serves pts and ids
+    vals = phi(pts.take(rows, axis=0))
+    return pair_into(acc, ids.take(rows), np.log1p(vals))
 
 
 def _contracted_paths(domain, pts, draws, eps):
@@ -326,19 +336,21 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     # pair it once, then keep only the movers
     # (one full-length array at a time, to keep the chunk's peak memory low)
     acc = np.zeros(n_rep)
-    still_pts, still_ids = pts[~moved], ids[~moved]
+    still_pts = pts.compress(~moved, axis=0)
+    still_ids = ids.compress(~moved)
     for phi in phis:
-        _pair_log1p(acc, still_ids, phi(still_pts))
+        _pair_log1p(acc, still_ids, phi, still_pts)
     del still_pts, still_ids
-    pts = pts[moved]
-    ids = ids[moved]
-    draws = [(np.flatnonzero(ring[moved]), step) for ring, step in draws]
+    pts = pts.compress(moved, axis=0)
+    ids = ids.compress(moved)
+    draws = [(np.flatnonzero(ring.compress(moved)), step)
+             for ring, step in draws]
     del moved
     out = np.empty((n_rep, len(eps_schedule)))
     for col, eps in enumerate(eps_schedule):
         logs = acc.copy()
         for pos, phi in zip(_contracted_paths(domain, pts, draws, eps), phis):
-            _pair_log1p(logs, ids, phi(pos))
+            _pair_log1p(logs, ids, phi, pos)
         out[:, col] = np.exp(logs)
     return out
 
@@ -351,7 +363,9 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     measure under the jump kernel with profile contracted by that epsilon,
     and estimates E[prod_i exp<log(1+phi_i), gamma_{t_i}>].  The closed-form
     target is the birth-and-death value with death rate <profile> and
-    immigration equal to the measure's intensity.
+    immigration equal to the measure's intensity.  Each phi_i must be a
+    TestFunction (the CLI builds nothing else): it is exactly 0 off its
+    closed support box, and it is evaluated only at the points inside it.
 
     The contracted jump law is the base one divided by epsilon (mass fixed,
     jumps stretched by 1/epsilon), so one start and one set of base-profile

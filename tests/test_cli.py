@@ -10,10 +10,10 @@ import pytest
 from cli_env import checkout_env
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     return subprocess.run([sys.executable, "-m", "freedyn.cli"] + list(args),
                           capture_output=True, text=True, cwd=cwd,
-                          env=checkout_env())
+                          env=checkout_env(), timeout=timeout)
 
 
 def write_config(tmp_path, name, payload):
@@ -306,6 +306,25 @@ def test_polynomial_certificate_moment_and_exit_class(tmp_path):
                    "--out", str(tmp_path / "big")], str(tmp_path))
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("numerical nonconvergence:")
+
+
+def test_direct_certificate_past_the_radius_cap_is_refused(tmp_path):
+    # alpha 3 puts the direct remainder's first index at about 6.6e7: the
+    # run is refused before it allocates one radius per term (exit 3), and
+    # the message points at the polynomial route
+    path = write_config(tmp_path, "wide.json", {
+        "domain": {"mode": "fullspace", "window": [[0.0], [1.0]]},
+        "kernel": {"variant": "kawasaki",
+                   "profile": {"kind": "gaussian", "mass": 1.0, "std": 0.7}},
+        "summability": {"alpha": 3.0, "m": 1},
+        "rng": {"seed": 1},
+        "output": {"prefix": "probe"},
+    })
+    res = run_cli(["check-summability", "--config", path, "--out",
+                   str(tmp_path / "out")], str(tmp_path), timeout=30)
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("numerical nonconvergence:")
+    assert '"certificate": "polynomial"' in res.stderr
 
 
 def test_single_replica_generator_check_is_a_config_error(tmp_path):

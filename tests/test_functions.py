@@ -251,3 +251,46 @@ def test_bump_class_d_property(level, radius):
     vals = f(xs)
     assert np.all(vals <= 0.0) and np.all(vals > -1.0)
     assert abs(f.integral()) <= abs(level) * 2 * radius
+
+
+@st.composite
+def _function_and_points_outside(draw):
+    """A box or bump in dim 1-3 and points off its closed support box: one
+    coordinate of each lies below support_lo or above support_hi, by up to
+    100 or by a single ulp."""
+    dim = draw(st.integers(1, 3))
+
+    def vec(elements):
+        return st.lists(elements, min_size=dim, max_size=dim).map(np.array)
+
+    level = draw(st.floats(-1.0, 0.0, exclude_min=True))
+    if draw(st.booleans()):
+        lo = draw(vec(st.floats(-50.0, 50.0)))
+        phi = TestFunction.box(level, lo,
+                               lo + draw(vec(st.floats(1e-6, 20.0))))
+    else:
+        phi = TestFunction.bump(level, draw(vec(st.floats(-50.0, 50.0))),
+                                draw(st.floats(1e-6, 20.0)))
+    lo, hi = phi.support_lo, phi.support_hi
+    pts = []
+    for _ in range(draw(st.integers(1, 8))):
+        x = lo + draw(vec(st.floats(0.0, 1.0))) * (hi - lo)
+        axis = draw(st.integers(0, dim - 1))
+        gap = draw(st.one_of(st.just(0.0), st.floats(0.0, 100.0)))
+        if draw(st.booleans()):
+            x[axis] = np.nextafter(lo[axis] - gap, -np.inf)
+        else:
+            x[axis] = np.nextafter(hi[axis] + gap, np.inf)
+        pts.append(x)
+    return phi, np.array(pts)
+
+
+@given(case=_function_and_points_outside())
+@settings(max_examples=300, deadline=None)
+def test_test_functions_vanish_off_their_support_box(case):
+    # the scaling experiment evaluates each observable only inside its
+    # closed support box: it must be exactly 0 everywhere else
+    phi, pts = case
+    off = (pts < phi.support_lo) | (pts > phi.support_hi)
+    assert np.all(np.any(off, axis=1))
+    assert np.all(phi(pts) == 0.0)

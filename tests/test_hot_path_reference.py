@@ -8,7 +8,9 @@ of the same bits at the same seeds.  The Poisson configuration sampler
 product oracle were folded into the starting-measure protocol
 (``PoissonMeasure.sample`` / ``sample_batch`` and
 ``Configuration.expected_product_functional``) under the same promise.
-The functions below are the earlier implementations, kept verbatim; every
+The scaling experiment's chunk worker ``_chunk_joint_values`` now
+evaluates each observable only inside its support box and selects rows
+with ``compress``, under the same promise.  The functions below are the earlier implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
 shapes, domains and seeds.  One line changed on purpose: the Kawasaki
 jump counts no longer come from numpy's Poisson sampler but from one
@@ -30,7 +32,7 @@ from freedyn.kernels import (BrownianKernel, BumpProfile, GaussianProfile,
 from freedyn.observables import glauber_joint_laplace
 from freedyn.pointproc import (BoundedField, Configuration, PoissonMeasure,
                                RngStream, as_field)
-from freedyn.scaling import NeymanScottMeasure
+from freedyn.scaling import NeymanScottMeasure, _chunk_joint_values
 from freedyn.space import Domain
 
 
@@ -198,6 +200,65 @@ def ref_fixed_product(config, terms, phis):
     return float(math.exp(np.sum(np.log(acc))))
 
 
+def ref_pair_into(acc, ids, values):
+    hit = values != 0.0
+    if np.any(hit):
+        acc += np.bincount(ids[hit], weights=values[hit], minlength=len(acc))
+    return acc
+
+
+def ref_pair_log1p(acc, ids, vals):
+    vals = np.asarray(vals, dtype=float)
+    hit = vals != 0.0
+    ref_pair_into(acc, ids[hit], np.log1p(vals[hit]))
+
+
+def ref_contracted_paths(domain, pts, draws, eps):
+    pos = pts.copy()
+    for hop, step in draws:
+        moved = step / eps
+        moved += pos[hop]
+        pos[hop] = domain.wrap(moved, copy=False)
+        yield pos
+
+
+def ref_rings(kernel, n, dts, gen):
+    for dt in dts:
+        hop, step = kernel.jumps(n, dt, gen)
+        ring = np.zeros(n, dtype=bool)
+        ring[hop] = True
+        yield ring, step
+
+
+def ref_chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
+                           gen):
+    domain = measure.domain
+    pts, ids = measure.sample_batch(n_rep, gen)
+    pts = domain.wrap(pts, copy=False)
+    n = len(pts)
+    draws = list(ref_rings(kernel, n, np.diff(times, prepend=0.0), gen))
+    moved = np.zeros(n, dtype=bool)
+    for ring, _ in draws:
+        moved |= ring
+    acc = np.zeros(n_rep)
+    still_pts, still_ids = pts[~moved], ids[~moved]
+    for phi in phis:
+        ref_pair_log1p(acc, still_ids, phi(still_pts))
+    del still_pts, still_ids
+    pts = pts[moved]
+    ids = ids[moved]
+    draws = [(np.flatnonzero(ring[moved]), step) for ring, step in draws]
+    del moved
+    out = np.empty((n_rep, len(eps_schedule)))
+    for col, eps in enumerate(eps_schedule):
+        logs = acc.copy()
+        for pos, phi in zip(ref_contracted_paths(domain, pts, draws, eps),
+                            phis):
+            ref_pair_log1p(logs, ids, phi(pos))
+        out[:, col] = np.exp(logs)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the grid: dimension, domain, time shape, seed
 
@@ -281,6 +342,78 @@ def test_neyman_scott_sample_batch_matches_reference(mode, seed):
     want = ref_neyman_scott(measure, 40, RngStream(seed).generator())
     _same(got[0], want[0])
     _same(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# the scaling chunk worker: support cull and compress against the masks
+
+CHUNK_SIDE = 6.0
+CHUNK_TIMES = (0.4, 0.9, 1.6)
+CHUNK_SCHEDULE = (1.0, 0.5, 0.1)
+
+
+def _chunk_phis(dim):
+    """A box from the cell's lower edge, a bump crossing the upper edge, a
+    zero-level box; one per time, in each of three orders."""
+    box = TestFunction.box(-0.5, (0.0,) * dim, (2.5,) + (4.0,) * (dim - 1))
+    bump = TestFunction.bump(-0.7, (5.5,) + (3.0,) * (dim - 1), 1.8)
+    zero = TestFunction.box(0.0, (1.0,) * dim, (3.0,) * dim)
+    return {"box-bump-zero": (box, bump, zero),
+            "bump-zero-box": (bump, zero, box),
+            "zero-box-bump": (zero, box, bump)}
+
+
+def _chunk_measures(dim):
+    torus = Domain.torus(dim, CHUNK_SIDE)
+    return {"poisson": PoissonMeasure(torus, 1.2),
+            "neyman-scott": NeymanScottMeasure(torus, 0.6, 0.5, 0.3)}
+
+
+def _chunk_kernels(dim):
+    torus = Domain.torus(dim, CHUNK_SIDE)
+    return {"gauss": KawasakiKernel(torus, GaussianProfile(dim, 1.3, 0.7)),
+            "bump": KawasakiKernel(torus, BumpProfile(dim, 2.0, 1.1))}
+
+
+def _same_chunk(measure, kernel, phis, n_rep, seed):
+    args = (measure, kernel, CHUNK_TIMES, phis, CHUNK_SCHEDULE, n_rep)
+    got = _chunk_joint_values(*args, RngStream(seed).generator())
+    want = ref_chunk_joint_values(*args, RngStream(seed).generator())
+    _same(got, want)
+    return got
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("start", ["poisson", "neyman-scott"])
+@pytest.mark.parametrize("profile", ["gauss", "bump"])
+@pytest.mark.parametrize("order", sorted(_chunk_phis(1)))
+def test_chunk_joint_values_matches_reference(dim, start, profile, order):
+    measure = _chunk_measures(dim)[start]
+    kernel = _chunk_kernels(dim)[profile]
+    got = _same_chunk(measure, kernel, _chunk_phis(dim)[order], 400, 31)
+    # the observables are hit: some replicas leave the value 1
+    assert np.any(got < 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_chunk_joint_values_nothing_moves(dim):
+    torus = Domain.torus(dim, CHUNK_SIDE)
+    kernel = KawasakiKernel(torus, GaussianProfile(dim, 1e-12, 0.7))
+    assert not len(kernel.jumps(10 ** 5, CHUNK_TIMES[-1],
+                                RngStream(5).generator())[0])
+    got = _same_chunk(PoissonMeasure(torus, 1.2), kernel,
+                      _chunk_phis(dim)["box-bump-zero"], 300, 5)
+    # nothing moves, so every epsilon reads the same values
+    assert np.all(got == got[:, :1]) and np.any(got < 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_chunk_joint_values_without_points(dim):
+    measure = PoissonMeasure(Domain.torus(dim, CHUNK_SIDE), 1e-12)
+    kernel = _chunk_kernels(dim)["gauss"]
+    got = _same_chunk(measure, kernel, _chunk_phis(dim)["box-bump-zero"],
+                      50, 7)
+    assert np.all(got == 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,33 @@ class TestSharedDraws:
         assert self._run(measure, phis, (0.5,), 50).estimates == (1.0,)
 
 
+@pytest.mark.parametrize("start", [0, 1], ids=("poisson", "neyman-scott"))
+def test_criterion_6_chunk_peak_memory(start):
+    # one full chunk of criterion 6 under tracemalloc.  The worker holds the
+    # start arrays and one boolean ring mask per time step; its traced peak
+    # is 77.5 MiB for either start.  Index maps beside them (an n-length
+    # int64 rank, int64 hops per step) would push it past 90 MiB.
+    import tracemalloc
+
+    from freedyn.pointproc import CHUNK
+    from freedyn.scaling import _chunk_joint_values
+
+    measure = (PoissonMeasure(T100, 1.0),
+               NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25))[start]
+    kernel = KawasakiKernel(T100, GaussianProfile(1, 1.0, 1.0))
+    phis = (TestFunction.box(-0.5, (48.0,), (52.0,)),
+            TestFunction.box(-0.6, (49.0,), (53.0,)))
+    gen = RngStream(1006, start).child(0).generator()
+    tracemalloc.start()
+    try:
+        _chunk_joint_values(measure, kernel, (0.5, 1.0), phis,
+                            (1.0, 0.5, 0.25, 0.1), CHUNK, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
+
+
 @pytest.mark.parametrize("profile", (GaussianProfile(1, 1.0, 0.8),
                                      BumpProfile(1, 2.0, 1.1)),
                          ids=("gauss", "bump"))

@@ -29,7 +29,7 @@ import numpy as np
 from .kernels import default_buffer_width
 from .pointproc import (BoundedField, Configuration, PoissonMeasure,
                         as_field, sample_poisson_space_time)
-from .space import Domain
+from .space import Domain, in_box
 
 CONSERVATIVE = "conservative"
 SUBMARKOV_IMMIGRATION = "submarkov_immigration"
@@ -185,8 +185,8 @@ def _seed_buffer(config, kernel, plan, rng):
     if width > 0 and density > 0:
         shell = PoissonMeasure(Domain.fullspace(lo, hi), density).sample(
             rng.child(0xB0FF))
-        outside = ~np.all((shell.points >= domain.lower)
-                          & (shell.points <= domain.upper), axis=1)
+        outside = ~in_box(shell.points, domain.lower, domain.upper,
+                          closed=True)
         pts = np.vstack([pts, shell.points[outside]])
     return pts, lo, hi, width
 
@@ -216,7 +216,7 @@ def _march(points, kernel, times, gen, immigrants=None, cull=None):
                 born = born[balive]
                 pts = np.vstack([pts, born]) if len(pts) else born
         if cull is not None and len(pts):
-            inside = np.all((pts >= cull[0]) & (pts <= cull[1]), axis=1)
+            inside = in_box(pts, cull[0], cull[1], closed=True)
             pts = pts[inside]
         snaps.append(np.array(pts, copy=True))
         prev = t
@@ -225,7 +225,7 @@ def _march(points, kernel, times, gen, immigrants=None, cull=None):
 
 def _window_snapshot(pts, domain):
     if len(pts):
-        inside = np.all((pts >= domain.lower) & (pts <= domain.upper), axis=1)
+        inside = in_box(pts, domain.lower, domain.upper, closed=True)
         pts = pts[inside]
     return Configuration(pts, domain)
 

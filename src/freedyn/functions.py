@@ -22,6 +22,8 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
+from .space import in_box
+
 
 class TestFunction:
     """Compactly supported function with values in (-1, 0].
@@ -67,7 +69,7 @@ class TestFunction:
     def __call__(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.family == "box":
-            inside = np.all((pts >= self.support_lo) & (pts < self.support_hi), axis=1)
+            inside = in_box(pts, self.support_lo, self.support_hi)
             return np.where(inside, self.level, 0.0)
         c, r = self.params["center"], self.params["radius"]
         u = np.sum(np.square((pts - c) / r), axis=1)

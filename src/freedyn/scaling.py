@@ -27,12 +27,12 @@ from functools import partial
 
 import numpy as np
 
-from .functions import box_quad, support_box
+from .functions import TestFunction, box_quad, support_box
 from .kernels import GaussianProfile, KawasakiKernel
 from .observables import glauber_joint_laplace
 from .pointproc import (BatchMeasure, PoissonMeasure, mean_se, pair_into,
                         run_chunks)
-from .space import Domain
+from .space import Domain, in_box
 
 
 def _involution_numbers(n_max):
@@ -285,11 +285,9 @@ def _pair_log1p(acc, ids, phi, pts):
     evaluated.  The nonzero (id, value) pairs, and their order, are those
     of phi at every point, so acc gets the same bits.
     """
-    inside = np.ones(len(pts), dtype=bool)
-    for col, lo, hi in zip(pts.T, phi.support_lo, phi.support_hi):
-        inside &= col >= lo  # column by column: a reduce over axis 1
-        inside &= col <= hi  # is several times slower in 2-D
-    rows = np.flatnonzero(inside)  # few rows: one scan serves pts and ids
+    # few rows: one scan serves pts and ids
+    rows = np.flatnonzero(in_box(pts, phi.support_lo, phi.support_hi,
+                                 closed=True))
     vals = phi(pts.take(rows, axis=0))
     return pair_into(acc, ids.take(rows), np.log1p(vals))
 
@@ -305,7 +303,7 @@ def _contracted_paths(domain, pts, draws, eps):
     pos = pts.copy()
     for hop, step in draws:
         moved = step / eps
-        moved += pos[hop]
+        moved += pos.take(hop, axis=0)
         pos[hop] = domain.wrap(moved, copy=False)
         yield pos
 
@@ -319,11 +317,87 @@ def _rings(kernel, n, dts, gen):
         yield ring, step
 
 
+_REACH_PAD = 1e-9  # relative slack of a reach; times side, its absolute one
+_BLOCK = 1 << 15  # rows per pass of the reach test: its buffers stay in cache
+
+
+def _in_reach(side, pts, reach, phis):
+    """Rows that can get within reach of some phi's support box.
+
+    pts lie in the cell [0, side) of a torus and reach[i, c] >= 0 bounds
+    how far row i moves along coordinate c.  A box counts by its part in
+    the cell, where all positions lie: [lo, hi] clipped to [0, side].  Row
+    i is kept when, for some phi, every coordinate c of pts[i] lies within
+    (1 + 1e-9) * reach[i, c] + 1e-9 * side of that interval in torus
+    distance.  The slack covers the rounding of the paths and of this
+    test: whenever some wrap(pts[i] + delta) with |delta[c]| <= reach[i, c]
+    lies in a box, row i is kept.
+    """
+    keep = np.zeros(len(pts), dtype=bool)
+    slack = reach * (1.0 + _REACH_PAD)
+    gap, far = np.empty(len(pts)), np.empty(len(pts))
+    for phi in phis:
+        lo, hi = phi.support_lo, phi.support_hi
+        if np.any(lo >= side) or np.any(hi < 0.0):
+            continue  # the box misses the cell
+        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, side)
+        hit = None
+        for col, r, a, b in zip(pts.T, slack.T, lo, hi):
+            half = 0.5 * (b - a)
+            if 2.0 * half >= side:
+                continue  # the box spans the circle
+            # torus distance from the box centre, less the half-width
+            np.subtract(col, a + half, out=gap)
+            np.abs(gap, out=gap)
+            np.subtract(side, gap, out=far)
+            np.minimum(gap, far, out=gap)
+            gap -= half + _REACH_PAD * side
+            near = gap <= r
+            hit = near if hit is None else np.logical_and(hit, near, out=hit)
+        if hit is None:
+            return np.ones(len(pts), dtype=bool)  # the box spans the torus
+        keep |= hit
+    return keep
+
+
+def _cull_far(side, pts, draws, eps_min, phis, moved):
+    """Clear in moved the rows that cannot meet a phi; returns moved.
+
+    draws holds the (ring mask, step) pairs of _rings.  A row's reach
+    along a coordinate is the sum over draws of its |step| / eps_min, the
+    farthest any epsilon of the schedule carries it; _in_reach tests it
+    block by block of rows, so the reach never spans the whole chunk.
+    """
+    at = [0] * len(draws)  # each draw's first step row of the block
+    for start in range(0, len(pts), _BLOCK):
+        rows = slice(start, start + _BLOCK)
+        block = pts[rows]
+        reach = np.zeros(block.shape[::-1])  # coordinate-major
+        for j, (ring, step) in enumerate(draws):
+            hop = np.flatnonzero(ring[rows])
+            step = step[at[j]:at[j] + len(hop)]
+            at[j] += len(hop)
+            for r, s in zip(reach, step.T):
+                np.add.at(r, hop, np.abs(s))
+        reach /= eps_min
+        moved[rows] &= _in_reach(side, block, reach.T, phis)
+    return moved
+
+
 def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
                         gen):
-    # one replica = one start and one set of base-profile jumps, read off
-    # at every eps of the schedule: column e holds the joint Laplace
-    # integrand of the dynamics contracted by eps_schedule[e]
+    """(n_rep, len(eps_schedule)) joint Laplace integrands of one chunk.
+
+    One replica is one start and one set of base-profile jumps, read off
+    at every eps of the schedule: column e holds the integrand of the
+    dynamics contracted by eps_schedule[e].  The domain must be a torus
+    and phis TestFunctions.  A row that never rings is paired once.  A
+    mover whose start lies farther than its reach (its summed |step| over
+    the smallest eps) from every phi's support box, in torus distance per
+    coordinate, is dropped before the eps loop: no phi is nonzero on its
+    path, so the kept rows give the same (id, value) pairs in the same
+    order, and the same bits, as every row would.
+    """
     domain = measure.domain
     pts, ids = measure.sample_batch(n_rep, gen)
     pts = domain.wrap(pts, copy=False)  # rows that never ring are read here
@@ -332,8 +406,7 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     moved = np.zeros(n, dtype=bool)
     for ring, _ in draws:
         moved |= ring
-    # a row that never rings sits at its start at every time and every eps:
-    # pair it once, then keep only the movers
+    # pair the rows that never ring, then keep the movers in reach
     # (one full-length array at a time, to keep the chunk's peak memory low)
     acc = np.zeros(n_rep)
     still_pts = pts.compress(~moved, axis=0)
@@ -341,11 +414,14 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     for phi in phis:
         _pair_log1p(acc, still_ids, phi, still_pts)
     del still_pts, still_ids
-    pts = pts.compress(moved, axis=0)
-    ids = ids.compress(moved)
-    draws = [(np.flatnonzero(ring.compress(moved)), step)
-             for ring, step in draws]
+    keep = _cull_far(domain.side, pts, draws, min(eps_schedule), phis, moved)
     del moved
+    pts = pts.compress(keep, axis=0)
+    ids = ids.compress(keep)
+    draws = [(np.flatnonzero(ring.compress(keep)),
+              step.compress(keep.compress(ring), axis=0))
+             for ring, step in draws]
+    del keep
     out = np.empty((n_rep, len(eps_schedule)))
     for col, eps in enumerate(eps_schedule):
         logs = acc.copy()
@@ -366,6 +442,10 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     immigration equal to the measure's intensity.  Each phi_i must be a
     TestFunction (the CLI builds nothing else): it is exactly 0 off its
     closed support box, and it is evaluated only at the points inside it.
+    A particle whose start lies, in torus distance, farther from every
+    support box than the sum of its jumps divided by the smallest epsilon
+    can never meet a phi_i, so it is dropped before propagation; the
+    results keep their bits.
 
     The contracted jump law is the base one divided by epsilon (mass fixed,
     jumps stretched by 1/epsilon), so one start and one set of base-profile
@@ -380,8 +460,9 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
 
     The domain must be a torus: on full space the start is sampled on the
     window only and particles that jump out never come back, so the
-    estimates converge to the wrong value.  Raises ValueError for a
-    full-space domain or a measure that fails its admissibility checks.
+    estimates converge to the wrong value.  Raises ValueError, before any
+    draw, for a full-space domain, a measure that fails its admissibility
+    checks or an observable that is not a TestFunction.
     """
     if not measure.domain.is_torus:
         raise ValueError("scaling needs a torus domain")
@@ -395,6 +476,12 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
         raise ValueError("times must be strictly increasing and > 0")
     if len(phi_list) != len(times):
         raise ValueError("need one test function per time")
+    for i, phi in enumerate(phi_list):
+        if not isinstance(phi, TestFunction):
+            # the pairing and the reach cull read a phi only inside its box
+            raise ValueError("observable %d is a %s, not a TestFunction: "
+                             "only a TestFunction is exactly 0 off its "
+                             "support box" % (i, type(phi).__name__))
     eps_schedule = [float(e) for e in eps_schedule]
     if not eps_schedule:
         raise ValueError("need at least one epsilon")

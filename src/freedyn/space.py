@@ -30,6 +30,21 @@ def ball_volume(dim, radius):
     return unit * radius ** dim
 
 
+def in_box(pts, lo, hi, closed=False):
+    """Whether each row of the (n, dim) array pts lies in the box [lo, hi)
+    (the closed box [lo, hi] when closed); NaN lies in no box.
+
+    The same booleans as np.all((pts >= lo) & (pts < hi), axis=1), built
+    column by column: a reduce over axis 1 is several times slower.
+    """
+    inside = np.ones(len(pts), dtype=bool)
+    below = np.less_equal if closed else np.less
+    for col, a, b in zip(pts.T, lo, hi, strict=True):
+        inside &= col >= a
+        inside &= below(col, b)
+    return inside
+
+
 @dataclass(frozen=True)
 class Domain:
     """Geometry the particles live in.
@@ -134,7 +149,7 @@ class Domain:
     def contains(self, points):
         """Whether each row lies in the observation window."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.all((pts >= self.lower) & (pts < self.upper), axis=1)
+        return in_box(pts, self.lower, self.upper)
 
     def to_dict(self):
         out = {"dimension": self.dim, "mode": self.mode}

@@ -247,6 +247,40 @@ def test_scaling_on_full_space_is_a_config_error(tmp_path):
     assert not list(out.iterdir())
 
 
+def test_scaling_refuses_a_non_test_function_with_exit_2(tmp_path,
+                                                         monkeypatch, capsys):
+    # the config language builds only TestFunctions; wrap one in a
+    # NumericFunction in-process to reach the refusal
+    from freedyn import cli
+    from freedyn.functions import NumericFunction
+
+    build = cli.build_phis
+
+    def numeric_phis(cfg, dim):
+        return [NumericFunction(p, p.support_lo, p.support_hi, p.bound)
+                for p in build(cfg, dim)]
+
+    monkeypatch.setattr(cli, "build_phis", numeric_phis)
+    cfg = {
+        "domain": {"mode": "torus", "dim": 1, "side": 20.0},
+        "profile": {"kind": "gaussian", "mass": 1.0, "std": 1.0},
+        "start": {"kind": "poisson", "intensity": 1.0},
+        "dynamics": {"times": [0.5]},
+        "observables": [
+            {"family": "box", "level": -0.5, "lo": [4.0], "hi": [6.0]}],
+        "scaling": {"eps": [1.0]},
+        "samples": 200,
+        "rng": {"seed": 3},
+        "output": {"prefix": "probe"},
+    }
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["scaling", "--config", path, "--out", str(out)]) == 2
+    assert ("observable 0 is a NumericFunction, not a TestFunction"
+            in capsys.readouterr().err)
+    assert not list(out.iterdir())
+
+
 def test_scaling_outputs_identical_across_reruns_and_threads(tmp_path):
     # two chunks, so threads really split the work
     cfg = {

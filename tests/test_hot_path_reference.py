@@ -9,8 +9,10 @@ product oracle were folded into the starting-measure protocol
 (``PoissonMeasure.sample`` / ``sample_batch`` and
 ``Configuration.expected_product_functional``) under the same promise.
 The scaling experiment's chunk worker ``_chunk_joint_values`` now
-evaluates each observable only inside its support box and selects rows
-with ``compress``, under the same promise.  The functions below are the earlier implementations, kept verbatim; every
+evaluates each observable only inside its support box, selects rows with
+``compress`` and drops the movers that cannot reach any support box,
+under the same promise.  The functions below are the earlier
+implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
 shapes, domains and seeds.  One line changed on purpose: the Kawasaki
 jump counts no longer come from numpy's Poisson sampler but from one
@@ -26,6 +28,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.special import pdtr
 
+from freedyn import scaling
 from freedyn.functions import TestFunction, support_box
 from freedyn.kernels import (BrownianKernel, BumpProfile, GaussianProfile,
                              KawasakiKernel, KilledBrownianKernel)
@@ -414,6 +417,134 @@ def test_chunk_joint_values_without_points(dim):
     got = _same_chunk(measure, kernel, _chunk_phis(dim)["box-bump-zero"],
                       50, 7)
     assert np.all(got == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the reach cull: on a wide torus most movers can never meet a support box
+
+CULL_SIDE = 60.0
+
+
+def _cull_phis(dim):
+    """A box across the cell edge 0/side, a bump across the upper edge, a
+    box partly outside the cell (in 2-D also wider than the side)."""
+    if dim == 1:
+        edge = TestFunction.box(-0.5, (-2.0,), (3.0,))
+        part = TestFunction.box(-0.4, (57.5,), (63.0,))
+    else:
+        edge = TestFunction.box(-0.5, (-2.0, 20.0), (3.0, 26.0))
+        part = TestFunction.box(-0.4, (-10.0, 57.0), (70.0, 62.0))
+    bump = TestFunction.bump(-0.7, (59.0,) + (40.0,) * (dim - 1), 2.5)
+    return edge, bump, part
+
+
+def _cull_case(dim, start, profile):
+    torus = Domain.torus(dim, CULL_SIDE)
+    measure = {"poisson": PoissonMeasure(torus, 0.8 if dim == 1 else 0.03),
+               "neyman-scott": NeymanScottMeasure(
+                   torus, 0.5 if dim == 1 else 0.02, 0.5, 0.3)}[start]
+    prof = {"gauss": GaussianProfile(dim, 1.3, 0.3),
+            "bump": BumpProfile(dim, 2.0, 0.4)}[profile]
+    return measure, KawasakiKernel(torus, prof)
+
+
+def _same_culled_chunk(monkeypatch, measure, kernel, phis, seed):
+    # spy on the cull: (movers, kept movers) of the chunk
+    seen = []
+    cull = scaling._cull_far
+
+    def spy(side, pts, draws, eps_min, phis, moved):
+        movers = int(np.count_nonzero(moved))
+        keep = cull(side, pts, draws, eps_min, phis, moved)
+        seen.append((movers, int(np.count_nonzero(keep))))
+        return keep
+
+    monkeypatch.setattr(scaling, "_cull_far", spy)
+    got = _same_chunk(measure, kernel, phis, 300, seed)
+    (movers, kept), = seen
+    return got, movers, kept
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("start", ["poisson", "neyman-scott"])
+@pytest.mark.parametrize("profile", ["gauss", "bump"])
+def test_chunk_joint_values_culled_matches_reference(monkeypatch, dim, start,
+                                                     profile):
+    measure, kernel = _cull_case(dim, start, profile)
+    got, movers, kept = _same_culled_chunk(monkeypatch, measure, kernel,
+                                           _cull_phis(dim), 41)
+    assert np.any(got < 1.0)
+    assert 0 < kept < movers / 2  # the cull drops most movers
+
+
+def test_chunk_joint_values_box_wider_than_side_keeps_every_mover(
+        monkeypatch):
+    measure, kernel = _cull_case(1, "poisson", "gauss")
+    edge, bump, _ = _cull_phis(1)
+    wide = TestFunction.box(-0.2, (-10.0,), (75.0,))
+    got, movers, kept = _same_culled_chunk(monkeypatch, measure, kernel,
+                                           (edge, wide, bump), 43)
+    assert kept == movers > 0 and np.any(got < 1.0)
+
+
+def _meets(x, r, a, b, side):
+    """Some wrap(x + d) with |d| <= r lies in [a, b]: tried at d = 0, +-r
+    and at every d that lands on a face or the middle of [a, b] or of its
+    part in the cell, in every lift by a multiple of side."""
+    lifts = np.arange(-math.ceil(r / side) - 2, math.ceil(r / side) + 3)
+    lo, hi = min(max(a, 0.0), side), min(max(b, 0.0), side)
+    aims = np.array([a, b, 0.5 * (a + b), lo, hi, 0.5 * (lo + hi)])
+    d = (aims[:, None] + side * lifts).ravel() - x
+    d = np.concatenate([d[np.abs(d) <= r], [0.0, r, -r]])
+    with np.errstate(invalid="ignore"):
+        y = Domain.torus(1, side).wrap(x + d)
+    return bool(np.any((y >= a) & (y <= b)))
+
+
+def _brute_keep(side, pts, reach, boxes):
+    return np.array([any(all(_meets(x, r, a, b, side)
+                             for x, r, a, b in zip(row, reach_row, lo, hi))
+                         for lo, hi in boxes)
+                     for row, reach_row in zip(pts, reach)], dtype=bool)
+
+
+@st.composite
+def _reach_cases(draw):
+    side = draw(st.sampled_from([1.0, 7.0, 60.0, 100.0]))
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 6))
+    cell = st.one_of(st.floats(0.0, side, exclude_max=True),
+                     st.sampled_from([0.0, np.nextafter(side, 0.0)]))
+    pts = np.array(draw(st.lists(st.lists(cell, min_size=dim, max_size=dim),
+                                 min_size=n, max_size=n)))
+    length = st.one_of(st.floats(0.0, 3.0 * side), st.just(0.0))
+    reach = np.array(draw(st.lists(st.lists(length, min_size=dim,
+                                            max_size=dim),
+                                   min_size=n, max_size=n)))
+    # boxes inside the cell, across an edge, partly or wholly outside it,
+    # or wider than the side, coordinate by coordinate
+    lo = st.floats(-1.5 * side, 1.5 * side)
+    width = st.floats(1e-3 * side, 1.5 * side)
+    boxes = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = np.array(draw(st.lists(lo, min_size=dim, max_size=dim)))
+        w = np.array(draw(st.lists(width, min_size=dim, max_size=dim)))
+        boxes.append((a, a + w))
+    return side, pts, reach, boxes
+
+
+@given(case=_reach_cases())
+@settings(max_examples=300, deadline=None)
+def test_reach_predicate_keeps_every_row_that_can_meet_a_box(case):
+    side, pts, reach, boxes = case
+    phis = [TestFunction.box(-0.5, lo, hi) for lo, hi in boxes]
+    keep = scaling._in_reach(side, pts, reach, phis)
+    assert keep.shape == (len(pts),) and keep.dtype == bool
+    # every row that can meet a box is kept
+    assert not np.any(_brute_keep(side, pts, reach, boxes) & ~keep)
+    # and a kept row meets one once its reach grows by the slack
+    grown = reach * (1.0 + 1e-6) + 1e-6 * side
+    assert not np.any(keep & ~_brute_keep(side, pts, grown, boxes))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from freedyn.functions import TestFunction, box_quad
+from freedyn.functions import NumericFunction, TestFunction, box_quad
 from freedyn.kernels import (BumpProfile, GaussianProfile, KawasakiKernel,
                              g_t_series)
 from freedyn.pointproc import RngStream
@@ -290,6 +290,27 @@ class TestRunScalingExperiment:
                 rng=RngStream(3),
             )
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_non_test_function_refused_before_any_draw(self, index):
+        # a NumericFunction's box may be an enlargement of its essential
+        # support: the pairing and the reach cull would drop its tail
+        phi = TestFunction.box(-0.5, (48.0,), (52.0,))
+        other = NumericFunction(phi, phi.support_lo, phi.support_hi,
+                                phi.bound)
+        phis = [phi, phi]
+        phis[index] = other
+
+        class NoDraws:
+            def child(self, *args):
+                raise AssertionError("a stream was drawn from")
+
+        with pytest.raises(ValueError, match="observable %d is a "
+                           "NumericFunction, not a TestFunction" % index):
+            run_scaling_experiment(
+                PoissonMeasure(T100, 1.0), GaussianProfile(1, 1.0, 1.0),
+                times=(0.5, 1.0), phi_list=phis, eps_schedule=(1.0, 0.5),
+                n_samples=100, rng=NoDraws())
+
     def test_thread_count_invariance(self):
         phi = TestFunction.box(-0.5, (48.0,), (52.0,))
         kwargs = dict(
@@ -375,8 +396,10 @@ class TestSharedDraws:
 def test_criterion_6_chunk_peak_memory(start):
     # one full chunk of criterion 6 under tracemalloc.  The worker holds the
     # start arrays and one boolean ring mask per time step; its traced peak
-    # is 77.5 MiB for either start.  Index maps beside them (an n-length
-    # int64 rank, int64 hops per step) would push it past 90 MiB.
+    # is 71.7 MiB for either start, reached while the jumps are drawn (the
+    # reach cull leaves about a quarter of the movers to the eps loop).
+    # Index maps beside them (an n-length int64 rank, int64 hops per step)
+    # would push it past 90 MiB.
     import tracemalloc
 
     from freedyn.pointproc import CHUNK

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freedyn.space import Domain, ball_volume, doubling_constants
+from freedyn.functions import TestFunction
+from freedyn.space import Domain, ball_volume, doubling_constants, in_box
 
 
 def test_fullspace_distance_is_euclidean():
@@ -35,6 +36,44 @@ def test_contains():
     f = Domain.fullspace((-1.0,), (1.0,))
     assert f.contains(np.array([0.5]))
     assert not f.contains(np.array([100.0]))
+
+
+@st.composite
+def _box_and_points(draw):
+    """A box in 1-3 dimensions and points on its faces, inside, outside,
+    NaN and +-inf, coordinate by coordinate."""
+    dim = draw(st.integers(1, 3))
+    lo = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=dim,
+                                max_size=dim)))
+    hi = lo + np.array(draw(st.lists(st.floats(1e-3, 5.0), min_size=dim,
+                                     max_size=dim)))
+    coords = [st.sampled_from([lo[c], hi[c], np.nan, np.inf, -np.inf,
+                               np.nextafter(lo[c], -np.inf),
+                               np.nextafter(hi[c], np.inf)])
+              | st.floats(-12.0, 12.0) for c in range(dim)]
+    rows = draw(st.lists(st.tuples(*coords), min_size=0, max_size=12))
+    return lo, hi, np.array(rows, dtype=float).reshape(-1, dim)
+
+
+@given(case=_box_and_points())
+@settings(max_examples=300, deadline=None)
+def test_in_box_matches_the_axis_reduce(case):
+    lo, hi, pts = case
+    with np.errstate(invalid="ignore"):
+        half_open = np.all((pts >= lo) & (pts < hi), axis=1)
+        closed = np.all((pts >= lo) & (pts <= hi), axis=1)
+        assert np.array_equal(in_box(pts, lo, hi), half_open)
+        assert np.array_equal(in_box(pts, lo, hi, closed=True), closed)
+        # the callers: a box test function and the window of a domain
+        box = TestFunction.box(-0.5, lo, hi)
+        assert np.array_equal(box(pts), np.where(half_open, -0.5, 0.0))
+        assert np.array_equal(Domain.fullspace(lo, hi).contains(pts),
+                              half_open)
+
+
+def test_in_box_refuses_a_dimension_mismatch():
+    with pytest.raises(ValueError):
+        in_box(np.zeros((3, 2)), np.zeros(3), np.ones(3))
 
 
 def test_window_volume():

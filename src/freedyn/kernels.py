@@ -110,9 +110,15 @@ class GaussianProfile:
 
     def sum_displacements(self, gen, k):
         """Row i: the sum of k[i] >= 1 normalized jumps, a Gaussian with
-        k[i]-fold variance (one normal vector per row)."""
+        k[i]-fold variance (one normal vector per row).  One
+        standard_normal call draws every row; the scale std * sqrt(k[i])
+        is applied in place, block by block of rows, so no len(k)-long
+        temporary is made and the bits are those of one full product."""
         step = gen.standard_normal((len(k), self.dim))
-        step *= (self.std * np.sqrt(k))[:, None]
+        for start in range(0, len(k), _DRAW_BLOCK):
+            scale = np.sqrt(k[start:start + _DRAW_BLOCK])
+            scale *= self.std
+            step[start:start + _DRAW_BLOCK] *= scale[:, None]
         return step
 
     def mixture_density(self, weights, pts):
@@ -389,6 +395,9 @@ def _batch_times(dts, n):
 # Above this clock mean the counts come from numpy's Poisson sampler: the
 # inversion below makes about one pass over the rows per unit of mean.
 _MAX_INVERSION_MEAN = 16.0
+# Rows per block of a bulk draw: a block's temporaries stay small, and
+# consecutive draws give the numbers of one call over all rows.
+_DRAW_BLOCK = 1 << 16
 
 
 def _jump_counts(lam, gen, n):
@@ -397,11 +406,14 @@ def _jump_counts(lam, gen, n):
     lam is a 0-d array shared by all rows or one mean per row.  Row i draws
     u_i = gen.random() and rings k_i times, the first k with u_i < F(k) for
     F = pdtr(., lam_i) the Poisson cdf (so #{k >= 0 : F(k) <= u_i}); k steps
-    up over the rows still ringing, so the cost grows with max(lam).  A
-    batch whose largest mean exceeds _MAX_INVERSION_MEAN draws all its
-    counts with gen.poisson instead.  Either way a shared mean and a
-    constant per-row one give the same bits.  Returns (hop, k): the rows
-    that ring at least once, ascending, and their counts.
+    up over the rows still ringing, so the cost grows with max(lam).  The
+    uniforms are drawn and inverted _DRAW_BLOCK rows at a time: consecutive
+    gen.random calls give the numbers of one call over all n rows, so the
+    blocks leave the stream and the counts unchanged while no n-long
+    uniform array is made.  A batch whose largest mean exceeds _MAX_INVERSION_MEAN
+    draws all its counts with gen.poisson instead.  Either way a shared mean
+    and a constant per-row one give the same bits.  Returns (hop, k): the
+    rows that ring at least once, ascending, and their counts.
     """
     if not np.all(np.isfinite(lam)):
         raise ValueError("jump clock mean must be finite")
@@ -409,30 +421,41 @@ def _jump_counts(lam, gen, n):
         counts = gen.poisson(lam, size=n)
         hop = np.flatnonzero(counts)
         return hop, counts[hop]
-    u = gen.random(n)
-    if lam.ndim:
-        # exp(-lam) is pdtr(0, lam) to far better than 1e-12, so the exact
-        # cdf is needed only for the few rows past this cheap bound
-        hop = np.flatnonzero(u >= np.exp(-lam) * (1.0 - 1e-12))
-        hop = hop[u[hop] >= pdtr(0, lam[hop])]
-        lam = lam[hop]
-    else:
-        hop = np.flatnonzero(u >= pdtr(0, lam))
-    u = u[hop]
-    k = np.ones(len(hop), dtype=np.intp)
-    # u and lam shrink to the rows still ringing; ringing holds their
-    # positions in hop (None while that is every row, which saves an arange)
-    ringing, level = None, 1
-    while True:
-        keep = np.flatnonzero(u >= pdtr(level, lam))
-        if not len(keep):
-            return hop, k
-        ringing = keep if ringing is None else ringing[keep]
-        u = u[keep]
+    # the empty heads give n = 0 its empty intp outputs
+    hops, ks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for start in range(0, n, _DRAW_BLOCK):
+        u = gen.random(min(_DRAW_BLOCK, n - start))
         if lam.ndim:
-            lam = lam[keep]
-        k[ringing] += 1
-        level += 1
+            mean = lam[start:start + len(u)]
+            # exp(-lam) is pdtr(0, lam) to far better than 1e-12, so the
+            # exact cdf is needed only for the few rows past this cheap bound
+            hop = np.flatnonzero(u >= np.exp(-mean) * (1.0 - 1e-12))
+            hop = hop[u[hop] >= pdtr(0, mean[hop])]
+            mean = mean[hop]
+        else:
+            mean = lam
+            hop = np.flatnonzero(u >= pdtr(0, mean))
+        u = u[hop]
+        k = np.ones(len(hop), dtype=np.intp)
+        # u and mean shrink to the rows still ringing; ringing holds their
+        # positions in hop (None while that is every row, which saves an
+        # arange)
+        ringing, level = None, 1
+        while len(u):
+            keep = np.flatnonzero(u >= pdtr(level, mean))
+            ringing = keep if ringing is None else ringing[keep]
+            u = u[keep]
+            if mean.ndim:
+                mean = mean[keep]
+            k[ringing] += 1
+            level += 1
+        hop += start
+        hops.append(hop)
+        ks.append(k)
+    # one list is freed before the other is joined
+    hop = np.concatenate(hops)
+    del hops
+    return hop, np.concatenate(ks)
 
 
 def _heat_tail(dim, t, r):
@@ -616,7 +639,9 @@ class KawasakiKernel(Kernel):
         (one row per entry of hop) the sum of their displacements.  Stream
         layout: one uniform per row for its jump count (a Poisson draw per
         row once some mass * t exceeds 16), then the profile's
-        sum_displacements of the rows in hop.
+        sum_displacements of the rows in hop.  The counts are drawn and
+        reduced block by block of rows, which leaves this layout, and
+        every bit, as one draw over all rows would.
         """
         hop, k = _jump_counts(self.clock_rate * _batch_times(dts, n), gen, n)
         return hop, self.profile.sum_displacements(gen, k)

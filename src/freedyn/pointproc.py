@@ -301,12 +301,19 @@ class PoissonMeasure(BatchMeasure):
         return np.zeros_like(np.asarray(distance, dtype=float))
 
     def sample_batch(self, n_rep, gen):
-        """Sample n_rep independent configurations as (points, replica ids)."""
+        """Sample n_rep independent configurations as (points, replica ids).
+
+        The points are lo + (hi - lo) * u for uniforms u in [0, 1), scaled
+        and shifted in place, which gives the bits of that expression with
+        no temporary beside the draw; on a torus they lie in [0, side).
+        """
         lo, hi = self.domain.lower, self.domain.upper
         volume = float(np.prod(hi - lo))
         counts = gen.poisson(self.intensity * volume, size=n_rep)
         total = int(counts.sum())
-        pts = lo + (hi - lo) * gen.random((total, self.domain.dim))
+        pts = gen.random((total, self.domain.dim))
+        pts *= hi - lo
+        pts += lo
         ids = np.repeat(np.arange(n_rep), counts)
         return pts, ids
 

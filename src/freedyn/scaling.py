@@ -34,6 +34,8 @@ from .pointproc import (BatchMeasure, PoissonMeasure, mean_se, pair_into,
                         run_chunks)
 from .space import Domain, in_box
 
+_BLOCK = 1 << 15  # rows per blocked pass: its buffers stay in cache
+
 
 def _involution_numbers(n_max):
     # partitions of {1..n} into singletons and pairs
@@ -93,7 +95,16 @@ class NeymanScottMeasure(BatchMeasure):
         return float(self.u2(0.0))
 
     def sample_batch(self, n_rep, gen):
-        """Sample n_rep independent configurations as (points, replica ids)."""
+        """Sample n_rep independent configurations as (points, replica ids).
+
+        Stream layout: the parent counts, the parent positions, one uniform
+        per parent for its second offspring, then one normal vector per
+        offspring, in parent order.  The parents are added to their
+        offspring _BLOCK parents at a time and the ids come from the
+        per-replica offspring counts, so no offspring-long temporary is
+        made; the blocks leave the stream and the bits unchanged.  Points
+        are wrapped into the cell on a torus.
+        """
         domain = self.domain
         if domain.is_torus:
             lo, hi = domain.lower, domain.upper
@@ -104,12 +115,32 @@ class NeymanScottMeasure(BatchMeasure):
         volume = float(np.prod(hi - lo))
         n_parents = gen.poisson(self.parent_intensity * volume, size=n_rep)
         total_parents = int(n_parents.sum())
-        parent_pts = lo + (hi - lo) * gen.random((total_parents, domain.dim))
-        sizes = 1 + (gen.random(total_parents) < self.second_prob).astype(np.int64)
-        pts = self.cluster_std * gen.standard_normal((int(sizes.sum()), domain.dim))
-        pts += np.repeat(parent_pts, sizes, axis=0)
-        parent_rep = np.repeat(np.arange(n_rep), n_parents)
-        return domain.wrap(pts, copy=False), np.repeat(parent_rep, sizes)
+        parent_pts = gen.random((total_parents, domain.dim))
+        parent_pts *= hi - lo
+        parent_pts += lo
+        second = gen.random(total_parents) < self.second_prob
+        pts = gen.standard_normal(
+            (total_parents + int(np.count_nonzero(second)), domain.dim))
+        pts *= self.cluster_std
+        # per block of parents: add them to their offspring, and read the
+        # running count of seconds at the replicas whose last parent it holds
+        ends = np.cumsum(n_parents)
+        seconds = np.zeros(n_rep, dtype=np.intp)  # seconds of replicas <= r
+        done = 0  # seconds of the parents before the block
+        for start in range(0, total_parents, _BLOCK):
+            stop = min(start + _BLOCK, total_parents)
+            extra = second[start:stop]
+            block = np.repeat(parent_pts[start:stop], 1 + extra, axis=0)
+            pts[start + done:start + done + len(block)] += block
+            counts = np.cumsum(extra)
+            reps = slice(*np.searchsorted(ends, (start, stop), side="right"))
+            seconds[reps] = done + counts[ends[reps] - start - 1]
+            done += int(counts[-1])
+        del parent_pts, second
+        per_rep = np.diff(seconds, prepend=0)
+        per_rep += n_parents
+        return (domain.wrap(pts, copy=False),
+                np.repeat(np.arange(n_rep), per_rep))
 
     def _smooth(self, terms, c_pts):
         # G(c) = E[F(c + offset)], the cluster-displacement smoothing of F:
@@ -277,17 +308,21 @@ class ScalingReport:
         return out.getvalue()
 
 
-def _pair_log1p(acc, ids, phi, pts):
+def _pair_log1p(acc, ids, phi, pts, among=None):
     """acc[r] += sum of log1p(phi) over replica r's points; returns acc.
 
     phi must be a TestFunction: it is exactly 0 off its closed support box
     [support_lo, support_hi], so only the points inside that box are
     evaluated.  The nonzero (id, value) pairs, and their order, are those
-    of phi at every point, so acc gets the same bits.
+    of phi at every point, so acc gets the same bits.  A boolean mask
+    among restricts the pairing to its rows, as compressing pts and ids
+    by it would.
     """
+    inside = in_box(pts, phi.support_lo, phi.support_hi, closed=True)
+    if among is not None:
+        inside &= among
     # few rows: one scan serves pts and ids
-    rows = np.flatnonzero(in_box(pts, phi.support_lo, phi.support_hi,
-                                 closed=True))
+    rows = np.flatnonzero(inside)
     vals = phi(pts.take(rows, axis=0))
     return pair_into(acc, ids.take(rows), np.log1p(vals))
 
@@ -297,15 +332,22 @@ def _contracted_paths(domain, pts, draws, eps):
 
     draws holds one (hop, step) pair per time step, as KawasakiKernel.jumps
     gives them for the base profile: the profile contracted by eps moves
-    row hop[i] by step[i] / eps.  pts must lie in the cell; one array is
-    updated in place and yielded after every step.
+    row hop[i] by step[i] / eps.  pts must lie in the cell.  One
+    coordinate-major (dim, n) array is updated in place, one coordinate at
+    a time (a 1-D scatter costs a quarter of a row scatter into (n, 2)),
+    and its (n, dim) transpose is yielded after every step.
     """
-    pos = pts.copy()
+    pos = pts.T.copy()
     for hop, step in draws:
-        moved = step / eps
-        moved += pos.take(hop, axis=0)
-        pos[hop] = domain.wrap(moved, copy=False)
-        yield pos
+        moved = np.divide(step.T, eps, order="C")
+        for col, row in zip(pos, moved):
+            row += col.take(hop)
+        # the cell is a cube, so wrap folds each coordinate alike: one
+        # in-place call on a contiguous column of all of them
+        domain.wrap(moved.reshape(-1, 1), copy=False)
+        for col, row in zip(pos, moved):
+            col[hop] = row
+        yield pos.T
 
 
 def _rings(kernel, n, dts, gen):
@@ -314,11 +356,11 @@ def _rings(kernel, n, dts, gen):
         hop, step = kernel.jumps(n, dt, gen)
         ring = np.zeros(n, dtype=bool)
         ring[hop] = True
+        del hop  # not kept alive through the next step's draws
         yield ring, step
 
 
 _REACH_PAD = 1e-9  # relative slack of a reach; times side, its absolute one
-_BLOCK = 1 << 15  # rows per pass of the reach test: its buffers stay in cache
 
 
 def _in_reach(side, pts, reach, phis):
@@ -399,8 +441,8 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     order, and the same bits, as every row would.
     """
     domain = measure.domain
+    # both measures give torus points in the cell [0, side): no wrap needed
     pts, ids = measure.sample_batch(n_rep, gen)
-    pts = domain.wrap(pts, copy=False)  # rows that never ring are read here
     n = len(pts)
     draws = list(_rings(kernel, n, np.diff(times, prepend=0.0), gen))
     moved = np.zeros(n, dtype=bool)
@@ -409,11 +451,10 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     # pair the rows that never ring, then keep the movers in reach
     # (one full-length array at a time, to keep the chunk's peak memory low)
     acc = np.zeros(n_rep)
-    still_pts = pts.compress(~moved, axis=0)
-    still_ids = ids.compress(~moved)
+    still = ~moved
     for phi in phis:
-        _pair_log1p(acc, still_ids, phi, still_pts)
-    del still_pts, still_ids
+        _pair_log1p(acc, ids, phi, pts, among=still)
+    del still
     keep = _cull_far(domain.side, pts, draws, min(eps_schedule), phis, moved)
     del moved
     pts = pts.compress(keep, axis=0)

@@ -11,8 +11,11 @@ product oracle were folded into the starting-measure protocol
 The scaling experiment's chunk worker ``_chunk_joint_values`` now
 evaluates each observable only inside its support box, selects rows with
 ``compress`` and drops the movers that cannot reach any support box,
-under the same promise.  The functions below are the earlier
-implementations, kept verbatim; every
+under the same promise.  The Kawasaki jump counts, the Gaussian jump
+sums and the Neyman-Scott sampler now draw or reduce block by block of
+rows, the Poisson sampler scales its draw in place and the scaling
+chunk's paths scatter coordinate by coordinate, under the same promise.
+The functions below are the earlier implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
 shapes, domains and seeds.  One line changed on purpose: the Kawasaki
 jump counts no longer come from numpy's Poisson sampler but from one
@@ -30,11 +33,12 @@ from scipy.special import pdtr
 
 from freedyn import scaling
 from freedyn.functions import TestFunction, support_box
-from freedyn.kernels import (BrownianKernel, BumpProfile, GaussianProfile,
-                             KawasakiKernel, KilledBrownianKernel)
+from freedyn.kernels import (_DRAW_BLOCK, BrownianKernel, BumpProfile,
+                             GaussianProfile, KawasakiKernel,
+                             KilledBrownianKernel, _jump_counts)
 from freedyn.observables import glauber_joint_laplace
-from freedyn.pointproc import (BoundedField, Configuration, PoissonMeasure,
-                               RngStream, as_field)
+from freedyn.pointproc import (CHUNK, BoundedField, Configuration,
+                               PoissonMeasure, RngStream, as_field)
 from freedyn.scaling import NeymanScottMeasure, _chunk_joint_values
 from freedyn.space import Domain
 
@@ -132,6 +136,42 @@ def ref_neyman_scott(measure, n_rep, gen):
     pts = ref_wrap(domain, parent_pts[owner] + offsets)
     parent_rep = np.repeat(np.arange(n_rep), n_parents)
     return pts, parent_rep[owner]
+
+
+def ref_jump_counts(lam, gen, n):
+    # the one-shot inversion: one gen.random(n) for every row at once
+    if not np.all(np.isfinite(lam)):
+        raise ValueError("jump clock mean must be finite")
+    if np.max(lam, initial=0.0) > 16.0:
+        counts = gen.poisson(lam, size=n)
+        hop = np.flatnonzero(counts)
+        return hop, counts[hop]
+    u = gen.random(n)
+    if lam.ndim:
+        hop = np.flatnonzero(u >= np.exp(-lam) * (1.0 - 1e-12))
+        hop = hop[u[hop] >= pdtr(0, lam[hop])]
+        lam = lam[hop]
+    else:
+        hop = np.flatnonzero(u >= pdtr(0, lam))
+    u = u[hop]
+    k = np.ones(len(hop), dtype=np.intp)
+    ringing, level = None, 1
+    while True:
+        keep = np.flatnonzero(u >= pdtr(level, lam))
+        if not len(keep):
+            return hop, k
+        ringing = keep if ringing is None else ringing[keep]
+        u = u[keep]
+        if lam.ndim:
+            lam = lam[keep]
+        k[ringing] += 1
+        level += 1
+
+
+def ref_gauss_sum_displacements(profile, gen, k):
+    step = gen.standard_normal((len(k), profile.dim))
+    step *= (profile.std * np.sqrt(k))[:, None]
+    return step
 
 
 def _sampling_box(domain, lo, hi):
@@ -345,6 +385,139 @@ def test_neyman_scott_sample_batch_matches_reference(mode, seed):
     want = ref_neyman_scott(measure, 40, RngStream(seed).generator())
     _same(got[0], want[0])
     _same(got[1], want[1])
+
+
+# ---------------------------------------------------------------------------
+# the streamed draws: blocks of rows give the bits of one-shot draws
+
+B = _DRAW_BLOCK
+STREAM_SIZES = (0, 1, B - 1, B, B + 1, 3 * B + 7)
+
+
+def _same_next_draw(got_gen, want_gen):
+    # the generators are left in the same state
+    _same(got_gen.random(4), want_gen.random(4))
+
+
+def _means(shape, n):
+    """Clock means 0.05-8 (shared or one per row), or with one above 16."""
+    setup = np.random.default_rng(n + 17)
+    if shape == "shared":
+        return np.float64(setup.uniform(0.05, 8.0))
+    if shape == "shared-poisson":
+        return np.float64(23.5)
+    lam = setup.uniform(0.05, 8.0, size=n)
+    if shape == "rows-poisson" and n:
+        lam[n // 2] = 17.0
+    return lam
+
+
+@pytest.mark.parametrize("shape", ["shared", "rows", "shared-poisson",
+                                   "rows-poisson"])
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_jump_counts_match_one_shot_draw(shape, n):
+    lam = _means(shape, n)
+    got_gen, want_gen = RngStream(n, 3).generator(), RngStream(n, 3).generator()
+    got = _jump_counts(lam, got_gen, n)
+    want = ref_jump_counts(lam, want_gen, n)
+    _same(got[0], want[0])
+    _same(got[1], want[1])
+    _same_next_draw(got_gen, want_gen)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", STREAM_SIZES)
+def test_gauss_sum_displacements_match_one_shot_draw(dim, n):
+    profile = GaussianProfile(dim, 1.3, 0.7)
+    k = np.random.default_rng(n).integers(1, 9, size=n).astype(np.intp)
+    got_gen, want_gen = RngStream(n, 4).generator(), RngStream(n, 4).generator()
+    _same(profile.sum_displacements(got_gen, k),
+          ref_gauss_sum_displacements(profile, want_gen, k))
+    _same_next_draw(got_gen, want_gen)
+
+
+def _same_batch(measure, ref, n_rep, seed):
+    got_gen, want_gen = RngStream(seed).generator(), RngStream(seed).generator()
+    got = measure.sample_batch(n_rep, got_gen)
+    want = ref(measure, n_rep, want_gen)
+    _same(got[0], want[0])
+    _same(got[1], want[1])
+    _same_next_draw(got_gen, want_gen)
+    return got
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["torus", "fullspace"])
+def test_neyman_scott_replicas_without_parents_match_one_shot(dim, mode):
+    # about half the replicas draw no parent: the first seed whose first,
+    # last and some interior replica have none
+    if mode == "torus":
+        domain, box = Domain.torus(dim, 1.0), 1.0
+    else:
+        # the full-space sampler pads the window by 8 cluster_std a side
+        domain, box = Domain.fullspace((0.0,) * dim, (1.0,) * dim), 1.32
+    measure = NeymanScottMeasure(domain, 0.7 / box ** dim, 0.5, 0.02)
+
+    def empty(seed):
+        _, ids = measure.sample_batch(60, RngStream(seed).generator())
+        return np.setdiff1d(np.arange(60), ids)
+
+    seed = next(s for s in range(200)
+                if len(none := empty(s)) > 2 and none[0] == 0
+                and none[-1] == 59)
+    _same_batch(measure, ref_neyman_scott, 60, seed)
+
+
+@pytest.mark.parametrize("n_rep", [0, 1])
+def test_neyman_scott_tiny_batches_match_one_shot(n_rep):
+    measure = NeymanScottMeasure(Domain.torus(1, 50.0), 2.0 / 3.0, 0.5, 0.25)
+    _same_batch(measure, ref_neyman_scott, n_rep, 9)
+
+
+@pytest.mark.parametrize("second_prob", [0.0, 0.5, 1.0])
+def test_neyman_scott_chunk_over_parent_blocks_matches_one_shot(second_prob):
+    # a criterion-6 chunk: about 40 blocks of parents
+    measure = NeymanScottMeasure(Domain.torus(1, 100.0), 2.0 / 3.0,
+                                 second_prob, 0.25)
+    pts, _ = _same_batch(measure, ref_neyman_scott, CHUNK, 1006)
+    assert len(pts) > 20 * scaling._BLOCK
+
+
+_SIDES = st.one_of(st.sampled_from([2.0 ** e for e in range(-3, 11)]),
+                   st.floats(0.05, 1000.0))
+
+
+@given(side=_SIDES, dim=st.integers(1, 3), seed=st.integers(0, 2 ** 32),
+       start=st.sampled_from(["poisson", "neyman-scott"]))
+@settings(max_examples=150, deadline=None)
+def test_torus_samples_lie_in_the_cell(side, dim, seed, start):
+    # the scaling chunk reads the samples unwrapped: both measures must
+    # return points in [0, side).  The largest uniform, 1 - 2**-53, times
+    # side rounds strictly below side, powers of two included.
+    assert np.nextafter(1.0, 0.0) * side < side
+    torus = Domain.torus(dim, side)
+    z = 40.0 / side ** dim
+    measure = {"poisson": PoissonMeasure(torus, z),
+               "neyman-scott": NeymanScottMeasure(torus, z, 0.5,
+                                                  0.3 * side)}[start]
+    pts, _ = measure.sample_batch(5, RngStream(seed).generator())
+    assert np.all(pts >= 0.0) and np.all(pts < side)
+    assert not np.any(np.signbit(pts))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_contracted_paths_match_row_scatter(dim):
+    torus = Domain.torus(dim, 7.0)
+    kernel = KawasakiKernel(torus, GaussianProfile(dim, 1.3, 0.9))
+    setup = np.random.default_rng(dim)
+    pts = setup.uniform(0.0, 7.0, size=(5000, dim))
+    gen = RngStream(dim).generator()
+    draws = [kernel.jumps(len(pts), dt, gen) for dt in (0.3, 0.8, 1.5)]
+    for eps in (1.0, 0.3):
+        got = scaling._contracted_paths(torus, pts, draws, eps)
+        want = ref_contracted_paths(torus, pts, draws, eps)
+        for a, b in zip(got, want, strict=True):
+            _same(a, b)
 
 
 # ---------------------------------------------------------------------------

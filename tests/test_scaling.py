@@ -395,11 +395,13 @@ class TestSharedDraws:
 @pytest.mark.parametrize("start", [0, 1], ids=("poisson", "neyman-scott"))
 def test_criterion_6_chunk_peak_memory(start):
     # one full chunk of criterion 6 under tracemalloc.  The worker holds the
-    # start arrays and one boolean ring mask per time step; its traced peak
-    # is 71.7 MiB for either start, reached while the jumps are drawn (the
-    # reach cull leaves about a quarter of the movers to the eps loop).
-    # Index maps beside them (an n-length int64 rank, int64 hops per step)
-    # would push it past 90 MiB.
+    # start arrays and one boolean ring mask per time step; the jump counts,
+    # the Gaussian jump sums and the Neyman-Scott parents are drawn and
+    # reduced block by block of rows, and the rows that never ring are
+    # paired through a mask, so its traced peak is 57.5 MiB for either
+    # start (the reach cull leaves about a quarter of the movers to the eps
+    # loop).  A chunk-length uniform array beside them, as one-shot jump
+    # counts draw, would push it past 64 MiB.
     import tracemalloc
 
     from freedyn.pointproc import CHUNK
@@ -418,7 +420,29 @@ def test_criterion_6_chunk_peak_memory(start):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 80 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
+    assert peak <= 64 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
+
+
+def test_neyman_scott_sample_batch_peak_memory():
+    # one criterion-6 chunk of Neyman-Scott starts under tracemalloc: the
+    # output (about 2e6 points and int64 ids, 15.3 MiB each) and the parents
+    # (10.2 MiB) with no offspring-long copy of them; it measures 33.0 MiB.
+    # A one-shot np.repeat of the parents and int64 sizes and parent ids
+    # took 61.2 MiB.
+    import tracemalloc
+
+    from freedyn.pointproc import CHUNK
+
+    measure = NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25)
+    gen = RngStream(1006, 1).child(0).generator()
+    tracemalloc.start()
+    try:
+        pts, _ = measure.sample_batch(CHUNK, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pts) > 1_900_000
+    assert peak <= 40 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
 
 
 @pytest.mark.parametrize("profile", (GaussianProfile(1, 1.0, 0.8),

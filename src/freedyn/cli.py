@@ -28,7 +28,7 @@ from .dynamics import (Buffer, EvolutionPlan, GlauberDynamics, TorusExact,
                        glauber_evolve)
 from .experiments import (glauber_joint_experiment, markov_laplace_experiment,
                           poisson_correlation_experiment,
-                          poisson_laplace_experiment, sigma_distance,
+                          poisson_laplace_experiment,
                           submarkov_laplace_experiment)
 from .functions import TestFunction, support_box
 from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
@@ -36,7 +36,8 @@ from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       check_summability, exit_probability,
                       kawasaki_polynomial_certificate)
 from .observables import CylinderFunction, generator_fd_check
-from .pointproc import Configuration, PoissonMeasure, RngStream, theta_check
+from .pointproc import (SIGMAS, Comparison, Configuration, PoissonMeasure,
+                        RngStream, theta_check)
 from .scaling import (NeymanScottMeasure, run_scaling_experiment,
                       verify_mu_conditions)
 from .space import Domain
@@ -450,9 +451,10 @@ def cmd_correlation(run):
     grid, expected = poisson_correlation_experiment(
         domain, start.intensity, order, bins, n, run.rng.child(3),
         threads=run.threads)
-    worst = max(sigma_distance(float(e), float(s), expected)
-                for e, s in zip(grid.estimates, grid.stderrs))
-    passed = worst <= 3.0
+    cells = [Comparison(float(e), float(s), expected)
+             for e, s in zip(grid.estimates, grid.stderrs)]
+    worst = max(c.sigma_distance for c in cells)
+    passed = all(c.within() for c in cells)
     run.write_csv("correlation.csv", grid.to_csv())
     run.write_json("correlation.json", {
         "order": order, "bins": bins, "expected_constant": expected,
@@ -521,13 +523,14 @@ def cmd_check_summability(run):
         step = _num(exit_block.get("path_step", eps2 / 200.0),
                     "exit.path_step")
         center = 0.5 * (domain.lower + domain.upper)
-        est, se, bound = exit_probability(kernel, center, radius, eps2,
-                                          paths, step, run.rng.child(4))
-        within = est <= bound + 3.0 * se
-        payload["exit_check"] = {"radius": radius, "epsilon": eps2,
-                                 "paths": paths, "path_step": step,
-                                 "estimate": est, "stderr": se,
-                                 "bound": bound, "within_bound": within}
+        probe = Comparison(*exit_probability(kernel, center, radius, eps2,
+                                             paths, step, run.rng.child(4)))
+        # one-sided: only an estimate above the bound counts against it
+        within = probe.estimate <= probe.target + SIGMAS * probe.stderr
+        payload["exit_check"] = dict(
+            radius=radius, epsilon=eps2, paths=paths, path_step=step,
+            estimate=probe.estimate, stderr=probe.stderr, bound=probe.target,
+            within_bound=within)
         passed = passed and within
 
     run.write_json("summability.json", payload)
@@ -582,23 +585,20 @@ def cmd_generator_check(run):
     replicas = _int(_get(fd, "replicas", "fd"), "fd.replicas")
     slope = _num(fd.get("slope", 10.0), "fd.slope")
 
-    checks = []
-    for i, h in enumerate(h_list):
-        chk = generator_fd_check(func, start, spec, h, replicas,
+    checks = [generator_fd_check(func, start, spec, h, replicas,
                                  run.rng.child(5, i))
-        within = chk.discrepancy <= 3.0 * chk.stderr + slope * h
-        entry = chk.to_dict()
-        entry["within_tolerance"] = within
-        checks.append(entry)
-    shrinks = True
-    if len(checks) >= 2:
-        first, last = checks[0], checks[-1]
-        shrinks = last["discrepancy"] <= first["discrepancy"] + \
-            3.0 * (first["stderr"] + last["stderr"])
-    passed = shrinks and all(c["within_tolerance"] for c in checks)
+              for i, h in enumerate(h_list)]
+    within = [c.comparison.within(slope * c.h) for c in checks]
+    # the last discrepancy may pass the first by the noise of both only
+    first, last = checks[0].comparison, checks[-1].comparison
+    shrinks = len(checks) < 2 or \
+        last.error <= first.error + SIGMAS * (first.stderr + last.stderr)
+    passed = shrinks and all(within)
     run.write_json("generator.json", {
-        "outer": outer, "analytic": checks[0]["analytic"], "slope": slope,
-        "checks": checks, "discrepancy_shrinks": shrinks, "passed": passed})
+        "outer": outer, "analytic": checks[0].analytic, "slope": slope,
+        "checks": [dict(c.to_dict(), within_tolerance=w)
+                   for c, w in zip(checks, within)],
+        "discrepancy_shrinks": shrinks, "passed": passed})
     return run.verdict(passed)
 
 
@@ -628,7 +628,9 @@ def cmd_scaling(run):
     report = run_scaling_experiment(measure, profile, times, phis, eps, n,
                                     run.rng.child(6), threads=run.threads)
     conditions = verify_mu_conditions(measure)
-    final_ok = report.distances[-1] < max(3.0 * report.stderrs[-1], 0.01)
+    final = report.comparisons[-1]
+    # strict, with an absolute floor: the target is the epsilon -> 0 limit
+    final_ok = final.error < max(SIGMAS * final.stderr, 0.01)
     payload = report.to_dict()
     payload["mu_conditions"] = conditions.to_dict()
     payload["final_within_tolerance"] = final_ok
@@ -699,10 +701,7 @@ def main(argv=None):
                    args.do_assert, os.path.dirname(os.path.abspath(
                        args.config)))
         return _COMMANDS[args.command](run)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2
     except RuntimeError as exc:

@@ -12,9 +12,9 @@ its internal killing-grid bias.
 Boundary policy on the full space is a buffer collar: the window is
 enlarged by a width Delta, the collar is seeded with fresh Poisson points
 at the initial density, and any particle drifting past the collar is
-dropped.  The resulting error on window statistics is controlled by
-buffer_leakage_bound.  On the torus the evolution is exact with no
-boundary at all.
+dropped.  buffer_leakage_bound bounds only the expected number of such
+discards, and nothing in the package calls it; the error of window
+statistics has no stated bound.  On the torus the evolution is exact.
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ def evolve_snapshot(config, kernel, plan, rng):
 
     Conservative-mode evolution: no immigration, dead particles removed.
     Buffer mode seeds the collar and culls beyond it (window+collar), and
-    snapshots report the window content only; the discard error is bounded
-    by buffer_leakage_bound.
+    snapshots report the window content only.  buffer_leakage_bound, not
+    called here, bounds only the expected discards past the collar.
     """
     if plan.mode != CONSERVATIVE:
         raise ValueError("evolve_snapshot requires a conservative plan; "

@@ -19,20 +19,13 @@ from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
                           bin_counts, check_correlation_grid,
                           correlation_edges, correlations_from_counts,
                           glauber_joint_laplace, poisson_laplace_exponent)
-from .pointproc import PoissonMeasure, mean_se, pair_into, run_chunks
-
-
-def sigma_distance(estimate, stderr, target):
-    """|estimate - target| in standard errors; 0/0 is 0 and x/0 is inf."""
-    err = abs(estimate - target)
-    if stderr == 0.0:
-        return 0.0 if err == 0.0 else math.inf
-    return err / stderr
+from .pointproc import (Comparison, PoissonMeasure, mean_se, pair_into,
+                        run_chunks)
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Monte Carlo estimate next to its analytic target."""
+    """Monte Carlo estimate next to its analytic target, as a Comparison."""
 
     kind: str
     estimate: float
@@ -42,16 +35,20 @@ class ExperimentReport:
     parameters: dict
 
     @property
+    def comparison(self):
+        return Comparison(self.estimate, self.stderr, self.analytic)
+
+    @property
     def abs_error(self):
-        return abs(self.estimate - self.analytic)
+        return self.comparison.error
 
     @property
     def sigma_distance(self):
-        return sigma_distance(self.estimate, self.stderr, self.analytic)
+        return self.comparison.sigma_distance
 
     @property
     def within_3sigma(self):
-        return self.sigma_distance <= 3.0
+        return self.comparison.within()
 
     def to_dict(self):
         return {

@@ -12,14 +12,17 @@ three generators with finite-difference consistency checks.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
 from .dynamics import GlauberDynamics, _exponential_lifetimes
 from .functions import box_quad, integrate_function, support_box
-from .pointproc import mean_se, pair_into, run_chunks
+from .kernels import BrownianKernel, KawasakiKernel
+from .pointproc import Comparison, mean_se, pair_into, run_chunks
 
 QUAD_TOL = 1e-8
 
@@ -44,9 +47,7 @@ def poisson_laplace_exponent(phi, intensity, tol=QUAD_TOL, transform=None):
     the identity for functionals of the form exp<log(1+phi), gamma>, where
     the exponent reduces to intensity * int phi.
     """
-    if transform is None:
-        def transform(v):
-            return np.expm1(v)
+    transform = np.expm1 if transform is None else transform
 
     def integrand(pts):
         return transform(np.asarray(phi(pts), dtype=float))
@@ -168,11 +169,8 @@ class CorrelationGrid:
         raise KeyError(key)
 
     def to_csv(self):
-        nb = [len(e) - 1 for e in self.edges]
-        headers = []
-        for j in range(self.order):
-            for ax in range(len(self.edges)):
-                headers.append(f"x{j}_{ax}")
+        headers = [f"x{j}_{ax}" for j in range(self.order)
+                   for ax in range(len(self.edges))]
         lines = [",".join(headers + ["estimate", "stderr"])]
         for t, est, se in zip(self.index_tuples, self.estimates, self.stderrs):
             row = []
@@ -246,16 +244,12 @@ def correlations_from_counts(counts, order, edges, tol_combos=20000):
     check_correlation_grid(order, n_flat, tol_combos)
     vol_bin = float(np.prod([(e[-1] - e[0]) / (len(e) - 1) for e in edges]))
 
-    from itertools import combinations_with_replacement
     tuples = list(combinations_with_replacement(range(n_flat), order))
     estimates = np.empty(len(tuples))
     stderrs = np.empty(len(tuples))
     for i, tup in enumerate(tuples):
-        mult = {}
-        for b in tup:
-            mult[b] = mult.get(b, 0) + 1
         vals = np.ones(n_rep)
-        for b, m in mult.items():
+        for b, m in Counter(tup).items():
             vals = vals * _falling(counts[:, b], m)
         denom = vol_bin ** order
         estimates[i] = np.mean(vals) / denom
@@ -287,7 +281,6 @@ def set_partitions(items):
         return
     first, rest = items[0], items[1:]
     for k in range(len(rest) + 1):
-        from itertools import combinations
         for combo in combinations(rest, k):
             block = frozenset((first,) + combo)
             remaining = [x for x in rest if x not in block]
@@ -307,14 +300,30 @@ class UrsellTable:
     correlations: dict = None
     ursell: dict = None
 
-    def _require(self, table, name, n_max):
-        if table is None:
+    def _subsets(self, side, name, n_max):
+        """The label subsets of sizes 1..n_max (default: all), smallest
+        first, once the named side of the table is checked to hold each."""
+        n_max = len(self.labels) if n_max is None else n_max
+        if n_max > 8:
+            raise ValueError("n_max above 8 is too costly (Bell numbers)")
+        if side is None:
             raise ValueError(f"{name} side of the table is empty")
-        for size in range(1, n_max + 1):
-            from itertools import combinations
-            for combo in combinations(self.labels, size):
-                if frozenset(combo) not in table:
-                    raise ValueError(f"{name} missing subset {set(combo)}")
+        subsets = [frozenset(c) for size in range(1, n_max + 1)
+                   for c in combinations(self.labels, size)]
+        for eta in subsets:
+            if eta not in side:
+                raise ValueError(f"{name} missing subset {set(eta)}")
+        return subsets
+
+
+def _partition_sum(u, eta, min_blocks):
+    """Sum over the partitions of eta into at least min_blocks blocks of
+    the product of u over the blocks."""
+    total = 0.0
+    for part in set_partitions(sorted(eta)):
+        if len(part) >= min_blocks:
+            total += math.prod(u[block] for block in part)
+    return total
 
 
 def ursell_from_correlations(table, n_max=None):
@@ -324,46 +333,18 @@ def ursell_from_correlations(table, n_max=None):
     pulling out the single-block partition:
     u(eta) = k(eta) - sum over partitions with >= 2 blocks.
     """
-    n_max = len(table.labels) if n_max is None else n_max
-    if n_max > 8:
-        raise ValueError("n_max above 8 is too costly (Bell numbers)")
-    table._require(table.correlations, "correlation", n_max)
     u = {}
-    from itertools import combinations
-    for size in range(1, n_max + 1):
-        for combo in combinations(table.labels, size):
-            eta = frozenset(combo)
-            rest = 0.0
-            for part in set_partitions(sorted(combo)):
-                if len(part) == 1:
-                    continue
-                prod = 1.0
-                for block in part:
-                    prod *= u[block]
-                rest += prod
-            u[eta] = table.correlations[eta] - rest
+    for eta in table._subsets(table.correlations, "correlation", n_max):
+        u[eta] = table.correlations[eta] - _partition_sum(u, eta, 2)
     table.ursell = u
     return table
 
 
 def correlations_from_ursell(table, n_max=None):
     """Fill the correlation side: k(eta) = sum over partitions prod u."""
-    n_max = len(table.labels) if n_max is None else n_max
-    if n_max > 8:
-        raise ValueError("n_max above 8 is too costly (Bell numbers)")
-    table._require(table.ursell, "ursell", n_max)
-    k = {}
-    from itertools import combinations
-    for size in range(1, n_max + 1):
-        for combo in combinations(table.labels, size):
-            total = 0.0
-            for part in set_partitions(sorted(combo)):
-                prod = 1.0
-                for block in part:
-                    prod *= table.ursell[block]
-                total += prod
-            k[frozenset(combo)] = total
-    table.correlations = k
+    table.correlations = {
+        eta: _partition_sum(table.ursell, eta, 1)
+        for eta in table._subsets(table.ursell, "ursell", n_max)}
     return table
 
 
@@ -431,8 +412,6 @@ def generator_apply(F, config, dynamics_spec, tol=QUAD_TOL):
     applies the birth-and-death difference formula, and a Kawasaki kernel
     applies the jump-difference formula.
     """
-    from .kernels import BrownianKernel, KawasakiKernel
-
     if isinstance(dynamics_spec, BrownianKernel):
         return _generator_brownian(F, config)
     if isinstance(dynamics_spec, GlauberDynamics):
@@ -526,9 +505,16 @@ class FDCheck:
     fd_estimate: float
     stderr: float
     analytic: float
-    discrepancy: float
     h: float
     n_replicas: int
+
+    @property
+    def comparison(self):
+        return Comparison(self.fd_estimate, self.stderr, self.analytic)
+
+    @property
+    def discrepancy(self):
+        return self.comparison.error
 
     def to_dict(self):
         return {"fd_estimate": self.fd_estimate, "stderr": self.stderr,
@@ -548,8 +534,6 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     O(h) semigroup bias on top of Monte Carlo noise, so acceptance is
     |fd - analytic| <= 3 stderr + C h.
     """
-    from .kernels import BrownianKernel, KawasakiKernel
-
     domain = config.domain
     if isinstance(dynamics_spec, GlauberDynamics):
         rate = dynamics_spec.rate
@@ -596,4 +580,4 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     fd, stderr = mean_se(run_chunks(worker, n_replicas, rng))
     fd, stderr = fd / h, stderr / h
     analytic = generator_apply(F, config, dynamics_spec)
-    return FDCheck(fd, stderr, analytic, abs(fd - analytic), h, n_replicas)
+    return FDCheck(fd, stderr, analytic, h, n_replicas)

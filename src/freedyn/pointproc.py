@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .functions import integrate_function
 from .space import Domain, ball_volume
@@ -135,6 +134,33 @@ def mean_se(values):
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
+SIGMAS = 3.0  # the multiple of the standard error every verdict allows
+
+
+@dataclass(frozen=True)
+class Comparison:
+    """A Monte Carlo estimate with its standard error next to a target."""
+
+    estimate: float
+    stderr: float
+    target: float
+
+    @property
+    def error(self):
+        return abs(self.estimate - self.target)
+
+    @property
+    def sigma_distance(self):
+        """error in standard errors; 0/0 is 0 and x/0 is inf."""
+        if self.stderr == 0.0:
+            return 0.0 if self.error == 0.0 else math.inf
+        return self.error / self.stderr
+
+    def within(self, slack=0.0):
+        """The verdict error <= 3 stderr + slack."""
+        return self.error <= SIGMAS * self.stderr + slack
+
+
 @dataclass(frozen=True)
 class BoundedField:
     """Nonnegative measurable function together with a known sup bound.
@@ -191,7 +217,6 @@ class Configuration:
         pts.setflags(write=False)
         self._points = pts
         self.domain = domain
-        self._tree = None
 
     @property
     def points(self):
@@ -234,23 +259,10 @@ class Configuration:
             raise ValueError("product factor left (0, inf); functions too large")
         return float(math.exp(np.sum(np.log(acc))))
 
-    def _kdtree(self):
-        # lazy; cKDTree with boxsize handles min-image queries on the torus
-        if self._tree is None:
-            if self.domain.is_torus:
-                self._tree = cKDTree(self._points, boxsize=self.domain.side)
-            else:
-                self._tree = cKDTree(self._points)
-        return self._tree
-
     def count_in_ball(self, center, radius):
-        """Number of configuration points within distance radius of center."""
-        if len(self._points) == 0:
-            return 0
-        center = np.asarray(center, dtype=float)
-        if self.domain.is_torus:
-            center = np.mod(center, self.domain.side)
-        return len(self._kdtree().query_ball_point(center, float(radius)))
+        """Number of points at distance <= radius from center (min-image)."""
+        dist = self.domain.distance(self._points, center)
+        return int(np.count_nonzero(dist <= radius))
 
     def to_csv(self):
         buf = io.StringIO()
@@ -400,11 +412,12 @@ def theta_check(config, alpha, r_max, center=None):
     r_max = int(r_max)
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    if center is None:
-        center = np.zeros(config.domain.dim)
-    center = np.asarray(center, dtype=float)
+    center = np.asarray(np.zeros(config.domain.dim) if center is None
+                        else center, dtype=float)
     radii = tuple(range(1, r_max + 1))
-    counts = tuple(config.count_in_ball(center, r) for r in radii)
+    # a point at distance exactly r counts in the ball of radius r
+    dist = np.sort(config.domain.distance(config.points, center))
+    counts = tuple(map(int, np.searchsorted(dist, radii, side="right")))
     kmin = 1
     for r, c in zip(radii, counts):
         denom = ball_volume(config.domain.dim, r) ** alpha

@@ -30,8 +30,8 @@ import numpy as np
 from .functions import TestFunction, box_quad, support_box
 from .kernels import GaussianProfile, KawasakiKernel
 from .observables import glauber_joint_laplace
-from .pointproc import (BatchMeasure, PoissonMeasure, mean_se, pair_into,
-                        run_chunks)
+from .pointproc import (BatchMeasure, Comparison, PoissonMeasure, mean_se,
+                        pair_into, run_chunks)
 from .space import Domain, in_box
 
 _BLOCK = 1 << 15  # rows per blocked pass: its buffers stay in cache
@@ -261,23 +261,34 @@ def verify_mu_conditions(measure, n_max=8, eps_schedule=(1.0, 0.5, 0.25, 0.1),
 class ScalingReport:
     """Monte Carlo estimates of a joint Laplace functional along epsilon.
 
-    One row per epsilon: the empirical estimate, its standard error, and
-    the distance to the closed-form birth-and-death target.  ``monotone``
-    records whether the distances are nonincreasing along the schedule.
+    One row per epsilon: the empirical estimate and its standard error,
+    and their Comparison with the closed-form birth-and-death target.
     """
 
     eps_schedule: tuple
     estimates: tuple
     stderrs: tuple
     target: float
-    distances: tuple
-    monotone: bool
     n_samples: int
     times: tuple
     death_rate: float
     immigration: float
     measure_family: str
     notes: tuple
+
+    @property
+    def comparisons(self):
+        return tuple(Comparison(e, se, self.target)
+                     for e, se in zip(self.estimates, self.stderrs))
+
+    @property
+    def distances(self):
+        return tuple(c.error for c in self.comparisons)
+
+    @property
+    def monotone(self):
+        """Whether the distances are nonincreasing along the schedule."""
+        return all(b <= a for a, b in zip(self.distances, self.distances[1:]))
 
     def to_dict(self):
         return {
@@ -301,10 +312,9 @@ class ScalingReport:
     def to_csv(self):
         out = io.StringIO()
         out.write("eps,estimate,stderr,target,distance\n")
-        for i, eps in enumerate(self.eps_schedule):
+        for eps, c in zip(self.eps_schedule, self.comparisons):
             out.write("%.10g,%r,%r,%r,%r\n" % (
-                eps, self.estimates[i], self.stderrs[i],
-                self.target, self.distances[i]))
+                eps, c.estimate, c.stderr, c.target, c.error))
         return out.getvalue()
 
 
@@ -542,14 +552,10 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
                      eps_schedule)
     values = run_chunks(worker, n_samples, rng.child(0), threads)
     estimates, stderrs = zip(*map(mean_se, np.ascontiguousarray(values.T)))
-
-    distances = [abs(e - target) for e in estimates]
-    monotone = all(b <= a for a, b in zip(distances, distances[1:]))
     return ScalingReport(
         eps_schedule=tuple(eps_schedule), estimates=estimates,
-        stderrs=stderrs, target=float(target),
-        distances=tuple(distances), monotone=monotone,
-        n_samples=n_samples, times=tuple(times), death_rate=float(a_const),
+        stderrs=stderrs, target=float(target), n_samples=n_samples,
+        times=tuple(times), death_rate=float(a_const),
         immigration=float(z), measure_family=measure.family,
         notes=("target from the closed-form birth-and-death joint identity",
                "profile contracted with total mass held fixed"))

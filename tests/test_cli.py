@@ -377,3 +377,157 @@ def test_single_replica_generator_check_is_a_config_error(tmp_path):
                    str(tmp_path / "out")], str(tmp_path))
     assert res.returncode == 2, res.stderr
     assert res.stderr == "config error: need at least 2 replicas\n"
+
+
+# --- verdict fields and --assert exit codes, in process -------------------
+
+def verdict_run(tmp_path, command, cfg, report_file):
+    """cli.main without and with --assert on one config: the report both
+    runs wrote (they must match byte for byte) and the two exit codes."""
+    from freedyn import cli
+
+    path = write_config(tmp_path, "%s.json" % command,
+                        dict(cfg, output={"prefix": "v", "formats": ["json"]}))
+    codes, bodies = [], []
+    for name, flags in (("soft", []), ("hard", ["--assert"])):
+        out = tmp_path / name
+        codes.append(cli.main([command, "--config", path, "--out", str(out)]
+                              + flags))
+        bodies.append((out / ("v_" + report_file)).read_bytes())
+    assert bodies[0] == bodies[1]
+    return json.loads(bodies[0])["report"], codes
+
+
+GEN_CFG = {
+    "domain": {"mode": "fullspace", "window": [[-6.0], [6.0]]},
+    "start": {"kind": "fixed", "points": [[0.0], [2.5]]},
+    "dynamics": {"mode": "glauber", "death_rate": 1.0, "z": 1.0},
+    "cylinder": {"outer": "exp_pairing", "observables": [
+        {"family": "box", "level": -0.5, "lo": [-1.0], "hi": [1.0]}]},
+    "fd": {"h": [0.01, 0.005], "replicas": 2500, "slope": 10.0},
+    "rng": {"seed": 1},
+}
+
+
+def test_generator_check_verdict_passes(tmp_path):
+    rep, codes = verdict_run(tmp_path, "generator-check", GEN_CFG,
+                             "generator.json")
+    assert [c["within_tolerance"] for c in rep["checks"]] == [True, True]
+    assert rep["discrepancy_shrinks"] is True and rep["passed"] is True
+    assert codes == [0, 0]
+
+
+def test_generator_check_verdict_fails_tolerance_and_shrink(tmp_path):
+    # no slope allowance: the O(h) bias at h = 3 is 56 standard errors,
+    # and it outgrows the h = 0.2 discrepancy by more than both noises
+    cfg = dict(GEN_CFG, fd={"h": [0.2, 3.0], "replicas": 20000,
+                            "slope": 0.0})
+    rep, codes = verdict_run(tmp_path, "generator-check", cfg,
+                             "generator.json")
+    assert [c["within_tolerance"] for c in rep["checks"]] == [True, False]
+    assert rep["discrepancy_shrinks"] is False and rep["passed"] is False
+    assert codes == [0, 4]
+
+
+SCALING_CFG = {
+    "domain": {"mode": "torus", "dim": 1, "side": 100.0},
+    "profile": {"kind": "gaussian", "mass": 1.0, "std": 1.0},
+    "start": {"kind": "poisson", "intensity": 1.0},
+    "dynamics": {"times": [0.5, 1.0]},
+    "observables": [
+        {"family": "box", "level": -0.5, "lo": [48.0], "hi": [52.0]},
+        {"family": "box", "level": -0.6, "lo": [49.0], "hi": [53.0]}],
+    "scaling": {"eps": [1.0, 0.1]},
+    "samples": 4000,
+    "rng": {"seed": 1},
+}
+
+NEYMAN_SCOTT = {"kind": "neyman-scott", "parent_intensity": 2.0 / 3.0,
+                "second_prob": 0.5, "cluster_std": 0.25}
+
+
+def test_scaling_verdict_passes(tmp_path):
+    rep, codes = verdict_run(tmp_path, "scaling", SCALING_CFG, "scaling.json")
+    assert rep["monotone"] is True and rep["final_within_tolerance"] is True
+    assert codes == [0, 0]
+
+
+def test_scaling_reversed_schedule_fails_monotone(tmp_path):
+    cfg = dict(SCALING_CFG, scaling={"eps": [0.1, 1.0]})
+    rep, codes = verdict_run(tmp_path, "scaling", cfg, "scaling.json")
+    # the final distance (eps = 1) still sits under the 0.01 floor
+    assert rep["monotone"] is False and rep["final_within_tolerance"] is True
+    assert codes == [0, 4]
+
+
+def test_scaling_far_final_row_fails_tolerance(tmp_path):
+    # at eps = 1 the Neyman-Scott estimate lies about 0.034 from the
+    # eps -> 0 limit: past both 3 sigma and the 0.01 floor
+    cfg = dict(SCALING_CFG, start=NEYMAN_SCOTT, scaling={"eps": [1.0]})
+    rep, codes = verdict_run(tmp_path, "scaling", cfg, "scaling.json")
+    assert rep["monotone"] is True and rep["final_within_tolerance"] is False
+    assert codes == [0, 4]
+
+
+def test_summability_verdict_passes_with_exit_probe(tmp_path):
+    cfg = {
+        "domain": {"mode": "fullspace", "window": [[-1.0], [1.0]]},
+        "kernel": {"variant": "brownian"},
+        "summability": {"alpha": 1.0, "m": 1},
+        "exit": {"radius": 1.0, "epsilon": 0.5, "paths": 400},
+        "rng": {"seed": 1},
+    }
+    rep, codes = verdict_run(tmp_path, "check-summability", cfg,
+                             "summability.json")
+    assert rep["converges"] is True
+    probe = rep["exit_check"]
+    assert probe["estimate"] > 0 and probe["within_bound"] is True
+    assert codes == [0, 0]
+
+
+@pytest.mark.parametrize("alpha, converges", [(3.0, True), (1.0, False),
+                                              (0.5, False)])
+def test_polynomial_certificate_verdict(tmp_path, alpha, converges):
+    # the polynomial route certifies convergence exactly when alpha > m
+    cfg = {
+        "domain": {"mode": "fullspace", "window": [[0.0], [1.0]]},
+        "kernel": {"variant": "kawasaki",
+                   "profile": {"kind": "gaussian", "mass": 1.0, "std": 0.7}},
+        "summability": {"alpha": alpha, "m": 1, "certificate": "polynomial"},
+        "rng": {"seed": 1},
+    }
+    rep, codes = verdict_run(tmp_path, "check-summability", cfg,
+                             "summability.json")
+    assert rep["converges"] is converges
+    assert codes == [0, 0 if converges else 4]
+
+
+def test_correlation_verdict_passes(tmp_path):
+    cfg = {
+        "domain": {"mode": "fullspace", "window": [[0.0, 0.0], [3.0, 3.0]]},
+        "start": {"kind": "poisson", "intensity": 1.0},
+        "correlation": {"order": 2, "bins": 3},
+        "samples": 20000,
+        "rng": {"seed": 1},
+    }
+    rep, codes = verdict_run(tmp_path, "correlation", cfg,
+                             "correlation.json")
+    assert rep["max_sigma_distance"] <= 3.0 and rep["within_3sigma"] is True
+    assert codes == [0, 0]
+
+
+def test_correlation_verdict_fails_on_an_empty_cell(tmp_path):
+    # two replicas at intensity 0.2 leave a bin empty in both: estimate 0
+    # with stderr 0 against z = 0.2 is infinitely many sigma away
+    cfg = {
+        "domain": {"mode": "fullspace", "window": [[0.0], [3.0]]},
+        "start": {"kind": "poisson", "intensity": 0.2},
+        "correlation": {"order": 1, "bins": 6},
+        "samples": 2,
+        "rng": {"seed": 1},
+    }
+    rep, codes = verdict_run(tmp_path, "correlation", cfg,
+                             "correlation.json")
+    assert rep["max_sigma_distance"] == float("inf")
+    assert rep["within_3sigma"] is False
+    assert codes == [0, 4]

@@ -1,10 +1,12 @@
 """Replica experiments against their closed-form targets."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from freedyn import cli
 from freedyn.experiments import (
     ExperimentReport,
     glauber_joint_experiment,
@@ -16,8 +18,9 @@ from freedyn.experiments import (
 from freedyn.functions import TestFunction, support_box
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
 from freedyn.observables import estimate_correlations
-from freedyn.pointproc import CHUNK, Configuration, RngStream, chunk_sizes
-from freedyn.scaling import PoissonMeasure
+from freedyn.pointproc import (CHUNK, Comparison, Configuration, RngStream,
+                               chunk_sizes)
+from freedyn.scaling import PoissonMeasure, ScalingReport
 from freedyn.space import Domain
 
 
@@ -35,6 +38,92 @@ def test_report_distance_properties():
     assert degenerate.sigma_distance == 0.0
     off = ExperimentReport("demo", 1.1, 0.0, 1.0, 10, {})
     assert off.sigma_distance == math.inf
+
+
+@pytest.mark.parametrize("estimate, stderr, target, sigma, within", [
+    (1.0, 0.0, 1.0, 0.0, True),  # 0/0 is 0
+    (1.1, 0.0, 1.0, math.inf, False),  # x/0 is inf
+    (0.0, 1.0, 3.0, 3.0, True),  # exactly 3 sigma below the target is inside
+    (3.0, 1.0, 0.0, 3.0, True),  # and so is exactly 3 sigma above it
+    (math.nextafter(3.0, 4.0), 1.0, 0.0, math.nextafter(3.0, 4.0), False),
+])
+def test_comparison_sigma_rule(estimate, stderr, target, sigma, within):
+    c = Comparison(estimate, stderr, target)
+    assert c.error == abs(estimate - target)
+    assert c.sigma_distance == sigma
+    assert c.within() is within
+    # the report's error, sigma distance and verdict are the record's
+    rep = ExperimentReport("demo", estimate, stderr, target, 10, {})
+    assert (rep.abs_error, rep.sigma_distance, rep.within_3sigma) == (
+        c.error, c.sigma_distance, within)
+
+
+def test_comparison_slack_adds_to_three_sigma():
+    c = Comparison(3.5, 1.0, 0.0)
+    assert not c.within() and not c.within(0.25)
+    assert c.within(0.5)  # error == 3 stderr + slack exactly
+    # with no noise at all, the slack alone is the tolerance
+    assert Comparison(0.25, 0.0, 0.0).within(0.25)
+    assert not Comparison(0.5, 0.0, 0.0).within(0.25)
+
+
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(cfg, rng={"seed": 1},
+                                    output={"prefix": "b"})))
+    return str(path)
+
+
+@pytest.mark.parametrize("estimate, stderr, final_ok", [
+    (0.01, 0.001, False),  # on the 0.01 floor: the rule is strict
+    (math.nextafter(0.01, 0.0), 0.001, True),
+    (0.375, 0.125, False),  # on 3 sigma above the floor: strict too
+    (math.nextafter(0.375, 0.0), 0.125, True),
+])
+def test_scaling_final_rule_boundary(tmp_path, monkeypatch, estimate, stderr,
+                                     final_ok):
+    def report(measure, profile, times, phis, eps, n, rng, threads):
+        return ScalingReport(
+            eps_schedule=(1.0,), estimates=(estimate,), stderrs=(stderr,),
+            target=0.0, n_samples=n, times=tuple(times), death_rate=1.0,
+            immigration=1.0, measure_family="poisson", notes=())
+
+    monkeypatch.setattr(cli, "run_scaling_experiment", report)
+    path = _config_file(tmp_path, {
+        "domain": {"mode": "torus", "dim": 1, "side": 10.0},
+        "profile": {"kind": "gaussian", "mass": 1.0, "std": 1.0},
+        "start": {"kind": "poisson", "intensity": 1.0},
+        "dynamics": {"times": [0.5]},
+        "observables": [{"family": "box", "level": -0.5, "lo": [4.0],
+                         "hi": [6.0]}],
+        "scaling": {"eps": [1.0]}, "samples": 2})
+    code = cli.main(["scaling", "--config", path, "--assert",
+                     "--out", str(tmp_path)])
+    rep = json.loads((tmp_path / "b_scaling.json").read_text())["report"]
+    assert rep["final_within_tolerance"] is final_ok
+    assert code == (0 if final_ok else 4)
+
+
+@pytest.mark.parametrize("estimate, within", [
+    (0.875, True),  # bound + 3 stderr exactly
+    (math.nextafter(0.875, 1.0), False),
+    (0.0, True),  # one-sided: far below the bound is no violation
+])
+def test_exit_probe_rule_is_one_sided(tmp_path, monkeypatch, estimate,
+                                      within):
+    monkeypatch.setattr(cli, "exit_probability",
+                        lambda *args: (estimate, 0.125, 0.5))
+    path = _config_file(tmp_path, {
+        "domain": {"mode": "fullspace", "window": [[-1.0], [1.0]]},
+        "kernel": {"variant": "brownian"},
+        "summability": {"alpha": 1.0, "m": 1},
+        "exit": {"radius": 1.0, "epsilon": 0.5, "paths": 2}})
+    code = cli.main(["check-summability", "--config", path, "--assert",
+                     "--out", str(tmp_path)])
+    rep = json.loads((tmp_path / "b_summability.json").read_text())["report"]
+    assert rep["converges"] is True
+    assert rep["exit_check"]["within_bound"] is within
+    assert code == (0 if within else 4)
 
 
 def test_poisson_laplace_matches_identity():

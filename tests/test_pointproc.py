@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from freedyn.pointproc import (
     CHUNK,
@@ -113,6 +115,31 @@ class TestConfiguration:
         assert np.allclose(back.points, cfg.points)
         assert back.domain == cfg.domain
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_csv_roundtrip_is_exact(self, data):
+        dim = data.draw(st.integers(1, 3))
+        if data.draw(st.booleans()):
+            side = data.draw(st.floats(0.5, 100.0))
+            domain = Domain.torus(dim, side)
+            coord = st.floats(0.0, side, exclude_max=True)
+        else:
+            lo = data.draw(st.lists(st.floats(-50.0, 50.0), min_size=dim,
+                                    max_size=dim))
+            width = data.draw(st.floats(0.5, 100.0))
+            domain = Domain.fullspace(lo, [v + width for v in lo])
+            coord = st.floats(-1e6, 1e6)
+        # rows are distinct under ==, so 0.0 and -0.0 never share a row
+        rows = data.draw(st.lists(
+            st.tuples(*[st.one_of(st.just(-0.0), coord)] * dim),
+            max_size=12, unique=True))
+        cfg = Configuration(np.array(rows, dtype=float).reshape(-1, dim),
+                            domain)
+        back = Configuration.from_csv(cfg.to_csv())
+        assert back == cfg
+        assert back.points.shape == cfg.points.shape
+        assert np.array_equal(np.signbit(back.points), np.signbit(cfg.points))
+
     def test_count_in_ball(self):
         empty = Configuration(np.empty((0, 1)), D1)
         assert empty.count_in_ball(np.array([0.0]), 1.0) == 0
@@ -123,6 +150,51 @@ class TestConfiguration:
         # integer grid on [0,10]; |x-5| <= 2.5 holds for 3,4,5,6,7
         grid = Configuration(np.arange(11.0)[:, None], Domain.fullspace((0.0,), (10.5,)))
         assert grid.count_in_ball(np.array([5.0]), 2.5) == 5
+
+
+BALL_DOMAINS = [Domain.torus(1, 10.0), Domain.torus(2, 10.0),
+                Domain.fullspace((-5.0,), (5.0,)),
+                Domain.fullspace((-5.0, -5.0), (5.0, 5.0))]
+
+
+def kdtree_counts(pts, domain, center, radii):
+    tree = (cKDTree(pts, boxsize=domain.side) if domain.is_torus
+            else cKDTree(pts))
+    return [len(tree.query_ball_point(center, float(r))) for r in radii]
+
+
+class TestBallCounts:
+    """Ball counts against scipy's cKDTree as the reference."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("domain", BALL_DOMAINS,
+                             ids=["torus1", "torus2", "full1", "full2"])
+    def test_random_sets_at_integer_radii(self, domain, seed):
+        gen = np.random.default_rng(seed)
+        lo, hi = domain.lower, domain.upper
+        cfg = Configuration(lo + (hi - lo) * gen.random((200, domain.dim)),
+                            domain)
+        radii = range(1, 9)
+        for center in (np.zeros(domain.dim),
+                       lo + (hi - lo) * gen.random(domain.dim)):
+            expected = kdtree_counts(cfg.points, domain, center, radii)
+            assert [cfg.count_in_ball(center, r) for r in radii] == expected
+            rep = theta_check(cfg, 1.0, 8, center=center)
+            assert list(rep.counts) == expected
+
+    def test_points_on_the_sphere_count_inside(self):
+        plane = Domain.fullspace((-5.0, -5.0), (5.0, 5.0))
+        cfg = Configuration(np.array([[3.0, 4.0]]), plane)
+        assert cfg.count_in_ball([0.0, 0.0], 5) == 1
+        assert theta_check(cfg, 1.0, 5).counts == (0, 0, 0, 0, 1)
+        assert kdtree_counts(cfg.points, plane, [0.0, 0.0], [5]) == [1]
+        # both min-image neighbours of 0 at distance 0.5 on a side-10 torus
+        ring = Domain.torus(1, 10.0)
+        cfg = Configuration(np.array([[0.5], [9.5]]), ring)
+        assert cfg.count_in_ball([0.0], 0.5) == 2
+        assert kdtree_counts(cfg.points, ring, [0.0], [0.5]) == [2]
+        cfg = Configuration(np.array([[1.0], [9.0]]), ring)
+        assert theta_check(cfg, 1.0, 1).counts == (2,)
 
 
 class TestSamplePoisson:

@@ -673,8 +673,11 @@ def _parser():
     return parser
 
 
+_PARSER = _parser()  # built once: parse_args keeps no state between calls
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:

@@ -10,16 +10,21 @@ feed the diffusion generator, which needs two derivatives).
 The module also provides Gaussian smoothing (heat-kernel convolution) with
 closed forms for boxes, including the image-sum version on a torus, and
 the package's one quadrature engine, ``box_quad``: every analytic oracle
-that needs an integral the closed forms do not give calls it.
+that needs an integral the closed forms do not give calls it.  The engine
+is globally adaptive product Gauss-Kronrod quadrature (the 21-point rule
+of QUADPACK, Piessens et al. 1983), written here in numpy so that no
+freedyn process needs ``scipy.integrate``.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .space import in_box
@@ -176,29 +181,115 @@ def support_box(phis, pad=0.0):
     return lo, hi
 
 
+# Kronrod 21-point nodes on [-1, 1] from 1 down to 0 and their weights
+# (QUADPACK dqk21); the odd-indexed nodes are the Gauss 10-point nodes.
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
+GK21_NODES = np.concatenate([_XGK, -_XGK[-2::-1]])
+GK21_WEIGHTS = np.concatenate([_WGK, _WGK[-2::-1]])
+G10_WEIGHTS = np.concatenate([_WG, _WG[::-1]])  # at GK21_NODES[1::2]
+MAX_SUBDIVISIONS = 10_000
+
+
+@functools.lru_cache(maxsize=None)
+def _gk21_rule(dim):
+    """Product rule on [-1, 1]^dim: nodes, Kronrod weights, the weights of
+    Kronrod minus Gauss (Gauss weights sit on the all-odd nodes), and the
+    2^dim lower/upper-half choices of a midpoint split."""
+    grids = np.meshgrid(*[GK21_NODES] * dim, indexing="ij")
+    nodes = np.stack(grids, axis=-1).reshape(-1, dim)
+    wk = functools.reduce(np.multiply.outer, [GK21_WEIGHTS] * dim)
+    wg = np.zeros_like(wk)
+    wg[(slice(1, None, 2),) * dim] = functools.reduce(np.multiply.outer,
+                                                      [G10_WEIGHTS] * dim)
+    halves = np.array(list(itertools.product((False, True), repeat=dim)))
+    return nodes, wk.reshape(-1), (wk - wg).reshape(-1), halves
+
+
+class _Region:
+    """A box with its Kronrod estimate and error; heapq pops the largest
+    error first."""
+
+    __slots__ = ("lo", "hi", "est", "err", "worst")
+
+    def __init__(self, lo, hi, est, err):
+        self.lo, self.hi, self.est, self.err = lo, hi, est, err
+        self.worst = np.max(err)
+
+    def __lt__(self, other):
+        return self.worst > other.worst
+
+
 def box_quad(func, lo, hi, tol=1e-10):
     """Integrate a vectorized function over the box [lo, hi], any dimension.
 
-    The package's one quadrature engine: globally adaptive cubature
-    (``scipy.integrate.cubature``, a product Gauss-Kronrod 21-point rule
-    that splits the region of largest error along every axis) to absolute
-    and relative tolerance tol.  func maps (n, dim) points to (n,) values,
-    or to (n, m) rows for m integrals over the same nodes.  Returns
-    (value, error estimate): floats, or length-m arrays.  Raises
-    RuntimeError when the cubature stops before reaching tol or returns a
-    value or error that is not finite.
+    The package's one quadrature engine: globally adaptive product
+    Gauss-Kronrod quadrature.  Each region is integrated by the 21-point
+    Kronrod rule on every axis, and its error is the distance to the
+    embedded 10-point Gauss rule, read off the same nodes, so func is
+    evaluated once per region on 21**dim nodes.  The region of largest
+    error is split at its midpoint along every axis until every component
+    has error <= tol + tol * |value|, or MAX_SUBDIVISIONS splits are
+    spent.  func maps (n, dim) points to (n,) values, or to (n, m, ...)
+    rows for an array of integrals over the same nodes.  Returns (value,
+    error estimate): floats, or arrays of shape (m, ...).  Raises ValueError on limits that are not
+    finite or with hi < lo, and RuntimeError when the tolerance is not
+    reached or the value or error is not finite.
     """
     lo = np.atleast_1d(np.asarray(lo, dtype=float))
     hi = np.atleast_1d(np.asarray(hi, dtype=float))
-    res = integrate.cubature(func, lo, hi, rtol=tol, atol=tol)
-    value, error = res.estimate, res.error
-    if res.status != "converged" or not (np.all(np.isfinite(value))
-                                         and np.all(np.isfinite(error))):
+    if (lo.ndim != 1 or lo.shape != hi.shape
+            or not np.all(np.isfinite(lo) & np.isfinite(hi))
+            or np.any(hi < lo)):
+        raise ValueError("box_quad needs finite limits with lo <= hi, got "
+                         "[%s, %s]" % (lo.tolist(), hi.tolist()))
+    nodes, wk, werr, halves = _gk21_rule(len(lo))
+
+    def region(a, b):
+        length = b - a
+        fx = func((nodes + 1.0) * (length * 0.5) + a)
+        scale = np.prod(length) / 2 ** len(a)
+        shape = (-1,) + (1,) * (np.ndim(fx) - 1)
+        est = np.sum((wk * scale).reshape(shape) * fx, axis=0)
+        err = np.abs(np.sum((werr * scale).reshape(shape) * fx, axis=0))
+        return _Region(a, b, est, err)
+
+    heap = [region(lo, hi)]
+    value, error = heap[0].est, heap[0].err
+    subdivisions = 0
+    while subdivisions < MAX_SUBDIVISIONS and np.any(
+            error > tol + tol * np.abs(value)):
+        worst = heapq.heappop(heap)
+        value, error = value - worst.est, error - worst.err
+        mid = (worst.lo + worst.hi) / 2
+        for upper in halves:
+            child = region(np.where(upper, mid, worst.lo),
+                           np.where(upper, worst.hi, mid))
+            value, error = value + child.est, error + child.err
+            heapq.heappush(heap, child)
+        subdivisions += 1
+    if np.any(error > tol + tol * np.abs(value)) or not (
+            np.all(np.isfinite(value)) and np.all(np.isfinite(error))):
         raise RuntimeError(
             "quadrature over [%s, %s] did not reach tolerance %g: error "
             "estimate %s after %d subdivisions" % (
-                lo.tolist(), hi.tolist(), tol, np.max(error),
-                res.subdivisions))
+                lo.tolist(), hi.tolist(), tol, np.max(error), subdivisions))
     if np.ndim(value) == 0:
         return float(value), float(error)
     return value, error

@@ -60,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.special import gammainc, gammaincc, pdtr, zeta
 
 from .functions import (NumericFunction, bump_shape_integral, gauss_smooth,
@@ -151,6 +150,9 @@ class GaussianProfile:
         The supremum of r**alpha * tail_mass(r) is attained at finite r
         (Gaussian decay beats any power); located numerically and padded.
         """
+        # imported at its one use, so importing freedyn skips scipy.optimize
+        from scipy import optimize
+
         def neg(logr):
             r = math.exp(logr)
             return -(r ** alpha) * float(self.tail_mass(r))

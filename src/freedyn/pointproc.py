@@ -275,6 +275,10 @@ class Configuration:
     @staticmethod
     def from_csv(text):
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        # comment lines may precede the header, as in the CLI's CSV files
+        while lines and lines[0].startswith("#") and \
+                not lines[0].startswith("# domain:"):
+            lines.pop(0)
         if not lines or not lines[0].startswith("# domain:"):
             raise ValueError("missing domain header")
         domain = Domain.from_dict(json.loads(lines[0][len("# domain:"):]))

@@ -531,3 +531,105 @@ def test_correlation_verdict_fails_on_an_empty_cell(tmp_path):
     assert rep["max_sigma_distance"] == float("inf")
     assert rep["within_3sigma"] is False
     assert codes == [0, 4]
+
+
+# --- start-up: one parser, light imports, quadrature failures -------------
+
+def test_parser_is_built_once_and_calls_parse_independently(tmp_path,
+                                                            capsys):
+    # flags of one in-process call must not leak into the next
+    from freedyn import cli
+
+    parser = cli._PARSER
+    cfg = json.loads(json.dumps(MARKOV_CFG))
+    cfg["observables"][0] = {"family": "box", "level": -0.9,
+                             "lo": [-0.05], "hi": [0.05]}
+    cfg["samples"] = 50
+    cfg["rng"]["seed"] = 49  # fails the 3-sigma verdict (see above)
+    laplace = write_config(tmp_path, "laplace.json", cfg)
+    sample = write_config(tmp_path, "sample.json", SAMPLE_CFG)
+
+    def seed_of(out, name):
+        return json.loads((out / name).read_text())["provenance"]["seed"]
+
+    runs = [
+        (["laplace", "--config", laplace, "--assert", "--threads", "2"],
+         "h", 4),
+        (["sample-poisson", "--config", sample, "--seed", "5"], "s5", 0),
+        (["laplace", "--config", laplace], "soft", 0),
+        (["sample-poisson", "--config", sample], "s", 0),
+        (["laplace", "--config", laplace, "--assert"], "h2", 4),
+    ]
+    for argv, name, code in runs:
+        assert cli.main(argv + ["--out", str(tmp_path / name)]) == code
+    assert cli._PARSER is parser
+    assert seed_of(tmp_path / "s5", "probe_laplace.json") == 5
+    assert seed_of(tmp_path / "s", "probe_laplace.json") == 11
+    assert seed_of(tmp_path / "soft", "probe_laplace.json") == 49
+    assert ((tmp_path / "soft" / "probe_laplace.json").read_bytes()
+            == (tmp_path / "h" / "probe_laplace.json").read_bytes())
+    assert capsys.readouterr().err == ""
+    assert vars(parser.parse_args(["evolve", "--config", "c.json"])) == {
+        "command": "evolve", "config": "c.json", "seed": None,
+        "threads": 1, "do_assert": False, "out": "."}
+
+
+def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
+    # box_quad is numpy; scipy.optimize is imported where it is used
+    code = ("import json, sys, freedyn.cli; "
+            "print(json.dumps(sorted(sys.modules)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=str(tmp_path), env=checkout_env())
+    assert res.returncode == 0, res.stderr
+    loaded = json.loads(res.stdout)
+    assert "freedyn.cli" in loaded and "scipy.special" in loaded
+    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
+             "scipy.spatial")
+    assert [m for m in loaded
+            if any(m == h or m.startswith(h + ".") for h in heavy)] == []
+
+
+def test_quadrature_past_its_subdivision_cap_exits_3(tmp_path, monkeypatch,
+                                                     capsys):
+    # a bump observable's Brownian image is a box_quad integral
+    from freedyn import cli, functions
+
+    cfg = json.loads(json.dumps(MARKOV_CFG))
+    cfg["observables"][0] = {"family": "bump", "level": -0.5,
+                             "center": [0.0], "radius": 1.0}
+    cfg["samples"] = 20
+    path = write_config(tmp_path, "cfg.json", cfg)
+    argv = ["laplace", "--config", path, "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 0
+    monkeypatch.setattr(functions, "MAX_SUBDIVISIONS", 0)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical nonconvergence: quadrature over")
+    assert "did not reach tolerance" in err
+
+
+def test_sample_poisson_csv_is_an_evolve_start(tmp_path):
+    # the configuration CSV carries provenance comments above its domain
+    # header; docs/config.md names it as a valid start.csv
+    from freedyn import cli
+    from freedyn.pointproc import Configuration
+
+    sample = write_config(tmp_path, "sample.json", SAMPLE_CFG)
+    assert cli.main(["sample-poisson", "--config", sample,
+                     "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "probe_configuration.csv").read_text()
+    assert written.startswith("# freedyn ")
+    cfg = {
+        "domain": SAMPLE_CFG["domain"],
+        "kernel": {"variant": "brownian"},
+        "dynamics": {"times": [0.5], "mode": "conservative"},
+        "start": {"kind": "fixed", "csv": "probe_configuration.csv"},
+        "rng": {"seed": 1},
+        "output": {"prefix": "ev", "formats": ["json"]},
+    }
+    evolve = write_config(tmp_path, "evolve.json", cfg)
+    assert cli.main(["evolve", "--config", evolve,
+                     "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "ev_evolve.json").read_text())["report"]
+    start = Configuration.from_csv(written)
+    assert rep["initial_points"] == len(start) > 0

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import ndtr
+from scipy.special import ndtr, roots_legendre
 
 import freedyn
+from freedyn import functions
 from freedyn.functions import (
     TestFunction,
     box_quad,
+    bump_shape_integral,
     gauss_smooth,
     gauss_smooth_box_torus,
     integrate_function,
@@ -141,6 +143,110 @@ def test_box_quad_raises_when_tolerance_not_reached():
             box_quad(lambda pts: 1.0 / pts[:, 0], 0.0, 1.0)
     with pytest.raises(RuntimeError, match="did not reach tolerance"):
         box_quad(lambda pts: np.full(len(pts), np.nan), 0.0, 1.0)
+
+
+def cubature_box_quad(func, lo, hi, tol=1e-10):
+    """The engine box_quad replaced: scipy's adaptive product GK21."""
+    res = integrate.cubature(func, np.atleast_1d(np.asarray(lo, float)),
+                             np.atleast_1d(np.asarray(hi, float)),
+                             rtol=tol, atol=tol)
+    assert res.status == "converged"
+    return res.estimate, res.error
+
+
+def _gauss_nd(pts):
+    return np.exp(-np.sum(np.square(pts - 0.2), axis=1) / 0.7)
+
+
+def _bump_nd(pts):
+    dim = pts.shape[1]
+    return TestFunction.bump(-0.5, np.full(dim, 0.3), 1.2)(pts)
+
+
+def _array_valued(pts):
+    # (n, 2, 3): six integrands sharing the nodes
+    k = np.arange(1.0, 7.0).reshape(2, 3)
+    return np.cos(k * pts[:, 0, None, None]) * np.exp(-pts[:, -1, None, None])
+
+
+@pytest.mark.parametrize("func, lo, hi, tol", [
+    (_gauss_nd, [-1.0], [2.0], 1e-10),
+    (_bump_nd, [-0.9], [1.5], 1e-12),
+    (lambda pts: np.sqrt(np.abs(pts[:, 0] - 0.3)), [0.0], [1.0], 1e-10),
+    (_gauss_nd, [-1.0, -2.0], [2.0, 1.0], 1e-10),
+    (_bump_nd, [-0.9, -0.9], [1.5, 1.5], 1e-10),
+    (_gauss_nd, [-1.0, 0.0, -0.5], [1.0, 1.0, 0.5], 1e-8),
+    (_bump_nd, [-0.9, -0.9, -0.9], [1.5, 1.5, 1.5], 1e-5),
+    (_array_valued, [0.0], [3.0], 1e-10),
+    (_array_valued, [0.0, 0.0], [3.0, 1.0], 1e-10),
+])
+def test_box_quad_matches_scipy_cubature(func, lo, hi, tol):
+    val, err = box_quad(func, lo, hi, tol)
+    ref, _ = cubature_box_quad(func, lo, hi, tol)
+    assert np.shape(val) == np.shape(err) == np.shape(ref)
+    assert np.all(np.abs(val - ref) <= tol * (1.0 + np.abs(ref)))
+    assert np.all(np.asarray(err) <= tol * (1.0 + np.abs(val)))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_gauss_smooth_bump_matches_scipy_cubature(dim, monkeypatch):
+    # the array-valued bump integrand of gauss_smooth, through both engines
+    f = TestFunction.bump(-0.7, np.full(dim, 0.4), 1.3)
+    pts = np.random.default_rng(5).uniform(-2.0, 3.0, size=(9, dim))
+    var, weights = np.array([0.1, 0.3, 0.9]), np.array([0.2, 0.5, 0.3])
+    ours = gauss_smooth(f, var, pts, weights)
+    monkeypatch.setattr(functions, "box_quad", cubature_box_quad)
+    ref = gauss_smooth(f, var, pts, weights)
+    assert np.all(np.abs(ours - ref) <= 1e-11 * (1.0 + np.abs(ref)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bump_shape_integral_matches_scipy_cubature(dim, monkeypatch):
+    ours = bump_shape_integral(dim)
+    monkeypatch.setattr(functions, "box_quad", cubature_box_quad)
+    assert ours == pytest.approx(bump_shape_integral(dim), rel=2e-13)
+
+
+def test_box_quad_subdivision_cap():
+    # noise never settles: the cap of 10 000 splits stops the refinement
+    rng = np.random.default_rng(0)
+    with pytest.raises(RuntimeError, match="after 10000 subdivisions"):
+        box_quad(lambda pts: rng.random(len(pts)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1.0, 0.0),
+    ([0.0, 1.0], [1.0, 0.5]),
+    (np.nan, 1.0),
+    (0.0, np.inf),
+    (-np.inf, 0.0),
+    ([0.0, 0.0], [1.0]),
+])
+def test_box_quad_refuses_bad_limits(lo, hi):
+    with pytest.raises(ValueError, match="finite limits with lo <= hi"):
+        box_quad(lambda pts: np.ones(len(pts)), lo, hi)
+
+
+def test_box_quad_zero_width_box_is_zero():
+    assert box_quad(lambda pts: np.ones(len(pts)), [0.0, 1.0],
+                    [2.0, 1.0]) == (0.0, 0.0)
+
+
+def test_gk21_rule_constants():
+    # the Gauss nodes are the odd-indexed Kronrod nodes; both rules
+    # integrate polynomials of their degree (19 and 31) exactly
+    x, w = roots_legendre(10)
+    assert np.allclose(functions.GK21_NODES[1::2][::-1], x, rtol=0,
+                       atol=2e-16)
+    assert np.allclose(functions.G10_WEIGHTS, w, rtol=0, atol=2e-15)
+    for deg in range(32):
+        exact = 2.0 / (deg + 1) if deg % 2 == 0 else 0.0
+        nodes = functions.GK21_NODES
+        assert functions.GK21_WEIGHTS @ nodes ** deg == pytest.approx(
+            exact, abs=1e-15)
+        if deg < 20:
+            assert functions.G10_WEIGHTS @ nodes[1::2] ** deg == \
+                pytest.approx(exact, abs=1e-15)
 
 
 def test_only_functions_imports_scipy_integrate():

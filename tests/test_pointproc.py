@@ -140,6 +140,32 @@ class TestConfiguration:
         assert back.points.shape == cfg.points.shape
         assert np.array_equal(np.signbit(back.points), np.signbit(cfg.points))
 
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 2), torus=st.booleans(), data=st.data(),
+           comments=st.lists(st.text(alphabet=st.characters(
+               blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=20),
+               max_size=3))
+    def test_csv_roundtrip_after_comment_lines(self, dim, torus, data,
+                                               comments):
+        # the CLI writes provenance comments above the configuration CSV;
+        # a start read back from such a file keeps every bit
+        domain = Domain.torus(dim, 7.5) if torus else \
+            Domain.fullspace([-3.0] * dim, [4.0] * dim)
+        coord = st.floats(0.0, 7.5, exclude_max=True) if torus else \
+            st.floats(-1e3, 1e3)
+        rows = data.draw(st.lists(st.tuples(*[coord] * dim), max_size=8,
+                                  unique=True))
+        cfg = Configuration(np.array(rows, dtype=float).reshape(-1, dim),
+                            domain)
+        header = "".join("# note " + c + "\n" for c in comments)
+        back = Configuration.from_csv(header + cfg.to_csv())
+        assert back == cfg
+        assert back.points.shape == cfg.points.shape
+
+    def test_csv_without_domain_header_is_refused(self):
+        with pytest.raises(ValueError, match="missing domain header"):
+            Configuration.from_csv("# freedyn 0.1.0\nx0\n1.0\n")
+
     def test_count_in_ball(self):
         empty = Configuration(np.empty((0, 1)), D1)
         assert empty.count_in_ball(np.array([0.0]), 1.0) == 0

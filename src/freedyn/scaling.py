@@ -318,23 +318,26 @@ class ScalingReport:
         return out.getvalue()
 
 
-def _pair_log1p(acc, ids, phi, pts, among=None):
+def _pair_log1p(acc, ends, phi, pts, among=None):
     """acc[r] += sum of log1p(phi) over replica r's points; returns acc.
 
-    phi must be a TestFunction: it is exactly 0 off its closed support box
-    [support_lo, support_hi], so only the points inside that box are
-    evaluated.  The nonzero (id, value) pairs, and their order, are those
-    of phi at every point, so acc gets the same bits.  A boolean mask
-    among restricts the pairing to its rows, as compressing pts and ids
-    by it would.
+    A replica is a run of rows of pts: replica r holds the rows from
+    ends[r - 1] (0 for r = 0) up to ends[r], so the replica of row i is
+    the number of end rows <= i.  phi must be a TestFunction: it is
+    exactly 0 off its closed support box [support_lo, support_hi], so only
+    the points inside that box are evaluated and looked up.  The nonzero
+    (replica, value) pairs, and their order, are those of phi at every
+    point, so acc gets the same bits.  A boolean mask among restricts the
+    pairing to its rows, as compressing pts by it would.
     """
     inside = in_box(pts, phi.support_lo, phi.support_hi, closed=True)
     if among is not None:
         inside &= among
-    # few rows: one scan serves pts and ids
+    # few rows: one scan serves pts and their replicas
     rows = np.flatnonzero(inside)
     vals = phi(pts.take(rows, axis=0))
-    return pair_into(acc, ids.take(rows), np.log1p(vals))
+    return pair_into(acc, np.searchsorted(ends, rows, side="right"),
+                     np.log1p(vals))
 
 
 def _contracted_paths(domain, pts, draws, eps):
@@ -443,16 +446,22 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     One replica is one start and one set of base-profile jumps, read off
     at every eps of the schedule: column e holds the integrand of the
     dynamics contracted by eps_schedule[e].  The domain must be a torus
-    and phis TestFunctions.  A row that never rings is paired once.  A
+    and phis TestFunctions.  A replica is a run of rows of the start, so
+    the chunk keeps only each replica's end row (one past its last row),
+    not a replica id per row.  A row that never rings is paired once.  A
     mover whose start lies farther than its reach (its summed |step| over
     the smallest eps) from every phi's support box, in torus distance per
-    coordinate, is dropped before the eps loop: no phi is nonzero on its
-    path, so the kept rows give the same (id, value) pairs in the same
-    order, and the same bits, as every row would.
+    coordinate, is dropped before the eps loop, and the end rows are
+    counted among the kept rows: no phi is nonzero on a dropped path, so
+    the kept rows give the same (replica, value) pairs in the same order,
+    and the same bits, as every row would.
     """
     domain = measure.domain
     # both measures give torus points in the cell [0, side): no wrap needed
     pts, ids = measure.sample_batch(n_rep, gen)
+    # the ids ascend: replica r ends where the ids reach r + 1
+    ends = np.searchsorted(ids, np.arange(1, n_rep + 1))
+    del ids  # gone before the jump draws, where the chunk peaks
     n = len(pts)
     draws = list(_rings(kernel, n, np.diff(times, prepend=0.0), gen))
     moved = np.zeros(n, dtype=bool)
@@ -463,21 +472,22 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     acc = np.zeros(n_rep)
     still = ~moved
     for phi in phis:
-        _pair_log1p(acc, ids, phi, pts, among=still)
+        _pair_log1p(acc, ends, phi, pts, among=still)
     del still
     keep = _cull_far(domain.side, pts, draws, min(eps_schedule), phis, moved)
     del moved
-    pts = pts.compress(keep, axis=0)
-    ids = ids.compress(keep)
-    draws = [(np.flatnonzero(ring.compress(keep)),
+    kept = np.flatnonzero(keep)
+    pts = pts.take(kept, axis=0)
+    ends = np.searchsorted(kept, ends)  # end rows among the kept rows
+    draws = [(np.flatnonzero(ring.take(kept)),
               step.compress(keep.compress(ring), axis=0))
              for ring, step in draws]
-    del keep
+    del keep, kept
     out = np.empty((n_rep, len(eps_schedule)))
     for col, eps in enumerate(eps_schedule):
         logs = acc.copy()
         for pos, phi in zip(_contracted_paths(domain, pts, draws, eps), phis):
-            _pair_log1p(logs, ids, phi, pos)
+            _pair_log1p(logs, ends, phi, pos)
         out[:, col] = np.exp(logs)
     return out
 

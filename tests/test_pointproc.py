@@ -69,6 +69,21 @@ def test_run_chunks_draws_chunk_c_from_child_c_in_order():
         assert np.array_equal(out, expected)
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3 * CHUNK + 7), threads=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_run_chunks_is_the_in_order_concatenation_of_its_chunks(n, threads,
+                                                                 seed):
+    rng = RngStream(seed)
+
+    def worker(m, gen):
+        return gen.random((m, 2))
+
+    expected = np.concatenate([worker(m, rng.child(c).generator())
+                               for c, m in enumerate(chunk_sizes(n, CHUNK))])
+    assert np.array_equal(run_chunks(worker, n, rng, threads), expected)
+
+
 def test_run_chunks_and_mean_se_refuse_small_budgets():
     with pytest.raises(ValueError, match="positive number of replicas"):
         run_chunks(lambda m, gen: gen.random(m), 0, RngStream(9))

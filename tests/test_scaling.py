@@ -10,14 +10,15 @@ from scipy.special import ndtr
 from freedyn.functions import NumericFunction, TestFunction, box_quad
 from freedyn.kernels import (BumpProfile, GaussianProfile, KawasakiKernel,
                              g_t_series)
-from freedyn.pointproc import RngStream
+from freedyn import scaling
+from freedyn.pointproc import RngStream, pair_into
 from freedyn.scaling import (
     NeymanScottMeasure,
     PoissonMeasure,
     run_scaling_experiment,
     verify_mu_conditions,
 )
-from freedyn.space import Domain
+from freedyn.space import Domain, in_box
 
 
 T100 = Domain.torus(1, 100.0)
@@ -394,14 +395,13 @@ class TestSharedDraws:
 
 @pytest.mark.parametrize("start", [0, 1], ids=("poisson", "neyman-scott"))
 def test_criterion_6_chunk_peak_memory(start):
-    # one full chunk of criterion 6 under tracemalloc.  The worker holds the
-    # start arrays and one boolean ring mask per time step; the jump counts,
-    # the Gaussian jump sums and the Neyman-Scott parents are drawn and
-    # reduced block by block of rows, and the rows that never ring are
-    # paired through a mask, so its traced peak is 57.5 MiB for either
-    # start (the reach cull leaves about a quarter of the movers to the eps
-    # loop).  A chunk-length uniform array beside them, as one-shot jump
-    # counts draw, would push it past 64 MiB.
+    # one full chunk of criterion 6 under tracemalloc.  The worker peaks
+    # while the second time step's jumps are drawn: alive then are the
+    # start positions (about 2e6 floats, 15.3 MiB), the two boolean ring
+    # masks, the two step arrays and the jump counts being drawn, block by
+    # block of rows.  The chunk keeps one end row per replica, not an int64
+    # replica id per point, so its traced peak is 42.4 MiB for either
+    # start; with the id column alive through the draws it was 57.5 MiB.
     import tracemalloc
 
     from freedyn.pointproc import CHUNK
@@ -420,7 +420,97 @@ def test_criterion_6_chunk_peak_memory(start):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
+    assert peak <= 48 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
+
+
+def _ids_pair_log1p(acc, ids, phi, pts, among=None):
+    # the pairing through a replica-id column that the end rows replaced
+    inside = in_box(pts, phi.support_lo, phi.support_hi, closed=True)
+    if among is not None:
+        inside &= among
+    rows = np.flatnonzero(inside)
+    vals = phi(pts.take(rows, axis=0))
+    return pair_into(acc, ids.take(rows), np.log1p(vals))
+
+
+def _ids_chunk_joint_values(measure, kernel, times, phis, eps_schedule,
+                            n_rep, gen):
+    # the chunk worker as it was with a replica-id column alive throughout
+    domain = measure.domain
+    pts, ids = measure.sample_batch(n_rep, gen)
+    n = len(pts)
+    draws = list(scaling._rings(kernel, n, np.diff(times, prepend=0.0), gen))
+    moved = np.zeros(n, dtype=bool)
+    for ring, _ in draws:
+        moved |= ring
+    acc = np.zeros(n_rep)
+    still = ~moved
+    for phi in phis:
+        _ids_pair_log1p(acc, ids, phi, pts, among=still)
+    del still
+    keep = scaling._cull_far(domain.side, pts, draws, min(eps_schedule),
+                             phis, moved)
+    del moved
+    pts = pts.compress(keep, axis=0)
+    ids = ids.compress(keep)
+    draws = [(np.flatnonzero(ring.compress(keep)),
+              step.compress(keep.compress(ring), axis=0))
+             for ring, step in draws]
+    del keep
+    out = np.empty((n_rep, len(eps_schedule)))
+    for col, eps in enumerate(eps_schedule):
+        logs = acc.copy()
+        for pos, phi in zip(
+                scaling._contracted_paths(domain, pts, draws, eps), phis):
+            _ids_pair_log1p(logs, ids, phi, pos)
+        out[:, col] = np.exp(logs)
+    return out
+
+
+T20_2D = Domain.torus(2, 20.0)
+_PHIS_1D = (TestFunction.box(-0.5, (48.0,), (52.0,)),
+            TestFunction.box(-0.6, (49.0,), (53.0,)))
+_END_ROW_CASES = {
+    # name: (start measures, jump profile, observables)
+    "gauss-1d": ((PoissonMeasure(T100, 1.0),
+                  NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25)),
+                 GaussianProfile(1, 1.0, 1.0), _PHIS_1D),
+    "bump-1d": ((PoissonMeasure(T100, 1.0),
+                 NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25)),
+                BumpProfile(1, 2.0, 1.1), _PHIS_1D),
+    "gauss-2d": ((PoissonMeasure(T20_2D, 0.5),
+                  NeymanScottMeasure(T20_2D, 0.3, 0.5, 0.25)),
+                 GaussianProfile(2, 1.0, 0.8),
+                 (TestFunction.box(-0.5, (8.0, 9.0), (12.0, 11.0)),
+                  TestFunction.bump(-0.6, (10.0, 10.0), 2.0))),
+    # a third to two points per replica: many replicas hold none
+    "sparse-1d": ((PoissonMeasure(T100, 0.003),
+                   PoissonMeasure(T100, 0.02)),
+                  GaussianProfile(1, 1.0, 1.0), _PHIS_1D),
+}
+
+
+@pytest.mark.parametrize("n_rep", [1, 7, 3000])
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("case", sorted(_END_ROW_CASES))
+def test_chunk_end_rows_match_replica_ids(case, start, n_rep):
+    # the worker looks replicas up by their end rows: the same bits as
+    # pairing through the replica-id column of sample_batch
+    from freedyn.scaling import _chunk_joint_values
+
+    measures, profile, phis = _END_ROW_CASES[case]
+    measure = measures[start]
+    kernel = KawasakiKernel(measure.domain, profile)
+    args = (measure, kernel, (0.5, 1.0), phis, (1.0, 0.5, 0.25, 0.1), n_rep)
+    seed = RngStream(1019, start).child(n_rep)
+    got = _chunk_joint_values(*args, seed.generator())
+    want = _ids_chunk_joint_values(*args, seed.generator())
+    assert got.tobytes() == want.tobytes()
+    if n_rep == 3000:
+        _, ids = measure.sample_batch(n_rep, seed.generator())
+        sizes = np.bincount(ids, minlength=n_rep)
+        assert np.any(got < 1.0)  # the observables are met
+        assert np.any(sizes == 0) == (case == "sparse-1d")
 
 
 def test_neyman_scott_sample_batch_peak_memory():

@@ -10,7 +10,7 @@ small-jump scaling limit connecting jump dynamics to birth-and-death.
 
 __version__ = "0.1.0"
 
-from .space import Domain, ball_volume, doubling_constants
+from .space import Domain, ball_volume
 from .pointproc import (BoundedField, Configuration, PoissonMeasure,
                         RngStream, as_field, parallel_map_ordered,
                         sample_poisson_space_time, theta_check)

@@ -4,31 +4,36 @@ Every particle moves by an independent copy of a one-particle kernel; there
 is no interaction.  Sub-Markov kernels kill particles, and the matching
 equilibrium mechanism adds immigrants: a space-time Poisson rain with
 intensity killing_rate(x) * z dx dt, each immigrant evolving from its own
-birth time.  Snapshots are exact in distribution at the requested times
-for Brownian, Death and Kawasaki kernels (no time-discretization anywhere;
-the grid steps below are Markov increments); only KilledBrownian carries
-its internal killing-grid bias.
+birth time.  Glauber (birth-and-death) dynamics is the death kernel with
+immigration.  One batch engine, ``_march``, steps the rows of a replica
+batch and their newborns through the observation times; the snapshot
+functions here and the replica-batch estimators in ``experiments`` and
+``observables`` all run on it.  Snapshots are exact in distribution at
+the requested times for Brownian, Death and Kawasaki kernels (no
+time-discretization anywhere; the grid steps below are Markov
+increments); only KilledBrownian carries its internal killing-grid bias.
 
 Boundary policy on the full space is a buffer collar: the window is
-enlarged by a width Delta, the collar is seeded with fresh Poisson points
-at the initial density, and any particle drifting past the collar is
-dropped.  buffer_leakage_bound bounds only the expected number of such
-discards, and nothing in the package calls it; the error of window
-statistics has no stated bound.  On the torus the evolution is exact.
+enlarged by the kernel's tail radius at 1e-4 (default_buffer_width; 0 for
+the death kernel, which never moves), the collar is seeded with fresh
+Poisson points at the start's own realized density, immigrants rain on
+window and collar, and any particle drifting past the collar is dropped.
+buffer_leakage_bound bounds only the expected number of such discards,
+and nothing in the package calls it; the error of window statistics has
+no stated bound.  On the torus the evolution is exact.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import default_buffer_width
-from .pointproc import (BoundedField, Configuration, PoissonMeasure,
-                        as_field, sample_poisson_space_time)
+from .kernels import DeathKernel, default_buffer_width
+from .pointproc import (Configuration, PoissonMeasure, as_field,
+                        sample_poisson_space_time)
 from .space import Domain, in_box
 
 CONSERVATIVE = "conservative"
@@ -131,9 +136,8 @@ class GlauberDynamics:
         events = [Event(float(deaths[j]), "death", tuple(init[j]))
                   for j in range(len(init)) if deaths[j] <= horizon]
         if z > 0 and rate.bound > 0:
-            rain = BoundedField(lambda p: rate(p) * z, rate.bound * z)
-            bpts, btimes = sample_poisson_space_time(config.domain, rain,
-                                                     horizon, rng.child(2))
+            bpts, btimes = sample_poisson_space_time(
+                config.domain, rate.scaled(z), horizon, rng.child(2))
             bdeaths = btimes + _exponential_lifetimes(
                 rate(bpts) if len(bpts) else np.zeros(0), gen)
             for j in range(len(bpts)):
@@ -143,6 +147,14 @@ class GlauberDynamics:
                     events.append(Event(float(bdeaths[j]), "death",
                                         tuple(bpts[j])))
         return events
+
+
+def _exponential_lifetimes(rate_vals, gen):
+    # Exp(a(x)) lifetimes; rate 0 means immortal
+    draws = gen.exponential(1.0, size=len(rate_vals))
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(rate_vals > 0, draws / np.maximum(rate_vals, 1e-300),
+                        np.inf)
 
 
 def buffer_leakage_bound(kernel, t_max, width, population):
@@ -167,7 +179,7 @@ def _check_boundary(domain, boundary):
 def _seed_buffer(config, kernel, plan, rng):
     """Simulation state for buffer mode: window points + collar Poisson.
 
-    Returns (points, cull_lo, cull_hi, width).
+    Returns (points, cull_lo, cull_hi).
     """
     domain = config.domain
     width = plan.boundary.width
@@ -176,9 +188,7 @@ def _seed_buffer(config, kernel, plan, rng):
     else:
         density = len(config) / domain.window_volume
     if width is None:
-        # the width solve is a root find over kernel tails; with an empty
-        # collar the only unbiased default is to never discard, so skip it
-        width = math.inf if density == 0 else default_buffer_width(kernel, plan.t_max)
+        width = default_buffer_width(kernel, plan.t_max)
     lo = domain.lower - width
     hi = domain.upper + width
     pts = config.points
@@ -188,46 +198,59 @@ def _seed_buffer(config, kernel, plan, rng):
         outside = ~in_box(shell.points, domain.lower, domain.upper,
                           closed=True)
         pts = np.vstack([pts, shell.points[outside]])
-    return pts, lo, hi, width
+    return pts, lo, hi
 
 
-def _march(points, kernel, times, gen, immigrants=None, cull=None):
-    """Step the time grid with Markov increments; returns point arrays.
+def _march(points, ids, kernel, times, gen, births=None, cull=None):
+    """The batch engine: step replica rows through the times by Markov
+    increments; returns one (points, ids) pair per time.
 
-    immigrants, when given, is (points, birth_times) sorted by birth time;
-    each immigrant takes its first (partial) step in the interval containing
-    its birth.  cull is an optional (lo, hi) box outside which particles
-    are dropped after every step.
+    points and ids are the rows of a replica batch and their replica ids.
+    births, when given, is (points, ids, birth times) with the times in
+    [0, times[-1]]; each newborn takes its first (partial) step in the
+    interval containing its birth.  cull is an optional (lo, hi) box
+    outside which rows are dropped after every step.  Stream layout per
+    step: the kernel's draws for the rows alive, then for the births due.
     """
-    dim = kernel.domain.dim
-    pts = np.asarray(points, dtype=float).reshape(-1, dim)
-    snaps = []
+    out = []
     prev = 0.0
     for t in times:
-        if len(pts):
-            pts, alive = kernel.propagate_batch(pts, t - prev, gen)
-            pts = pts[alive]
-        if immigrants is not None:
-            ipts, itimes = immigrants
-            sel = (itimes > prev) & (itimes <= t)
-            if np.any(sel):
-                born, balive = kernel.propagate_batch(ipts[sel],
-                                                      t - itimes[sel], gen)
-                born = born[balive]
-                pts = np.vstack([pts, born]) if len(pts) else born
-        if cull is not None and len(pts):
-            inside = in_box(pts, cull[0], cull[1], closed=True)
-            pts = pts[inside]
-        snaps.append(np.array(pts, copy=True))
+        if len(points):
+            moved, alive = kernel.propagate_batch(points, t - prev, gen)
+            points, ids = (moved, ids) if kernel.conservative else \
+                (moved[alive], ids[alive])
+        if births is not None:
+            bpts, bids, btimes = births
+            births = None
+            if t < times[-1]:  # at the last time every birth is due
+                due = btimes <= t
+                late = ~due
+                births = bpts[late], bids[late], btimes[late]
+                bpts, bids, btimes = bpts[due], bids[due], btimes[due]
+            if len(bpts):
+                born, alive = kernel.propagate_batch(bpts, t - btimes, gen)
+                born, bids = born[alive], bids[alive]
+                points = np.vstack([points, born]) if len(points) else born
+                ids = np.concatenate([ids, bids])
+        if cull is not None and len(points):
+            inside = in_box(points, cull[0], cull[1], closed=True)
+            points, ids = points[inside], ids[inside]
+        out.append((points, ids))
         prev = t
-    return snaps
+    return out
 
 
-def _window_snapshot(pts, domain):
-    if len(pts):
-        inside = in_box(pts, domain.lower, domain.upper, closed=True)
-        pts = pts[inside]
-    return Configuration(pts, domain)
+def _snapshots(pts, kernel, plan, gen, births=None, cull=None):
+    """One Configuration per plan time: the one-replica _march, reporting
+    the window content when a cull box is set."""
+    domain = kernel.domain
+    ids = np.zeros(len(pts), dtype=np.intp)
+    steps = _march(pts, ids, kernel, plan.times, gen, births, cull)
+    if cull is None:
+        return [Configuration(p, domain) for p, _ in steps]
+    return [Configuration(p[in_box(p, domain.lower, domain.upper,
+                                   closed=True)], domain)
+            for p, _ in steps]
 
 
 def evolve_snapshot(config, kernel, plan, rng):
@@ -246,11 +269,9 @@ def evolve_snapshot(config, kernel, plan, rng):
     _check_boundary(config.domain, plan.boundary)
     gen = rng.child(1).generator()
     if isinstance(plan.boundary, TorusExact):
-        snaps = _march(config.points, kernel, plan.times, gen)
-        return [Configuration(p, config.domain) for p in snaps]
-    pts, lo, hi, _w = _seed_buffer(config, kernel, plan, rng)
-    snaps = _march(pts, kernel, plan.times, gen, cull=(lo, hi))
-    return [_window_snapshot(p, config.domain) for p in snaps]
+        return _snapshots(config.points, kernel, plan, gen)
+    pts, lo, hi = _seed_buffer(config, kernel, plan, rng)
+    return _snapshots(pts, kernel, plan, gen, cull=(lo, hi))
 
 
 def evolve_with_immigration(config, kernel, z, plan, rng):
@@ -272,64 +293,38 @@ def evolve_with_immigration(config, kernel, z, plan, rng):
         fallback = EvolutionPlan(plan.times, CONSERVATIVE, None, plan.boundary)
         return evolve_snapshot(config, kernel, fallback, rng)
     domain = config.domain
-    g = kernel.rate
-    rain = BoundedField(lambda p: g(p) * z, g.bound * z)
+    rain = kernel.rate.scaled(z)
     gen = rng.child(1).generator()
     if isinstance(plan.boundary, TorusExact):
-        ipts, itimes = sample_poisson_space_time(domain, rain, plan.t_max,
-                                                 rng.child(2))
-        snaps = _march(config.points, kernel, plan.times, gen,
-                       immigrants=(ipts, itimes))
-        return [Configuration(p, domain) for p in snaps]
-    pts, lo, hi, _w = _seed_buffer(config, kernel, plan, rng.child(3))
+        pts, cull = config.points, None
+        lo, hi = domain.lower, domain.upper
+    else:
+        pts, lo, hi = _seed_buffer(config, kernel, plan, rng.child(3))
+        cull = (lo, hi)
     ipts, itimes = sample_poisson_space_time(domain, rain, plan.t_max,
                                              rng.child(2), lo=lo, hi=hi)
-    snaps = _march(pts, kernel, plan.times, gen,
-                   immigrants=(ipts, itimes), cull=(lo, hi))
-    return [_window_snapshot(p, domain) for p in snaps]
-
-
-def _exponential_lifetimes(rate_vals, gen):
-    # Exp(a(x)) lifetimes; rate 0 means immortal
-    draws = gen.exponential(1.0, size=len(rate_vals))
-    with np.errstate(divide="ignore", over="ignore"):
-        return np.where(rate_vals > 0, draws / np.maximum(rate_vals, 1e-300),
-                        np.inf)
+    births = ipts, np.zeros(len(ipts), dtype=np.intp), itimes
+    return _snapshots(pts, kernel, plan, gen, births, cull)
 
 
 def glauber_evolve(config, a, z, plan, rng):
-    """Exact event-free birth-and-death simulation, snapshot per plan time.
+    """Birth-and-death snapshots: the death kernel with immigration.
 
-    No time grid: each particle's death time is one exponential draw, and
-    births come from the exact space-time Poisson rain, so snapshots are
-    exact in distribution at all times simultaneously.  Particles do not
-    move, hence no boundary collar is needed; births are confined to the
-    window.
+    Particles sit still and die at rate a(x); with z > 0 they are born
+    from the space-time rain z * a(x) dx dt (evolve_with_immigration of a
+    DeathKernel), with z = 0 this is evolve_snapshot of the DeathKernel.
+    The plan's times and boundary are used; its mode is set by z.  The
+    death kernel needs no collar, and its steps are exact, so snapshots
+    are exact in distribution at all times simultaneously.
     """
-    spec = GlauberDynamics(a, z)
-    domain = config.domain
-    gen = rng.child(1).generator()
-    init = config.points
-    init_death = _exponential_lifetimes(spec.rate(init) if len(init) else
-                                        np.zeros(0), gen)
-    rain = BoundedField(lambda p: spec.rate(p) * spec.intensity,
-                        spec.rate.bound * spec.intensity)
-    if spec.intensity > 0 and rain.bound > 0:
-        bpts, btimes = sample_poisson_space_time(domain, rain, plan.t_max,
-                                                 rng.child(2))
-    else:
-        bpts = np.zeros((0, domain.dim))
-        btimes = np.zeros(0)
-    bdeath = btimes + _exponential_lifetimes(
-        spec.rate(bpts) if len(bpts) else np.zeros(0), gen)
-    out = []
-    for t in plan.times:
-        alive_init = init[init_death > t] if len(init) else init
-        alive_born = bpts[(btimes <= t) & (bdeath > t)] if len(bpts) else bpts
-        pts = np.vstack([alive_init, alive_born]) if len(init) or len(bpts) \
-            else np.zeros((0, domain.dim))
-        out.append(Configuration(pts, domain))
-    return out
+    kernel = DeathKernel(config.domain, GlauberDynamics(a, z).rate)
+    if z > 0:
+        return evolve_with_immigration(
+            config, kernel, z,
+            EvolutionPlan.with_immigration(plan.times, z, plan.boundary), rng)
+    return evolve_snapshot(config, kernel,
+                           EvolutionPlan.conservative(plan.times,
+                                                      plan.boundary), rng)
 
 
 # ---------------------------------------------------------------------------

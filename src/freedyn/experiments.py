@@ -13,14 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import _march
 from .functions import support_box
-from .kernels import killing_profile
+from .kernels import DeathKernel, killing_profile
 from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
                           bin_counts, check_correlation_grid,
                           correlation_edges, correlations_from_counts,
                           glauber_joint_laplace, poisson_laplace_exponent)
-from .pointproc import (Comparison, PoissonMeasure, mean_se, pair_into,
-                        run_chunks)
+from .pointproc import (Comparison, PoissonMeasure, as_field, mean_se,
+                        pair_into, run_chunks, sample_space_time_batch)
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,15 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
+def _product_values(m, steps, phi_list):
+    """exp sum_i <log(1 + phi_i), gamma_{t_i}> of each of m replicas, from
+    the engine's (points, ids) at each time."""
+    acc = np.zeros(m)
+    for (pts, ids), phi in zip(steps, phi_list, strict=True):
+        pair_into(acc, ids, np.log1p(np.asarray(phi(pts), dtype=float)))
+    return np.exp(acc)
+
+
 def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
                                threads=1, tol=1e-10):
     """Empirical E[exp<phi, gamma>] for Poisson gamma vs the closed form."""
@@ -100,12 +110,8 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
     t = float(t)
 
     def worker(m, gen):
-        pts, ids = config.sample_batch(m, gen)
-        moved, _ = kernel.propagate_batch(pts, t, gen)
-        acc = np.zeros(m)
-        vals = np.asarray(phi(moved), dtype=float)
-        pair_into(acc, ids, np.log1p(vals))
-        return np.exp(acc)
+        steps = _march(*config.sample_batch(m, gen), kernel, (t,), gen)
+        return _product_values(m, steps, [phi])
 
     values = run_chunks(worker, n_samples, rng, threads)
     est, se = mean_se(values)
@@ -131,31 +137,14 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
         raise ValueError("immigration balances killing; kernel must kill")
     t = float(t)
     z = float(z)
-    rate = killing_profile(kernel)
+    rain = killing_profile(kernel).scaled(z)
     lo, hi = support_box([phi], birth_pad)
-    box_vol = float(np.prod(hi - lo))
 
     def worker(m, gen):
-        acc = np.zeros(m)
-        # survivors of the initial configuration
-        pts, ids = config.sample_batch(m, gen)
-        moved, alive = kernel.propagate_batch(pts, t, gen)
-        vals = np.log1p(np.asarray(phi(moved[alive]), dtype=float))
-        pair_into(acc, ids[alive], vals)
-        # immigrant stream, thinned to rate z * a(x), then evolved to time t
-        counts = gen.poisson(z * rate.bound * box_vol * t, size=m)
-        total = int(counts.sum())
-        if total:
-            bids = np.repeat(np.arange(m), counts)
-            bpts = lo + (hi - lo) * gen.random((total, len(lo)))
-            keep = gen.random(total) * rate.bound < rate(bpts)
-            btimes = t * gen.random(total)
-            bids, bpts, btimes = bids[keep], bpts[keep], btimes[keep]
-            if len(bpts):
-                moved, alive = kernel.propagate_batch(bpts, t - btimes, gen)
-                vals = np.log1p(np.asarray(phi(moved[alive]), dtype=float))
-                pair_into(acc, bids[alive], vals)
-        return np.exp(acc)
+        rows = config.sample_batch(m, gen)
+        births = sample_space_time_batch(m, rain, t, lo, hi, gen)
+        steps = _march(*rows, kernel, (t,), gen, births)
+        return _product_values(m, steps, [phi])
 
     values = run_chunks(worker, n_samples, rng, threads)
     est, se = mean_se(values)
@@ -172,11 +161,12 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
     """Joint Laplace functional of birth-and-death dynamics vs closed form.
 
     start is any starting measure, a fixed Configuration included.  The
-    death rate must be a constant; lifetimes are exponential and births
-    form a space-time Poisson stream with rate z * a.  Particles never
-    move, so only points inside the union of the test-function supports
-    can matter: the birth box is clipped to it (this is exact, not an
-    approximation), and a Poisson start needs no domain beyond it.
+    death rate must be a constant: each chunk runs the death kernel with
+    immigration, births forming a space-time Poisson stream with rate
+    z * a.  Particles never move, so only points inside the union of the
+    test-function supports can matter: the birth box is clipped to it
+    (this is exact, not an approximation), and a Poisson start needs no
+    domain beyond it.
     """
     a = float(a_rate)
     z = float(z)
@@ -188,28 +178,15 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
         raise ValueError("times must be strictly increasing and > 0")
     if len(phi_list) != len(times):
         raise ValueError("need one test function per time")
-    t_max = times[-1]
+    rain = as_field(a).scaled(z)
     lo, hi = support_box(phi_list)
-    box_vol = float(np.prod(hi - lo))
+    kernel = DeathKernel(start.domain, a)
 
     def worker(m, gen):
-        pts0, ids0 = start.sample_batch(m, gen)
-        death0 = gen.exponential(1.0 / a, size=len(pts0))
-        counts = gen.poisson(z * a * box_vol * t_max, size=m)
-        total = int(counts.sum())
-        bids = np.repeat(np.arange(m), counts)
-        bpts = lo + (hi - lo) * gen.random((total, len(lo)))
-        btimes = t_max * gen.random(total)
-        bdeath = btimes + gen.exponential(1.0 / a, size=total)
-        acc = np.zeros(m)
-        for t_i, phi_i in zip(times, phi_list):
-            alive0 = death0 > t_i
-            vals = np.log1p(np.asarray(phi_i(pts0[alive0]), dtype=float))
-            pair_into(acc, ids0[alive0], vals)
-            aliveb = (btimes <= t_i) & (bdeath > t_i)
-            vals = np.log1p(np.asarray(phi_i(bpts[aliveb]), dtype=float))
-            pair_into(acc, bids[aliveb], vals)
-        return np.exp(acc)
+        rows = start.sample_batch(m, gen)
+        births = sample_space_time_batch(m, rain, times[-1], lo, hi, gen)
+        steps = _march(*rows, kernel, times, gen, births)
+        return _product_values(m, steps, phi_list)
 
     values = run_chunks(worker, n_samples, rng, threads)
     est, se = mean_se(values)

@@ -345,11 +345,6 @@ class GtSeries:
         """Integral of the truncated continuous part."""
         return float(np.sum(self.weights))
 
-    @property
-    def mean_target(self):
-        """Exact integral of the untruncated continuous part."""
-        return -math.expm1(-self.rate * self.t)
-
 
 def g_t_series(profile, t, tol=1e-8):
     """Truncated jump-count series for the continuous transition density.

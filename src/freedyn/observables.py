@@ -19,10 +19,11 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .dynamics import GlauberDynamics, _exponential_lifetimes
+from .dynamics import GlauberDynamics, _march
 from .functions import box_quad, integrate_function, support_box
-from .kernels import BrownianKernel, KawasakiKernel
-from .pointproc import Comparison, mean_se, pair_into, run_chunks
+from .kernels import BrownianKernel, DeathKernel, KawasakiKernel
+from .pointproc import (Comparison, mean_se, pair_into, run_chunks,
+                        sample_space_time_batch)
 
 QUAD_TOL = 1e-8
 
@@ -526,42 +527,28 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     """(E[F(gamma_h)] - F(gamma)) / h against the generator value.
 
     Each chunk evolves exactly the given particles of its replicas as one
-    batch, with no collar seeding.  On full space particles live in all of
-    R^d, as in the generator formulas: no row is clipped to the window, and
-    Glauber births rain on the whole support box of the phis (on a torus,
-    its part in the cell), which is exact since particles never move and F
-    only sees points in the supports.  The finite difference carries an
-    O(h) semigroup bias on top of Monte Carlo noise, so acceptance is
-    |fd - analytic| <= 3 stderr + C h.
+    batch through the batch engine, with no collar seeding; Glauber
+    dynamics runs as the death kernel with immigration.  On full space
+    particles live in all of R^d, as in the generator formulas: no row is
+    clipped to the window, and Glauber births rain on the whole support box
+    of the phis (on a torus, its part in the cell), which is exact since
+    particles never move and F only sees points in the supports.  The
+    finite difference carries an O(h) semigroup bias on top of Monte Carlo
+    noise, so acceptance is |fd - analytic| <= 3 stderr + C h.
     """
     domain = config.domain
+    rain = None
     if isinstance(dynamics_spec, GlauberDynamics):
-        rate = dynamics_spec.rate
+        kernel = DeathKernel(domain, dynamics_spec.rate)
+        rain = dynamics_spec.rate.scaled(dynamics_spec.intensity)
         lo, hi = support_box(F.phis)
         if domain.is_torus:  # births land in the cell
-            lo, hi = np.maximum(lo, domain.lower), np.minimum(hi, domain.upper)
-        rain = dynamics_spec.intensity * rate.bound * h * float(
-            np.prod(np.clip(hi - lo, 0.0, None)))
-
-        def evolve(pts, ids, m, gen):
-            keep = _exponential_lifetimes(rate(pts), gen) > h
-            counts = gen.poisson(rain, size=m)
-            n_b = int(counts.sum())
-            bpts = lo + (hi - lo) * gen.random((n_b, len(lo)))
-            b_rate = rate(bpts)
-            # thin the rain to rate z * a(x); a birth at time h * (1 - u)
-            # is still alive at h when its lifetime exceeds h * u
-            born = (gen.random(n_b) * rate.bound < b_rate) & \
-                (_exponential_lifetimes(b_rate, gen) > h * gen.random(n_b))
-            return (np.vstack([pts[keep], bpts[born]]),
-                    np.concatenate([ids[keep],
-                                    np.repeat(np.arange(m), counts)[born]]))
+            lo = np.maximum(lo, domain.lower)
+            hi = np.maximum(np.minimum(hi, domain.upper), lo)
     elif isinstance(dynamics_spec, (BrownianKernel, KawasakiKernel)):
         if dynamics_spec.domain != domain:
             raise ValueError("kernel and configuration domains differ")
-
-        def evolve(pts, ids, m, gen):
-            return dynamics_spec.propagate_batch(pts, h, gen)[0], ids
+        kernel = dynamics_spec
     else:
         raise ValueError("unsupported dynamics for generator_fd_check")
 
@@ -574,7 +561,10 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     base = values(config.points, np.zeros(len(config), dtype=np.int64), 1)[0]
 
     def worker(m, gen):
-        pts, ids = evolve(*config.sample_batch(m, gen), m, gen)
+        rows = config.sample_batch(m, gen)
+        births = None if rain is None else \
+            sample_space_time_batch(m, rain, h, lo, hi, gen)
+        (pts, ids), = _march(*rows, kernel, (h,), gen, births)
         return values(pts, ids, m) - base
 
     fd, stderr = mean_se(run_chunks(worker, n_replicas, rng))

@@ -7,7 +7,8 @@ Configuration`` (a one-replica batch) and
 ``expected_product_functional(terms, tol)``.  A Configuration is the
 point-mass measure at itself; PoissonMeasure is the homogeneous Poisson
 measure and the one Poisson configuration sampler.  Space-time Poisson
-arrivals are drawn with constant or bounded inhomogeneous rate.  All draws
+arrivals (the immigration rain of the dynamics) are drawn replica batch by
+replica batch with constant or bounded inhomogeneous rate.  All draws
 use counter-based random streams, so every draw is reproducible from a
 (seed, stream) pair regardless of how work is scheduled.
 
@@ -180,6 +181,10 @@ class BoundedField:
     def __call__(self, points):
         return np.asarray(self.func(np.atleast_2d(points)), dtype=float)
 
+    def scaled(self, factor):
+        """The field times a constant factor >= 0, bound included."""
+        return BoundedField(lambda pts: self(pts) * factor, self.bound * factor)
+
 
 def as_field(intensity):
     """Coerce a constant or BoundedField to BoundedField."""
@@ -258,11 +263,6 @@ class Configuration:
         if np.any(acc <= 0.0):
             raise ValueError("product factor left (0, inf); functions too large")
         return float(math.exp(np.sum(np.log(acc))))
-
-    def count_in_ball(self, center, radius):
-        """Number of points at distance <= radius from center (min-image)."""
-        dist = self.domain.distance(self._points, center)
-        return int(np.count_nonzero(dist <= radius))
 
     def to_csv(self):
         buf = io.StringIO()
@@ -351,27 +351,42 @@ def _sampling_box(domain, lo, hi):
     return lo, hi
 
 
+def sample_space_time_batch(n_rep, rate, horizon, lo, hi, gen):
+    """Space-time Poisson arrivals of n_rep replicas on [lo, hi) x [0, horizon).
+
+    rate is per unit volume per unit time (constant or BoundedField in the
+    space variable).  Stream layout: the replica counts at the bound, the
+    points, the times, then one thinning uniform per arrival (none when
+    the batch is empty).  Returns (points, replica ids, times), replica
+    by replica, unsorted in time.
+    """
+    field_ = as_field(rate)
+    volume = float(np.prod(hi - lo))
+    counts = gen.poisson(field_.bound * volume * horizon, size=n_rep)
+    total = int(counts.sum())
+    pts = lo + (hi - lo) * gen.random((total, len(lo)))
+    times = horizon * gen.random(total)
+    ids = np.repeat(np.arange(n_rep), counts)
+    if field_.bound > 0 and total > 0:
+        accept = gen.random(total) * field_.bound < field_(pts)
+        pts, ids, times = pts[accept], ids[accept], times[accept]
+    return pts, ids, times
+
+
 def sample_poisson_space_time(domain, rate, horizon, rng, lo=None, hi=None):
     """Sample space-time Poisson arrivals on box x (0, horizon].
 
-    rate is per unit volume per unit time (constant or BoundedField in the
-    space variable).  Returns (points, times) with times sorted increasing.
+    The one-replica sample_space_time_batch on rng's generator, with the
+    box defaulting to the domain window.  Returns (points, times) with
+    times sorted increasing.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if horizon == 0:
-        dim = domain.dim
-        return np.empty((0, dim)), np.empty(0)
-    field_ = as_field(rate)
+        return np.empty((0, domain.dim)), np.empty(0)
     lo, hi = _sampling_box(domain, lo, hi)
-    volume = float(np.prod(hi - lo))
-    gen = rng.generator()
-    count = gen.poisson(field_.bound * volume * horizon)
-    pts = lo + (hi - lo) * gen.random((count, len(lo)))
-    times = horizon * gen.random(count)
-    if field_.bound > 0 and count > 0:
-        accept = gen.random(count) * field_.bound < field_(pts)
-        pts, times = pts[accept], times[accept]
+    pts, _, times = sample_space_time_batch(1, rate, horizon, lo, hi,
+                                            rng.generator())
     order = np.argsort(times, kind="stable")
     return pts[order], times[order]
 

@@ -166,31 +166,3 @@ class Domain:
         if mode == TORUS:
             return Domain.torus(data["dimension"], data["torus_side"])
         return Domain.fullspace(data["window_min"], data["window_max"])
-
-
-@dataclass(frozen=True)
-class DoublingData:
-    """Ball-growth data: vol(B(beta*r)) <= constant * beta**exponent * vol(B(r))
-    for radii up to valid_radius."""
-
-    exponent: float
-    constant: float
-    valid_radius: float
-
-
-def doubling_constants(domain, exponent=None, constant=None):
-    """Growth exponent and constant for the domain's metric balls.
-
-    In flat space the scaling is exact: vol(B(beta*r)) = beta**dim * vol(B(r)),
-    so the constant is 1 and the exponent is the dimension.  On a torus the
-    Euclidean formula is geometrically faithful only for radii up to half
-    the side; valid_radius records that.  Explicit overrides are accepted
-    for non-standard metrics.
-    """
-    if exponent is None:
-        exponent = float(domain.dim)
-    if constant is None:
-        constant = 1.0
-    valid = domain.side / 2.0 if domain.is_torus else math.inf
-    return DoublingData(exponent=float(exponent), constant=float(constant),
-                        valid_radius=valid)

@@ -16,7 +16,8 @@ from freedyn.dynamics import (
     evolve_with_immigration,
     glauber_evolve,
 )
-from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
+from freedyn.kernels import (DeathKernel, GaussianProfile, KawasakiKernel,
+                             KilledBrownianKernel)
 from freedyn.pointproc import (Configuration, PoissonMeasure, RngStream,
                                mean_se, pair_into)
 from freedyn.space import Domain
@@ -109,6 +110,25 @@ class TestImmigration:
         expected = 10.0 * (1.0 - math.exp(-0.5))
         assert abs(mean - expected) <= 3 * se
 
+    @pytest.mark.parametrize("kernel", [
+        DeathKernel(D1, 1.0), KilledBrownianKernel(D1, 1.0, h_kill=0.1)],
+        ids=["death", "killed_brownian"])
+    def test_empty_start_default_buffer(self, kernel):
+        # density 0 still takes the kernel's collar width, so the rain box
+        # is finite; the mean count is z |W| (1 - e^{-at}) up to the leakage
+        # (a constant killing rate is exact on any grid, so h_kill is coarse)
+        empty = Configuration(np.empty((0, 1)), D1)
+        plan = EvolutionPlan.with_immigration((1.0,), 2.0)
+        rng = RngStream(17)
+        counts = [
+            len(evolve_with_immigration(empty, kernel, 2.0, plan, rng.child(i))[0])
+            for i in range(2000)
+        ]
+        mean = np.mean(counts)
+        se = np.std(counts, ddof=1) / math.sqrt(len(counts))
+        expected = 2.0 * 5.0 * (1.0 - math.exp(-1.0))
+        assert abs(mean - expected) <= 3 * se, (mean, se, expected)
+
 
 class TestGlauberEvolve:
     def test_pure_death_thinning(self):
@@ -141,6 +161,48 @@ class TestGlauberEvolve:
         mean = np.mean(counts)
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(mean - z * 5.0) <= 3 * se
+
+
+class TestEventReplayMatchesGlauberInLaw:
+    """Event-stream replay and the snapshot path (the death kernel with
+    immigration) are two implementations of one birth-and-death law: the
+    window count at time t is Binomial(n, e^{-at}) plus an independent
+    Poisson(z |W| (1 - e^{-at}))."""
+
+    A, Z, TIMES, N_REP = 1.0, 1.5, (0.3, 1.0, 2.5), 2000
+
+    def _counts(self):
+        cfg = fixed_config(6)
+        plan = EvolutionPlan.with_immigration(self.TIMES, self.Z)
+        rng = RngStream(31)
+        replay = np.empty((self.N_REP, len(self.TIMES)))
+        snap = np.empty((self.N_REP, len(self.TIMES)))
+        for i in range(self.N_REP):
+            stream = event_stream(cfg, GlauberDynamics(self.A, self.Z),
+                                  self.TIMES[-1], rng.child(0, i))
+            replay[i] = [len(stream.snapshot(cfg, t)) for t in self.TIMES]
+            snap[i] = [len(s) for s in glauber_evolve(
+                cfg, self.A, self.Z, plan, rng.child(1, i))]
+        return len(cfg), replay, snap
+
+    def test_counts_match_closed_form_mean_and_variance(self):
+        n, replay, snap = self._counts()
+        volume = D1.window_volume
+        for j, t in enumerate(self.TIMES):
+            p = math.exp(-self.A * t)
+            mean = n * p + self.Z * volume * (1.0 - p)
+            var = n * p * (1.0 - p) + self.Z * volume * (1.0 - p)
+            for counts in (replay[:, j], snap[:, j]):
+                m, se = mean_se(counts)
+                assert abs(m - mean) <= 3 * se, (t, m, se, mean)
+                # standard error of the sample variance from the 4th moment
+                dev = counts - counts.mean()
+                s2 = float(np.var(counts, ddof=1))
+                se2 = math.sqrt(max(np.mean(dev ** 4) - s2 ** 2, 0.0)
+                                / len(counts))
+                assert abs(s2 - var) <= 3 * se2, (t, s2, se2, var)
+            (m1, se1), (m2, se2) = mean_se(replay[:, j]), mean_se(snap[:, j])
+            assert abs(m1 - m2) <= 3 * math.hypot(se1, se2), (t, m1, m2)
 
 
 class TestEventStream:

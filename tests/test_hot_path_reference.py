@@ -15,6 +15,10 @@ under the same promise.  The Kawasaki jump counts, the Gaussian jump
 sums and the Neyman-Scott sampler now draw or reduce block by block of
 rows, the Poisson sampler scales its draw in place and the scaling
 chunk's paths scatter coordinate by coordinate, under the same promise.
+The space-time rain ``sample_poisson_space_time`` became the one-replica
+case of a batched sampler, and the one-replica march of ``evolve_snapshot``
+and ``evolve_with_immigration`` became the replica-batch engine
+``dynamics._march``, under the same promise.
 The functions below are the earlier implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
 shapes, domains and seeds.  One line changed on purpose: the Kawasaki
@@ -32,15 +36,17 @@ from hypothesis.extra import numpy as hnp
 from scipy.special import pdtr
 
 from freedyn import scaling
+from freedyn.dynamics import _march
 from freedyn.functions import TestFunction, support_box
 from freedyn.kernels import (_DRAW_BLOCK, BrownianKernel, BumpProfile,
-                             GaussianProfile, KawasakiKernel,
+                             DeathKernel, GaussianProfile, KawasakiKernel,
                              KilledBrownianKernel, _jump_counts)
 from freedyn.observables import glauber_joint_laplace
 from freedyn.pointproc import (CHUNK, BoundedField, Configuration,
-                               PoissonMeasure, RngStream, as_field)
+                               PoissonMeasure, RngStream, as_field,
+                               sample_poisson_space_time)
 from freedyn.scaling import NeymanScottMeasure, _chunk_joint_values
-from freedyn.space import Domain
+from freedyn.space import Domain, in_box
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +222,53 @@ def ref_sample_poisson(domain, intensity, rng, lo=None, hi=None):
         bad = order[1:][dup]
         pts[bad] = _uniform_points(gen, len(bad), lo, hi)
     return Configuration(pts, domain)
+
+
+def ref_sample_poisson_space_time(domain, rate, horizon, rng, lo=None,
+                                  hi=None):
+    if horizon < 0:
+        raise ValueError("horizon must be >= 0")
+    if horizon == 0:
+        dim = domain.dim
+        return np.empty((0, dim)), np.empty(0)
+    field_ = as_field(rate)
+    lo, hi = _sampling_box(domain, lo, hi)
+    volume = float(np.prod(hi - lo))
+    gen = rng.generator()
+    count = gen.poisson(field_.bound * volume * horizon)
+    pts = lo + (hi - lo) * gen.random((count, len(lo)))
+    times = horizon * gen.random(count)
+    if field_.bound > 0 and count > 0:
+        accept = gen.random(count) * field_.bound < field_(pts)
+        pts, times = pts[accept], times[accept]
+    order = np.argsort(times, kind="stable")
+    return pts[order], times[order]
+
+
+def ref_march(points, kernel, times, gen, immigrants=None, cull=None):
+    # the one-replica engine of evolve_snapshot and evolve_with_immigration
+    dim = kernel.domain.dim
+    pts = np.asarray(points, dtype=float).reshape(-1, dim)
+    snaps = []
+    prev = 0.0
+    for t in times:
+        if len(pts):
+            pts, alive = kernel.propagate_batch(pts, t - prev, gen)
+            pts = pts[alive]
+        if immigrants is not None:
+            ipts, itimes = immigrants
+            sel = (itimes > prev) & (itimes <= t)
+            if np.any(sel):
+                born, balive = kernel.propagate_batch(ipts[sel],
+                                                      t - itimes[sel], gen)
+                born = born[balive]
+                pts = np.vstack([pts, born]) if len(pts) else born
+        if cull is not None and len(pts):
+            inside = in_box(pts, cull[0], cull[1], closed=True)
+            pts = pts[inside]
+        snaps.append(np.array(pts, copy=True))
+        prev = t
+    return snaps
 
 
 def ref_float_start(z0, phi_list, m, gen):
@@ -753,6 +806,69 @@ def test_poisson_measure_on_collar_box_matches_sample_poisson(dim):
             want = ref_sample_poisson(domain, z, RngStream(seed).child(0xB0FF),
                                       lo=lo, hi=hi)
             _same(got.points, want.points)
+
+
+RAIN_RATES = {
+    "constant": 1.3,
+    "field": BoundedField(lambda x: 0.4 + 0.6 * np.cos(x[:, 0]) ** 2, 1.0),
+    "zero": 0.0,
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["torus", "fullspace"])
+@pytest.mark.parametrize("rate", list(RAIN_RATES), ids=list(RAIN_RATES))
+def test_sample_poisson_space_time_matches_reference(dim, mode, rate):
+    # the one-replica case of the batched rain keeps its stream and sort
+    domain = _domains(dim)[mode]
+    boxes = [(None, None), (domain.lower + 0.5, domain.upper - 1.0)]
+    if mode == "fullspace":
+        boxes.append((domain.lower - 2.5, domain.upper + 2.5))
+    for lo, hi in boxes:
+        for horizon in (0.0, 0.4, 2.5):
+            for seed in SAMPLER_SEEDS:
+                rng = RngStream(seed).child(2)
+                got = sample_poisson_space_time(domain, RAIN_RATES[rate],
+                                                horizon, rng, lo=lo, hi=hi)
+                want = ref_sample_poisson_space_time(
+                    domain, RAIN_RATES[rate], horizon, rng, lo=lo, hi=hi)
+                _same(got[0], want[0])
+                _same(got[1], want[1])
+
+
+def _engine_kernels(domain):
+    kernels = {name: k for name, (k, _ref) in _kernels(domain).items()}
+    kernels["death"] = DeathKernel(domain, BoundedField(
+        lambda x: 0.3 + 0.5 * np.sin(x[:, 0]) ** 2, 0.8))
+    return kernels
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("mode", ["torus", "fullspace"])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_one_replica_engine_matches_reference(dim, mode, seed):
+    # evolve_snapshot and evolve_with_immigration keep their bits: the
+    # batch engine on one replica steps as the earlier one-replica march
+    domain = _domains(dim)[mode]
+    pts, _ = _case(dim, seed, "scalar")
+    pts = domain.wrap(pts[:40]) if domain.is_torus else pts[:40]
+    times = (0.3, 0.7, 1.6)
+    rain = sample_poisson_space_time(domain, 2.0, times[-1],
+                                     RngStream(seed, 2))
+    cull = None if domain.is_torus else (domain.lower - 4.0,
+                                         domain.upper + 4.0)
+    for name, kernel in _engine_kernels(domain).items():
+        for births in (None, rain):
+            ids = np.zeros(len(pts), dtype=np.intp)
+            engine_births = None if births is None else \
+                (births[0], np.zeros(len(births[0]), dtype=np.intp), births[1])
+            got = _march(pts, ids, kernel, times, np.random.default_rng(seed),
+                         engine_births, cull)
+            want = ref_march(pts, kernel, times, np.random.default_rng(seed),
+                             births, cull)
+            for (g_pts, g_ids), w_pts in zip(got, want, strict=True):
+                _same(g_pts, w_pts)
+                assert np.array_equal(g_ids, np.zeros(len(w_pts)))
 
 
 PHI_SETS = {

@@ -500,8 +500,9 @@ def per_replica_fd(F, config, spec, h, n_replicas, rng):
                                    rng.child(r))
             diffs[r] = F(snaps[0]) - base
     else:
+        # an infinite collar culls nothing: the jumps evolve in all of R^d
         boundary = TorusExact() if config.domain.is_torus \
-            else Buffer(intensity=0.0)
+            else Buffer(width=math.inf, intensity=0.0)
         plan = EvolutionPlan.conservative((h,), boundary)
         for r in range(n_replicas):
             snaps = evolve_snapshot(config, spec, plan, rng.child(r))

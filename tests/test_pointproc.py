@@ -181,16 +181,18 @@ class TestConfiguration:
         with pytest.raises(ValueError, match="missing domain header"):
             Configuration.from_csv("# freedyn 0.1.0\nx0\n1.0\n")
 
-    def test_count_in_ball(self):
+    def test_ball_counts_of_empty_and_single_point(self):
         empty = Configuration(np.empty((0, 1)), D1)
-        assert empty.count_in_ball(np.array([0.0]), 1.0) == 0
+        assert theta_check(empty, 1.0, 1, center=np.array([0.0])).counts == (0,)
         one = Configuration(np.array([[0.0, 0.0]]), Domain.fullspace((-2.0, -2.0), (2.0, 2.0)))
-        assert one.count_in_ball(np.array([0.0, 0.0]), 1.0) == 1
+        assert theta_check(one, 1.0, 1, center=np.array([0.0, 0.0])).counts == (1,)
 
-    def test_count_in_ball_unit_grid(self):
+    def test_ball_counts_unit_grid(self):
         # integer grid on [0,10]; |x-5| <= 2.5 holds for 3,4,5,6,7
         grid = Configuration(np.arange(11.0)[:, None], Domain.fullspace((0.0,), (10.5,)))
-        assert grid.count_in_ball(np.array([5.0]), 2.5) == 5
+        dist = grid.domain.distance(grid.points, np.array([5.0]))
+        assert np.count_nonzero(dist <= 2.5) == 5
+        assert theta_check(grid, 1.0, 3, center=np.array([5.0])).counts == (3, 5, 7)
 
 
 BALL_DOMAINS = [Domain.torus(1, 10.0), Domain.torus(2, 10.0),
@@ -219,20 +221,21 @@ class TestBallCounts:
         for center in (np.zeros(domain.dim),
                        lo + (hi - lo) * gen.random(domain.dim)):
             expected = kdtree_counts(cfg.points, domain, center, radii)
-            assert [cfg.count_in_ball(center, r) for r in radii] == expected
+            dist = domain.distance(cfg.points, center)
+            assert [np.count_nonzero(dist <= r) for r in radii] == expected
             rep = theta_check(cfg, 1.0, 8, center=center)
             assert list(rep.counts) == expected
 
     def test_points_on_the_sphere_count_inside(self):
         plane = Domain.fullspace((-5.0, -5.0), (5.0, 5.0))
         cfg = Configuration(np.array([[3.0, 4.0]]), plane)
-        assert cfg.count_in_ball([0.0, 0.0], 5) == 1
+        assert np.count_nonzero(plane.distance(cfg.points, [0.0, 0.0]) <= 5) == 1
         assert theta_check(cfg, 1.0, 5).counts == (0, 0, 0, 0, 1)
         assert kdtree_counts(cfg.points, plane, [0.0, 0.0], [5]) == [1]
         # both min-image neighbours of 0 at distance 0.5 on a side-10 torus
         ring = Domain.torus(1, 10.0)
         cfg = Configuration(np.array([[0.5], [9.5]]), ring)
-        assert cfg.count_in_ball([0.0], 0.5) == 2
+        assert np.count_nonzero(ring.distance(cfg.points, [0.0]) <= 0.5) == 2
         assert kdtree_counts(cfg.points, ring, [0.0], [0.5]) == [2]
         cfg = Configuration(np.array([[1.0], [9.0]]), ring)
         assert theta_check(cfg, 1.0, 1).counts == (2,)

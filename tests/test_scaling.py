@@ -75,7 +75,8 @@ class TestGtSeries:
     def test_mean_identity(self):
         series = g_t_series(GaussianProfile(1, 1.0, 0.7), 1.0, tol=1e-10)
         assert series.mean == pytest.approx(1.0 - math.exp(-1.0), abs=1e-9)
-        assert series.mean_target == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
+        exact = -math.expm1(-series.rate * series.t)  # untruncated integral
+        assert exact == pytest.approx(1.0 - math.exp(-1.0), abs=1e-15)
 
     def test_short_time_mean_vanishes(self):
         series = g_t_series(GaussianProfile(1, 1.0, 0.7), 1e-8, tol=1e-12)
@@ -83,7 +84,8 @@ class TestGtSeries:
 
     def test_remainder_accounting_exact(self):
         series = g_t_series(GaussianProfile(1, 2.0, 0.5), 0.8, tol=1e-6)
-        assert series.mean_target - series.mean == pytest.approx(
+        exact = -math.expm1(-series.rate * series.t)  # untruncated integral
+        assert exact - series.mean == pytest.approx(
             series.remainder_mass, abs=1e-15
         )
         assert series.remainder_mass <= 1e-6 * 1.5  # tol up to the peak factor

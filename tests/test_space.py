@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freedyn.functions import TestFunction
-from freedyn.space import Domain, ball_volume, doubling_constants, in_box
+from freedyn.space import Domain, ball_volume, in_box
 
 
 def test_fullspace_distance_is_euclidean():
@@ -93,17 +93,20 @@ def test_ball_volume_low_dims():
     assert ball_volume(3, 1.0) == pytest.approx(4.0 * math.pi / 3.0)
 
 
-def test_doubling_constants_fullspace_trivial():
-    data = doubling_constants(Domain.fullspace((-5.0,), (5.0,)))
-    assert data.exponent == 1.0
-    assert data.constant == 1.0
-    assert data.valid_radius == math.inf
+def test_ball_volume_doubles_with_exponent_dim_and_constant_one():
+    # vol(B(beta r)) = beta**dim * vol(B(r)): exponent dim, constant 1
+    for beta in (2.0, 3.5):
+        assert ball_volume(1, beta * 1.5) == pytest.approx(beta * ball_volume(1, 1.5))
 
 
-def test_doubling_constants_torus_truncates():
-    data = doubling_constants(Domain.torus(2, 10.0))
-    assert data.exponent == 2.0
-    assert data.valid_radius == pytest.approx(5.0)
+def test_torus_min_image_reaches_half_the_side():
+    # on a torus the Euclidean balls are faithful up to radius side / 2:
+    # no min-image coordinate displacement exceeds it
+    domain = Domain.torus(2, 10.0)
+    pts = np.random.default_rng(0).random((500, 2)) * 10.0
+    delta = domain.displacement(pts, np.zeros(2))
+    assert np.max(np.abs(delta)) <= 5.0
+    assert ball_volume(2, 2.0 * 5.0) == pytest.approx(4.0 * ball_volume(2, 5.0))
 
 
 @given(

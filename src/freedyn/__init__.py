@@ -22,9 +22,8 @@ from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       check_summability, default_buffer_width,
                       exit_probability, g_t_series,
                       kawasaki_polynomial_certificate, killing_profile)
-from .dynamics import (Buffer, EvolutionPlan, Event, EventStream,
-                       GlauberDynamics, TorusExact, buffer_leakage_bound,
-                       event_stream, evolve_snapshot,
+from .dynamics import (Buffer, Event, EventStream, GlauberDynamics,
+                       buffer_leakage_bound, event_stream, evolve_snapshot,
                        evolve_with_immigration, glauber_evolve)
 from .observables import (CylinderFunction, UrsellTable,
                           analytic_laplace_markov,

@@ -23,9 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import (Buffer, EvolutionPlan, GlauberDynamics, TorusExact,
-                       event_stream, evolve_snapshot, evolve_with_immigration,
-                       glauber_evolve)
+from .dynamics import (GlauberDynamics, event_stream, evolve_snapshot,
+                       evolve_with_immigration, glauber_evolve)
 from .experiments import (glauber_joint_experiment, markov_laplace_experiment,
                           poisson_correlation_experiment,
                           poisson_laplace_experiment,
@@ -335,7 +334,6 @@ def cmd_evolve(run):
     config = build_start(_get(cfg, "start", "config"), domain,
                          run.config_dir).sample(run.rng.child(0))
 
-    boundary = TorusExact() if domain.is_torus else Buffer()
     if dyn.get("events", False):
         if mode == "glauber":
             model = GlauberDynamics(_num(_get(dyn, "death_rate", "dynamics"),
@@ -350,17 +348,14 @@ def cmd_evolve(run):
     elif mode == "glauber":
         a = _num(_get(dyn, "death_rate", "dynamics"), "dynamics.death_rate")
         z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
-        plan = EvolutionPlan.with_immigration(times, z, boundary)
-        snaps = glauber_evolve(config, a, z, plan, run.rng.child(1))
+        snaps = glauber_evolve(config, a, z, times, run.rng.child(1))
     elif mode == "conservative":
         kernel = build_kernel(_get(cfg, "kernel", "config"), domain)
-        plan = EvolutionPlan.conservative(times, boundary)
-        snaps = evolve_snapshot(config, kernel, plan, run.rng.child(1))
+        snaps = evolve_snapshot(config, kernel, times, run.rng.child(1))
     elif mode == "submarkov_immigration":
         kernel = build_kernel(_get(cfg, "kernel", "config"), domain)
         z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
-        plan = EvolutionPlan.with_immigration(times, z, boundary)
-        snaps = evolve_with_immigration(config, kernel, z, plan,
+        snaps = evolve_with_immigration(config, kernel, z, times,
                                         run.rng.child(1))
     else:
         raise ConfigError("'dynamics.mode' must be conservative, "

@@ -5,39 +5,40 @@ is no interaction.  Sub-Markov kernels kill particles, and the matching
 equilibrium mechanism adds immigrants: a space-time Poisson rain with
 intensity killing_rate(x) * z dx dt, each immigrant evolving from its own
 birth time.  Glauber (birth-and-death) dynamics is the death kernel with
-immigration.  One batch engine, ``_march``, steps the rows of a replica
-batch and their newborns through the observation times; the snapshot
-functions here and the replica-batch estimators in ``experiments`` and
+immigration.  An evolution is fixed by its kernel, its start and its
+observation times, plus the birth intensity z when it has immigration;
+the evolution functions take just these (glauber_evolve's z = 0 is pure
+death).  One batch engine, ``_march``, steps the rows of a replica batch
+and their newborns through the observation times; the snapshot functions
+here and the replica-batch estimators in ``experiments`` and
 ``observables`` all run on it.  Snapshots are exact in distribution at
 the requested times for Brownian, Death and Kawasaki kernels (no
 time-discretization anywhere; the grid steps below are Markov
 increments); only KilledBrownian carries its internal killing-grid bias.
 
-Boundary policy on the full space is a buffer collar: the window is
-enlarged by the kernel's tail radius at 1e-4 (default_buffer_width; 0 for
-the death kernel, which never moves), the collar is seeded with fresh
-Poisson points at the start's own realized density, immigrants rain on
-window and collar, and any particle drifting past the collar is dropped.
+The domain fixes the boundary.  On the torus the evolution is exact.  On
+full space it is the Buffer() collar: the window is enlarged by the
+kernel's tail radius at 1e-4 (default_buffer_width; 0 for the death
+kernel, which never moves), the collar is seeded with fresh Poisson points
+at the start's own realized density, immigrants rain on window and collar,
+and any particle drifting past the collar is dropped.
 buffer_leakage_bound bounds only the expected number of such discards,
 and nothing in the package calls it; the error of window statistics has
-no stated bound.  On the torus the evolution is exact.
+no stated bound.  Only evolve_snapshot takes a Buffer other than Buffer().
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import DeathKernel, default_buffer_width
-from .pointproc import (Configuration, PoissonMeasure, as_field,
+from .pointproc import (Configuration, PoissonMeasure, as_field, check_times,
                         sample_poisson_space_time)
 from .space import Domain, in_box
-
-CONSERVATIVE = "conservative"
-SUBMARKOV_IMMIGRATION = "submarkov_immigration"
 
 
 @dataclass(frozen=True)
@@ -55,59 +56,6 @@ class Buffer:
     def __post_init__(self):
         if self.width is not None and not self.width >= 0:
             raise ValueError("buffer width must be >= 0")
-
-
-@dataclass(frozen=True)
-class TorusExact:
-    """Periodic boundary: exact evolution, no collar, no leakage."""
-
-
-@dataclass(frozen=True)
-class EvolutionPlan:
-    """Times to observe, evolution mode, and boundary policy.
-
-    times must be strictly increasing and positive.  mode is either
-    CONSERVATIVE (no immigration; sub-Markov kernels simply lose particles)
-    or SUBMARKOV_IMMIGRATION with immigration_intensity z > 0.
-    """
-
-    times: tuple
-    mode: str = CONSERVATIVE
-    immigration_intensity: float = None
-    boundary: object = field(default_factory=Buffer)
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        if len(times) == 0:
-            raise ValueError("need at least one observation time")
-        if times[0] <= 0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("times must be strictly increasing and > 0")
-        object.__setattr__(self, "times", times)
-        if self.mode == SUBMARKOV_IMMIGRATION:
-            z = self.immigration_intensity
-            if z is None or not z > 0:
-                raise ValueError("immigration mode needs intensity z > 0")
-        elif self.mode == CONSERVATIVE:
-            if self.immigration_intensity is not None:
-                raise ValueError("conservative mode takes no intensity")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if not isinstance(self.boundary, (Buffer, TorusExact)):
-            raise ValueError("boundary must be Buffer or TorusExact")
-
-    @staticmethod
-    def conservative(times, boundary=None):
-        return EvolutionPlan(tuple(times), CONSERVATIVE, None,
-                             boundary if boundary is not None else Buffer())
-
-    @staticmethod
-    def with_immigration(times, z, boundary=None):
-        return EvolutionPlan(tuple(times), SUBMARKOV_IMMIGRATION, float(z),
-                             boundary if boundary is not None else Buffer())
-
-    @property
-    def t_max(self):
-        return self.times[-1]
 
 
 @dataclass(frozen=True)
@@ -169,26 +117,23 @@ def buffer_leakage_bound(kernel, t_max, width, population):
     return float(population) * kernel.tail_bound(t_max, width)
 
 
-def _check_boundary(domain, boundary):
-    if isinstance(boundary, Buffer) and domain.is_torus:
-        raise ValueError("Buffer boundary requires full-space mode")
-    if isinstance(boundary, TorusExact) and not domain.is_torus:
-        raise ValueError("TorusExact boundary requires a torus domain")
+def _seed_buffer(config, kernel, t_max, rng, buffer):
+    """Simulation state: (points, cull box).
 
-
-def _seed_buffer(config, kernel, plan, rng):
-    """Simulation state for buffer mode: window points + collar Poisson.
-
-    Returns (points, cull_lo, cull_hi).
+    On a torus the start as it is, with no cull box.  On full space the
+    window points plus the buffer's Poisson collar, culled past
+    (window + collar).
     """
     domain = config.domain
-    width = plan.boundary.width
-    if plan.boundary.intensity is not None:
-        density = plan.boundary.intensity
+    if domain.is_torus:
+        return config.points, None
+    width = buffer.width
+    if buffer.intensity is not None:
+        density = buffer.intensity
     else:
         density = len(config) / domain.window_volume
     if width is None:
-        width = default_buffer_width(kernel, plan.t_max)
+        width = default_buffer_width(kernel, t_max)
     lo = domain.lower - width
     hi = domain.upper + width
     pts = config.points
@@ -198,7 +143,7 @@ def _seed_buffer(config, kernel, plan, rng):
         outside = ~in_box(shell.points, domain.lower, domain.upper,
                           closed=True)
         pts = np.vstack([pts, shell.points[outside]])
-    return pts, lo, hi
+    return pts, (lo, hi)
 
 
 def _march(points, ids, kernel, times, gen, births=None, cull=None):
@@ -240,12 +185,12 @@ def _march(points, ids, kernel, times, gen, births=None, cull=None):
     return out
 
 
-def _snapshots(pts, kernel, plan, gen, births=None, cull=None):
-    """One Configuration per plan time: the one-replica _march, reporting
-    the window content when a cull box is set."""
+def _snapshots(pts, kernel, times, gen, births=None, cull=None):
+    """One Configuration per time: the one-replica _march, reporting the
+    window content when a cull box is set."""
     domain = kernel.domain
     ids = np.zeros(len(pts), dtype=np.intp)
-    steps = _march(pts, ids, kernel, plan.times, gen, births, cull)
+    steps = _march(pts, ids, kernel, times, gen, births, cull)
     if cull is None:
         return [Configuration(p, domain) for p, _ in steps]
     return [Configuration(p[in_box(p, domain.lower, domain.upper,
@@ -253,78 +198,69 @@ def _snapshots(pts, kernel, plan, gen, births=None, cull=None):
             for p, _ in steps]
 
 
-def evolve_snapshot(config, kernel, plan, rng):
+def evolve_snapshot(config, kernel, times, rng, buffer=None):
     """Propagate every particle independently; one Configuration per time.
 
-    Conservative-mode evolution: no immigration, dead particles removed.
-    Buffer mode seeds the collar and culls beyond it (window+collar), and
-    snapshots report the window content only.  buffer_leakage_bound, not
-    called here, bounds only the expected discards past the collar.
+    No immigration; dead particles are removed.  On a torus the evolution
+    is exact.  On full space buffer (default Buffer()) seeds the collar,
+    particles past it are culled, and snapshots report the window content
+    only; buffer_leakage_bound, not called here, bounds only the expected
+    discards past the collar.
     """
-    if plan.mode != CONSERVATIVE:
-        raise ValueError("evolve_snapshot requires a conservative plan; "
-                         "use evolve_with_immigration")
+    times = check_times(times)
     if kernel.domain != config.domain:
         raise ValueError("kernel and configuration domains differ")
-    _check_boundary(config.domain, plan.boundary)
+    if buffer is not None and config.domain.is_torus:
+        raise ValueError("Buffer boundary requires full-space mode")
     gen = rng.child(1).generator()
-    if isinstance(plan.boundary, TorusExact):
-        return _snapshots(config.points, kernel, plan, gen)
-    pts, lo, hi = _seed_buffer(config, kernel, plan, rng)
-    return _snapshots(pts, kernel, plan, gen, cull=(lo, hi))
+    pts, cull = _seed_buffer(config, kernel, times[-1], rng,
+                             buffer or Buffer())
+    return _snapshots(pts, kernel, times, gen, cull=cull)
 
 
-def evolve_with_immigration(config, kernel, z, plan, rng):
+def evolve_with_immigration(config, kernel, z, times, rng):
     """Sub-Markov evolution with Poissonian immigration, snapshot per time.
 
     Initial particles evolve with killing; immigrants are born at the
     points of a space-time Poisson process with intensity
-    killing_rate(x) * z dx dt over the simulation box and evolve from
-    their birth times under the same kernel.
+    killing_rate(x) * z dx dt over the simulation box (the torus cell, or
+    window + Buffer() collar on full space) and evolve from their birth
+    times under the same kernel.
     """
+    times = check_times(times)
     if not z > 0:
         raise ValueError("z must be > 0")
     if kernel.domain != config.domain:
         raise ValueError("kernel and configuration domains differ")
-    _check_boundary(config.domain, plan.boundary)
     if kernel.conservative:
         warnings.warn("conservative kernel: immigration rate is zero, "
                       "degenerating to evolve_snapshot")
-        fallback = EvolutionPlan(plan.times, CONSERVATIVE, None, plan.boundary)
-        return evolve_snapshot(config, kernel, fallback, rng)
+        return evolve_snapshot(config, kernel, times, rng)
     domain = config.domain
     rain = kernel.rate.scaled(z)
     gen = rng.child(1).generator()
-    if isinstance(plan.boundary, TorusExact):
-        pts, cull = config.points, None
-        lo, hi = domain.lower, domain.upper
-    else:
-        pts, lo, hi = _seed_buffer(config, kernel, plan, rng.child(3))
-        cull = (lo, hi)
-    ipts, itimes = sample_poisson_space_time(domain, rain, plan.t_max,
+    pts, cull = _seed_buffer(config, kernel, times[-1], rng.child(3),
+                             Buffer())
+    lo, hi = cull or (domain.lower, domain.upper)
+    ipts, itimes = sample_poisson_space_time(domain, rain, times[-1],
                                              rng.child(2), lo=lo, hi=hi)
     births = ipts, np.zeros(len(ipts), dtype=np.intp), itimes
-    return _snapshots(pts, kernel, plan, gen, births, cull)
+    return _snapshots(pts, kernel, times, gen, births, cull)
 
 
-def glauber_evolve(config, a, z, plan, rng):
+def glauber_evolve(config, a, z, times, rng):
     """Birth-and-death snapshots: the death kernel with immigration.
 
     Particles sit still and die at rate a(x); with z > 0 they are born
     from the space-time rain z * a(x) dx dt (evolve_with_immigration of a
     DeathKernel), with z = 0 this is evolve_snapshot of the DeathKernel.
-    The plan's times and boundary are used; its mode is set by z.  The
-    death kernel needs no collar, and its steps are exact, so snapshots
-    are exact in distribution at all times simultaneously.
+    The death kernel needs no collar, and its steps are exact, so
+    snapshots are exact in distribution at all times simultaneously.
     """
     kernel = DeathKernel(config.domain, GlauberDynamics(a, z).rate)
     if z > 0:
-        return evolve_with_immigration(
-            config, kernel, z,
-            EvolutionPlan.with_immigration(plan.times, z, plan.boundary), rng)
-    return evolve_snapshot(config, kernel,
-                           EvolutionPlan.conservative(plan.times,
-                                                      plan.boundary), rng)
+        return evolve_with_immigration(config, kernel, z, times, rng)
+    return evolve_snapshot(config, kernel, times, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
                           bin_counts, check_correlation_grid,
                           correlation_edges, correlations_from_counts,
                           glauber_joint_laplace, poisson_laplace_exponent)
-from .pointproc import (Comparison, PoissonMeasure, as_field, mean_se,
-                        pair_into, run_chunks, sample_space_time_batch)
+from .pointproc import (Comparison, PoissonMeasure, as_field, check_times,
+                        mean_se, pair_into, run_chunks,
+                        sample_space_time_batch)
 
 
 @dataclass(frozen=True)
@@ -172,10 +173,7 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
     z = float(z)
     if not a > 0:
         raise ValueError("death rate must be a positive constant")
-    times = [float(u) for u in times]
-    if any(u <= 0 for u in times) or any(v <= u for u, v in
-                                         zip(times, times[1:])):
-        raise ValueError("times must be strictly increasing and > 0")
+    times = check_times(times)
     if len(phi_list) != len(times):
         raise ValueError("need one test function per time")
     rain = as_field(a).scaled(z)

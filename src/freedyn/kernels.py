@@ -476,13 +476,13 @@ class Kernel:
             hi *= 2.0
             if hi > 1e6:
                 raise RuntimeError("no finite buffer width reaches the target")
-        for _ in range(200):
+        while True:  # bisect until a step moves neither end
             mid = 0.5 * (lo + hi)
-            if self.tail_bound(t_max, mid) > target:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+            step = (mid, hi) if self.tail_bound(t_max, mid) > target \
+                else (lo, mid)
+            if step == (lo, hi):
+                return hi
+            lo, hi = step
 
     def escape_report(self, params, epsilon, delta, beta, target_tol, n_direct):
         """check_summability's report, built from escape_series."""

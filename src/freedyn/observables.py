@@ -22,8 +22,8 @@ import numpy as np
 from .dynamics import GlauberDynamics, _march
 from .functions import box_quad, integrate_function, support_box
 from .kernels import BrownianKernel, DeathKernel, KawasakiKernel
-from .pointproc import (Comparison, mean_se, pair_into, run_chunks,
-                        sample_space_time_batch)
+from .pointproc import (Comparison, check_times, mean_se, pair_into,
+                        run_chunks, sample_space_time_batch)
 
 QUAD_TOL = 1e-8
 
@@ -116,10 +116,7 @@ def glauber_joint_laplace(start, a_const, z, times, phi_list, tol=QUAD_TOL):
     """
     if not hasattr(start, "expected_product_functional"):
         raise ValueError("unsupported starting measure")
-    times = [float(t) for t in times]
-    if any(t <= 0 for t in times) or any(b <= a for a, b in
-                                         zip(times, times[1:])):
-        raise ValueError("times must be strictly increasing and > 0")
+    times = check_times(times)
     n = len(times)
     if n > 12:
         raise ValueError("too many times for subset enumeration (max 12)")

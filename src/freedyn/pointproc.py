@@ -135,6 +135,17 @@ def mean_se(values):
     return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
 
 
+def check_times(times):
+    """Observation times as a tuple of floats; at least one, strictly
+    increasing and > 0, or ValueError."""
+    times = tuple(float(t) for t in times)
+    if not times:
+        raise ValueError("need at least one time")
+    if not all(a < b for a, b in zip((0.0,) + times, times)):
+        raise ValueError("times must be strictly increasing and > 0")
+    return times
+
+
 SIGMAS = 3.0  # the multiple of the standard error every verdict allows
 
 

@@ -30,8 +30,8 @@ import numpy as np
 from .functions import TestFunction, box_quad, support_box
 from .kernels import GaussianProfile, KawasakiKernel
 from .observables import glauber_joint_laplace
-from .pointproc import (BatchMeasure, Comparison, PoissonMeasure, mean_se,
-                        pair_into, run_chunks)
+from .pointproc import (BatchMeasure, Comparison, PoissonMeasure,
+                        check_times, mean_se, pair_into, run_chunks)
 from .space import Domain, in_box
 
 _BLOCK = 1 << 15  # rows per blocked pass: its buffers stay in cache
@@ -531,10 +531,7 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     if not conditions.admissible:
         raise ValueError("starting measure fails admissibility: %s"
                          % json.dumps(conditions.to_dict()))
-    times = [float(t) for t in times]
-    if any(t <= 0 for t in times) or any(b <= a for a, b in
-                                         zip(times, times[1:])):
-        raise ValueError("times must be strictly increasing and > 0")
+    times = check_times(times)
     if len(phi_list) != len(times):
         raise ValueError("need one test function per time")
     for i, phi in enumerate(phi_list):
@@ -565,7 +562,7 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     return ScalingReport(
         eps_schedule=tuple(eps_schedule), estimates=estimates,
         stderrs=stderrs, target=float(target), n_samples=n_samples,
-        times=tuple(times), death_rate=float(a_const),
+        times=times, death_rate=float(a_const),
         immigration=float(z), measure_family=measure.family,
         notes=("target from the closed-form birth-and-death joint identity",
                "profile contracted with total mass held fixed"))

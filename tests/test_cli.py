@@ -657,3 +657,107 @@ def test_empty_full_space_start_with_immigration_evolves(tmp_path):
     rep = json.loads((out / "ev_evolve.json").read_text())["report"]
     assert rep["initial_points"] == 0
     assert len(rep["snapshot_points"]) == 1
+
+
+def test_glauber_evolve_with_zero_intensity_is_pure_death(tmp_path):
+    # z = 0 is Glauber dynamics without births: counts never rise and
+    # every snapshot is a subset of the start
+    start = [[0.5], [1.5], [2.5], [3.5], [4.5]]
+    cfg = {
+        "domain": {"mode": "fullspace", "window": [[0.0], [5.0]]},
+        "dynamics": {"times": [0.2, 0.7, 2.0], "mode": "glauber",
+                     "death_rate": 1.0, "z": 0.0},
+        "start": {"kind": "fixed", "points": start},
+        "rng": {"seed": 1},
+        "output": {"prefix": "ev", "formats": ["json", "csv"]},
+    }
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    res = run_cli(["evolve", "--config", path, "--out", str(out)],
+                  str(tmp_path))
+    assert res.returncode == 0, res.stderr
+    counts = json.loads((out / "ev_evolve.json").read_text())[
+        "report"]["snapshot_points"]
+    assert counts == sorted(counts, reverse=True)
+    rows = [line.split(",") for line in
+            (out / "ev_snapshots.csv").read_text().splitlines()
+            if line and not line.startswith(("#", "time"))]
+    assert sum(counts) == len(rows)
+    assert {float(x) for _, x in rows} <= {p[0] for p in start}
+
+
+_FULL = {"mode": "fullspace", "window": [[0.0], [5.0]]}
+_TORUS = {"mode": "torus", "dim": 1, "side": 5.0}
+_POISSON = {"kind": "poisson", "intensity": 2.0}
+_FIXED = {"kind": "fixed", "points": [[0.5], [1.5], [2.5], [3.5], [4.5]]}
+_TIMES = [0.5, 1.5]
+
+# config blocks, then the sha256 of <prefix>_snapshots.csv,
+# <prefix>_evolve.json and <prefix>_events.jsonl (None: not written)
+_EVOLVE_BYTES = {
+    "conservative-brownian-fullspace": (
+        {"domain": _FULL, "kernel": {"variant": "brownian"},
+         "dynamics": {"times": _TIMES, "mode": "conservative"},
+         "start": _FIXED},
+        "3ac66ab8c6b5b63f199d2b59900599200c7e4cc355ecdf396b071768c1b0dc34",
+        "a5a7aff5dd759b42c603556cfb18aaedccd7dc86706582377fe1b79581616f44",
+        None),
+    "conservative-kawasaki-torus": (
+        {"domain": _TORUS,
+         "kernel": {"variant": "kawasaki", "profile": {
+             "kind": "gaussian", "mass": 1.0, "std": 0.5}},
+         "dynamics": {"times": _TIMES, "mode": "conservative"},
+         "start": _POISSON},
+        "2e1f58b1858a7c6bff7d2cbb9a98ea93c35683121b3c413b8cc0f40ce6a190a2",
+        "3b58899143695668f559492441bfc28c0add8a840a608028d3f6bc9c44e6797a",
+        None),
+    "submarkov-killed-brownian-fullspace": (
+        {"domain": _FULL,
+         "kernel": {"variant": "killed_brownian", "rate": 1.0},
+         "dynamics": {"times": _TIMES, "mode": "submarkov_immigration",
+                      "z": 2.0},
+         "start": _POISSON},
+        "fe1d489507e1637e7e586d025f738274b3e4f4dda5c00e5f650bc7895b839e22",
+        "b75e7ef96212505044a42bbad15f3c8859b431393e0def8663757fef7d791d4c",
+        None),
+    "glauber-torus": (
+        {"domain": _TORUS,
+         "dynamics": {"times": _TIMES, "mode": "glauber",
+                      "death_rate": 1.0, "z": 1.0},
+         "start": _POISSON},
+        "7824ab561dd06115a1e6af39bb94f7354d750f3170a383c00ef167e75fde7fbb",
+        "1b1ea1f2ee83109448ed5eba895b06cc40c7ea5b989039c2bb3648815cd23bd6",
+        None),
+    "glauber-events-fullspace": (
+        {"domain": _FULL,
+         "dynamics": {"times": _TIMES, "mode": "glauber",
+                      "death_rate": 1.0, "z": 1.0, "events": True},
+         "start": _FIXED},
+        "187e7121e2791f8cd66b9210fba6de6fae8bdd73ba8023cfc3ef825e112db933",
+        "b13166686700e262f75085e015754ca9c52e8dbaf7162673ea41516e2e8f96c9",
+        "de9039ee11c7f3cca627a0733b1a3c7bc1830c67ecdd4980901366ecfae8defb"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EVOLVE_BYTES))
+def test_evolve_outputs_keep_their_bytes(tmp_path, case):
+    """Every evolve mode, on both domains, writes the same bytes at seed 1.
+
+    The digests pin the stream layout: a refactor of the evolution code
+    must leave them as they are.  A deliberate layout change re-records
+    the digest it moves and states the change in CHANGES.md.
+    """
+    import hashlib
+
+    from freedyn import cli
+
+    blocks, *digests = _EVOLVE_BYTES[case]
+    cfg = dict(blocks, rng={"seed": 1}, output={"prefix": "ev"})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert cli.main(["evolve", "--config", path, "--out", str(tmp_path)]) == 0
+    got = []
+    for suffix in ("snapshots.csv", "evolve.json", "events.jsonl"):
+        out = tmp_path / ("ev_" + suffix)
+        got.append(hashlib.sha256(out.read_bytes()).hexdigest()
+                   if out.exists() else None)
+    assert got == digests

@@ -8,9 +8,7 @@ import pytest
 from freedyn.dynamics import (
     Buffer,
     EventStream,
-    EvolutionPlan,
     GlauberDynamics,
-    TorusExact,
     event_stream,
     evolve_snapshot,
     evolve_with_immigration,
@@ -37,8 +35,8 @@ class TestEvolveSnapshot:
     def test_near_zero_time_is_identity(self):
         cfg = fixed_config(10)
         for kernel in (DeathKernel(D1, 1.0), KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.5))):
-            plan = EvolutionPlan(times=(1e-12,), boundary=Buffer(width=0.5, intensity=0.0))
-            snaps = evolve_snapshot(cfg, kernel, plan, RngStream(1))
+            snaps = evolve_snapshot(cfg, kernel, (1e-12,), RngStream(1),
+                                    Buffer(width=0.5, intensity=0.0))
             assert np.allclose(snaps[0].points, cfg.points, atol=1e-5)
             assert len(snaps[0]) == len(cfg)
 
@@ -46,9 +44,9 @@ class TestEvolveSnapshot:
         # 100 points, t = ln 2: each survives with probability 1/2
         cfg = fixed_config(100)
         kernel = DeathKernel(D1, 1.0)
-        plan = EvolutionPlan(times=(math.log(2.0),), boundary=Buffer(width=0.0, intensity=0.0))
         rng = RngStream(2)
-        counts = [len(evolve_snapshot(cfg, kernel, plan, rng.child(i))[0]) for i in range(2000)]
+        counts = [len(evolve_snapshot(cfg, kernel, (math.log(2.0),), rng.child(i))[0])
+                  for i in range(2000)]
         mean = np.mean(counts)
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(mean - 50.0) <= 3 * se
@@ -56,16 +54,14 @@ class TestEvolveSnapshot:
     def test_torus_kawasaki_count_conserved(self):
         cfg = fixed_config(20, T1)
         kernel = KawasakiKernel(T1, GaussianProfile(1, 1.0, 0.5))
-        plan = EvolutionPlan(times=(0.5, 1.0, 2.0), boundary=TorusExact())
-        snaps = evolve_snapshot(cfg, kernel, plan, RngStream(3))
+        snaps = evolve_snapshot(cfg, kernel, (0.5, 1.0, 2.0), RngStream(3))
         assert [len(s) for s in snaps] == [20, 20, 20]
 
     def test_snapshots_stay_simple(self):
         cfg = fixed_config(30, T1)
         kernel = KawasakiKernel(T1, GaussianProfile(1, 1.0, 0.5))
-        plan = EvolutionPlan(times=(0.5, 1.0), boundary=TorusExact())
         for i in range(20):
-            for snap in evolve_snapshot(cfg, kernel, plan, RngStream(100 + i)):
+            for snap in evolve_snapshot(cfg, kernel, (0.5, 1.0), RngStream(100 + i)):
                 pts = snap.points
                 assert len(np.unique(pts, axis=0)) == len(pts)
 
@@ -75,15 +71,9 @@ class TestImmigration:
         # birth-death ODE: m(t) = z*V*(1 - exp(-t)); t=10 is effectively inf
         empty = Configuration(np.empty((0, 1)), D1)
         kernel = DeathKernel(D1, 1.0)
-        plan = EvolutionPlan(
-            times=(10.0,),
-            mode="submarkov_immigration",
-            immigration_intensity=2.0,
-            boundary=Buffer(width=0.0, intensity=0.0),
-        )
         rng = RngStream(4)
         counts = [
-            len(evolve_with_immigration(empty, kernel, 2.0, plan, rng.child(i))[0])
+            len(evolve_with_immigration(empty, kernel, 2.0, (10.0,), rng.child(i))[0])
             for i in range(2000)
         ]
         mean = np.mean(counts)
@@ -94,15 +84,9 @@ class TestImmigration:
     def test_intermediate_time_mean(self):
         empty = Configuration(np.empty((0, 1)), D1)
         kernel = DeathKernel(D1, 1.0)
-        plan = EvolutionPlan(
-            times=(0.5,),
-            mode="submarkov_immigration",
-            immigration_intensity=2.0,
-            boundary=Buffer(width=0.0, intensity=0.0),
-        )
         rng = RngStream(5)
         counts = [
-            len(evolve_with_immigration(empty, kernel, 2.0, plan, rng.child(i))[0])
+            len(evolve_with_immigration(empty, kernel, 2.0, (0.5,), rng.child(i))[0])
             for i in range(3000)
         ]
         mean = np.mean(counts)
@@ -118,10 +102,9 @@ class TestImmigration:
         # is finite; the mean count is z |W| (1 - e^{-at}) up to the leakage
         # (a constant killing rate is exact on any grid, so h_kill is coarse)
         empty = Configuration(np.empty((0, 1)), D1)
-        plan = EvolutionPlan.with_immigration((1.0,), 2.0)
         rng = RngStream(17)
         counts = [
-            len(evolve_with_immigration(empty, kernel, 2.0, plan, rng.child(i))[0])
+            len(evolve_with_immigration(empty, kernel, 2.0, (1.0,), rng.child(i))[0])
             for i in range(2000)
         ]
         mean = np.mean(counts)
@@ -133,8 +116,7 @@ class TestImmigration:
 class TestGlauberEvolve:
     def test_pure_death_thinning(self):
         cfg = fixed_config(50)
-        plan = EvolutionPlan(times=(0.3, 0.9, 2.0), boundary=Buffer(width=0.0, intensity=0.0))
-        snaps = glauber_evolve(cfg, 1.0, 0.0, plan, RngStream(6))
+        snaps = glauber_evolve(cfg, 1.0, 0.0, (0.3, 0.9, 2.0), RngStream(6))
         counts = [len(s) for s in snaps]
         assert counts[0] >= counts[1] >= counts[2]
         # survivors are a subset of the start
@@ -144,8 +126,7 @@ class TestGlauberEvolve:
 
     def test_zero_rate_frozen(self):
         cfg = fixed_config(15)
-        plan = EvolutionPlan(times=(1.0, 4.0), boundary=Buffer(width=0.0, intensity=0.0))
-        snaps = glauber_evolve(cfg, 0.0, 1.0, plan, RngStream(7))
+        snaps = glauber_evolve(cfg, 0.0, 1.0, (1.0, 4.0), RngStream(7))
         for s in snaps:
             assert np.array_equal(np.sort(s.points, axis=0), np.sort(cfg.points, axis=0))
 
@@ -153,11 +134,10 @@ class TestGlauberEvolve:
         # start Poisson(z), a=1: intensity stays z
         z = 2.0
         rng = RngStream(8)
-        plan = EvolutionPlan(times=(1.0,), boundary=Buffer(width=0.0, intensity=0.0))
         counts = []
         for i in range(3000):
             start = PoissonMeasure(D1, z).sample(rng.child(0, i))
-            counts.append(len(glauber_evolve(start, 1.0, z, plan, rng.child(1, i))[0]))
+            counts.append(len(glauber_evolve(start, 1.0, z, (1.0,), rng.child(1, i))[0]))
         mean = np.mean(counts)
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         assert abs(mean - z * 5.0) <= 3 * se
@@ -173,7 +153,6 @@ class TestEventReplayMatchesGlauberInLaw:
 
     def _counts(self):
         cfg = fixed_config(6)
-        plan = EvolutionPlan.with_immigration(self.TIMES, self.Z)
         rng = RngStream(31)
         replay = np.empty((self.N_REP, len(self.TIMES)))
         snap = np.empty((self.N_REP, len(self.TIMES)))
@@ -182,7 +161,7 @@ class TestEventReplayMatchesGlauberInLaw:
                                   self.TIMES[-1], rng.child(0, i))
             replay[i] = [len(stream.snapshot(cfg, t)) for t in self.TIMES]
             snap[i] = [len(s) for s in glauber_evolve(
-                cfg, self.A, self.Z, plan, rng.child(1, i))]
+                cfg, self.A, self.Z, self.TIMES, rng.child(1, i))]
         return len(cfg), replay, snap
 
     def test_counts_match_closed_form_mean_and_variance(self):
@@ -291,15 +270,9 @@ class TestMarkovPropertyInLaw:
         n = 3000
         one, two = [], []
         for i in range(n):
-            direct = evolve_snapshot(
-                cfg, kernel, EvolutionPlan(times=(1.0,), boundary=TorusExact()), rng.child(0, i)
-            )[0]
-            mid = evolve_snapshot(
-                cfg, kernel, EvolutionPlan(times=(0.4,), boundary=TorusExact()), rng.child(1, i)
-            )[0]
-            fin = evolve_snapshot(
-                mid, kernel, EvolutionPlan(times=(0.6,), boundary=TorusExact()), rng.child(2, i)
-            )[0]
+            direct = evolve_snapshot(cfg, kernel, (1.0,), rng.child(0, i))[0]
+            mid = evolve_snapshot(cfg, kernel, (0.4,), rng.child(1, i))[0]
+            fin = evolve_snapshot(mid, kernel, (0.6,), rng.child(2, i))[0]
             one.append(direct)
             two.append(fin)
 

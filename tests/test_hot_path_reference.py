@@ -18,7 +18,9 @@ chunk's paths scatter coordinate by coordinate, under the same promise.
 The space-time rain ``sample_poisson_space_time`` became the one-replica
 case of a batched sampler, and the one-replica march of ``evolve_snapshot``
 and ``evolve_with_immigration`` became the replica-batch engine
-``dynamics._march``, under the same promise.
+``dynamics._march``, under the same promise.  ``Kernel.buffer_width``
+stops its bisection once a step moves neither end, instead of always
+taking 200 steps, under the promise of the same widths.
 The functions below are the earlier implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
 shapes, domains and seeds.  One line changed on purpose: the Kawasaki
@@ -269,6 +271,22 @@ def ref_march(points, kernel, times, gen, immigrants=None, cull=None):
         snaps.append(np.array(pts, copy=True))
         prev = t
     return snaps
+
+
+def ref_buffer_width(kernel, t_max, target):
+    # Kernel.buffer_width with its fixed 200 bisection steps
+    lo, hi = 1e-6, 1.0
+    while kernel.tail_bound(t_max, hi) > target:
+        hi *= 2.0
+        if hi > 1e6:
+            raise RuntimeError("no finite buffer width reaches the target")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if kernel.tail_bound(t_max, mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def ref_float_start(z0, phi_list, m, gen):
@@ -980,3 +998,38 @@ def test_wrap_fullspace_is_identity():
     x = np.array([[-1e300, 4.0], [np.nan, -0.0]])
     got = Domain.fullspace((0.0, 0.0), (1.0, 1.0)).wrap(x)
     _same(got, x)
+
+
+# ---------------------------------------------------------------------------
+# the buffer width: bisection to the last representable step
+
+def _width_kernels():
+    line = Domain.fullspace((0.0,), (5.0,))
+    plane = Domain.fullspace((0.0, 0.0), (5.0, 5.0))
+    return {
+        "brownian": BrownianKernel(line),
+        "killed-brownian": KilledBrownianKernel(line, 1.0),
+        "kawasaki-gauss-1d": KawasakiKernel(line, GaussianProfile(1, 1.0,
+                                                                  0.5)),
+        "kawasaki-gauss-2d": KawasakiKernel(plane, GaussianProfile(2, 1.0,
+                                                                   0.5)),
+        "kawasaki-bump": KawasakiKernel(line, BumpProfile(1, 2.0, 1.1)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_width_kernels()))
+@pytest.mark.parametrize("t_max", [0.05, 1.0, 4.0])
+@pytest.mark.parametrize("target", [1e-4, 1e-8])
+def test_buffer_width_matches_reference(name, t_max, target):
+    kernel = _width_kernels()[name]
+    want = ref_buffer_width(kernel, t_max, target)
+    calls = []
+    tail_bound = kernel.tail_bound
+
+    def spy(t, r):
+        calls.append(r)
+        return tail_bound(t, r)
+
+    kernel.tail_bound = spy
+    assert kernel.buffer_width(t_max, target) == want
+    assert len(calls) < 100

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from freedyn.dynamics import (Buffer, EvolutionPlan, GlauberDynamics,
-                              TorusExact, evolve_snapshot, glauber_evolve)
+from freedyn.dynamics import (Buffer, GlauberDynamics, evolve_snapshot,
+                              glauber_evolve)
 from freedyn.functions import NumericFunction, TestFunction, support_box
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
 from freedyn.observables import (
@@ -495,17 +495,15 @@ def per_replica_fd(F, config, spec, h, n_replicas, rng):
     diffs = np.empty(n_replicas)
     if isinstance(spec, GlauberDynamics):
         for r in range(n_replicas):
-            snaps = glauber_evolve(config, spec.rate, spec.intensity,
-                                   EvolutionPlan.conservative((h,)),
+            snaps = glauber_evolve(config, spec.rate, spec.intensity, (h,),
                                    rng.child(r))
             diffs[r] = F(snaps[0]) - base
     else:
         # an infinite collar culls nothing: the jumps evolve in all of R^d
-        boundary = TorusExact() if config.domain.is_torus \
+        buffer = None if config.domain.is_torus \
             else Buffer(width=math.inf, intensity=0.0)
-        plan = EvolutionPlan.conservative((h,), boundary)
         for r in range(n_replicas):
-            snaps = evolve_snapshot(config, spec, plan, rng.child(r))
+            snaps = evolve_snapshot(config, spec, (h,), rng.child(r), buffer)
             diffs[r] = F(snaps[0]) - base
     return (float(np.mean(diffs) / h),
             float(np.std(diffs, ddof=1) / math.sqrt(n_replicas) / h))

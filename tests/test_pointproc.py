@@ -12,6 +12,7 @@ from freedyn.pointproc import (
     Configuration,
     PoissonMeasure,
     RngStream,
+    check_times,
     chunk_sizes,
     mean_se,
     pair_into,
@@ -337,3 +338,59 @@ class TestThetaCheck:
         rep = theta_check(Configuration(np.array([[0.0]]), D1), 1.0, 2)
         d = rep.to_dict()
         assert set(d) >= {"alpha", "radii", "counts", "kmin"}
+
+
+class _NoDraws:
+    """An rng that fails the test the moment anything uses it."""
+
+    def __getattr__(self, name):
+        raise AssertionError("drew before checking the times")
+
+
+def _timed_entry_points():
+    from freedyn.dynamics import (evolve_snapshot, evolve_with_immigration,
+                                  glauber_evolve)
+    from freedyn.experiments import glauber_joint_experiment
+    from freedyn.functions import TestFunction
+    from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile
+    from freedyn.observables import glauber_joint_laplace
+    from freedyn.scaling import run_scaling_experiment
+
+    start = Configuration(np.array([[1.0], [2.0]]), D1)
+    torus = PoissonMeasure(Domain.torus(1, 5.0), 1.0)
+    phi = TestFunction.box(-0.5, (1.0,), (2.0,))
+    no = _NoDraws()
+    return {
+        "evolve_snapshot": lambda ts: evolve_snapshot(
+            start, BrownianKernel(D1), ts, no),
+        "evolve_with_immigration": lambda ts: evolve_with_immigration(
+            start, DeathKernel(D1, 1.0), 1.0, ts, no),
+        "glauber_evolve": lambda ts: glauber_evolve(start, 1.0, 1.0, ts, no),
+        "glauber_joint_laplace": lambda ts: glauber_joint_laplace(
+            start, 1.0, 1.0, ts, [phi] * len(ts)),
+        "glauber_joint_experiment": lambda ts: glauber_joint_experiment(
+            start, 1.0, 1.0, ts, [phi] * len(ts), 10, no),
+        "run_scaling_experiment": lambda ts: run_scaling_experiment(
+            torus, GaussianProfile(1, 1.0, 0.5), ts, [phi] * len(ts), [1.0],
+            10, no),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_timed_entry_points()))
+@pytest.mark.parametrize("times,message", [
+    ([], "need at least one time"),
+    ([0.0], "times must be strictly increasing and > 0"),
+    ([1.0, 1.0], "times must be strictly increasing and > 0"),
+    ([2.0, 1.0], "times must be strictly increasing and > 0"),
+])
+def test_bad_times_raise_before_any_draw(entry, times, message):
+    with pytest.raises(ValueError) as err:
+        _timed_entry_points()[entry](times)
+    assert str(err.value) == message
+
+
+def test_check_times_returns_float_tuple():
+    assert check_times([1, 2.5, np.float32(3.0)]) == (1.0, 2.5, 3.0)
+    assert all(type(t) is float for t in check_times(np.array([0.5, 1.0])))
+    with pytest.raises(ValueError):
+        check_times([1.0, float("nan")])

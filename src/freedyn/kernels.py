@@ -52,6 +52,13 @@ report label), ``conservative`` and, if it kills, ``rate``, and implements
 It may override Kernel's defaults: ``image_integral`` (quadrature),
 ``buffer_width`` (bisection on tail_bound), ``escape_report``,
 ``exit_probability`` and ``events`` (no discrete-event form).
+
+The jump counts need only numpy: their Poisson cdf comes from the pmf
+recurrence of ``_poisson_cdf``.  ``scipy.special`` (incomplete gamma
+functions, zeta) and ``scipy.optimize`` are imported inside the
+functions that use them: the jump-count series, the tail bounds and the
+certificates.  Importing this module loads no scipy, and a command that
+computes none of those never does.
 """
 
 from __future__ import annotations
@@ -60,7 +67,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, pdtr, zeta
 
 from .functions import (NumericFunction, bump_shape_integral, gauss_smooth,
                         gauss_smooth_box_torus, integrate_function)
@@ -97,6 +103,8 @@ class GaussianProfile:
 
     def normalized_tail(self, s):
         """P(|D| > s) for a single normalized jump D."""
+        from scipy.special import gammaincc
+
         s = np.maximum(np.asarray(s, dtype=float), 0.0)
         return gammaincc(self.dim / 2.0, np.square(s) / (2.0 * self.std ** 2))
 
@@ -110,12 +118,13 @@ class GaussianProfile:
     def sum_displacements(self, gen, k):
         """Row i: the sum of k[i] >= 1 normalized jumps, a Gaussian with
         k[i]-fold variance (one normal vector per row).  One
-        standard_normal call draws every row; the scale std * sqrt(k[i])
-        is applied in place, block by block of rows, so no len(k)-long
-        temporary is made and the bits are those of one full product."""
+        standard_normal call draws every row; the scale std * sqrt(k[i]),
+        in float64 whatever k's integer type, is applied in place, block by
+        block of rows, so no len(k)-long temporary is made and the bits are
+        those of one full product."""
         step = gen.standard_normal((len(k), self.dim))
         for start in range(0, len(k), _DRAW_BLOCK):
-            scale = np.sqrt(k[start:start + _DRAW_BLOCK])
+            scale = np.sqrt(k[start:start + _DRAW_BLOCK], dtype=float)
             scale *= self.std
             step[start:start + _DRAW_BLOCK] *= scale[:, None]
         return step
@@ -150,7 +159,6 @@ class GaussianProfile:
         The supremum of r**alpha * tail_mass(r) is attained at finite r
         (Gaussian decay beats any power); located numerically and padded.
         """
-        # imported at its one use, so importing freedyn skips scipy.optimize
         from scipy import optimize
 
         def neg(logr):
@@ -355,6 +363,8 @@ def g_t_series(profile, t, tol=1e-8):
     """
     if not (t > 0 and tol > 0):
         raise ValueError("need t > 0 and tol > 0")
+    from scipy.special import gammainc
+
     rate, mu = profile.mass, profile.mass * t
     peak = float(profile.density(np.zeros((1, profile.dim)))[0]) / rate
     scale = max(peak, 1.0)
@@ -397,68 +407,115 @@ _MAX_INVERSION_MEAN = 16.0
 _DRAW_BLOCK = 1 << 16
 
 
+def _poisson_cdf(lam):
+    """Poisson(lam) cdf levels F(0), F(1), ... up to the first that is >= 1.
+
+    lam is a shared mean, 0 <= lam <= _MAX_INVERSION_MEAN.  The levels come
+    from the pmf recurrence p_0 = exp(-lam), p_k = p_{k-1} * lam / k,
+    F(k) = F(k-1) + p_k, in the floating-point operations of the per-row
+    loop of _jump_counts, so both give the same bits.  A level that p_k no
+    longer raises is set to 1: the rest of the series is below rounding,
+    and the sum may stall below a uniform in [0, 1) (at lam = 15.9 it
+    stalls at 1 - 2.2e-16 from k = 60), so every uniform stops there.
+    """
+    # Python floats round every step as the float64 arrays do; the exp is
+    # numpy's, as in the loop
+    lam = float(lam)
+    p = float(np.exp(-lam))
+    levels = [p]
+    while levels[-1] < 1.0:
+        p = p * lam / len(levels)
+        level = levels[-1] + p
+        levels.append(level if level > levels[-1] else 1.0)
+    return np.array(levels)
+
+
 def _jump_counts(lam, gen, n):
     """Poisson(lam) clock counts of n rows, by inversion of one uniform each.
 
     lam is a 0-d array shared by all rows or one mean per row.  Row i draws
     u_i = gen.random() and rings k_i times, the first k with u_i < F(k) for
-    F = pdtr(., lam_i) the Poisson cdf (so #{k >= 0 : F(k) <= u_i}); k steps
-    up over the rows still ringing, so the cost grows with max(lam).  The
-    uniforms are drawn and inverted _DRAW_BLOCK rows at a time: consecutive
-    gen.random calls give the numbers of one call over all n rows, so the
-    blocks leave the stream and the counts unchanged while no n-long
-    uniform array is made.  A batch whose largest mean exceeds _MAX_INVERSION_MEAN
-    draws all its counts with gen.poisson instead.  Either way a shared mean
-    and a constant per-row one give the same bits.  Returns (hop, k): the
-    rows that ring at least once, ascending, and their counts.
+    F the Poisson(lam_i) cdf (so #{k >= 0 : F(k) <= u_i}): inversion by
+    sequential search (Devroye 1986, X.3), k stepping up over the rows
+    still ringing, so the cost grows with max(lam).  F is built by the pmf
+    recurrence of _poisson_cdf: for a shared mean as one table per call,
+    for per-row means level by level on the rows still ringing.  The
+    uniforms are drawn and inverted _DRAW_BLOCK rows at a time
+    (_jump_blocks): consecutive gen.random calls give the numbers of one
+    call over all n rows, so the blocks leave the stream and the counts
+    unchanged while no n-long uniform array is made.  A batch whose
+    largest mean exceeds _MAX_INVERSION_MEAN draws all its counts with
+    gen.poisson instead.  Either way a shared mean and a constant per-row
+    one give the same bits.  Returns (hop, k): the rows that ring at
+    least once, ascending, and their counts.
+    """
+    # the empty heads give n = 0 its empty intp outputs
+    hops, ks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for hop, k in _jump_blocks(lam, gen, n):
+        hops.append(hop)
+        ks.append(k)
+    # one list is freed before the other is joined
+    hop = np.concatenate(hops)
+    del hops
+    return hop, np.concatenate(ks, dtype=np.intp)
+
+
+def _jump_blocks(lam, gen, n):
+    """The counts of _jump_counts, block by block of rows, as (hop, k).
+
+    hop holds a block's rows that ring at least once, numbered in the
+    batch and ascending, and k their counts: one byte each under
+    inversion, where a mean of at most _MAX_INVERSION_MEAN stops below
+    level 61, and gen.poisson's integers, as one block, above it.
     """
     if not np.all(np.isfinite(lam)):
         raise ValueError("jump clock mean must be finite")
     if np.max(lam, initial=0.0) > _MAX_INVERSION_MEAN:
         counts = gen.poisson(lam, size=n)
         hop = np.flatnonzero(counts)
-        return hop, counts[hop]
-    # the empty heads give n = 0 its empty intp outputs
-    hops, ks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        yield hop, counts[hop]
+        return
+    table = None if lam.ndim else _poisson_cdf(lam)
     for start in range(0, n, _DRAW_BLOCK):
         u = gen.random(min(_DRAW_BLOCK, n - start))
-        if lam.ndim:
+        if table is None:
             mean = lam[start:start + len(u)]
-            # exp(-lam) is pdtr(0, lam) to far better than 1e-12, so the
-            # exact cdf is needed only for the few rows past this cheap bound
-            hop = np.flatnonzero(u >= np.exp(-mean) * (1.0 - 1e-12))
-            hop = hop[u[hop] >= pdtr(0, mean[hop])]
+            cdf = np.exp(-mean)
+            hop = np.flatnonzero(u >= cdf)
             mean = mean[hop]
+            p = cdf = cdf[hop]
         else:
-            mean = lam
-            hop = np.flatnonzero(u >= pdtr(0, mean))
+            hop = np.flatnonzero(u >= table[0])
         u = u[hop]
-        k = np.ones(len(hop), dtype=np.intp)
-        # u and mean shrink to the rows still ringing; ringing holds their
+        k = np.ones(len(hop), dtype=np.uint8)
+        # the arrays shrink to the rows still ringing; ringing holds their
         # positions in hop (None while that is every row, which saves an
         # arange)
         ringing, level = None, 1
         while len(u):
-            keep = np.flatnonzero(u >= pdtr(level, mean))
+            if table is None:
+                # the next level of _poisson_cdf, row by row
+                p = p * mean / level
+                grown = cdf + p
+                cdf = np.where(grown > cdf, grown, 1.0)
+                keep = np.flatnonzero(u >= cdf)
+                mean, p, cdf = mean[keep], p[keep], cdf[keep]
+            else:
+                keep = np.flatnonzero(u >= table[level])
             ringing = keep if ringing is None else ringing[keep]
             u = u[keep]
-            if mean.ndim:
-                mean = mean[keep]
             k[ringing] += 1
             level += 1
         hop += start
-        hops.append(hop)
-        ks.append(k)
-    # one list is freed before the other is joined
-    hop = np.concatenate(hops)
-    del hops
-    return hop, np.concatenate(ks)
+        yield hop, k
 
 
 def _heat_tail(dim, t, r):
     """Exact tail P(|sqrt(t) Z| > r) via the chi-square upper tail."""
     if t <= 0 or r <= 0:
         raise ValueError("need t > 0 and r > 0")
+    from scipy.special import gammaincc
+
     return float(gammaincc(dim / 2.0, r * r / (2.0 * t)))
 
 
@@ -643,6 +700,21 @@ class KawasakiKernel(Kernel):
         hop, k = _jump_counts(self.clock_rate * _batch_times(dts, n), gen, n)
         return hop, self.profile.sum_displacements(gen, k)
 
+    def ring_jumps(self, n, dts, gen):
+        """jumps as (ring, step), ring a mask of the n rows that ring.
+
+        The same draws and step bits as jumps, with no hop row numbers and
+        the counts kept as drawn (_jump_blocks): no ringing-long index or
+        integer array lives beside step.
+        """
+        ring = np.zeros(n, dtype=bool)
+        ks = [np.empty(0, dtype=np.uint8)]
+        for hop, k in _jump_blocks(self.clock_rate * _batch_times(dts, n),
+                                   gen, n):
+            ring[hop] = True
+            ks.append(k)
+        return ring, self.profile.sum_displacements(gen, np.concatenate(ks))
+
     def propagate_batch(self, pts, dts, gen):
         n = len(pts)
         hop, step = self.jumps(n, dts, gen)
@@ -705,6 +777,8 @@ class KawasakiKernel(Kernel):
         radii = np.asarray(radii, dtype=float)
         if t <= 0 or np.any(radii <= 0):
             raise ValueError("need t > 0 and radii > 0")
+        from scipy.special import gammainc
+
         mu = self.clock_rate * t
         n_terms = max(int(mu + 12.0 * math.sqrt(mu + 1.0)), 32)
         k = np.arange(1, n_terms + 1)
@@ -934,12 +1008,16 @@ def _tail_integral(c, q, n_from):
     """Certified bound on sum_{n > N} exp(-c n**q) via the integral test."""
     if c <= 0 or q <= 0:
         return math.inf
+    from scipy.special import gammaincc
+
     s = 1.0 / q
     return math.gamma(s) / (q * c ** s) * float(gammaincc(s, c * n_from ** q))
 
 
 def _heat_escape_series(dim, epsilon, delta, beta, n_direct):
     """Heat-tail escape terms for n <= n_direct and a bound on the rest."""
+    from scipy.special import gammaincc
+
     n = np.arange(1, n_direct + 1)
     radii = delta * n ** (1.0 / beta)
     terms = gammaincc(dim / 2.0, np.square(radii) / (2.0 * epsilon))
@@ -1050,6 +1128,8 @@ def kawasaki_polynomial_certificate(profile, alpha, m, epsilon=1.0, delta=1.0,
     """
     if alpha <= 0 or m < 1 or epsilon <= 0 or delta <= 0:
         raise ValueError("bad parameters")
+    from scipy.special import zeta
+
     c_poly = profile.poly_tail_constant(alpha)
     # E[N^(alpha+1)]: term n+1 / term n = r_n = mu/(n+1) * (1+1/n)**(alpha+1)
     # decreases in n, so the terms past n sum to at most term_n r_n/(1-r_n)

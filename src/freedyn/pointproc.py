@@ -4,11 +4,14 @@ A configuration is a finite simple point set (all points distinct) in a
 domain.  Every starting measure of the dynamics speaks one protocol:
 ``sample_batch(n_rep, gen) -> (points, replica ids)``, ``sample(rng) ->
 Configuration`` (a one-replica batch) and
-``expected_product_functional(terms, tol)``.  A Configuration is the
-point-mass measure at itself; PoissonMeasure is the homogeneous Poisson
-measure and the one Poisson configuration sampler.  Space-time Poisson
-arrivals (the immigration rain of the dynamics) are drawn replica batch by
-replica batch with constant or bounded inhomogeneous rate.  All draws
+``expected_product_functional(terms, tol)``.  A random measure (a
+BatchMeasure) also gives ``sample_batch(n_rep, gen, ends=True) -> (points,
+end rows)``: the same draws, each replica a run of rows, with no id per
+point.  A Configuration is the point-mass measure at itself;
+PoissonMeasure is the homogeneous Poisson measure and the one Poisson
+configuration sampler.  Space-time Poisson arrivals (the immigration rain
+of the dynamics) are drawn replica batch by replica batch with constant or
+bounded inhomogeneous rate.  All draws
 use counter-based random streams, so every draw is reproducible from a
 (seed, stream) pair regardless of how work is scheduled.
 
@@ -22,12 +25,16 @@ certified only up to the probed radius.
 
 from __future__ import annotations
 
+import ctypes
 import io
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# numpy loads its random package on first use: imported here, it loads
+# with freedyn rather than inside a command's first draw
+from numpy.random import Generator, Philox
 
 from .functions import integrate_function
 from .space import Domain, ball_volume
@@ -68,7 +75,7 @@ class RngStream:
 
     def generator(self):
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        return Generator(Philox(key=key))
 
 
 def chunk_sizes(n_items, chunk):
@@ -97,8 +104,26 @@ def parallel_map_ordered(fn, n_tasks, threads=1):
 
 CHUNK = 20000
 
+try:  # glibc; numpy has loaded ctypes already
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
-def run_chunks(worker, n_samples, rng, threads=1):
+
+def release_free_memory():
+    """Return the malloc heap's free pages to the system.
+
+    glibc keeps freed memory mapped for reuse: past a large chunk, the
+    next one's arrays land in the old one's holes or extend the heap
+    according to sizes a few kB apart, and the process's peak resident
+    memory with them.  malloc_trim(0) hands back every free page, so the
+    next chunk's peak is its own.  A no-op under other C libraries.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
+def run_chunks(worker, n_samples, rng, threads=1, out=None):
     """Run worker(size, generator) per chunk; concatenate results in order.
 
     The budget is split by chunk_sizes(n_samples, CHUNK), chunk c draws all
@@ -107,16 +132,31 @@ def run_chunks(worker, n_samples, rng, threads=1):
     is a pure function of (seed, budget) for any thread count.  Workers are
     vectorized across replicas: a chunk holds one flat point array plus a
     replica-id column, not one Python loop turn per replica.
+
+    With out, an array of n_samples rows, chunk c instead fills its own
+    rows of out in place, worker(size, generator, out=rows), and out is
+    returned: the same values, with no result array per chunk kept alive
+    until the last chunk ends.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("need a positive number of replicas")
     sizes = chunk_sizes(n_samples, CHUNK)
+    if out is None:
+        def task(c_idx):
+            return worker(sizes[c_idx], rng.child(c_idx).generator())
 
-    def task(c_idx):
-        return worker(sizes[c_idx], rng.child(c_idx).generator())
+        return np.concatenate(parallel_map_ordered(task, len(sizes), threads))
+    if len(out) != n_samples:
+        raise ValueError("out must have one row per replica")
+    starts = np.cumsum([0] + sizes)
 
-    return np.concatenate(parallel_map_ordered(task, len(sizes), threads))
+    def fill(c_idx):
+        rows = out[starts[c_idx]:starts[c_idx + 1]]
+        worker(sizes[c_idx], rng.child(c_idx).generator(), out=rows)
+
+    parallel_map_ordered(fill, len(sizes), threads)
+    return out
 
 
 def pair_into(acc, ids, values):
@@ -327,12 +367,15 @@ class PoissonMeasure(BatchMeasure):
         """Second cluster correlation; identically zero for Poisson."""
         return np.zeros_like(np.asarray(distance, dtype=float))
 
-    def sample_batch(self, n_rep, gen):
+    def sample_batch(self, n_rep, gen, ends=False):
         """Sample n_rep independent configurations as (points, replica ids).
 
-        The points are lo + (hi - lo) * u for uniforms u in [0, 1), scaled
-        and shifted in place, which gives the bits of that expression with
-        no temporary beside the draw; on a torus they lie in [0, side).
+        With ends, the second array is instead each replica's end row, one
+        past its last: replica r holds the rows from ends[r - 1] (0 for
+        r = 0) up to ends[r].  Same draws, no id per point.  The points
+        are lo + (hi - lo) * u for uniforms u in [0, 1), scaled and shifted
+        in place, which gives the bits of that expression with no
+        temporary beside the draw; on a torus they lie in [0, side).
         """
         lo, hi = self.domain.lower, self.domain.upper
         volume = float(np.prod(hi - lo))
@@ -341,6 +384,8 @@ class PoissonMeasure(BatchMeasure):
         pts = gen.random((total, self.domain.dim))
         pts *= hi - lo
         pts += lo
+        if ends:
+            return pts, np.cumsum(counts)
         ids = np.repeat(np.arange(n_rep), counts)
         return pts, ids
 

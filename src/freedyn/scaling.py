@@ -31,7 +31,8 @@ from .functions import TestFunction, box_quad, support_box
 from .kernels import GaussianProfile, KawasakiKernel
 from .observables import glauber_joint_laplace
 from .pointproc import (BatchMeasure, Comparison, PoissonMeasure,
-                        check_times, mean_se, pair_into, run_chunks)
+                        check_times, mean_se, pair_into, release_free_memory,
+                        run_chunks)
 from .space import Domain, in_box
 
 _BLOCK = 1 << 15  # rows per blocked pass: its buffers stay in cache
@@ -94,11 +95,13 @@ class NeymanScottMeasure(BatchMeasure):
     def u2_max(self):
         return float(self.u2(0.0))
 
-    def sample_batch(self, n_rep, gen):
+    def sample_batch(self, n_rep, gen, ends=False):
         """Sample n_rep independent configurations as (points, replica ids).
 
-        Stream layout: the parent counts, the parent positions, one uniform
-        per parent for its second offspring, then one normal vector per
+        With ends, the second array is instead each replica's end row, one
+        past its last, as PoissonMeasure.sample_batch gives it.  Stream
+        layout: the parent counts, the parent positions, one uniform per
+        parent for its second offspring, then one normal vector per
         offspring, in parent order.  The parents are added to their
         offspring _BLOCK parents at a time and the ids come from the
         per-replica offspring counts, so no offspring-long temporary is
@@ -124,7 +127,7 @@ class NeymanScottMeasure(BatchMeasure):
         pts *= self.cluster_std
         # per block of parents: add them to their offspring, and read the
         # running count of seconds at the replicas whose last parent it holds
-        ends = np.cumsum(n_parents)
+        last = np.cumsum(n_parents)  # one past each replica's last parent
         seconds = np.zeros(n_rep, dtype=np.intp)  # seconds of replicas <= r
         done = 0  # seconds of the parents before the block
         for start in range(0, total_parents, _BLOCK):
@@ -133,14 +136,16 @@ class NeymanScottMeasure(BatchMeasure):
             block = np.repeat(parent_pts[start:stop], 1 + extra, axis=0)
             pts[start + done:start + done + len(block)] += block
             counts = np.cumsum(extra)
-            reps = slice(*np.searchsorted(ends, (start, stop), side="right"))
-            seconds[reps] = done + counts[ends[reps] - start - 1]
+            reps = slice(*np.searchsorted(last, (start, stop), side="right"))
+            seconds[reps] = done + counts[last[reps] - start - 1]
             done += int(counts[-1])
         del parent_pts, second
         per_rep = np.diff(seconds, prepend=0)
         per_rep += n_parents
-        return (domain.wrap(pts, copy=False),
-                np.repeat(np.arange(n_rep), per_rep))
+        pts = domain.wrap(pts, copy=False)
+        if ends:
+            return pts, np.cumsum(per_rep)
+        return pts, np.repeat(np.arange(n_rep), per_rep)
 
     def _smooth(self, terms, c_pts):
         # G(c) = E[F(c + offset)], the cluster-displacement smoothing of F:
@@ -318,17 +323,16 @@ class ScalingReport:
         return out.getvalue()
 
 
-def _pair_log1p(acc, ends, phi, pts, among=None):
+def _pair_log1p(acc, replica_of, phi, pts, among=None):
     """acc[r] += sum of log1p(phi) over replica r's points; returns acc.
 
-    A replica is a run of rows of pts: replica r holds the rows from
-    ends[r - 1] (0 for r = 0) up to ends[r], so the replica of row i is
-    the number of end rows <= i.  phi must be a TestFunction: it is
-    exactly 0 off its closed support box [support_lo, support_hi], so only
-    the points inside that box are evaluated and looked up.  The nonzero
-    (replica, value) pairs, and their order, are those of phi at every
-    point, so acc gets the same bits.  A boolean mask among restricts the
-    pairing to its rows, as compressing pts by it would.
+    replica_of maps an ascending array of rows of pts to their replica
+    ids.  phi must be a TestFunction: it is exactly 0 off its closed
+    support box [support_lo, support_hi], so only the points inside that
+    box are evaluated and looked up.  The nonzero (replica, value) pairs,
+    and their order, are those of phi at every point, so acc gets the same
+    bits.  A boolean mask among restricts the pairing to its rows, as
+    compressing pts by it would.
     """
     inside = in_box(pts, phi.support_lo, phi.support_hi, closed=True)
     if among is not None:
@@ -336,8 +340,7 @@ def _pair_log1p(acc, ends, phi, pts, among=None):
     # few rows: one scan serves pts and their replicas
     rows = np.flatnonzero(inside)
     vals = phi(pts.take(rows, axis=0))
-    return pair_into(acc, np.searchsorted(ends, rows, side="right"),
-                     np.log1p(vals))
+    return pair_into(acc, replica_of(rows), np.log1p(vals))
 
 
 def _contracted_paths(domain, pts, draws, eps):
@@ -364,13 +367,9 @@ def _contracted_paths(domain, pts, draws, eps):
 
 
 def _rings(kernel, n, dts, gen):
-    # kernel.jumps of n rows per time step, with the rows that ring as a mask
+    # kernel.ring_jumps of n rows per time step: a ring mask and the steps
     for dt in dts:
-        hop, step = kernel.jumps(n, dt, gen)
-        ring = np.zeros(n, dtype=bool)
-        ring[hop] = True
-        del hop  # not kept alive through the next step's draws
-        yield ring, step
+        yield kernel.ring_jumps(n, dt, gen)
 
 
 _REACH_PAD = 1e-9  # relative slack of a reach; times side, its absolute one
@@ -440,28 +439,28 @@ def _cull_far(side, pts, draws, eps_min, phis, moved):
 
 
 def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
-                        gen):
+                        gen, out=None):
     """(n_rep, len(eps_schedule)) joint Laplace integrands of one chunk.
 
     One replica is one start and one set of base-profile jumps, read off
     at every eps of the schedule: column e holds the integrand of the
     dynamics contracted by eps_schedule[e].  The domain must be a torus
     and phis TestFunctions.  A replica is a run of rows of the start, so
-    the chunk keeps only each replica's end row (one past its last row),
-    not a replica id per row.  A row that never rings is paired once.  A
-    mover whose start lies farther than its reach (its summed |step| over
-    the smallest eps) from every phi's support box, in torus distance per
-    coordinate, is dropped before the eps loop, and the end rows are
-    counted among the kept rows: no phi is nonzero on a dropped path, so
-    the kept rows give the same (replica, value) pairs in the same order,
-    and the same bits, as every row would.
+    the chunk draws only each replica's end row (one past its last row,
+    sample_batch with ends), never a replica id per drawn row: the
+    replica of row i is the number of end rows <= i.  A row that never
+    rings is paired once.  A mover whose start lies farther than its
+    reach (its summed |step| over the smallest eps) from every phi's
+    support box, in torus distance per coordinate, is dropped before the
+    eps loop, and the end rows are counted among the kept rows: no phi is
+    nonzero on a dropped path, so the kept rows give the same (replica,
+    value) pairs in the same order, and the same bits, as every row would.  The kept rows, far fewer than the drawn ones, get
+    one replica id each, once, for the eps loop's pairings.  The values
+    are written into out (n_rep rows) when it is given, and returned.
     """
     domain = measure.domain
     # both measures give torus points in the cell [0, side): no wrap needed
-    pts, ids = measure.sample_batch(n_rep, gen)
-    # the ids ascend: replica r ends where the ids reach r + 1
-    ends = np.searchsorted(ids, np.arange(1, n_rep + 1))
-    del ids  # gone before the jump draws, where the chunk peaks
+    pts, ends = measure.sample_batch(n_rep, gen, ends=True)
     n = len(pts)
     draws = list(_rings(kernel, n, np.diff(times, prepend=0.0), gen))
     moved = np.zeros(n, dtype=bool)
@@ -471,23 +470,27 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     # (one full-length array at a time, to keep the chunk's peak memory low)
     acc = np.zeros(n_rep)
     still = ~moved
+    replica_of = partial(np.searchsorted, ends, side="right")
     for phi in phis:
-        _pair_log1p(acc, ends, phi, pts, among=still)
+        _pair_log1p(acc, replica_of, phi, pts, among=still)
     del still
     keep = _cull_far(domain.side, pts, draws, min(eps_schedule), phis, moved)
     del moved
     kept = np.flatnonzero(keep)
     pts = pts.take(kept, axis=0)
-    ends = np.searchsorted(kept, ends)  # end rows among the kept rows
+    # the end rows among the kept rows give their replica ids
+    ids = np.repeat(np.arange(n_rep), np.diff(np.searchsorted(kept, ends),
+                                              prepend=0))
     draws = [(np.flatnonzero(ring.take(kept)),
               step.compress(keep.compress(ring), axis=0))
              for ring, step in draws]
     del keep, kept
-    out = np.empty((n_rep, len(eps_schedule)))
+    if out is None:
+        out = np.empty((n_rep, len(eps_schedule)))
     for col, eps in enumerate(eps_schedule):
         logs = acc.copy()
         for pos, phi in zip(_contracted_paths(domain, pts, draws, eps), phis):
-            _pair_log1p(logs, ends, phi, pos)
+            _pair_log1p(logs, ids.take, phi, pos)
         out[:, col] = np.exp(logs)
     return out
 
@@ -517,7 +520,8 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     marginal one of its epsilon.  Replicas are run by the chunk driver on
     the stream rng.child(0); an epsilon's estimate does not depend on the
     rest of the schedule, and the result does not depend on the thread
-    count.
+    count.  The chunks fill one result array, and the heap's free pages
+    go back to the system after each chunk (release_free_memory).
 
     The domain must be a torus: on full space the start is sampled on the
     window only and particles that jump out never come back, so the
@@ -555,9 +559,18 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
                                    tol=tol)
 
     kernel = KawasakiKernel(measure.domain, profile)
-    worker = partial(_chunk_joint_values, measure, kernel, times, phi_list,
-                     eps_schedule)
-    values = run_chunks(worker, n_samples, rng.child(0), threads)
+
+    def worker(n_rep, gen, out):
+        _chunk_joint_values(measure, kernel, times, phi_list, eps_schedule,
+                            n_rep, gen, out=out)
+        # the chunk's arrays are gone: hand their pages back, so that the
+        # next chunk's peak memory does not depend on where they lay
+        release_free_memory()
+
+    # each chunk fills its rows of one array: no per-chunk result outlives
+    # its chunk
+    values = run_chunks(worker, n_samples, rng.child(0), threads,
+                        out=np.empty((n_samples, len(eps_schedule))))
     estimates, stderrs = zip(*map(mean_se, np.ascontiguousarray(values.T)))
     return ScalingReport(
         eps_schedule=tuple(eps_schedule), estimates=estimates,

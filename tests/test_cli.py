@@ -575,19 +575,70 @@ def test_parser_is_built_once_and_calls_parse_independently(tmp_path,
         "threads": 1, "do_assert": False, "out": "."}
 
 
-def test_import_loads_no_heavy_scipy_subpackage(tmp_path):
-    # box_quad is numpy; scipy.optimize is imported where it is used
-    code = ("import json, sys, freedyn.cli; "
-            "print(json.dumps(sorted(sys.modules)))")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, cwd=str(tmp_path), env=checkout_env())
+def _imported(args, cwd):
+    # the run of ``python -X importtime args`` and every module it imported
+    res = subprocess.run([sys.executable, "-X", "importtime"] + args,
+                         capture_output=True, text=True, cwd=cwd,
+                         env=checkout_env())
+    names = [line.rsplit("|", 1)[1].strip()
+             for line in res.stderr.splitlines()
+             if line.startswith("import time:")]
+    return res, names
+
+
+def test_start_up_loads_no_scipy(tmp_path):
+    # scipy.special is imported where a jump series or a certificate needs
+    # it, scipy.optimize where a tail constant does: importing freedyn,
+    # --help and a config error load numpy alone
+    runs = [(["-c", "import freedyn.cli"], 0),
+            (["-m", "freedyn.cli", "--help"], 0),
+            (["-m", "freedyn.cli", "laplace", "--config", "nope.json"], 2)]
+    for args, code in runs:
+        res, names = _imported(args, str(tmp_path))
+        assert res.returncode == code, res.stderr
+        assert "freedyn" in names and "numpy" in names
+        assert [m for m in names
+                if m == "scipy" or m.startswith("scipy.")] == []
+
+
+def test_commands_import_nothing_past_the_cli(tmp_path):
+    # one small run each of the benchmark's commands (Kawasaki jumps,
+    # Neyman-Scott starts, torus smoothing, Glauber and Kawasaki generator
+    # checks, correlations) loads no module that importing freedyn.cli did
+    # not: no lazily loaded package moves into a command's first call
+    box = {"family": "box", "level": -0.5, "lo": [-1.0], "hi": [1.0]}
+    gen = dict(GEN_CFG, fd={"h": [0.01], "replicas": 200})
+    cfgs = [
+        ("scaling", dict(SCALING_CFG, start=NEYMAN_SCOTT, samples=200)),
+        ("generator-check", gen),
+        ("generator-check", {
+            **{k: v for k, v in gen.items() if k != "dynamics"},
+            "kernel": {"variant": "kawasaki", "profile": {
+                "kind": "gaussian", "mass": 1.3, "std": 0.7}},
+            "cylinder": {"outer": "linear", "observables": [box]}}),
+        ("correlation", {
+            "domain": {"mode": "fullspace",
+                       "window": [[0.0, 0.0], [3.0, 3.0]]},
+            "start": {"kind": "poisson", "intensity": 1.0},
+            "correlation": {"order": 2, "bins": 3},
+            "samples": 200, "rng": {"seed": 1}}),
+    ]
+    runs = []
+    for i, (command, cfg) in enumerate(cfgs):
+        path = write_config(tmp_path, "c%d.json" % i, cfg)
+        runs.append([command, "--config", path, "--out",
+                     str(tmp_path / ("out%d" % i))])
+    code = ("import json, sys, freedyn.cli\n"
+            "before = set(sys.modules)\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    code = freedyn.cli.main(argv)\n"
+            "    print(json.dumps([code, sorted(set(sys.modules) - before)]))\n")
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                         capture_output=True, text=True, cwd=str(tmp_path),
+                         env=checkout_env(), timeout=120)
     assert res.returncode == 0, res.stderr
-    loaded = json.loads(res.stdout)
-    assert "freedyn.cli" in loaded and "scipy.special" in loaded
-    heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse",
-             "scipy.spatial")
-    assert [m for m in loaded
-            if any(m == h or m.startswith(h + ".") for h in heavy)] == []
+    assert [json.loads(line) for line in res.stdout.splitlines()] == \
+        [[0, []]] * len(cfgs)
 
 
 def test_quadrature_past_its_subdivision_cap_exits_3(tmp_path, monkeypatch,

@@ -335,6 +335,33 @@ def test_gauss_smooth_torus_image_sum():
     assert total == pytest.approx(f.integral(), abs=1e-8)
 
 
+def test_ndtr_matches_scipy():
+    # both branches, |x| < 1 through erf and the rest through erfc
+    x = np.linspace(-8.0, 8.0, 160001)
+    got = functions.ndtr(x)
+    assert np.max(np.abs(got / ndtr(x) - 1.0)) <= 1e-14
+    grid = x[:-1].reshape(400, 400)
+    assert np.array_equal(functions.ndtr(grid), got[:-1].reshape(400, 400))
+    edges = functions.ndtr(np.array([-np.inf, -40.0, 0.0, np.inf, np.nan]))
+    assert np.array_equal(edges[:4], [0.0, ndtr(-40.0), 0.5, 1.0])
+    assert np.isnan(edges[4])
+
+
+def test_ndtr_as_accurate_as_scipy():
+    # against 40 digits, over the range where the cdf is a normal double;
+    # the lower tail's error grows like x**2 from the rounding of
+    # x / sqrt(2), in both
+    mpmath = pytest.importorskip("mpmath")
+    x = np.linspace(-37.5, 8.5, 2301)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.ncdf(v)) for v in x])
+
+    def worst_ulps(y):
+        return float(np.max(np.abs(y - ref) / np.spacing(ref)))
+
+    assert worst_ulps(functions.ndtr(x)) <= worst_ulps(ndtr(x))
+
+
 @given(
     level=st.floats(min_value=-0.99, max_value=0.0),
     lo=st.floats(min_value=-5.0, max_value=4.0),

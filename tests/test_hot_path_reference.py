@@ -20,7 +20,11 @@ case of a batched sampler, and the one-replica march of ``evolve_snapshot``
 and ``evolve_with_immigration`` became the replica-batch engine
 ``dynamics._march``, under the same promise.  ``Kernel.buffer_width``
 stops its bisection once a step moves neither end, instead of always
-taking 200 steps, under the promise of the same widths.
+taking 200 steps, under the promise of the same widths.  The torus
+smoothing ``gauss_smooth_box_torus`` evaluates the normal cdf once per box
+edge and axis over all periodic images, not once per image, and adds the
+images in the same order, under the promise of the same bits (the
+reference calls freedyn's own ``ndtr``).
 The functions below are the earlier implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
 shapes, domains and seeds.  One line changed on purpose: the Kawasaki
@@ -39,7 +43,8 @@ from scipy.special import pdtr
 
 from freedyn import scaling
 from freedyn.dynamics import _march
-from freedyn.functions import TestFunction, support_box
+from freedyn.functions import (TestFunction, gauss_smooth_box_torus, ndtr,
+                               support_box)
 from freedyn.kernels import (_DRAW_BLOCK, BrownianKernel, BumpProfile,
                              DeathKernel, GaussianProfile, KawasakiKernel,
                              KilledBrownianKernel, _jump_counts)
@@ -370,6 +375,24 @@ def ref_chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
                             phis):
             ref_pair_log1p(logs, ids, phi(pos))
         out[:, col] = np.exp(logs)
+    return out
+
+
+def ref_gauss_smooth_box_torus(func, var, points, side):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if var == 0:
+        return func(np.mod(points, side))
+    sd = math.sqrt(var)
+    n_img = int(np.ceil(8.0 * sd / side)) + 2
+    out = np.ones(len(points)) * func.level
+    for axis in range(func.dim):
+        x = points[:, axis]
+        acc = np.zeros(len(points))
+        for j in range(-n_img, n_img + 1):
+            shift = j * side
+            acc += (ndtr((func.support_hi[axis] + shift - x) / sd)
+                    - ndtr((func.support_lo[axis] + shift - x) / sd))
+        out = out * acc
     return out
 
 
@@ -1033,3 +1056,15 @@ def test_buffer_width_matches_reference(name, t_max, target):
     kernel.tail_bound = spy
     assert kernel.buffer_width(t_max, target) == want
     assert len(calls) < 100
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("var", [0.0, 0.01, 0.3, 40.0])
+def test_gauss_smooth_box_torus_matches_image_loop(dim, var):
+    # a box reaching past the cell, points in and out of it, and variances
+    # from one image on each side to many
+    side = 5.0
+    func = TestFunction.box(-0.4, np.full(dim, 3.5), np.full(dim, 6.2))
+    pts = np.random.default_rng(dim).uniform(-1.0, 6.0, size=(257, dim))
+    got = gauss_smooth_box_torus(func, var, pts, side)
+    _same(got, ref_gauss_smooth_box_torus(func, var, pts, side))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, pdtr
 from scipy.stats import chi2, poisson
 
 from freedyn.functions import TestFunction
@@ -19,6 +19,7 @@ from freedyn.kernels import (
     KawasakiKernel,
     KilledBrownianKernel,
     _jump_counts,
+    _poisson_cdf,
     apply_semigroup,
     check_summability,
     default_buffer_width,
@@ -574,6 +575,40 @@ def test_jump_counts_scalar_and_constant_rows_agree(lam):
         assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
+CDF_MEANS = (1e-3, 0.5, 3.0, 15.9)
+
+
+@pytest.mark.parametrize("lam", CDF_MEANS)
+def test_poisson_cdf_table_matches_scipy(lam):
+    # the pmf recurrence against scipy's regularized incomplete gamma;
+    # past the table the cdf is 1
+    table = _poisson_cdf(np.float64(lam))
+    assert table[-1] == 1.0 and np.all(np.diff(table) > 0)
+    k = np.arange(60)
+    got = np.append(table, np.ones(max(0, 60 - len(table))))[:60]
+    assert np.max(np.abs(got - pdtr(k, lam))) <= 1e-15
+
+
+class _TopUniforms:
+    # a generator whose every uniform is the largest double below 1
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0 ** -53)
+
+
+@pytest.mark.parametrize("lam", CDF_MEANS + (16.0,))
+def test_jump_counts_end_at_the_largest_uniform(lam):
+    # at lam = 15.9 the recurrence stalls at 1 - 2.2e-16 from k = 60, below
+    # this uniform: the stalled level counts as 1, so every row stops there
+    n = 3
+    top = len(_poisson_cdf(np.float64(lam))) - 1
+    for means in (np.float64(lam), np.full(n, lam)):
+        hop, k = _jump_counts(means, _TopUniforms(), n)
+        assert np.array_equal(hop, np.arange(n))
+        assert np.array_equal(k, np.full(n, top))
+    if lam == 15.9:
+        assert top == 60
+
+
 @pytest.mark.parametrize("profile", (GaussianProfile(2, 1.3, 0.7),
                                      BumpProfile(2, 2.0, 1.1)),
                          ids=("gauss", "bump"))
@@ -588,6 +623,23 @@ def test_kawasaki_scalar_time_matches_constant_rows(profile, lam):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if lam == 0.0:  # zero time: no row jumps
         assert np.array_equal(got, pts)
+
+
+@pytest.mark.parametrize("profile", (GaussianProfile(2, 1.3, 0.7),
+                                     BumpProfile(2, 2.0, 1.1)),
+                         ids=("gauss", "bump"))
+@pytest.mark.parametrize("times", ("shared", "rows", "poisson"))
+def test_kawasaki_ring_jumps_are_jumps_as_a_mask(profile, times):
+    kernel = KawasakiKernel(Domain.torus(2, 7.0), profile)
+    n = 70_000  # past one block of rows
+    dts = {"shared": 0.9, "rows": np.linspace(0.0, 4.0, n),
+           "poisson": 20.0}[times]  # mass * t past 16: gen.poisson
+    got_gen, want_gen = RngStream(12).generator(), RngStream(12).generator()
+    ring, step = kernel.ring_jumps(n, dts, got_gen)
+    hop, want = kernel.jumps(n, dts, want_gen)
+    assert ring.dtype == bool and np.array_equal(np.flatnonzero(ring), hop)
+    assert np.array_equal(step.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got_gen.random(4), want_gen.random(4))
 
 
 def test_kawasaki_large_time_stays_cheap():

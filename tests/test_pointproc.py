@@ -17,6 +17,7 @@ from freedyn.pointproc import (
     mean_se,
     pair_into,
     parallel_map_ordered,
+    release_free_memory,
     run_chunks,
     sample_poisson_space_time,
     theta_check,
@@ -83,6 +84,46 @@ def test_run_chunks_is_the_in_order_concatenation_of_its_chunks(n, threads,
     expected = np.concatenate([worker(m, rng.child(c).generator())
                                for c, m in enumerate(chunk_sizes(n, CHUNK))])
     assert np.array_equal(run_chunks(worker, n, rng, threads), expected)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_chunks_fills_out_with_the_concatenation(threads):
+    rng, n = RngStream(9), 2 * CHUNK + 3
+    seen = []
+
+    def worker(m, gen, out=None):
+        seen.append(out is None)
+        rows = gen.random((m, 2))
+        if out is None:
+            return rows
+        out[:] = rows
+
+    want = run_chunks(worker, n, rng, threads)
+    out = np.full((n, 2), np.nan)
+    assert run_chunks(worker, n, rng, threads, out=out) is out
+    assert np.array_equal(out, want)
+    assert seen == [True] * 3 + [False] * 3
+    with pytest.raises(ValueError, match="one row per replica"):
+        run_chunks(worker, n, rng, threads, out=out[1:])
+
+
+def test_release_free_memory_keeps_live_arrays():
+    keep = np.arange(1 << 20)
+    for _ in range(4):
+        np.ones(1 << 20)
+    assert release_free_memory() is None
+    assert np.array_equal(keep, np.arange(1 << 20))
+
+
+def test_poisson_sample_batch_ends_are_the_end_rows_of_its_ids():
+    measure = PoissonMeasure(Domain.torus(2, 3.0), 0.7)
+    got_gen, want_gen = RngStream(4).generator(), RngStream(4).generator()
+    pts, ends = measure.sample_batch(50, got_gen, ends=True)
+    want_pts, want_ids = measure.sample_batch(50, want_gen)
+    assert np.array_equal(pts, want_pts)
+    assert ends.dtype == want_ids.dtype
+    assert np.array_equal(ends, np.searchsorted(want_ids, np.arange(1, 51)))
+    assert np.array_equal(got_gen.random(4), want_gen.random(4))
 
 
 def test_run_chunks_and_mean_se_refuse_small_budgets():

@@ -208,6 +208,16 @@ class TestNeymanScottMeasure:
         mean, se = mc.mean(), mc.std(ddof=1) / math.sqrt(len(mc))
         assert abs(mean - val) <= 3.5 * se
 
+    @pytest.mark.parametrize("n_rep", [1, 40])
+    def test_sample_batch_ends_are_the_end_rows_of_its_ids(self, n_rep):
+        got_gen, want_gen = RngStream(6).generator(), RngStream(6).generator()
+        pts, ends = self.MEAS.sample_batch(n_rep, got_gen, ends=True)
+        want_pts, want_ids = self.MEAS.sample_batch(n_rep, want_gen)
+        assert np.array_equal(pts, want_pts)
+        assert np.array_equal(np.repeat(np.arange(n_rep),
+                                        np.diff(ends, prepend=0)), want_ids)
+        assert np.array_equal(got_gen.random(4), want_gen.random(4))
+
     def test_product_functional_2d_torus_against_monte_carlo(self):
         meas = NeymanScottMeasure(Domain.torus(2, 6.0), 0.5, 0.5, 0.4)
         terms = [(1.0, TestFunction.box(-0.5, (1.0, 1.5), (3.0, 4.0))),
@@ -386,6 +396,17 @@ class TestSharedDraws:
         # the rows really differ: the contraction moves the estimates
         assert len(set(full.estimates)) == len(self.SCHEDULE)
 
+    def test_memory_goes_back_after_each_chunk(self, monkeypatch):
+        from freedyn.pointproc import CHUNK
+
+        calls = []
+        monkeypatch.setattr(scaling, "release_free_memory",
+                            lambda: calls.append(1))
+        measure = PoissonMeasure(Domain.torus(1, 10.0), 1.0)
+        phis = (TestFunction.box(-0.5, (4.0,), (6.0,)),)
+        self._run(measure, phis, (1.0,), CHUNK + 5)
+        assert len(calls) == 2
+
     def test_chunk_without_points(self):
         measure = PoissonMeasure(Domain.torus(1, 10.0), 1e-9)
         phis = (TestFunction.box(-0.5, (4.0,), (6.0,)),)
@@ -401,9 +422,10 @@ def test_criterion_6_chunk_peak_memory(start):
     # while the second time step's jumps are drawn: alive then are the
     # start positions (about 2e6 floats, 15.3 MiB), the two boolean ring
     # masks, the two step arrays and the jump counts being drawn, block by
-    # block of rows.  The chunk keeps one end row per replica, not an int64
-    # replica id per point, so its traced peak is 42.4 MiB for either
-    # start; with the id column alive through the draws it was 57.5 MiB.
+    # block of rows, one byte each.  The chunk keeps one end row per
+    # replica, not an int64 replica id per point, so its traced peak is
+    # 39.0 MiB for either start (42.4 MiB with int64 counts and hop row
+    # numbers); with the id column alive through the draws it was 57.5 MiB.
     import tracemalloc
 
     from freedyn.pointproc import CHUNK

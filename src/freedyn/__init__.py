@@ -18,10 +18,9 @@ from .functions import (NumericFunction, TestFunction, gauss_smooth,
                         integrate_function)
 from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       GaussianProfile, GtSeries, KawasakiKernel,
-                      KilledBrownianKernel, apply_semigroup,
-                      check_summability, default_buffer_width,
+                      KilledBrownianKernel, check_summability,
                       exit_probability, g_t_series,
-                      kawasaki_polynomial_certificate, killing_profile)
+                      kawasaki_polynomial_certificate)
 from .dynamics import (Buffer, Event, EventStream, GlauberDynamics,
                        buffer_leakage_bound, event_stream, evolve_snapshot,
                        evolve_with_immigration, glauber_evolve)

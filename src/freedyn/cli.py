@@ -467,7 +467,7 @@ def cmd_check_theta(run):
     theta = _get(cfg, "theta", "config")
     _check_keys(theta, {"alpha", "r_max", "center"}, "theta")
     alpha = _num(_get(theta, "alpha", "theta"), "theta.alpha")
-    r_max = _num(_get(theta, "r_max", "theta"), "theta.r_max")
+    r_max = _int(_get(theta, "r_max", "theta"), "theta.r_max")
     center = theta.get("center")
     if center is not None:
         center = _vec(center, "theta.center")

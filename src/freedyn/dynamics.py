@@ -18,7 +18,7 @@ increments); only KilledBrownian carries its internal killing-grid bias.
 
 The domain fixes the boundary.  On the torus the evolution is exact.  On
 full space it is the Buffer() collar: the window is enlarged by the
-kernel's tail radius at 1e-4 (default_buffer_width; 0 for the death
+kernel's tail radius at 1e-4 (kernel.buffer_width; 0 for the death
 kernel, which never moves), the collar is seeded with fresh Poisson points
 at the start's own realized density, immigrants rain on window and collar,
 and any particle drifting past the collar is dropped.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import DeathKernel, default_buffer_width
+from .kernels import DeathKernel
 from .pointproc import (Configuration, PoissonMeasure, as_field, check_times,
                         sample_poisson_space_time)
 from .space import Domain, in_box
@@ -133,7 +133,7 @@ def _seed_buffer(config, kernel, t_max, rng, buffer):
     else:
         density = len(config) / domain.window_volume
     if width is None:
-        width = default_buffer_width(kernel, t_max)
+        width = kernel.buffer_width(t_max, 1e-4)
     lo = domain.lower - width
     hi = domain.upper + width
     pts = config.points

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dynamics import _march
 from .functions import support_box
-from .kernels import DeathKernel, killing_profile
+from .kernels import DeathKernel
 from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
                           bin_counts, check_correlation_grid,
                           correlation_edges, correlations_from_counts,
@@ -138,7 +138,7 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
         raise ValueError("immigration balances killing; kernel must kill")
     t = float(t)
     z = float(z)
-    rain = killing_profile(kernel).scaled(z)
+    rain = kernel.rate.scaled(z)
     lo, hi = support_box([phi], birth_pad)
 
     def worker(m, gen):

@@ -13,11 +13,12 @@ Four kernels drive the particle dynamics:
   ring counts by inversion (one uniform per row, compared with the Poisson
   cdf), then the displacements of the rows that jump, and of no other row:
   one normal vector per such row for a Gaussian profile, else the
-  profile's draws for every ring.  ``propagate_batch`` adds these jumps
-  to the start and wraps.  The scaling experiment draws them once with
-  the base profile and divides them by eps for every contraction eps of
-  its schedule, so one start and one set of jumps per replica serve the
-  whole schedule.  The inversion's cost grows with mass * t, so a batch
+  profile's draws for every ring.  It returns a mask of the ringing rows
+  and their summed steps; ``propagate_batch`` adds the steps to those rows
+  and wraps.  The scaling experiment draws them once with the base
+  profile and divides them by eps for every contraction eps of its
+  schedule, so one start and one set of jumps per replica serve the whole
+  schedule.  The inversion's cost grows with mass * t, so a batch
   with some mass * t above 16 draws its counts with numpy's Poisson
   sampler instead; the acceptance criteria, demos and benchmark all have
   mass * t <= 4.  Its time-t law is an atom exp(-mass * t) plus the
@@ -413,7 +414,7 @@ def _poisson_cdf(lam):
     lam is a shared mean, 0 <= lam <= _MAX_INVERSION_MEAN.  The levels come
     from the pmf recurrence p_0 = exp(-lam), p_k = p_{k-1} * lam / k,
     F(k) = F(k-1) + p_k, in the floating-point operations of the per-row
-    loop of _jump_counts, so both give the same bits.  A level that p_k no
+    loop of _jump_blocks, so both give the same bits.  A level that p_k no
     longer raises is set to 1: the rest of the series is below rounding,
     and the sum may stall below a uniform in [0, 1) (at lam = 15.9 it
     stalls at 1 - 2.2e-16 from k = 60), so every uniform stops there.
@@ -430,8 +431,8 @@ def _poisson_cdf(lam):
     return np.array(levels)
 
 
-def _jump_counts(lam, gen, n):
-    """Poisson(lam) clock counts of n rows, by inversion of one uniform each.
+def _jump_blocks(lam, gen, n):
+    """Poisson(lam) clock counts of n rows by inversion, as (hop, k) blocks.
 
     lam is a 0-d array shared by all rows or one mean per row.  Row i draws
     u_i = gen.random() and rings k_i times, the first k with u_i < F(k) for
@@ -440,33 +441,15 @@ def _jump_counts(lam, gen, n):
     still ringing, so the cost grows with max(lam).  F is built by the pmf
     recurrence of _poisson_cdf: for a shared mean as one table per call,
     for per-row means level by level on the rows still ringing.  The
-    uniforms are drawn and inverted _DRAW_BLOCK rows at a time
-    (_jump_blocks): consecutive gen.random calls give the numbers of one
-    call over all n rows, so the blocks leave the stream and the counts
-    unchanged while no n-long uniform array is made.  A batch whose
-    largest mean exceeds _MAX_INVERSION_MEAN draws all its counts with
-    gen.poisson instead.  Either way a shared mean and a constant per-row
-    one give the same bits.  Returns (hop, k): the rows that ring at
-    least once, ascending, and their counts.
-    """
-    # the empty heads give n = 0 its empty intp outputs
-    hops, ks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for hop, k in _jump_blocks(lam, gen, n):
-        hops.append(hop)
-        ks.append(k)
-    # one list is freed before the other is joined
-    hop = np.concatenate(hops)
-    del hops
-    return hop, np.concatenate(ks, dtype=np.intp)
-
-
-def _jump_blocks(lam, gen, n):
-    """The counts of _jump_counts, block by block of rows, as (hop, k).
-
-    hop holds a block's rows that ring at least once, numbered in the
-    batch and ascending, and k their counts: one byte each under
-    inversion, where a mean of at most _MAX_INVERSION_MEAN stops below
-    level 61, and gen.poisson's integers, as one block, above it.
+    uniforms are drawn and inverted _DRAW_BLOCK rows at a time:
+    consecutive gen.random calls give the numbers of one call over all n
+    rows, so the blocks leave the stream and the counts unchanged while no
+    n-long uniform array is made.  A batch whose largest mean exceeds
+    _MAX_INVERSION_MEAN draws all its counts with gen.poisson instead, as
+    one block.  Either way a shared mean and a constant per-row one give
+    the same bits.  A block's hop holds its ringing rows, numbered in the
+    batch and ascending, and k their counts: one byte each under inversion
+    (the counts stop below 61), else gen.poisson's integers.
     """
     if not np.all(np.isfinite(lam)):
         raise ValueError("jump clock mean must be finite")
@@ -687,25 +670,16 @@ class KawasakiKernel(Kernel):
         return self.profile.mass
 
     def jumps(self, n, dts, gen):
-        """The moves of n rows over times dts, as (hop, step).
+        """The moves of n rows over times dts, as (ring, step).
 
-        hop holds the rows that ring at least once, ascending, and step
-        (one row per entry of hop) the sum of their displacements.  Stream
+        ring masks the rows that ring at least once; step holds their
+        summed displacements, one row per ringing row in row order.  Stream
         layout: one uniform per row for its jump count (a Poisson draw per
         row once some mass * t exceeds 16), then the profile's
-        sum_displacements of the rows in hop.  The counts are drawn and
-        reduced block by block of rows, which leaves this layout, and
-        every bit, as one draw over all rows would.
-        """
-        hop, k = _jump_counts(self.clock_rate * _batch_times(dts, n), gen, n)
-        return hop, self.profile.sum_displacements(gen, k)
-
-    def ring_jumps(self, n, dts, gen):
-        """jumps as (ring, step), ring a mask of the n rows that ring.
-
-        The same draws and step bits as jumps, with no hop row numbers and
-        the counts kept as drawn (_jump_blocks): no ringing-long index or
-        integer array lives beside step.
+        sum_displacements of the ringing rows.  The counts are drawn block
+        by block of rows (_jump_blocks) and kept as drawn: the layout and
+        bits are those of one draw over all rows, and no ringing-long index
+        or integer array lives beside step.
         """
         ring = np.zeros(n, dtype=bool)
         ks = [np.empty(0, dtype=np.uint8)]
@@ -717,13 +691,13 @@ class KawasakiKernel(Kernel):
 
     def propagate_batch(self, pts, dts, gen):
         n = len(pts)
-        hop, step = self.jumps(n, dts, gen)
+        ring, step = self.jumps(n, dts, gen)
         out = np.array(pts, dtype=float)
-        if len(hop) and not isinstance(self.profile, GaussianProfile):
+        if len(step) and not isinstance(self.profile, GaussianProfile):
             # keeps the bits of the earlier full-length bincount update,
             # which added +0.0 to every row (so -0.0 became +0.0)
             out += 0.0
-        out[hop] += step
+        out[ring] += step
         return self.domain.wrap(out, copy=False), np.ones(n, dtype=bool)
 
     def jump_times(self, t, gen):
@@ -967,23 +941,6 @@ class KilledBrownianKernel(Kernel):
 
 
 # ---------------------------------------------------------------------------
-# operation wrappers
-
-def apply_semigroup(kernel, phi, t, x, tol=DEFAULT_TOL):
-    """Semigroup image of phi at time t, evaluated at a single point."""
-    image = kernel.semigroup(phi, t, tol=tol)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    return float(image(x)[0])
-
-
-def killing_profile(kernel):
-    """Killing rate g with survival = 1 - g(x) t + o(t); zero if conservative."""
-    if kernel.conservative:
-        return as_field(0.0)
-    return kernel.rate
-
-
-# ---------------------------------------------------------------------------
 # summability checkers
 
 @dataclass
@@ -1207,8 +1164,3 @@ def _diffusion_exit_paths(x, r, epsilon, n_paths, path_step, gen, rate=None):
         idx = np.where(act)[0]
         exited[idx[dist > r]] = True
     return exited
-
-
-def default_buffer_width(kernel, t_max, target=1e-4):
-    """Smallest radius with tail_bound(t_max, radius) <= target (0: no motion)."""
-    return kernel.buffer_width(t_max, target)

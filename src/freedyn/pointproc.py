@@ -123,40 +123,25 @@ def release_free_memory():
         _malloc_trim(0)
 
 
-def run_chunks(worker, n_samples, rng, threads=1, out=None):
+def run_chunks(worker, n_samples, rng, threads=1):
     """Run worker(size, generator) per chunk; concatenate results in order.
 
     The budget is split by chunk_sizes(n_samples, CHUNK), chunk c draws all
     of its randomness from rng.child(c).generator(), chunks may run on a
     thread pool, and results are concatenated in chunk order, so the output
     is a pure function of (seed, budget) for any thread count.  Workers are
-    vectorized across replicas: a chunk holds one flat point array plus a
-    replica-id column, not one Python loop turn per replica.
-
-    With out, an array of n_samples rows, chunk c instead fills its own
-    rows of out in place, worker(size, generator, out=rows), and out is
-    returned: the same values, with no result array per chunk kept alive
-    until the last chunk ends.
+    vectorized across replicas: a chunk holds one flat point array, not one
+    Python loop turn per replica, and returns one row per replica.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("need a positive number of replicas")
     sizes = chunk_sizes(n_samples, CHUNK)
-    if out is None:
-        def task(c_idx):
-            return worker(sizes[c_idx], rng.child(c_idx).generator())
 
-        return np.concatenate(parallel_map_ordered(task, len(sizes), threads))
-    if len(out) != n_samples:
-        raise ValueError("out must have one row per replica")
-    starts = np.cumsum([0] + sizes)
+    def task(c_idx):
+        return worker(sizes[c_idx], rng.child(c_idx).generator())
 
-    def fill(c_idx):
-        rows = out[starts[c_idx]:starts[c_idx + 1]]
-        worker(sizes[c_idx], rng.child(c_idx).generator(), out=rows)
-
-    parallel_map_ordered(fill, len(sizes), threads)
-    return out
+    return np.concatenate(parallel_map_ordered(task, len(sizes), threads))
 
 
 def pair_into(acc, ids, values):

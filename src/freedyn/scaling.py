@@ -346,12 +346,14 @@ def _pair_log1p(acc, replica_of, phi, pts, among=None):
 def _contracted_paths(domain, pts, draws, eps):
     """Positions of pts after each step of draws, every jump divided by eps.
 
-    draws holds one (hop, step) pair per time step, as KawasakiKernel.jumps
-    gives them for the base profile: the profile contracted by eps moves
-    row hop[i] by step[i] / eps.  pts must lie in the cell.  One
-    coordinate-major (dim, n) array is updated in place, one coordinate at
-    a time (a 1-D scatter costs a quarter of a row scatter into (n, 2)),
-    and its (n, dim) transpose is yielded after every step.
+    draws holds one (hop, step) pair per time step, the chunk's
+    KawasakiKernel.jumps compacted to its kept rows: hop the ascending rows
+    of pts that ring and step their base-profile steps.  The profile
+    contracted by eps moves row hop[i] by step[i] / eps.  pts must lie in
+    the cell.  One coordinate-major (dim, n) array is updated in place,
+    one coordinate at a time (a 1-D scatter costs a quarter of a row
+    scatter into (n, 2)), and its (n, dim) transpose is yielded after
+    every step.
     """
     pos = pts.T.copy()
     for hop, step in draws:
@@ -364,12 +366,6 @@ def _contracted_paths(domain, pts, draws, eps):
         for col, row in zip(pos, moved):
             col[hop] = row
         yield pos.T
-
-
-def _rings(kernel, n, dts, gen):
-    # kernel.ring_jumps of n rows per time step: a ring mask and the steps
-    for dt in dts:
-        yield kernel.ring_jumps(n, dt, gen)
 
 
 _REACH_PAD = 1e-9  # relative slack of a reach; times side, its absolute one
@@ -417,10 +413,11 @@ def _in_reach(side, pts, reach, phis):
 def _cull_far(side, pts, draws, eps_min, phis, moved):
     """Clear in moved the rows that cannot meet a phi; returns moved.
 
-    draws holds the (ring mask, step) pairs of _rings.  A row's reach
-    along a coordinate is the sum over draws of its |step| / eps_min, the
-    farthest any epsilon of the schedule carries it; _in_reach tests it
-    block by block of rows, so the reach never spans the whole chunk.
+    draws holds one KawasakiKernel.jumps (ring mask, step) pair per time
+    step.  A row's reach along a coordinate is the sum over draws of its
+    |step| / eps_min, the farthest any epsilon of the schedule carries it;
+    _in_reach tests it block by block of rows, so the reach never spans
+    the whole chunk.
     """
     at = [0] * len(draws)  # each draw's first step row of the block
     for start in range(0, len(pts), _BLOCK):
@@ -439,7 +436,7 @@ def _cull_far(side, pts, draws, eps_min, phis, moved):
 
 
 def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
-                        gen, out=None):
+                        gen):
     """(n_rep, len(eps_schedule)) joint Laplace integrands of one chunk.
 
     One replica is one start and one set of base-profile jumps, read off
@@ -454,15 +451,15 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     support box, in torus distance per coordinate, is dropped before the
     eps loop, and the end rows are counted among the kept rows: no phi is
     nonzero on a dropped path, so the kept rows give the same (replica,
-    value) pairs in the same order, and the same bits, as every row would.  The kept rows, far fewer than the drawn ones, get
-    one replica id each, once, for the eps loop's pairings.  The values
-    are written into out (n_rep rows) when it is given, and returned.
+    value) pairs in the same order, and the same bits, as every row
+    would.  The kept rows, far fewer than the drawn ones, get one replica
+    id each, once, for the eps loop's pairings.
     """
     domain = measure.domain
     # both measures give torus points in the cell [0, side): no wrap needed
     pts, ends = measure.sample_batch(n_rep, gen, ends=True)
     n = len(pts)
-    draws = list(_rings(kernel, n, np.diff(times, prepend=0.0), gen))
+    draws = [kernel.jumps(n, dt, gen) for dt in np.diff(times, prepend=0.0)]
     moved = np.zeros(n, dtype=bool)
     for ring, _ in draws:
         moved |= ring
@@ -485,8 +482,7 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
               step.compress(keep.compress(ring), axis=0))
              for ring, step in draws]
     del keep, kept
-    if out is None:
-        out = np.empty((n_rep, len(eps_schedule)))
+    out = np.empty((n_rep, len(eps_schedule)))
     for col, eps in enumerate(eps_schedule):
         logs = acc.copy()
         for pos, phi in zip(_contracted_paths(domain, pts, draws, eps), phis):
@@ -520,8 +516,8 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     marginal one of its epsilon.  Replicas are run by the chunk driver on
     the stream rng.child(0); an epsilon's estimate does not depend on the
     rest of the schedule, and the result does not depend on the thread
-    count.  The chunks fill one result array, and the heap's free pages
-    go back to the system after each chunk (release_free_memory).
+    count.  The heap's free pages go back to the system after each chunk
+    (release_free_memory).
 
     The domain must be a torus: on full space the start is sampled on the
     window only and particles that jump out never come back, so the
@@ -560,17 +556,15 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
 
     kernel = KawasakiKernel(measure.domain, profile)
 
-    def worker(n_rep, gen, out):
-        _chunk_joint_values(measure, kernel, times, phi_list, eps_schedule,
-                            n_rep, gen, out=out)
+    def worker(n_rep, gen):
+        values = _chunk_joint_values(measure, kernel, times, phi_list,
+                                     eps_schedule, n_rep, gen)
         # the chunk's arrays are gone: hand their pages back, so that the
         # next chunk's peak memory does not depend on where they lay
         release_free_memory()
+        return values
 
-    # each chunk fills its rows of one array: no per-chunk result outlives
-    # its chunk
-    values = run_chunks(worker, n_samples, rng.child(0), threads,
-                        out=np.empty((n_samples, len(eps_schedule))))
+    values = run_chunks(worker, n_samples, rng.child(0), threads)
     estimates, stderrs = zip(*map(mean_se, np.ascontiguousarray(values.T)))
     return ScalingReport(
         eps_schedule=tuple(eps_schedule), estimates=estimates,

@@ -31,7 +31,6 @@ from freedyn import (
     TestFunction,
     UrsellTable,
     analytic_laplace_markov,
-    apply_semigroup,
     check_summability,
     correlations_from_ursell,
     exit_probability,
@@ -173,8 +172,8 @@ def test_criterion_05_kawasaki_kernel_structure():
     half = kernel.semigroup(BOX1, 0.4, tol=1e-9)
     ck_err = 0.0
     for x in (-0.6, 0.0, 0.7):
-        direct = apply_semigroup(kernel, BOX1, t, np.array([x]), tol=1e-9)
-        composed = apply_semigroup(kernel, half, 0.4, np.array([x]), tol=1e-9)
+        direct = kernel.semigroup(BOX1, t, tol=1e-9)(np.array([[x]]))[0]
+        composed = kernel.semigroup(half, 0.4, tol=1e-9)(np.array([[x]]))[0]
         ck_err = max(ck_err, abs(float(direct) - float(composed)))
     assert ck_err <= 1e-6
     report(5, "atom weight %.2f sigma from e^{-t<xi>}; jump-mass mean error "

@@ -534,6 +534,42 @@ def test_correlation_verdict_fails_on_an_empty_cell(tmp_path):
     assert codes == [0, 4]
 
 
+THETA_CFG = {
+    "domain": {"mode": "fullspace", "window": [[-5.0], [5.0]]},
+    "start": {"kind": "fixed",
+              "points": [[0.5], [1.5], [-2.5], [4.0], [-1.0]]},
+    "theta": {"alpha": 0.5, "r_max": 3},
+    "rng": {"seed": 1},
+}
+
+
+def test_check_theta_reports_ball_counts_and_always_exits_zero(tmp_path):
+    # distances 0.5, 1.0, 1.5, 2.5, 4.0 from the origin; the point at
+    # exactly 1 counts in B(1).  vol(B(r)) = 2r, so count / (2r)**0.5 is
+    # 1.41, 1.5 and 1.63 at r = 1, 2, 3, and the least integer K is 2;
+    # verdict_run also checks that the two runs wrote the same bytes
+    rep, codes = verdict_run(tmp_path, "check-theta", THETA_CFG, "theta.json")
+    assert rep["radii"] == [1, 2, 3]
+    assert rep["counts"] == [2, 3, 4]
+    assert rep["kmin"] == 2
+    assert rep["center"] == [0.0]
+    assert codes == [0, 0]
+
+
+@pytest.mark.parametrize("r_max", [2.9, 3.0])
+def test_check_theta_refuses_a_non_integer_r_max(tmp_path, capsys, r_max):
+    # a float radius used to be truncated: 2.9 probed radii 1 and 2, 3.0
+    # radii 1 to 3, and both exited 0
+    from freedyn import cli
+
+    cfg = json.loads(json.dumps(THETA_CFG))
+    cfg["theta"]["r_max"] = r_max
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert cli.main(["check-theta", "--config", path,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "'theta.r_max' must be an integer" in capsys.readouterr().err
+
+
 # --- start-up: one parser, light imports, quadrature failures -------------
 
 def test_parser_is_built_once_and_calls_parse_independently(tmp_path,

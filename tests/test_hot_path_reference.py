@@ -47,7 +47,7 @@ from freedyn.functions import (TestFunction, gauss_smooth_box_torus, ndtr,
                                support_box)
 from freedyn.kernels import (_DRAW_BLOCK, BrownianKernel, BumpProfile,
                              DeathKernel, GaussianProfile, KawasakiKernel,
-                             KilledBrownianKernel, _jump_counts)
+                             KilledBrownianKernel, _jump_blocks)
 from freedyn.observables import glauber_joint_laplace
 from freedyn.pointproc import (CHUNK, BoundedField, Configuration,
                                PoissonMeasure, RngStream, as_field,
@@ -341,21 +341,13 @@ def ref_contracted_paths(domain, pts, draws, eps):
         yield pos
 
 
-def ref_rings(kernel, n, dts, gen):
-    for dt in dts:
-        hop, step = kernel.jumps(n, dt, gen)
-        ring = np.zeros(n, dtype=bool)
-        ring[hop] = True
-        yield ring, step
-
-
 def ref_chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
                            gen):
     domain = measure.domain
     pts, ids = measure.sample_batch(n_rep, gen)
     pts = domain.wrap(pts, copy=False)
     n = len(pts)
-    draws = list(ref_rings(kernel, n, np.diff(times, prepend=0.0), gen))
+    draws = [kernel.jumps(n, dt, gen) for dt in np.diff(times, prepend=0.0)]
     moved = np.zeros(n, dtype=bool)
     for ring, _ in draws:
         moved |= ring
@@ -512,10 +504,14 @@ def _means(shape, n):
 def test_jump_counts_match_one_shot_draw(shape, n):
     lam = _means(shape, n)
     got_gen, want_gen = RngStream(n, 3).generator(), RngStream(n, 3).generator()
-    got = _jump_counts(lam, got_gen, n)
+    # the blocks joined, the counts as the reference's intp
+    got = [[np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]]
+    for hop, k in _jump_blocks(lam, got_gen, n):
+        got[0].append(hop)
+        got[1].append(k)
     want = ref_jump_counts(lam, want_gen, n)
-    _same(got[0], want[0])
-    _same(got[1], want[1])
+    _same(np.concatenate(got[0]), want[0])
+    _same(np.concatenate(got[1]), want[1])
     _same_next_draw(got_gen, want_gen)
 
 
@@ -606,7 +602,8 @@ def test_contracted_paths_match_row_scatter(dim):
     setup = np.random.default_rng(dim)
     pts = setup.uniform(0.0, 7.0, size=(5000, dim))
     gen = RngStream(dim).generator()
-    draws = [kernel.jumps(len(pts), dt, gen) for dt in (0.3, 0.8, 1.5)]
+    draws = [(np.flatnonzero(ring), step) for ring, step in
+             (kernel.jumps(len(pts), dt, gen) for dt in (0.3, 0.8, 1.5))]
     for eps in (1.0, 0.3):
         got = scaling._contracted_paths(torus, pts, draws, eps)
         want = ref_contracted_paths(torus, pts, draws, eps)
@@ -669,8 +666,8 @@ def test_chunk_joint_values_matches_reference(dim, start, profile, order):
 def test_chunk_joint_values_nothing_moves(dim):
     torus = Domain.torus(dim, CHUNK_SIDE)
     kernel = KawasakiKernel(torus, GaussianProfile(dim, 1e-12, 0.7))
-    assert not len(kernel.jumps(10 ** 5, CHUNK_TIMES[-1],
-                                RngStream(5).generator())[0])
+    assert not kernel.jumps(10 ** 5, CHUNK_TIMES[-1],
+                            RngStream(5).generator())[0].any()
     got = _same_chunk(PoissonMeasure(torus, 1.2), kernel,
                       _chunk_phis(dim)["box-bump-zero"], 300, 5)
     # nothing moves, so every epsilon reads the same values

@@ -18,15 +18,12 @@ from freedyn.kernels import (
     GaussianProfile,
     KawasakiKernel,
     KilledBrownianKernel,
-    _jump_counts,
+    _jump_blocks,
     _poisson_cdf,
-    apply_semigroup,
     check_summability,
-    default_buffer_width,
     exit_probability,
     g_t_series,
     kawasaki_polynomial_certificate,
-    killing_profile,
 )
 from freedyn.dynamics import event_stream
 from freedyn.observables import analytic_laplace_submarkov
@@ -102,16 +99,17 @@ class TestSemigroup:
             DeathKernel(D1, 1.0),
             KawasakiKernel(D1, GaussianProfile(1, 1.0, 1.0)),
         ):
-            assert apply_semigroup(kernel, BOX, 0.0, np.array([0.5])) == pytest.approx(-0.5)
+            image = kernel.semigroup(BOX, 0.0)
+            assert image(np.array([[0.5]]))[0] == pytest.approx(-0.5)
 
     def test_death_closed_form(self):
         kernel = DeathKernel(D1, 1.0)
         phi = TestFunction.box(-0.5, (0.0,), (1.0,))
-        val = apply_semigroup(kernel, phi, 1.0, np.array([0.5]))
+        val = kernel.semigroup(phi, 1.0)(np.array([[0.5]]))[0]
         assert val == pytest.approx(-0.18393972058572117, abs=1e-12)
 
     def test_brownian_gaussian_cdf_oracle(self):
-        val = apply_semigroup(BrownianKernel(D1), BOX, 1.0, np.array([0.0]))
+        val = BrownianKernel(D1).semigroup(BOX, 1.0)(np.array([[0.0]]))[0]
         assert val == pytest.approx(-0.3413447460685429, abs=1e-8)
 
     def test_kawasaki_series_oracle(self):
@@ -120,7 +118,7 @@ class TestSemigroup:
         sigma, lam, t = 0.7, 1.0, 0.8
         kernel = KawasakiKernel(D1, GaussianProfile(1, lam, sigma))
         x = 0.3
-        val = apply_semigroup(kernel, BOX, t, np.array([x]))
+        val = kernel.semigroup(BOX, t)(np.array([[x]]))[0]
         mu = lam * t
         expected = math.exp(-mu) * BOX(np.array([[x]]))[0]
         for n in range(1, 60):
@@ -168,7 +166,7 @@ class TestSemigroup:
         heat = np.exp(-((x - ys) ** 2) / 1.0) / math.sqrt(math.pi)
         composed = np.trapezoid(half * heat, ys)
         assert composed == pytest.approx(direct, abs=1e-8)
-        val = apply_semigroup(BrownianKernel(D1), BOX, 1.0, np.array([x]))
+        val = BrownianKernel(D1).semigroup(BOX, 1.0)(np.array([[x]]))[0]
         assert val == pytest.approx(direct, abs=1e-8)
 
     def test_propagate_apply_consistency(self):
@@ -186,7 +184,7 @@ class TestSemigroup:
             out, alive = kernel.propagate_batch(np.full((n, 1), x0), np.full(n, t), gen)
             vals = np.where(alive, BOX(out), 0.0)
             mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
-            target = apply_semigroup(kernel, BOX, t, np.array([x0]))
+            target = kernel.semigroup(BOX, t)(np.array([[x0]]))[0]
             assert abs(mean - target) <= 3 * se, kernel.variant
 
     def test_killed_brownian_constant_rate_wraps_on_torus(self):
@@ -201,7 +199,7 @@ class TestSemigroup:
                                             RngStream(33).generator())
         vals = np.where(alive, phi(out), 0.0)
         mean, se = vals.mean(), vals.std(ddof=1) / math.sqrt(n)
-        target = apply_semigroup(kernel, phi, t, np.array([x0]))
+        target = kernel.semigroup(phi, t)(np.array([[x0]]))[0]
         assert abs(mean - target) <= 4 * se, (mean, se, target)
 
     def test_killed_brownian_nonconstant_rate_on_torus_refused(self):
@@ -226,20 +224,18 @@ class TestSurvival:
             assert kernel.survival(np.array([0.0]), 0.0) == pytest.approx(1.0)
 
 
-class TestKillingProfile:
+class TestKillingRate:
     def test_constant_rate(self):
-        g = killing_profile(DeathKernel(D1, 1.0))
+        g = DeathKernel(D1, 1.0).rate
         assert g(np.array([[0.0], [3.0]])) == pytest.approx([1.0, 1.0])
 
-    def test_conservative_zero(self):
-        g = killing_profile(BrownianKernel(D1))
-        assert g(np.array([[0.0]])) == pytest.approx([0.0])
+    def test_killed_brownian_constant_rate(self):
+        g = KilledBrownianKernel(D1, 0.5).rate
+        assert g(np.array([[0.0], [3.0]])) == pytest.approx([0.5, 0.5])
 
     def test_indicator_rate(self):
-        from freedyn.pointproc import BoundedField
-
         rate = BoundedField(lambda pts: 1.0 * (pts[:, 0] >= 0) * (pts[:, 0] < 1), 1.0)
-        g = killing_profile(DeathKernel(D1, rate))
+        g = DeathKernel(D1, rate).rate
         assert g(np.array([[0.5], [2.0]])) == pytest.approx([1.0, 0.0])
 
 
@@ -422,9 +418,9 @@ class TestExitProbability:
                              RngStream(10))
 
 
-def test_default_buffer_width_controls_leakage():
+def test_buffer_width_controls_leakage():
     kernel = BrownianKernel(D1)
-    w = default_buffer_width(kernel, t_max=1.0, target=1e-4)
+    w = kernel.buffer_width(1.0, 1e-4)
     assert kernel.tail_bound(1.0, w) <= 1e-4 + 1e-15
 
 
@@ -457,8 +453,8 @@ class TestKernelProtocol:
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
     def test_relabelled_buffer_width(self, kernel):
-        assert default_buffer_width(relabelled(kernel), 1.0) == \
-            default_buffer_width(kernel, 1.0)
+        assert relabelled(kernel).buffer_width(1.0, 1e-4) == \
+            kernel.buffer_width(1.0, 1e-4)
 
     @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.variant)
     def test_relabelled_event_stream(self, kernel):
@@ -530,6 +526,15 @@ def test_kawasaki_exit_matches_per_path_loop(kernel, r):
 
 # the last mean is above kernels._MAX_INVERSION_MEAN: numpy's Poisson sampler
 JUMP_MEANS = (0.05, 0.5, 2.0, 8.0, 50.0)
+
+
+def _jump_counts(lam, gen, n):
+    """The (hop, k) blocks of _jump_blocks joined over all n rows."""
+    hops, ks = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for hop, k in _jump_blocks(lam, gen, n):
+        hops.append(hop)
+        ks.append(k)
+    return np.concatenate(hops), np.concatenate(ks)
 
 
 def _all_counts(hop, k, n):
@@ -629,16 +634,23 @@ def test_kawasaki_scalar_time_matches_constant_rows(profile, lam):
                                      BumpProfile(2, 2.0, 1.1)),
                          ids=("gauss", "bump"))
 @pytest.mark.parametrize("times", ("shared", "rows", "poisson"))
-def test_kawasaki_ring_jumps_are_jumps_as_a_mask(profile, times):
-    kernel = KawasakiKernel(Domain.torus(2, 7.0), profile)
+def test_kawasaki_propagate_batch_adds_the_jumps_on_their_ring(profile,
+                                                                times):
+    torus = Domain.torus(2, 7.0)
+    kernel = KawasakiKernel(torus, profile)
     n = 70_000  # past one block of rows
+    pts = np.random.default_rng(3).uniform(0.0, 7.0, size=(n, 2))
     dts = {"shared": 0.9, "rows": np.linspace(0.0, 4.0, n),
            "poisson": 20.0}[times]  # mass * t past 16: gen.poisson
     got_gen, want_gen = RngStream(12).generator(), RngStream(12).generator()
-    ring, step = kernel.ring_jumps(n, dts, got_gen)
-    hop, want = kernel.jumps(n, dts, want_gen)
-    assert ring.dtype == bool and np.array_equal(np.flatnonzero(ring), hop)
-    assert np.array_equal(step.view(np.uint64), want.view(np.uint64))
+    got, alive = kernel.propagate_batch(pts, dts, got_gen)
+    ring, step = kernel.jumps(n, dts, want_gen)
+    assert ring.dtype == bool and ring.sum() == len(step) > 0
+    want = pts.copy()
+    want[ring] += step
+    want = torus.wrap(want)
+    assert alive.all()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(got_gen.random(4), want_gen.random(4))
 
 

@@ -86,27 +86,6 @@ def test_run_chunks_is_the_in_order_concatenation_of_its_chunks(n, threads,
     assert np.array_equal(run_chunks(worker, n, rng, threads), expected)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_run_chunks_fills_out_with_the_concatenation(threads):
-    rng, n = RngStream(9), 2 * CHUNK + 3
-    seen = []
-
-    def worker(m, gen, out=None):
-        seen.append(out is None)
-        rows = gen.random((m, 2))
-        if out is None:
-            return rows
-        out[:] = rows
-
-    want = run_chunks(worker, n, rng, threads)
-    out = np.full((n, 2), np.nan)
-    assert run_chunks(worker, n, rng, threads, out=out) is out
-    assert np.array_equal(out, want)
-    assert seen == [True] * 3 + [False] * 3
-    with pytest.raises(ValueError, match="one row per replica"):
-        run_chunks(worker, n, rng, threads, out=out[1:])
-
-
 def test_release_free_memory_keeps_live_arrays():
     keep = np.arange(1 << 20)
     for _ in range(4):

@@ -463,7 +463,7 @@ def _ids_chunk_joint_values(measure, kernel, times, phis, eps_schedule,
     domain = measure.domain
     pts, ids = measure.sample_batch(n_rep, gen)
     n = len(pts)
-    draws = list(scaling._rings(kernel, n, np.diff(times, prepend=0.0), gen))
+    draws = [kernel.jumps(n, dt, gen) for dt in np.diff(times, prepend=0.0)]
     moved = np.zeros(n, dtype=bool)
     for ring, _ in draws:
         moved |= ring
@@ -576,7 +576,8 @@ def test_shared_jumps_over_eps_match_the_contracted_kernel_in_law(profile,
     pts = np.full((n, 1), 50.0)
     base = KawasakiKernel(domain, profile)
     gen = RngStream(21).generator()
-    draws = [base.jumps(n, dt, gen) for dt in dts]
+    draws = [(np.flatnonzero(ring), step)
+             for ring, step in (base.jumps(n, dt, gen) for dt in dts)]
     shared = [pos[:, 0].copy()
               for pos in _contracted_paths(domain, pts, draws, eps)]
     contracted = KawasakiKernel(domain, profile.scaled(eps))

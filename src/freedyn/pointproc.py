@@ -113,11 +113,11 @@ except (AttributeError, OSError, TypeError):
 def release_free_memory():
     """Return the malloc heap's free pages to the system.
 
-    glibc keeps freed memory mapped for reuse: past a large chunk, the
-    next one's arrays land in the old one's holes or extend the heap
-    according to sizes a few kB apart, and the process's peak resident
-    memory with them.  malloc_trim(0) hands back every free page, so the
-    next chunk's peak is its own.  A no-op under other C libraries.
+    glibc keeps freed memory mapped for reuse: past a chunk's arrays,
+    their pages stay resident under whatever the process allocates next,
+    and the next chunk's arrays land in their holes or extend the heap
+    according to sizes a few kB apart.  malloc_trim(0) hands back every
+    free page.  A no-op under other C libraries.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
@@ -465,10 +465,13 @@ def theta_check(config, alpha, r_max, center=None):
     Counts points in balls of integer radii 1..r_max around the center
     (origin by default) and reports the smallest admissible growth constant
     at exponent alpha.  On a torus the Euclidean ball volume is used, which
-    is only geometrically faithful for radii up to half the side.
+    is only geometrically faithful for radii up to half the side.  A
+    non-integral r_max is refused with ValueError, not rounded down.
     """
     if not alpha > 0:
         raise ValueError("alpha must be > 0")
+    if isinstance(r_max, bool) or not float(r_max).is_integer():
+        raise ValueError("r_max must be an integer")
     r_max = int(r_max)
     if r_max < 1:
         raise ValueError("r_max must be >= 1")

@@ -359,6 +359,20 @@ class TestThetaCheck:
         d = rep.to_dict()
         assert set(d) >= {"alpha", "radii", "counts", "kmin"}
 
+    @pytest.mark.parametrize("r_max", [2.9, 1.5, float("inf"), float("nan"),
+                                       True])
+    def test_non_integral_r_max_is_refused(self, r_max):
+        # r_max = 2.9 once probed radii (1, 2), as int() rounds it down
+        cfg = Configuration(np.array([[0.0]]), D1)
+        with pytest.raises(ValueError, match="r_max must be an integer"):
+            theta_check(cfg, 1.0, r_max)
+
+    def test_integral_r_max_of_any_type_is_accepted(self):
+        cfg = Configuration(np.array([[0.0]]), D1)
+        want = theta_check(cfg, 1.0, 3)
+        for r_max in (3.0, np.int64(3), np.float64(3.0)):
+            assert theta_check(cfg, 1.0, r_max) == want
+
 
 class _NoDraws:
     """An rng that fails the test the moment anything uses it."""

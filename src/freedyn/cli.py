@@ -36,9 +36,8 @@ from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       kawasaki_polynomial_certificate)
 from .observables import CylinderFunction, generator_fd_check
 from .pointproc import (SIGMAS, Comparison, Configuration, PoissonMeasure,
-                        RngStream, theta_check)
-from .scaling import (NeymanScottMeasure, run_scaling_experiment,
-                      verify_mu_conditions)
+                        RngStream, check_times, theta_check)
+from .scaling import NeymanScottMeasure, run_scaling_experiment
 from .space import Domain
 
 
@@ -55,20 +54,7 @@ def _jsonable(obj):
     raise TypeError("not JSON serializable: %r" % type(obj))
 
 
-def _check_keys(block, allowed, path):
-    if not isinstance(block, dict):
-        raise ConfigError("'%s' must be an object" % path)
-    for key in block:
-        if key not in allowed:
-            raise ConfigError("unknown key '%s.%s'" % (path, key))
-
-
-def _get(block, key, path, required=True, default=None):
-    if key not in block:
-        if required:
-            raise ConfigError("missing key '%s.%s'" % (path, key))
-        return default
-    return block[key]
+_REQUIRED = object()  # marks a key with no default
 
 
 def _num(value, path):
@@ -91,133 +77,184 @@ def _vec(value, path):
     return [float(v) for v in value]
 
 
-def build_domain(block):
-    _check_keys(block, {"mode", "dim", "side", "window"}, "domain")
-    mode = _get(block, "mode", "domain")
-    if mode == "torus":
-        dim = _int(_get(block, "dim", "domain"), "domain.dim")
-        side = _num(_get(block, "side", "domain"), "domain.side")
-        return Domain.torus(dim, side)
-    if mode == "fullspace":
-        window = _get(block, "window", "domain")
-        if not (isinstance(window, list) and len(window) == 2):
-            raise ConfigError("'domain.window' must be [lower, upper]")
-        lo = _vec(window[0], "domain.window[0]")
-        hi = _vec(window[1], "domain.window[1]")
-        return Domain.fullspace(lo, hi)
-    raise ConfigError("'domain.mode' must be 'torus' or 'fullspace'")
+def _times(value, path):
+    try:
+        return check_times(_vec(value, path))
+    except ValueError as exc:
+        raise ConfigError("'%s': %s" % (path, exc))
 
 
-def build_profile(block, dim, path):
-    _check_keys(block, {"kind", "mass", "std", "radius"}, path)
-    kind = _get(block, "kind", path)
-    mass = _num(_get(block, "mass", path), path + ".mass")
+class _Block:
+    """One config object with its allowed keys.
+
+    Each read names the key once; the key's path from the top of the
+    config (``dynamics.z``, ``observables[1].level``) goes into every
+    error about it.  A read without a default requires the key.
+    """
+
+    def __init__(self, raw, path, allowed):
+        if not isinstance(raw, dict):
+            raise ConfigError("'%s' must be an object" % path)
+        self.raw, self.path = raw, path
+        for key in raw:
+            if key not in allowed:
+                raise ConfigError("unknown key '%s'" % self.key_path(key))
+
+    def key_path(self, key):
+        return "%s.%s" % (self.path, key) if self.path else key
+
+    def value(self, key, default=_REQUIRED):
+        if key in self.raw:
+            return self.raw[key]
+        if default is _REQUIRED:
+            raise ConfigError("missing key '%s'" % self.key_path(key))
+        return default
+
+    def read(self, key, check, default=_REQUIRED):
+        """The value checked and converted by check(value, path)."""
+        return check(self.value(key, default), self.key_path(key))
+
+    def num(self, key, default=_REQUIRED):
+        return self.read(key, _num, default)
+
+    def integer(self, key, default=_REQUIRED):
+        return self.read(key, _int, default)
+
+    def vec(self, key, default=_REQUIRED):
+        return self.read(key, _vec, default)
+
+    def choice(self, key, allowed, default=_REQUIRED, note=""):
+        value = self.value(key, default)
+        if value not in allowed:
+            raise ConfigError("'%s' must be one of %s%s" % (
+                self.key_path(key), ", ".join(allowed), note))
+        return value
+
+    def block(self, key, allowed, default=_REQUIRED):
+        return _Block(self.value(key, default), self.key_path(key), allowed)
+
+    def blocks(self, key, allowed):
+        """A nonempty list of objects, each with the allowed keys."""
+        raw, path = self.value(key), self.key_path(key)
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError("'%s' must be a nonempty list" % path)
+        return [_Block(b, "%s[%d]" % (path, i), allowed)
+                for i, b in enumerate(raw)]
+
+
+def build_domain(cfg):
+    block = cfg.block("domain", {"mode", "dim", "side", "window"})
+    if block.choice("mode", ("torus", "fullspace")) == "torus":
+        return Domain.torus(block.integer("dim"), block.num("side"))
+    window, path = block.value("window"), block.key_path("window")
+    if not (isinstance(window, list) and len(window) == 2):
+        raise ConfigError("'%s' must be [lower, upper]" % path)
+    return Domain.fullspace(_vec(window[0], path + "[0]"),
+                            _vec(window[1], path + "[1]"))
+
+
+def build_profile(parent, dim):
+    """The jump profile of the parent block's ``profile`` key."""
+    block = parent.block("profile", {"kind", "mass", "std", "radius"})
+    kind = block.choice("kind", ("gaussian", "bump"))
+    mass = block.num("mass")
     if kind == "gaussian":
-        std = _num(_get(block, "std", path), path + ".std")
-        return GaussianProfile(dim, mass, std)
-    if kind == "bump":
-        radius = _num(_get(block, "radius", path), path + ".radius")
-        return BumpProfile(dim, mass, radius)
-    raise ConfigError("'%s.kind' must be 'gaussian' or 'bump'" % path)
+        return GaussianProfile(dim, mass, block.num("std"))
+    return BumpProfile(dim, mass, block.num("radius"))
 
 
-def build_kernel(block, domain):
-    _check_keys(block, {"variant", "rate", "profile"}, "kernel")
-    variant = _get(block, "variant", "kernel")
+def build_kernel(cfg, domain):
+    block = cfg.block("kernel", {"variant", "rate", "profile"})
+    variant = block.choice("variant", ("brownian", "death", "kawasaki",
+                                       "killed_brownian"))
     if variant == "brownian":
         return BrownianKernel(domain)
     if variant == "death":
-        return DeathKernel(domain, _num(_get(block, "rate", "kernel"),
-                                        "kernel.rate"))
+        return DeathKernel(domain, block.num("rate"))
     if variant == "killed_brownian":
-        return KilledBrownianKernel(domain, _num(_get(block, "rate", "kernel"),
-                                                 "kernel.rate"))
-    if variant == "kawasaki":
-        profile = build_profile(_get(block, "profile", "kernel"), domain.dim,
-                                "kernel.profile")
-        return KawasakiKernel(domain, profile)
-    raise ConfigError("'kernel.variant' must be one of brownian, death, "
-                      "kawasaki, killed_brownian")
+        return KilledBrownianKernel(domain, block.num("rate"))
+    return KawasakiKernel(domain, build_profile(block, domain.dim))
 
 
-def build_phi(block, dim, path):
-    _check_keys(block, {"family", "level", "lo", "hi", "center", "radius"},
-                path)
-    family = _get(block, "family", path)
-    level = _num(_get(block, "level", path), path + ".level")
-    if family in ("indicator", "box"):
-        lo = _vec(_get(block, "lo", path), path + ".lo")
-        hi = _vec(_get(block, "hi", path), path + ".hi")
-        if len(lo) != dim or len(hi) != dim:
-            raise ConfigError("'%s' bounds must have length %d" % (path, dim))
-        return TestFunction.box(level, lo, hi)
+def build_phi(block, dim):
+    family = block.choice("family", ("indicator", "box", "bump"))
+    level = block.num("level")
     if family == "bump":
-        center = _vec(_get(block, "center", path), path + ".center")
+        center = block.vec("center")
         if len(center) != dim:
-            raise ConfigError("'%s.center' must have length %d" % (path, dim))
-        radius = _num(_get(block, "radius", path), path + ".radius")
-        return TestFunction.bump(level, center, radius)
-    raise ConfigError("'%s.family' must be 'indicator' or 'bump'" % path)
+            raise ConfigError("'%s' must have length %d"
+                              % (block.key_path("center"), dim))
+        return TestFunction.bump(level, center, block.num("radius"))
+    lo, hi = block.vec("lo"), block.vec("hi")
+    if len(lo) != dim or len(hi) != dim:
+        raise ConfigError("'%s' bounds must have length %d"
+                          % (block.path, dim))
+    return TestFunction.box(level, lo, hi)
 
 
-def build_phis(cfg, dim):
-    blocks = _get(cfg, "observables", "config")
-    if not isinstance(blocks, list) or not blocks:
-        raise ConfigError("'observables' must be a nonempty list")
-    return [build_phi(b, dim, "observables[%d]" % i)
-            for i, b in enumerate(blocks)]
+def build_phis(block, dim):
+    """The test functions of the block's ``observables`` list."""
+    keys = {"family", "level", "lo", "hi", "center", "radius"}
+    return [build_phi(b, dim) for b in block.blocks("observables", keys)]
 
 
-def build_start(block, domain, config_dir):
+def build_start(cfg, domain, config_dir):
     """The starting measure: a Configuration, PoissonMeasure or
     NeymanScottMeasure."""
-    _check_keys(block, {"kind", "points", "csv", "intensity",
-                        "parent_intensity", "second_prob", "cluster_std"},
-                "start")
-    kind = _get(block, "kind", "start")
-    if kind == "fixed":
-        if "csv" in block:
-            path = os.path.join(config_dir, block["csv"])
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    config = Configuration.from_csv(fh.read())
-            except OSError as exc:
-                raise ConfigError("'start.csv': %s" % exc)
-            if config.domain != domain:
-                raise ConfigError("'start.csv' domain differs from config "
-                                  "domain")
-            return config
-        points = _get(block, "points", "start")
-        if not isinstance(points, list):
-            raise ConfigError("'start.points' must be a list of points")
-        return Configuration(np.asarray(points, dtype=float), domain)
+    block = cfg.block("start", {"kind", "points", "csv", "intensity",
+                                "parent_intensity", "second_prob",
+                                "cluster_std"})
+    kind = block.choice("kind", ("fixed", "poisson", "neyman-scott"))
     if kind == "poisson":
-        intensity = _num(_get(block, "intensity", "start"),
-                         "start.intensity")
+        intensity = block.num("intensity")
         if not intensity > 0:
-            raise ConfigError("'start.intensity' must be > 0")
+            raise ConfigError("'%s' must be > 0"
+                              % block.key_path("intensity"))
         return PoissonMeasure(domain, intensity)
     if kind == "neyman-scott":
-        return NeymanScottMeasure(
-            domain,
-            _num(_get(block, "parent_intensity", "start"),
-                 "start.parent_intensity"),
-            _num(_get(block, "second_prob", "start"), "start.second_prob"),
-            _num(_get(block, "cluster_std", "start"), "start.cluster_std"))
-    raise ConfigError("'start.kind' must be fixed, poisson, or neyman-scott")
+        return NeymanScottMeasure(domain, block.num("parent_intensity"),
+                                  block.num("second_prob"),
+                                  block.num("cluster_std"))
+    if "csv" not in block.raw:
+        points = block.value("points")
+        if not isinstance(points, list):
+            raise ConfigError("'%s' must be a list of points"
+                              % block.key_path("points"))
+        return Configuration(np.asarray(points, dtype=float), domain)
+    path = block.key_path("csv")
+    try:
+        with open(os.path.join(config_dir, block.value("csv")), "r",
+                  encoding="utf-8") as fh:
+            config = Configuration.from_csv(fh.read())
+    except OSError as exc:
+        raise ConfigError("'%s': %s" % (path, exc))
+    if config.domain != domain:
+        raise ConfigError("'%s' domain differs from config domain" % path)
+    return config
 
 
-def _times(block, path):
-    times = _vec(_get(block, "times", path), path + ".times")
-    if any(t <= 0 for t in times) or any(b <= a for a, b in
-                                         zip(times, times[1:])):
-        raise ConfigError("'%s.times' must be strictly increasing and > 0"
-                          % path)
-    return times
+_MODES = ("conservative", "submarkov_immigration", "glauber")
+
+
+def build_dynamics(cfg, dyn, domain, modes=_MODES, note=""):
+    """(mode, model, z) of a dynamics block.
+
+    The mode (default conservative) is checked first, against the modes
+    the command supports.  glauber's model is GlauberDynamics(death_rate,
+    z); the other modes' is the kernel of the config's kernel block.  z is
+    dynamics.z, read for submarkov_immigration and glauber only.
+    """
+    mode = dyn.choice("mode", modes, "conservative", note)
+    if mode == "glauber":
+        model = GlauberDynamics(dyn.num("death_rate"), dyn.num("z"))
+        return mode, model, model.intensity
+    kernel = build_kernel(cfg, domain)
+    return mode, kernel, (dyn.num("z") if mode == "submarkov_immigration"
+                          else None)
 
 
 def _samples(cfg):
-    n = _int(_get(cfg, "samples", "config"), "samples")
+    n = cfg.integer("samples")
     if n < 2:
         raise ConfigError("'samples' must be >= 2")
     return n
@@ -236,10 +273,9 @@ class _Run:
         self.do_assert = do_assert
         self.config_dir = config_dir
         self.rng = RngStream(seed, 0)
-        out = cfg.get("output", {})
-        _check_keys(out, {"prefix", "formats"}, "output")
-        self.prefix = out.get("prefix", command.replace("-", "_"))
-        formats = out.get("formats", ["json", "csv", "jsonl"])
+        out = cfg.block("output", {"prefix", "formats"}, {})
+        self.prefix = out.value("prefix", command.replace("-", "_"))
+        formats = out.value("formats", ["json", "csv", "jsonl"])
         if not isinstance(formats, list) or \
                 any(f not in ("json", "csv", "jsonl") for f in formats):
             raise ConfigError("'output.formats' entries must be json, csv, "
@@ -249,10 +285,10 @@ class _Run:
     def provenance(self):
         return {"tool": "freedyn", "version": __version__,
                 "command": self.command, "seed": self.seed,
-                "config": self.cfg}
+                "config": self.cfg.raw}
 
     def csv_header(self):
-        compact = json.dumps(self.cfg, sort_keys=True,
+        compact = json.dumps(self.cfg.raw, sort_keys=True,
                              separators=(",", ":"))
         return ("# freedyn %s %s seed=%d\n# config: %s\n"
                 % (__version__, self.command, self.seed, compact))
@@ -287,10 +323,8 @@ class _Run:
 
 def cmd_sample_poisson(run):
     cfg = run.cfg
-    _check_keys(cfg, {"domain", "start", "observables", "samples", "rng",
-                      "output"}, "config")
-    domain = build_domain(_get(cfg, "domain", "config"))
-    start = build_start(_get(cfg, "start", "config"), domain, run.config_dir)
+    domain = build_domain(cfg)
+    start = build_start(cfg, domain, run.config_dir)
     if not isinstance(start, PoissonMeasure):
         raise ConfigError("sample-poisson needs start.kind = 'poisson'")
     phis = build_phis(cfg, domain.dim)
@@ -323,43 +357,32 @@ def _snapshot_csv(times, snapshots, dim):
 
 def cmd_evolve(run):
     cfg = run.cfg
-    _check_keys(cfg, {"domain", "kernel", "dynamics", "start", "rng",
-                      "output"}, "config")
-    domain = build_domain(_get(cfg, "domain", "config"))
-    dyn = _get(cfg, "dynamics", "config")
-    _check_keys(dyn, {"times", "mode", "z", "death_rate", "events"},
-                "dynamics")
-    times = _times(dyn, "dynamics")
-    mode = dyn.get("mode", "conservative")
-    config = build_start(_get(cfg, "start", "config"), domain,
-                         run.config_dir).sample(run.rng.child(0))
+    domain = build_domain(cfg)
+    dyn = cfg.block("dynamics", {"times", "mode", "z", "death_rate",
+                                 "events"})
+    times = dyn.read("times", _times)
+    events = dyn.value("events", False)
+    if events:
+        mode, model, z = build_dynamics(
+            cfg, dyn, domain, ("conservative", "glauber"),
+            " when 'dynamics.events' is set: of the modes with births, only "
+            "glauber has an event stream")
+    else:
+        mode, model, z = build_dynamics(cfg, dyn, domain)
+    config = build_start(cfg, domain, run.config_dir).sample(
+        run.rng.child(0))
 
-    if dyn.get("events", False):
-        if mode == "glauber":
-            model = GlauberDynamics(_num(_get(dyn, "death_rate", "dynamics"),
-                                         "dynamics.death_rate"),
-                                    _num(_get(dyn, "z", "dynamics"),
-                                         "dynamics.z"))
-        else:
-            model = build_kernel(_get(cfg, "kernel", "config"), domain)
+    if events:
         stream = event_stream(config, model, times[-1], run.rng.child(1))
         run.write_jsonl("events.jsonl", stream.to_jsonl())
         snaps = [stream.snapshot(config, t) for t in times]
     elif mode == "glauber":
-        a = _num(_get(dyn, "death_rate", "dynamics"), "dynamics.death_rate")
-        z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
-        snaps = glauber_evolve(config, a, z, times, run.rng.child(1))
+        snaps = glauber_evolve(config, model.rate, z, times, run.rng.child(1))
     elif mode == "conservative":
-        kernel = build_kernel(_get(cfg, "kernel", "config"), domain)
-        snaps = evolve_snapshot(config, kernel, times, run.rng.child(1))
-    elif mode == "submarkov_immigration":
-        kernel = build_kernel(_get(cfg, "kernel", "config"), domain)
-        z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
-        snaps = evolve_with_immigration(config, kernel, z, times,
-                                        run.rng.child(1))
+        snaps = evolve_snapshot(config, model, times, run.rng.child(1))
     else:
-        raise ConfigError("'dynamics.mode' must be conservative, "
-                          "submarkov_immigration, or glauber")
+        snaps = evolve_with_immigration(config, model, z, times,
+                                        run.rng.child(1))
     run.write_csv("snapshots.csv", _snapshot_csv(times, snaps, domain.dim))
     run.write_json("evolve.json", {
         "times": times, "mode": mode, "initial_points": len(config),
@@ -369,23 +392,18 @@ def cmd_evolve(run):
 
 def cmd_laplace(run):
     cfg = run.cfg
-    _check_keys(cfg, {"domain", "kernel", "dynamics", "start", "observables",
-                      "samples", "rng", "output"}, "config")
-    domain = build_domain(_get(cfg, "domain", "config"))
-    dyn = _get(cfg, "dynamics", "config")
-    _check_keys(dyn, {"times", "mode", "z", "death_rate", "birth_pad"},
-                "dynamics")
-    times = _times(dyn, "dynamics")
-    mode = dyn.get("mode", "conservative")
+    domain = build_domain(cfg)
+    dyn = cfg.block("dynamics", {"times", "mode", "z", "death_rate",
+                                 "birth_pad"})
+    times = dyn.read("times", _times)
+    mode, model, z = build_dynamics(cfg, dyn, domain)
     phis = build_phis(cfg, domain.dim)
     if len(phis) != len(times):
         raise ConfigError("need one observable per time")
     n = _samples(cfg)
-    start = build_start(_get(cfg, "start", "config"), domain, run.config_dir)
+    start = build_start(cfg, domain, run.config_dir)
 
     if mode == "glauber":
-        a = _num(_get(dyn, "death_rate", "dynamics"), "dynamics.death_rate")
-        z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
         if isinstance(start, PoissonMeasure) or (
                 isinstance(start, NeymanScottMeasure) and not domain.is_torus):
             # particles never move under Glauber dynamics, so only the
@@ -393,30 +411,23 @@ def cmd_laplace(run):
             # oracle integrates over all space, whatever the window
             start = dataclasses.replace(
                 start, domain=Domain.fullspace(*support_box(phis)))
-        report = glauber_joint_experiment(start, a, z, times, phis, n,
-                                          run.rng.child(2),
+        # the bound of a constant rate field is the rate
+        report = glauber_joint_experiment(start, model.rate.bound, z, times,
+                                          phis, n, run.rng.child(2),
                                           threads=run.threads)
     else:
         if not isinstance(start, Configuration):
             raise ConfigError("kernel laplace checks need a fixed start")
         if len(times) != 1:
             raise ConfigError("kernel laplace checks take a single time")
-        kernel = build_kernel(_get(cfg, "kernel", "config"), domain)
         if mode == "conservative":
-            report = markov_laplace_experiment(kernel, start, phis[0],
+            report = markov_laplace_experiment(model, start, phis[0],
                                                times[0], n, run.rng.child(2),
                                                threads=run.threads)
-        elif mode == "submarkov_immigration":
-            z = _num(_get(dyn, "z", "dynamics"), "dynamics.z")
-            pad = _num(dyn.get("birth_pad", 0.0), "dynamics.birth_pad")
-            report = submarkov_laplace_experiment(kernel, start, phis[0],
-                                                  times[0], z, n,
-                                                  run.rng.child(2),
-                                                  threads=run.threads,
-                                                  birth_pad=pad)
         else:
-            raise ConfigError("'dynamics.mode' must be conservative, "
-                              "submarkov_immigration, or glauber")
+            report = submarkov_laplace_experiment(
+                model, start, phis[0], times[0], z, n, run.rng.child(2),
+                threads=run.threads, birth_pad=dyn.num("birth_pad", 0.0))
 
     run.write_json("laplace.json", report.to_dict())
     row = report.to_dict()
@@ -430,17 +441,13 @@ def cmd_laplace(run):
 
 def cmd_correlation(run):
     cfg = run.cfg
-    _check_keys(cfg, {"domain", "start", "correlation", "samples", "rng",
-                      "output"}, "config")
-    domain = build_domain(_get(cfg, "domain", "config"))
-    start = build_start(_get(cfg, "start", "config"), domain, run.config_dir)
+    domain = build_domain(cfg)
+    start = build_start(cfg, domain, run.config_dir)
     if not isinstance(start, PoissonMeasure):
         raise ConfigError("correlation experiment needs start.kind = "
                           "'poisson'")
-    corr = _get(cfg, "correlation", "config")
-    _check_keys(corr, {"order", "bins"}, "correlation")
-    order = _int(_get(corr, "order", "correlation"), "correlation.order")
-    bins = _int(_get(corr, "bins", "correlation"), "correlation.bins")
+    corr = cfg.block("correlation", {"order", "bins"})
+    order, bins = corr.integer("order"), corr.integer("bins")
     n = _samples(cfg)
 
     grid, expected = poisson_correlation_experiment(
@@ -460,17 +467,14 @@ def cmd_correlation(run):
 
 def cmd_check_theta(run):
     cfg = run.cfg
-    _check_keys(cfg, {"domain", "start", "theta", "rng", "output"}, "config")
-    domain = build_domain(_get(cfg, "domain", "config"))
-    config = build_start(_get(cfg, "start", "config"), domain,
-                         run.config_dir).sample(run.rng.child(0))
-    theta = _get(cfg, "theta", "config")
-    _check_keys(theta, {"alpha", "r_max", "center"}, "theta")
-    alpha = _num(_get(theta, "alpha", "theta"), "theta.alpha")
-    r_max = _int(_get(theta, "r_max", "theta"), "theta.r_max")
-    center = theta.get("center")
+    domain = build_domain(cfg)
+    config = build_start(cfg, domain, run.config_dir).sample(
+        run.rng.child(0))
+    theta = cfg.block("theta", {"alpha", "r_max", "center"})
+    alpha, r_max = theta.num("alpha"), theta.integer("r_max")
+    center = theta.value("center", None)
     if center is not None:
-        center = _vec(center, "theta.center")
+        center = theta.vec("center")
     report = theta_check(config, alpha, r_max, center=center)
     run.write_json("theta.json", report.to_dict())
     return 0
@@ -478,19 +482,16 @@ def cmd_check_theta(run):
 
 def cmd_check_summability(run):
     cfg = run.cfg
-    _check_keys(cfg, {"domain", "kernel", "summability", "exit", "rng",
-                      "output"}, "config")
-    domain = build_domain(_get(cfg, "domain", "config"))
-    kernel = build_kernel(_get(cfg, "kernel", "config"), domain)
-    block = _get(cfg, "summability", "config")
-    _check_keys(block, {"alpha", "m", "epsilon", "delta", "target_tol",
-                        "certificate", "n_direct"}, "summability")
-    alpha = _num(_get(block, "alpha", "summability"), "summability.alpha")
-    m = _num(_get(block, "m", "summability"), "summability.m")
-    epsilon = _num(block.get("epsilon", 1.0), "summability.epsilon")
-    delta = _num(block.get("delta", 1.0), "summability.delta")
-    target = _num(block.get("target_tol", 1e-10), "summability.target_tol")
-    certificate = block.get("certificate", "direct")
+    domain = build_domain(cfg)
+    kernel = build_kernel(cfg, domain)
+    block = cfg.block("summability", {"alpha", "m", "epsilon", "delta",
+                                      "target_tol", "certificate",
+                                      "n_direct"})
+    alpha, m = block.num("alpha"), block.num("m")
+    epsilon, delta = block.num("epsilon", 1.0), block.num("delta", 1.0)
+    target = block.num("target_tol", 1e-10)
+    certificate = block.choice("certificate", ("direct", "polynomial"),
+                               "direct")
 
     if certificate == "polynomial":
         if not isinstance(kernel, KawasakiKernel):
@@ -498,25 +499,18 @@ def cmd_check_summability(run):
                               "kernels")
         report = kawasaki_polynomial_certificate(kernel.profile, alpha, m,
                                                  epsilon, delta)
-    elif certificate == "direct":
-        n_direct = _int(block.get("n_direct", 4096), "summability.n_direct")
-        report = check_summability(kernel, alpha, m, epsilon, delta, target,
-                                   n_direct)
     else:
-        raise ConfigError("'summability.certificate' must be 'direct' or "
-                          "'polynomial'")
+        report = check_summability(kernel, alpha, m, epsilon, delta, target,
+                                   block.integer("n_direct", 4096))
 
     payload = report.to_dict()
     passed = report.converges
-    exit_block = cfg.get("exit")
-    if exit_block is not None:
-        _check_keys(exit_block, {"radius", "epsilon", "paths", "path_step"},
-                    "exit")
-        radius = _num(_get(exit_block, "radius", "exit"), "exit.radius")
-        eps2 = _num(_get(exit_block, "epsilon", "exit"), "exit.epsilon")
-        paths = _int(_get(exit_block, "paths", "exit"), "exit.paths")
-        step = _num(exit_block.get("path_step", eps2 / 200.0),
-                    "exit.path_step")
+    if cfg.value("exit", None) is not None:
+        probe_cfg = cfg.block("exit", {"radius", "epsilon", "paths",
+                                       "path_step"})
+        radius, eps2 = probe_cfg.num("radius"), probe_cfg.num("epsilon")
+        paths = probe_cfg.integer("paths")
+        step = probe_cfg.num("path_step", eps2 / 200.0)
         center = 0.5 * (domain.lower + domain.upper)
         probe = Comparison(*exit_probability(kernel, center, radius, eps2,
                                              paths, step, run.rng.child(4)))
@@ -538,47 +532,28 @@ def cmd_check_summability(run):
 
 def cmd_generator_check(run):
     cfg = run.cfg
-    _check_keys(cfg, {"domain", "kernel", "dynamics", "cylinder", "fd",
-                      "start", "rng", "output"}, "config")
-    domain = build_domain(_get(cfg, "domain", "config"))
-    start = build_start(_get(cfg, "start", "config"), domain, run.config_dir)
+    domain = build_domain(cfg)
+    start = build_start(cfg, domain, run.config_dir)
     if not isinstance(start, Configuration):
         raise ConfigError("generator check needs a fixed start")
+    dyn = cfg.block("dynamics", {"mode", "z", "death_rate"}, {})
+    _, spec, _ = build_dynamics(cfg, dyn, domain, ("conservative", "glauber"))
 
-    dyn = cfg.get("dynamics", {"mode": "kernel"})
-    _check_keys(dyn, {"mode", "z", "death_rate"}, "dynamics")
-    if dyn.get("mode") == "glauber":
-        spec = GlauberDynamics(_num(_get(dyn, "death_rate", "dynamics"),
-                                    "dynamics.death_rate"),
-                               _num(_get(dyn, "z", "dynamics"), "dynamics.z"))
-    else:
-        spec = build_kernel(_get(cfg, "kernel", "config"), domain)
-
-    cyl = _get(cfg, "cylinder", "config")
-    _check_keys(cyl, {"outer", "observables"}, "cylinder")
-    outer = _get(cyl, "outer", "cylinder")
-    phi_blocks = _get(cyl, "observables", "cylinder")
-    if not isinstance(phi_blocks, list) or not phi_blocks:
-        raise ConfigError("'cylinder.observables' must be a nonempty list")
-    phis = [build_phi(b, domain.dim, "cylinder.observables[%d]" % i)
-            for i, b in enumerate(phi_blocks)]
+    cyl = cfg.block("cylinder", {"outer", "observables"})
+    outer = cyl.choice("outer", ("linear", "exp_pairing", "product_pairing"))
+    phis = build_phis(cyl, domain.dim)
     if outer == "linear":
         func = CylinderFunction.linear(phis[0])
     elif outer == "exp_pairing":
         func = CylinderFunction.exp_pairing(phis[0])
-    elif outer == "product_pairing":
+    else:
         if len(phis) < 2:
             raise ConfigError("product_pairing needs two observables")
         func = CylinderFunction.product_pairing(phis[0], phis[1])
-    else:
-        raise ConfigError("'cylinder.outer' must be linear, exp_pairing, or "
-                          "product_pairing")
 
-    fd = _get(cfg, "fd", "config")
-    _check_keys(fd, {"h", "replicas", "slope"}, "fd")
-    h_list = _vec(_get(fd, "h", "fd"), "fd.h")
-    replicas = _int(_get(fd, "replicas", "fd"), "fd.replicas")
-    slope = _num(fd.get("slope", 10.0), "fd.slope")
+    fd = cfg.block("fd", {"h", "replicas", "slope"})
+    h_list, replicas = fd.vec("h"), fd.integer("replicas")
+    slope = fd.num("slope", 10.0)
 
     checks = [generator_fd_check(func, start, spec, h, replicas,
                                  run.rng.child(5, i))
@@ -599,50 +574,48 @@ def cmd_generator_check(run):
 
 def cmd_scaling(run):
     cfg = run.cfg
-    _check_keys(cfg, {"domain", "profile", "start", "dynamics", "observables",
-                      "scaling", "samples", "rng", "output"}, "config")
-    domain = build_domain(_get(cfg, "domain", "config"))
-    profile = build_profile(_get(cfg, "profile", "config"), domain.dim,
-                            "profile")
-    measure = build_start(_get(cfg, "start", "config"), domain,
-                          run.config_dir)
+    domain = build_domain(cfg)
+    profile = build_profile(cfg, domain.dim)
+    measure = build_start(cfg, domain, run.config_dir)
     if isinstance(measure, Configuration):
         raise ConfigError("scaling needs start.kind 'poisson' or "
                           "'neyman-scott'")
-    dyn = _get(cfg, "dynamics", "config")
-    _check_keys(dyn, {"times"}, "dynamics")
-    times = _times(dyn, "dynamics")
+    times = cfg.block("dynamics", {"times"}).read("times", _times)
     phis = build_phis(cfg, domain.dim)
     if len(phis) != len(times):
         raise ConfigError("need one observable per time")
-    block = _get(cfg, "scaling", "config")
-    _check_keys(block, {"eps"}, "scaling")
-    eps = _vec(_get(block, "eps", "scaling"), "scaling.eps")
+    eps = cfg.block("scaling", {"eps"}).vec("eps")
     n = _samples(cfg)
 
     report = run_scaling_experiment(measure, profile, times, phis, eps, n,
                                     run.rng.child(6), threads=run.threads)
-    conditions = verify_mu_conditions(measure)
     final = report.comparisons[-1]
     # strict, with an absolute floor: the target is the epsilon -> 0 limit
     final_ok = final.error < max(SIGMAS * final.stderr, 0.01)
     payload = report.to_dict()
-    payload["mu_conditions"] = conditions.to_dict()
     payload["final_within_tolerance"] = final_ok
     run.write_json("scaling.json", payload)
     run.write_csv("scaling.csv", report.to_csv())
     return run.verdict(report.monotone and final_ok)
 
 
+# each command with the top-level keys it reads besides rng and output
 _COMMANDS = {
-    "sample-poisson": cmd_sample_poisson,
-    "evolve": cmd_evolve,
-    "laplace": cmd_laplace,
-    "correlation": cmd_correlation,
-    "check-theta": cmd_check_theta,
-    "check-summability": cmd_check_summability,
-    "generator-check": cmd_generator_check,
-    "scaling": cmd_scaling,
+    "sample-poisson": (cmd_sample_poisson,
+                       {"domain", "start", "observables", "samples"}),
+    "evolve": (cmd_evolve, {"domain", "kernel", "dynamics", "start"}),
+    "laplace": (cmd_laplace, {"domain", "kernel", "dynamics", "start",
+                              "observables", "samples"}),
+    "correlation": (cmd_correlation,
+                    {"domain", "start", "correlation", "samples"}),
+    "check-theta": (cmd_check_theta, {"domain", "start", "theta"}),
+    "check-summability": (cmd_check_summability,
+                          {"domain", "kernel", "summability", "exit"}),
+    "generator-check": (cmd_generator_check,
+                        {"domain", "kernel", "dynamics", "cylinder", "fd",
+                         "start"}),
+    "scaling": (cmd_scaling, {"domain", "profile", "start", "dynamics",
+                              "observables", "scaling", "samples"}),
 }
 
 
@@ -673,6 +646,7 @@ _PARSER = _parser()  # built once: parse_args keeps no state between calls
 
 def main(argv=None):
     args = _PARSER.parse_args(argv)
+    command, keys = _COMMANDS[args.command]
     try:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
@@ -680,25 +654,24 @@ def main(argv=None):
         except OSError as exc:
             raise ConfigError(str(exc))
         try:
-            cfg = json.loads(text)
+            raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError("invalid JSON at line %d column %d: %s"
                               % (exc.lineno, exc.colno, exc.msg))
-        if not isinstance(cfg, dict):
+        if not isinstance(raw, dict):
             raise ConfigError("top-level config must be an object")
+        cfg = _Block(raw, "", keys | {"rng", "output"})
         if args.seed is not None:
             seed = int(args.seed)
         else:
-            rng_block = _get(cfg, "rng", "config")
-            _check_keys(rng_block, {"seed"}, "rng")
-            seed = _int(_get(rng_block, "seed", "rng"), "rng.seed")
+            seed = cfg.block("rng", {"seed"}).integer("seed")
         if args.threads < 1:
             raise ConfigError("--threads must be >= 1")
         os.makedirs(args.out, exist_ok=True)
         run = _Run(args.command, cfg, seed, args.threads, args.out,
                    args.do_assert, os.path.dirname(os.path.abspath(
                        args.config)))
-        return _COMMANDS[args.command](run)
+        return command(run)
     except (ConfigError, ValueError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 2

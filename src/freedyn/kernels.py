@@ -172,6 +172,9 @@ class GaussianProfile:
         return 1.001 * max(best, -float(res.fun))
 
 
+_MIXTURE_NODES = (1 << 13) + 1  # FFT grid of a bump profile's jump mixture
+
+
 class BumpProfile:
     """Compactly supported radial jump profile of a given total mass.
 
@@ -250,21 +253,22 @@ class BumpProfile:
                                      minlength=len(k))
         return step
 
-    def _mixture_grid(self, weights, n_grid=(1 << 13) + 1):
-        """(grid, density) of the jump mixture on one FFT grid that holds the
-        largest power; an odd node count keeps 0 a node and the powers of
-        the even profile centred."""
+    def _mixture_grid(self, weights):
+        """(grid, density) of the jump mixture on one FFT grid of
+        _MIXTURE_NODES nodes that holds the largest power; an odd node count
+        keeps 0 a node and the powers of the even profile centred."""
         if self.dim != 1:
             raise NotImplementedError("bump convolution powers implemented "
                                       "in dim 1")
         half = self.radius * len(weights) * 1.05 + 1.0
-        grid = np.linspace(-half, half, n_grid)
+        grid = np.linspace(-half, half, _MIXTURE_NODES)
         dx = grid[1] - grid[0]
         base = self.density(grid[:, None]) / self.mass
         spec = np.fft.rfft(np.fft.ifftshift(base)) * dx
         # the mixture's spectrum is a polynomial in the profile's spectrum
         mix = np.polynomial.polynomial.polyval(spec, np.append(0.0, weights))
-        dens = np.maximum(np.fft.fftshift(np.fft.irfft(mix, n_grid)) / dx, 0.0)
+        dens = np.maximum(np.fft.fftshift(np.fft.irfft(mix, _MIXTURE_NODES))
+                          / dx, 0.0)
         # normalize away accumulated FFT rounding
         dens *= np.sum(weights) / max(np.trapezoid(dens, grid), 1e-300)
         return grid, dens
@@ -314,6 +318,7 @@ class BumpProfile:
 
 _MAX_SERIES_TERMS = 100000  # longest jump-count series before refusal
 _MAX_DIRECT_RADII = 1 << 21  # most escape-series terms bounded one by one
+_POLY_PARTIAL_SUMS = 64  # partial sums a polynomial certificate reports
 
 
 def _poisson_weights(mu, n):
@@ -1068,8 +1073,7 @@ def check_summability(kernel, alpha, m, epsilon, delta, target_tol=1e-10,
                                 n_direct)
 
 
-def kawasaki_polynomial_certificate(profile, alpha, m, epsilon=1.0, delta=1.0,
-                                    n_partial=64):
+def kawasaki_polynomial_certificate(profile, alpha, m, epsilon=1.0, delta=1.0):
     """Escape-series certificate for jump kernels via the polynomial tail route.
 
     Uses the radius schedule delta * n**(1/m) and the profile tail bound
@@ -1109,7 +1113,7 @@ def kawasaki_polynomial_certificate(profile, alpha, m, epsilon=1.0, delta=1.0,
     if s <= 1.0:
         return ConvergenceReport([], math.inf, False,
                                  params | {"note": "requires alpha > m"})
-    n = np.arange(1, n_partial + 1)
+    n = np.arange(1, _POLY_PARTIAL_SUMS + 1)
     partial = np.cumsum(per_n * n ** (-s))
     zeta_total = per_n * float(zeta(s))
     remainder = zeta_total - float(partial[-1])

@@ -26,6 +26,7 @@ from .pointproc import (Comparison, check_times, mean_se, pair_into,
                         run_chunks, sample_space_time_batch)
 
 QUAD_TOL = 1e-8
+_MAX_BIN_TUPLES = 20000  # most bin tuples a correlation grid may have
 
 
 # ---------------------------------------------------------------------------
@@ -41,17 +42,11 @@ def pairing(phi, config):
 # ---------------------------------------------------------------------------
 # analytic Laplace functionals
 
-def poisson_laplace_exponent(phi, intensity, tol=QUAD_TOL, transform=None):
-    """log E[exp<phi, Poisson(intensity)>] = intensity * int (e^phi - 1).
-
-    transform defaults to e^phi - 1; pass np.log1p-style callables to reuse
-    the identity for functionals of the form exp<log(1+phi), gamma>, where
-    the exponent reduces to intensity * int phi.
-    """
-    transform = np.expm1 if transform is None else transform
+def poisson_laplace_exponent(phi, intensity, tol=QUAD_TOL):
+    """log E[exp<phi, Poisson(intensity)>] = intensity * int (e^phi - 1)."""
 
     def integrand(pts):
-        return transform(np.asarray(phi(pts), dtype=float))
+        return np.expm1(np.asarray(phi(pts), dtype=float))
 
     val, _ = box_quad(integrand, phi.support_lo, phi.support_hi, tol)
     return float(intensity) * val
@@ -159,13 +154,6 @@ class CorrelationGrid:
     def bin_center(self, flat):
         return _flat_center(self.edges, flat)
 
-    def value(self, tup):
-        key = tuple(sorted(tup))
-        for i, t in enumerate(self.index_tuples):
-            if t == key:
-                return float(self.estimates[i])
-        raise KeyError(key)
-
     def to_csv(self):
         headers = [f"x{j}_{ax}" for j in range(self.order)
                    for ax in range(len(self.edges))]
@@ -219,15 +207,15 @@ def bin_counts(pts, ids, n_rep, domain, edges):
     return counts.reshape(n_rep, n_flat)
 
 
-def check_correlation_grid(order, n_bins, tol_combos=20000):
+def check_correlation_grid(order, n_bins):
     """Refuse an order outside 1..4 or a grid with too many bin tuples."""
     if order < 1 or order > 4:
         raise ValueError("order must be in 1..4")
-    if math.comb(n_bins + order - 1, order) > tol_combos:
+    if math.comb(n_bins + order - 1, order) > _MAX_BIN_TUPLES:
         raise ValueError("bin grid too fine for this order")
 
 
-def correlations_from_counts(counts, order, edges, tol_combos=20000):
+def correlations_from_counts(counts, order, edges):
     """Factorial-moment estimate of the order-n correlation on a bin grid.
 
     counts holds one row of bin counts per replica (see bin_counts).  For
@@ -239,7 +227,7 @@ def correlations_from_counts(counts, order, edges, tol_combos=20000):
     subsets) termwise.
     """
     n_rep, n_flat = counts.shape
-    check_correlation_grid(order, n_flat, tol_combos)
+    check_correlation_grid(order, n_flat)
     vol_bin = float(np.prod([(e[-1] - e[0]) / (len(e) - 1) for e in edges]))
 
     tuples = list(combinations_with_replacement(range(n_flat), order))
@@ -256,7 +244,7 @@ def correlations_from_counts(counts, order, edges, tol_combos=20000):
     return CorrelationGrid(order, edges, tuples, estimates, stderrs, n_rep)
 
 
-def estimate_correlations(samples, order, bins_per_axis, tol_combos=20000):
+def estimate_correlations(samples, order, bins_per_axis):
     """Correlation grid of a list of Configurations, one replica each."""
     if len(samples) == 0:
         raise ValueError("empty sample set")
@@ -265,7 +253,7 @@ def estimate_correlations(samples, order, bins_per_axis, tol_combos=20000):
     pts = np.concatenate([cfg.points for cfg in samples])
     ids = np.repeat(np.arange(len(samples)), [len(cfg) for cfg in samples])
     counts = bin_counts(pts, ids, len(samples), domain, edges)
-    return correlations_from_counts(counts, order, edges, tol_combos)
+    return correlations_from_counts(counts, order, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,13 @@ from .space import Domain, in_box
 
 _BLOCK = 1 << 15  # rows per blocked pass: its buffers stay in cache
 _ROW_BUDGET = 1 << 18  # expected start rows of one sub-batch of a chunk
+# verify_mu_conditions: growth checked up to order _GROWTH_ORDER; decay
+# probed at _PROBE_DISTANCE / eps along _PROBE_EPS, and holding when the
+# last probe is at most _DECAY_TOL of the largest value
+_GROWTH_ORDER = 8
+_PROBE_EPS = (1.0, 0.5, 0.25, 0.1)
+_PROBE_DISTANCE = 1.0
+_DECAY_TOL = 1e-3
 
 
 def _involution_numbers(n_max):
@@ -217,8 +224,7 @@ class MuConditionsReport:
         }
 
 
-def verify_mu_conditions(measure, n_max=8, eps_schedule=(1.0, 0.5, 0.25, 0.1),
-                         probe_distance=1.0, decay_tol=1e-3):
+def verify_mu_conditions(measure):
     """Check the three admissibility conditions on a starting measure.
 
     (i) correlation growth k^(n) <= (n!)**gamma * C**n, (ii) translation
@@ -230,11 +236,11 @@ def verify_mu_conditions(measure, n_max=8, eps_schedule=(1.0, 0.5, 0.25, 0.1),
     """
     if isinstance(measure, PoissonMeasure):
         z = measure.intensity
-        probes = tuple(0.0 for _ in eps_schedule)
+        probes = tuple(0.0 for _ in _PROBE_EPS)
         return MuConditionsReport(
             family=measure.family, admissible=True,
             growth_exponent=0.0, growth_constant=z,
-            growth_checked_to=int(n_max), growth_holds=True,
+            growth_checked_to=_GROWTH_ORDER, growth_holds=True,
             translation_invariant=True,
             decay_probe=probes, decay_holds=True,
             notes=("correlations are exactly z**n",
@@ -244,18 +250,19 @@ def verify_mu_conditions(measure, n_max=8, eps_schedule=(1.0, 0.5, 0.25, 0.1),
         # number of involutions, and I_n <= sqrt(n!) * e**sqrt(n) gives
         # gamma = 1/2, C = e * C0
         c0 = max(1.0, measure.k1, measure.u2_max)
-        inv = _involution_numbers(max(n_max, 2))
+        inv = _involution_numbers(_GROWTH_ORDER)
         growth_c = math.e * c0
         holds = all(inv[n] * c0 ** n <= math.sqrt(math.factorial(n)) * growth_c ** n
-                    for n in range(1, n_max + 1))
-        probes = tuple(float(measure.u2(probe_distance / eps))
-                       for eps in eps_schedule)
+                    for n in range(1, _GROWTH_ORDER + 1))
+        probes = tuple(float(measure.u2(_PROBE_DISTANCE / eps))
+                       for eps in _PROBE_EPS)
         decreasing = all(b <= a for a, b in zip(probes, probes[1:]))
-        decay = decreasing and probes[-1] <= decay_tol * max(measure.u2_max, 1e-300)
+        decay = decreasing and \
+            probes[-1] <= _DECAY_TOL * max(measure.u2_max, 1e-300)
         return MuConditionsReport(
             family=measure.family, admissible=holds and decay,
             growth_exponent=0.5, growth_constant=growth_c,
-            growth_checked_to=int(n_max), growth_holds=holds,
+            growth_checked_to=_GROWTH_ORDER, growth_holds=holds,
             translation_invariant=True,
             decay_probe=probes, decay_holds=decay,
             notes=("pairing bound via involution numbers",
@@ -269,6 +276,8 @@ class ScalingReport:
 
     One row per epsilon: the empirical estimate and its standard error,
     and their Comparison with the closed-form birth-and-death target.
+    mu_conditions is the start measure's admissibility report, checked
+    before any draw.
     """
 
     eps_schedule: tuple
@@ -281,6 +290,7 @@ class ScalingReport:
     immigration: float
     measure_family: str
     notes: tuple
+    mu_conditions: MuConditionsReport
 
     @property
     def comparisons(self):
@@ -310,6 +320,7 @@ class ScalingReport:
             "immigration": self.immigration,
             "measure_family": self.measure_family,
             "notes": list(self.notes),
+            "mu_conditions": self.mu_conditions.to_dict(),
         }
 
     def to_json(self, indent=2):
@@ -591,4 +602,5 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
         times=times, death_rate=float(a_const),
         immigration=float(z), measure_family=measure.family,
         notes=("target from the closed-form birth-and-death joint identity",
-               "profile contracted with total mass held fixed"))
+               "profile contracted with total mass held fixed"),
+        mu_conditions=conditions)

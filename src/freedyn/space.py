@@ -146,11 +146,6 @@ class Domain:
             pts[outside] = folded
         return pts
 
-    def contains(self, points):
-        """Whether each row lies in the observation window."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        return in_box(pts, self.lower, self.upper)
-
     def to_dict(self):
         out = {"dimension": self.dim, "mode": self.mode}
         if self.is_torus:

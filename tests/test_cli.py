@@ -71,7 +71,38 @@ def test_unknown_key_is_named(tmp_path):
     path = write_config(tmp_path, "cfg.json", cfg)
     res = run_cli(["sample-poisson", "--config", path], str(tmp_path))
     assert res.returncode == 2, res.stderr
-    assert "unknown key 'config.startx'" in res.stderr
+    assert "unknown key 'startx'" in res.stderr
+
+
+_BAD_BOX = {"family": "box", "level": "low", "lo": [-1.0], "hi": [1.0]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda c: c["dynamics"].pop("times"), "missing key 'dynamics.times'"),
+    (lambda c: c.update(kernel={"variant": "death", "rate": "fast"}),
+     "'kernel.rate' must be a number"),
+    (lambda c: c["dynamics"].update(speed=1.0),
+     "unknown key 'dynamics.speed'"),
+    (lambda c: c["observables"].append(_BAD_BOX),
+     "'observables[1].level' must be a number"),
+    (lambda c: c["domain"].update(window=[["a"], [3.0]]),
+     "'domain.window[0]' must be a nonempty number list"),
+    (lambda c: c.pop("samples"), "missing key 'samples'"),
+    (lambda c: c.update(samples=2.5), "'samples' must be an integer"),
+    (lambda c: c.update(rng={"seed": "x"}), "'rng.seed' must be an integer"),
+    (lambda c: c["dynamics"].update(times=[0.5, 0.5]),
+     "'dynamics.times': times must be strictly increasing and > 0"),
+])
+def test_config_error_messages_name_the_path(tmp_path, capsys, edit,
+                                             message):
+    from freedyn import cli
+
+    cfg = json.loads(json.dumps(MARKOV_CFG))
+    edit(cfg)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert cli.main(["laplace", "--config", path, "--out",
+                     str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
 
 
 def test_sample_poisson_outputs(tmp_path):
@@ -848,3 +879,59 @@ def test_evolve_outputs_keep_their_bytes(tmp_path, case):
         got.append(hashlib.sha256(out.read_bytes()).hexdigest()
                    if out.exists() else None)
     assert got == digests
+
+
+# --- one dynamics reader for evolve, laplace and generator-check ----------
+
+_GEN_KAWASAKI = dict(
+    {k: v for k, v in GEN_CFG.items() if k != "dynamics"},
+    kernel={"variant": "kawasaki", "profile": {
+        "kind": "gaussian", "mass": 1.3, "std": 0.7}},
+    fd={"h": [0.01], "replicas": 200})
+_EVENTS_DEATH = {
+    "domain": _FULL, "kernel": {"variant": "death", "rate": 1.0},
+    "dynamics": {"times": [1.0], "events": True}, "start": _FIXED,
+    "rng": {"seed": 1}}
+_EVENTS_NOTE = (" when 'dynamics.events' is set: of the modes with births, "
+                "only glauber has an event stream")
+
+
+@pytest.mark.parametrize("command, cfg, message", [
+    ("generator-check", dict(GEN_CFG, dynamics={"mode": "bogus"}),
+     "'dynamics.mode' must be one of conservative, glauber"),
+    ("generator-check", dict(_GEN_KAWASAKI, dynamics={
+        "mode": "submarkov_immigration", "z": 3.0}),
+     "'dynamics.mode' must be one of conservative, glauber"),
+    ("evolve", dict(_EVENTS_DEATH, dynamics={
+        "times": [1.0], "events": True, "mode": "bogus"}),
+     "'dynamics.mode' must be one of conservative, glauber" + _EVENTS_NOTE),
+    # the death kernel has an event stream, but not of its immigrants
+    ("evolve", dict(_EVENTS_DEATH, dynamics={
+        "times": [1.0], "events": True, "mode": "submarkov_immigration",
+        "z": 5.0}),
+     "'dynamics.mode' must be one of conservative, glauber" + _EVENTS_NOTE),
+    ("laplace", dict(MARKOV_CFG, start={"kind": "poisson", "intensity": 1.0},
+                     dynamics={"times": [0.5], "mode": "bogus"}),
+     "'dynamics.mode' must be one of conservative, submarkov_immigration, "
+     "glauber"),
+])
+def test_a_mode_the_command_does_not_run_is_refused(tmp_path, capsys,
+                                                    command, cfg, message):
+    from freedyn import cli
+
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not list(out.iterdir())
+
+
+def test_generator_check_reads_no_dynamics_block_as_conservative(tmp_path):
+    reports = []
+    for cfg in (_GEN_KAWASAKI,
+                dict(_GEN_KAWASAKI, dynamics={"mode": "conservative"})):
+        rep, codes = verdict_run(tmp_path, "generator-check", cfg,
+                                 "generator.json")
+        assert codes[0] == 0
+        reports.append(rep)
+    assert reports[0] == reports[1]

@@ -28,16 +28,6 @@ def test_torus_wrap_into_cell():
     assert np.allclose(out, [0.2, 9.7, 5.0])
 
 
-def test_contains():
-    d = Domain.torus(2, 4.0)
-    assert d.contains(np.array([0.0, 3.9]))
-    assert not d.contains(np.array([0.0, 4.0]))
-    # containment is always relative to the observation window
-    f = Domain.fullspace((-1.0,), (1.0,))
-    assert f.contains(np.array([0.5]))
-    assert not f.contains(np.array([100.0]))
-
-
 @st.composite
 def _box_and_points(draw):
     """A box in 1-3 dimensions and points on its faces, inside, outside,
@@ -64,11 +54,9 @@ def test_in_box_matches_the_axis_reduce(case):
         closed = np.all((pts >= lo) & (pts <= hi), axis=1)
         assert np.array_equal(in_box(pts, lo, hi), half_open)
         assert np.array_equal(in_box(pts, lo, hi, closed=True), closed)
-        # the callers: a box test function and the window of a domain
+        # a caller: a box test function
         box = TestFunction.box(-0.5, lo, hi)
         assert np.array_equal(box(pts), np.where(half_open, -0.5, 0.0))
-        assert np.array_equal(Domain.fullspace(lo, hi).contains(pts),
-                              half_open)
 
 
 def test_in_box_refuses_a_dimension_mismatch():

@@ -69,6 +69,18 @@ def _int(value, path):
     return int(value)
 
 
+def _bool(value, path):
+    if not isinstance(value, bool):
+        raise ConfigError("'%s' must be true or false" % path)
+    return value
+
+
+def _text(value, path):
+    if not isinstance(value, str) or not value:
+        raise ConfigError("'%s' must be a nonempty string" % path)
+    return value
+
+
 def _vec(value, path):
     if not isinstance(value, list) or not value or \
             any(isinstance(v, bool) or not isinstance(v, (int, float))
@@ -274,7 +286,7 @@ class _Run:
         self.config_dir = config_dir
         self.rng = RngStream(seed, 0)
         out = cfg.block("output", {"prefix", "formats"}, {})
-        self.prefix = out.value("prefix", command.replace("-", "_"))
+        self.prefix = out.read("prefix", _text, command.replace("-", "_"))
         formats = out.value("formats", ["json", "csv", "jsonl"])
         if not isinstance(formats, list) or \
                 any(f not in ("json", "csv", "jsonl") for f in formats):
@@ -361,7 +373,7 @@ def cmd_evolve(run):
     dyn = cfg.block("dynamics", {"times", "mode", "z", "death_rate",
                                  "events"})
     times = dyn.read("times", _times)
-    events = dyn.value("events", False)
+    events = dyn.read("events", _bool, False)
     if events:
         mode, model, z = build_dynamics(
             cfg, dyn, domain, ("conservative", "glauber"),

@@ -11,9 +11,9 @@ point.  A Configuration is the point-mass measure at itself;
 PoissonMeasure is the homogeneous Poisson measure and the one Poisson
 configuration sampler.  Space-time Poisson arrivals (the immigration rain
 of the dynamics) are drawn replica batch by replica batch with constant or
-bounded inhomogeneous rate.  All draws
-use counter-based random streams, so every draw is reproducible from a
-(seed, stream) pair regardless of how work is scheduled.
+bounded inhomogeneous rate.  All draws come from SFC64 streams seeded from
+a (seed, stream) pair through ``SeedSequence``, so every draw is
+reproducible from that pair regardless of how work is scheduled.
 
 The growth certificate ``theta_check`` reports, for an observed
 configuration, the smallest integer K such that the ball counts around a
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 # numpy loads its random package on first use: imported here, it loads
 # with freedyn rather than inside a command's first draw
-from numpy.random import Generator, Philox
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .functions import integrate_function
 from .space import Domain, ball_volume
@@ -52,12 +52,17 @@ def _mix64(value):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream addressed by (seed, stream_id).
+    """Random stream addressed by (seed, stream_id).
 
-    Identical pairs give identical sequences; distinct stream ids give
-    statistically independent streams.  ``child`` derives a new stream from
-    integer indices (replica number, particle number, ...), so parallel
-    work can pre-assign streams and stay reproducible under any scheduling.
+    The stream is numpy's SFC64 generator, its state hashed from the pair
+    by ``SeedSequence(seed, spawn_key=(stream_id,))``.  The two integers
+    enter the hash as separate fields, so distinct pairs are distinct
+    inputs; the word list ``[seed, stream_id]`` is not, since numpy trims
+    its high zero words (``[5, 0]`` hashes as ``[5]``).  Identical pairs
+    give identical sequences; distinct pairs give statistically
+    independent streams.  ``child`` derives a new stream from integer
+    indices (replica number, particle number, ...), so parallel work can
+    pre-assign streams and stay reproducible under any scheduling.
     """
 
     seed: int
@@ -74,8 +79,8 @@ class RngStream:
         return RngStream(self.seed, sid)
 
     def generator(self):
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return Generator(Philox(key=key))
+        return Generator(SFC64(SeedSequence(self.seed,
+                                            spawn_key=(self.stream_id,))))
 
 
 def chunk_sizes(n_items, chunk):

@@ -92,6 +92,10 @@ _BAD_BOX = {"family": "box", "level": "low", "lo": [-1.0], "hi": [1.0]}
     (lambda c: c.update(rng={"seed": "x"}), "'rng.seed' must be an integer"),
     (lambda c: c["dynamics"].update(times=[0.5, 0.5]),
      "'dynamics.times': times must be strictly increasing and > 0"),
+    (lambda c: c.update(output={"prefix": ["a"]}),
+     "'output.prefix' must be a nonempty string"),
+    (lambda c: c.update(output={"prefix": ""}),
+     "'output.prefix' must be a nonempty string"),
 ])
 def test_config_error_messages_name_the_path(tmp_path, capsys, edit,
                                              message):
@@ -229,11 +233,12 @@ def test_seed_flag_overrides_config_seed(tmp_path):
 
 
 def test_assert_flag_gates_exit_code(tmp_path):
-    # seed 49 at 50 samples misses this narrow box entirely, so the
-    # estimate sits outside three standard errors of the analytic value
+    # no replica lands in a box of width 2e-9 on any stream: the estimate
+    # is exactly 1 with standard error 0, against an analytic value below
+    # 1, so the 3-sigma verdict fails whatever the seed draws
     cfg = json.loads(json.dumps(MARKOV_CFG))
     cfg["observables"][0] = {"family": "box", "level": -0.9,
-                             "lo": [-0.05], "hi": [0.05]}
+                             "lo": [-1e-9], "hi": [1e-9]}
     cfg["samples"] = 50
     cfg["rng"]["seed"] = 49
     path = write_config(tmp_path, "cfg.json", cfg)
@@ -485,9 +490,10 @@ def test_scaling_verdict_passes(tmp_path):
 
 
 def test_scaling_reversed_schedule_fails_monotone(tmp_path):
-    cfg = dict(SCALING_CFG, scaling={"eps": [0.1, 1.0]})
+    cfg = dict(SCALING_CFG, scaling={"eps": [0.1, 0.5]})
     rep, codes = verdict_run(tmp_path, "scaling", cfg, "scaling.json")
-    # the final distance (eps = 1) still sits under the 0.01 floor
+    # the final row (eps = 0.5, bias 0.0062 against the eps -> 0 limit)
+    # sits under the 0.01 floor unless it draws 2.6 standard errors high
     assert rep["monotone"] is False and rep["final_within_tolerance"] is True
     assert codes == [0, 4]
 
@@ -611,7 +617,7 @@ def test_parser_is_built_once_and_calls_parse_independently(tmp_path,
     parser = cli._PARSER
     cfg = json.loads(json.dumps(MARKOV_CFG))
     cfg["observables"][0] = {"family": "box", "level": -0.9,
-                             "lo": [-0.05], "hi": [0.05]}
+                             "lo": [-1e-9], "hi": [1e-9]}
     cfg["samples"] = 50
     cfg["rng"]["seed"] = 49  # fails the 3-sigma verdict (see above)
     laplace = write_config(tmp_path, "laplace.json", cfg)
@@ -817,8 +823,8 @@ _EVOLVE_BYTES = {
         {"domain": _FULL, "kernel": {"variant": "brownian"},
          "dynamics": {"times": _TIMES, "mode": "conservative"},
          "start": _FIXED},
-        "3ac66ab8c6b5b63f199d2b59900599200c7e4cc355ecdf396b071768c1b0dc34",
-        "a5a7aff5dd759b42c603556cfb18aaedccd7dc86706582377fe1b79581616f44",
+        "ae84b390826fe963e7eb47d2a11ea7f614cbe89bfa3ac927decec76c6dc71fd0",
+        "e1f116e3fd5ac87fe4fff44f60bf1b4a0749aba9d1a7e6ecb00d8b682c78fe64",
         None),
     "conservative-kawasaki-torus": (
         {"domain": _TORUS,
@@ -826,8 +832,8 @@ _EVOLVE_BYTES = {
              "kind": "gaussian", "mass": 1.0, "std": 0.5}},
          "dynamics": {"times": _TIMES, "mode": "conservative"},
          "start": _POISSON},
-        "2e1f58b1858a7c6bff7d2cbb9a98ea93c35683121b3c413b8cc0f40ce6a190a2",
-        "3b58899143695668f559492441bfc28c0add8a840a608028d3f6bc9c44e6797a",
+        "b7c33d200cb80f77d0b38116903ad2e0e0ddbf78a93c3c4bf3562f7170d49e3e",
+        "3df49cae488297c4f4a67fb5dc6c474f3ae12acc5592942111adbc596eb579fb",
         None),
     "submarkov-killed-brownian-fullspace": (
         {"domain": _FULL,
@@ -835,25 +841,25 @@ _EVOLVE_BYTES = {
          "dynamics": {"times": _TIMES, "mode": "submarkov_immigration",
                       "z": 2.0},
          "start": _POISSON},
-        "fe1d489507e1637e7e586d025f738274b3e4f4dda5c00e5f650bc7895b839e22",
-        "b75e7ef96212505044a42bbad15f3c8859b431393e0def8663757fef7d791d4c",
+        "d8055a411e42816b76e73b5f37ef611334b9f1bcbe589a0e546e643774e8e2d0",
+        "48b82cb01dbed692990057a598c984a3cabf2c87513895441d92b028b1b418ac",
         None),
     "glauber-torus": (
         {"domain": _TORUS,
          "dynamics": {"times": _TIMES, "mode": "glauber",
                       "death_rate": 1.0, "z": 1.0},
          "start": _POISSON},
-        "7824ab561dd06115a1e6af39bb94f7354d750f3170a383c00ef167e75fde7fbb",
-        "1b1ea1f2ee83109448ed5eba895b06cc40c7ea5b989039c2bb3648815cd23bd6",
+        "e30b7f5b4cac1fd9c604949a6315df083cb8d964904e1c3818b059c5cc4f80e5",
+        "8dd3123f3c210aceefdc531876cb2dbc5a8a69425aaf607d1331b49ff8442c6b",
         None),
     "glauber-events-fullspace": (
         {"domain": _FULL,
          "dynamics": {"times": _TIMES, "mode": "glauber",
                       "death_rate": 1.0, "z": 1.0, "events": True},
          "start": _FIXED},
-        "187e7121e2791f8cd66b9210fba6de6fae8bdd73ba8023cfc3ef825e112db933",
-        "b13166686700e262f75085e015754ca9c52e8dbaf7162673ea41516e2e8f96c9",
-        "de9039ee11c7f3cca627a0733b1a3c7bc1830c67ecdd4980901366ecfae8defb"),
+        "570d5689d28a444e341a4a5cb1eed0075c582bb15e5b4557bc41db1ece96fedf",
+        "85ae496a68c030aecf953387c5e09429d4a2737fa82f3df7d949a64237a5f91c",
+        "36e1c33e7c2385cd60d6b5a71194f8d76bb2b2d5acae206ab0c906d29e6c0441"),
 }
 
 
@@ -922,6 +928,25 @@ def test_a_mode_the_command_does_not_run_is_refused(tmp_path, capsys,
     path = write_config(tmp_path, "cfg.json", cfg)
     out = tmp_path / "out"
     assert cli.main([command, "--config", path, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not list(out.iterdir())
+
+
+@pytest.mark.parametrize("edit, message", [
+    # "no" is truthy and 0/1 compare equal to False/True: only a JSON bool
+    (lambda c: c["dynamics"].update(events="no"),
+     "'dynamics.events' must be true or false"),
+    (lambda c: c["dynamics"].update(events=1),
+     "'dynamics.events' must be true or false"),
+])
+def test_evolve_refuses_a_non_bool_events(tmp_path, capsys, edit, message):
+    from freedyn import cli
+
+    cfg = json.loads(json.dumps(_EVENTS_DEATH))
+    edit(cfg)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["evolve", "--config", path, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
     assert not list(out.iterdir())
 

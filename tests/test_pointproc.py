@@ -29,10 +29,22 @@ D1 = Domain.fullspace((0.0,), (5.0,))
 
 
 class TestRngStream:
-    def test_reproducible(self):
-        a = RngStream(42).generator().random(8)
-        b = RngStream(42).generator().random(8)
-        assert np.array_equal(a, b)
+    # (5, 1 + 7 * 2**32) and (5 + 2**32, 7) are the same uint32 word list
+    # once split, and [5, 0] seeds SeedSequence as [5] does: a stream keyed
+    # by the word list [seed, stream_id] would collide on these pairs
+    _PAIRS = [(5, 1 + 7 * 2**32), (5 + 2**32, 7), (5, 0), (0, 5), (0, 0),
+              (5, 2**32)]
+
+    @pytest.mark.parametrize("seed, sid", [(42, 0)] + _PAIRS)
+    def test_reproducible(self, seed, sid):
+        a, b = RngStream(seed, sid).generator(), RngStream(seed, sid).generator()
+        assert isinstance(a.bit_generator, np.random.SFC64)
+        assert np.array_equal(a.random(8), b.random(8))
+
+    def test_distinct_pairs_draw_distinct_streams(self):
+        firsts = {RngStream(seed, sid).generator().integers(2**63)
+                  for seed, sid in self._PAIRS}
+        assert len(firsts) == len(self._PAIRS)
 
     def test_streams_differ(self):
         a = RngStream(42, 0).generator().random(8)

@@ -81,6 +81,13 @@ def _text(value, path):
     return value
 
 
+def _prefix(value, path):
+    # a prefix holding a directory writes outside --out, or fails at the end
+    if os.path.basename(_text(value, path)) != value or value in (".", ".."):
+        raise ConfigError("'%s' must be a file name, not a path" % path)
+    return value
+
+
 def _vec(value, path):
     if not isinstance(value, list) or not value or \
             any(isinstance(v, bool) or not isinstance(v, (int, float))
@@ -142,6 +149,14 @@ class _Block:
                 self.key_path(key), ", ".join(allowed), note))
         return value
 
+    def build(self, make, *args):
+        """make(*args); the library checks the ranges, and a ValueError it
+        raises becomes a ConfigError naming this block."""
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise ConfigError("'%s': %s" % (self.path, exc))
+
     def block(self, key, allowed, default=_REQUIRED):
         return _Block(self.value(key, default), self.key_path(key), allowed)
 
@@ -157,12 +172,13 @@ class _Block:
 def build_domain(cfg):
     block = cfg.block("domain", {"mode", "dim", "side", "window"})
     if block.choice("mode", ("torus", "fullspace")) == "torus":
-        return Domain.torus(block.integer("dim"), block.num("side"))
+        return block.build(Domain.torus, block.integer("dim"),
+                           block.num("side"))
     window, path = block.value("window"), block.key_path("window")
     if not (isinstance(window, list) and len(window) == 2):
         raise ConfigError("'%s' must be [lower, upper]" % path)
-    return Domain.fullspace(_vec(window[0], path + "[0]"),
-                            _vec(window[1], path + "[1]"))
+    return block.build(Domain.fullspace, _vec(window[0], path + "[0]"),
+                       _vec(window[1], path + "[1]"))
 
 
 def build_profile(parent, dim):
@@ -171,8 +187,8 @@ def build_profile(parent, dim):
     kind = block.choice("kind", ("gaussian", "bump"))
     mass = block.num("mass")
     if kind == "gaussian":
-        return GaussianProfile(dim, mass, block.num("std"))
-    return BumpProfile(dim, mass, block.num("radius"))
+        return block.build(GaussianProfile, dim, mass, block.num("std"))
+    return block.build(BumpProfile, dim, mass, block.num("radius"))
 
 
 def build_kernel(cfg, domain):
@@ -196,12 +212,13 @@ def build_phi(block, dim):
         if len(center) != dim:
             raise ConfigError("'%s' must have length %d"
                               % (block.key_path("center"), dim))
-        return TestFunction.bump(level, center, block.num("radius"))
+        return block.build(TestFunction.bump, level, center,
+                           block.num("radius"))
     lo, hi = block.vec("lo"), block.vec("hi")
     if len(lo) != dim or len(hi) != dim:
         raise ConfigError("'%s' bounds must have length %d"
                           % (block.path, dim))
-    return TestFunction.box(level, lo, hi)
+    return block.build(TestFunction.box, level, lo, hi)
 
 
 def build_phis(block, dim):
@@ -218,27 +235,23 @@ def build_start(cfg, domain, config_dir):
                                 "cluster_std"})
     kind = block.choice("kind", ("fixed", "poisson", "neyman-scott"))
     if kind == "poisson":
-        intensity = block.num("intensity")
-        if not intensity > 0:
-            raise ConfigError("'%s' must be > 0"
-                              % block.key_path("intensity"))
-        return PoissonMeasure(domain, intensity)
+        return block.build(PoissonMeasure, domain, block.num("intensity"))
     if kind == "neyman-scott":
-        return NeymanScottMeasure(domain, block.num("parent_intensity"),
-                                  block.num("second_prob"),
-                                  block.num("cluster_std"))
+        return block.build(NeymanScottMeasure, domain,
+                           block.num("parent_intensity"),
+                           block.num("second_prob"), block.num("cluster_std"))
     if "csv" not in block.raw:
         points = block.value("points")
         if not isinstance(points, list):
             raise ConfigError("'%s' must be a list of points"
                               % block.key_path("points"))
-        return Configuration(np.asarray(points, dtype=float), domain)
+        return block.build(Configuration, points, domain)
     path = block.key_path("csv")
     try:
         with open(os.path.join(config_dir, block.value("csv")), "r",
                   encoding="utf-8") as fh:
             config = Configuration.from_csv(fh.read())
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError("'%s': %s" % (path, exc))
     if config.domain != domain:
         raise ConfigError("'%s' domain differs from config domain" % path)
@@ -286,7 +299,7 @@ class _Run:
         self.config_dir = config_dir
         self.rng = RngStream(seed, 0)
         out = cfg.block("output", {"prefix", "formats"}, {})
-        self.prefix = out.read("prefix", _text, command.replace("-", "_"))
+        self.prefix = out.read("prefix", _prefix, command.replace("-", "_"))
         formats = out.value("formats", ["json", "csv", "jsonl"])
         if not isinstance(formats, list) or \
                 any(f not in ("json", "csv", "jsonl") for f in formats):
@@ -305,29 +318,20 @@ class _Run:
         return ("# freedyn %s %s seed=%d\n# config: %s\n"
                 % (__version__, self.command, self.seed, compact))
 
-    def path(self, suffix):
-        return os.path.join(self.out_dir, "%s_%s" % (self.prefix, suffix))
+    def write(self, fmt, suffix, text):
+        """Write <out>/<prefix>_<suffix> when fmt is among the formats."""
+        if fmt in self.formats:
+            with open(os.path.join(self.out_dir, "%s_%s" % (
+                    self.prefix, suffix)), "w", encoding="utf-8") as fh:
+                fh.write(text)
 
     def write_json(self, suffix, payload):
-        if "json" not in self.formats:
-            return
-        body = json.dumps({"provenance": self.provenance(),
-                           "report": payload}, indent=2, default=_jsonable)
-        with open(self.path(suffix), "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
+        self.write("json", suffix, json.dumps(
+            {"provenance": self.provenance(), "report": payload}, indent=2,
+            default=_jsonable) + "\n")
 
     def write_csv(self, suffix, body):
-        if "csv" not in self.formats:
-            return
-        with open(self.path(suffix), "w", encoding="utf-8") as fh:
-            fh.write(self.csv_header())
-            fh.write(body)
-
-    def write_jsonl(self, suffix, text):
-        if "jsonl" not in self.formats:
-            return
-        with open(self.path(suffix), "w", encoding="utf-8") as fh:
-            fh.write(text)
+        self.write("csv", suffix, self.csv_header() + body)
 
     def verdict(self, passed):
         return 0 if (passed or not self.do_assert) else 4
@@ -386,7 +390,7 @@ def cmd_evolve(run):
 
     if events:
         stream = event_stream(config, model, times[-1], run.rng.child(1))
-        run.write_jsonl("events.jsonl", stream.to_jsonl())
+        run.write("jsonl", "events.jsonl", stream.to_jsonl())
         snaps = [stream.snapshot(config, t) for t in times]
     elif mode == "glauber":
         snaps = glauber_evolve(config, model.rate, z, times, run.rng.child(1))

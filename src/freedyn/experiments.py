@@ -36,6 +36,11 @@ class ExperimentReport:
     n_samples: int
     parameters: dict
 
+    @classmethod
+    def of(cls, kind, values, analytic, parameters):
+        """The report of replica values: their mean_se against analytic."""
+        return cls(kind, *mean_se(values), analytic, len(values), parameters)
+
     @property
     def comparison(self):
         return Comparison(self.estimate, self.stderr, self.analytic)
@@ -91,12 +96,10 @@ def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
         return np.exp(acc)
 
     values = run_chunks(worker, n_samples, rng, threads)
-    est, se = mean_se(values)
-    analytic = math.exp(poisson_laplace_exponent(phi, z, tol))
-    return ExperimentReport(
-        kind="poisson-laplace", estimate=est, stderr=se, analytic=analytic,
-        n_samples=len(values),
-        parameters={"intensity": z, "domain": domain.to_dict()})
+    return ExperimentReport.of(
+        "poisson-laplace", values,
+        math.exp(poisson_laplace_exponent(phi, z, tol)),
+        {"intensity": z, "domain": domain.to_dict()})
 
 
 def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
@@ -115,12 +118,10 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
         return _product_values(m, steps, [phi])
 
     values = run_chunks(worker, n_samples, rng, threads)
-    est, se = mean_se(values)
-    analytic = analytic_laplace_markov(kernel, config, phi, t, tol)
-    return ExperimentReport(
-        kind="markov-laplace", estimate=est, stderr=se, analytic=analytic,
-        n_samples=len(values),
-        parameters={"variant": kernel.variant, "t": t, "points": len(config)})
+    return ExperimentReport.of(
+        "markov-laplace", values,
+        analytic_laplace_markov(kernel, config, phi, t, tol),
+        {"variant": kernel.variant, "t": t, "points": len(config)})
 
 
 def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
@@ -148,13 +149,10 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
         return _product_values(m, steps, [phi])
 
     values = run_chunks(worker, n_samples, rng, threads)
-    est, se = mean_se(values)
-    analytic = analytic_laplace_submarkov(kernel, config, phi, t, z, tol)
-    return ExperimentReport(
-        kind="submarkov-laplace", estimate=est, stderr=se, analytic=analytic,
-        n_samples=len(values),
-        parameters={"variant": kernel.variant, "t": t, "z": z,
-                    "points": len(config)})
+    return ExperimentReport.of(
+        "submarkov-laplace", values,
+        analytic_laplace_submarkov(kernel, config, phi, t, z, tol),
+        {"variant": kernel.variant, "t": t, "z": z, "points": len(config)})
 
 
 def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
@@ -187,12 +185,10 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
         return _product_values(m, steps, phi_list)
 
     values = run_chunks(worker, n_samples, rng, threads)
-    est, se = mean_se(values)
-    analytic = glauber_joint_laplace(start, a, z, times, phi_list, tol)
-    return ExperimentReport(
-        kind="glauber-joint-laplace", estimate=est, stderr=se,
-        analytic=analytic, n_samples=len(values),
-        parameters={"death_rate": a, "immigration": z, "times": times})
+    return ExperimentReport.of(
+        "glauber-joint-laplace", values,
+        glauber_joint_laplace(start, a, z, times, phi_list, tol),
+        {"death_rate": a, "immigration": z, "times": times})
 
 
 def poisson_correlation_experiment(domain, intensity, order, bins_per_axis,

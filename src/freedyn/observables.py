@@ -179,13 +179,6 @@ def _flat_center(edges, flat):
             enumerate(idx)]
 
 
-def _falling(counts, m):
-    out = counts.astype(float)
-    for j in range(1, m):
-        out = out * (counts - j)
-    return out
-
-
 def correlation_edges(domain, bins_per_axis):
     """Bin edges per axis of the correlation grid over the domain window."""
     nb = np.broadcast_to(bins_per_axis, (domain.dim,))
@@ -225,23 +218,36 @@ def correlations_from_counts(counts, order, edges):
     factorials of the bin counts estimates k^(n) * prod vol(B_j)^{m_j}.
     This equals the symmetrized subset-sum estimator (n! over unordered
     subsets) termwise.
+
+    The counts are transposed once to one contiguous row per bin and each
+    bin's falling factorials are built once, one pass per factor (order
+    copies of the table); each cell then multiplies its bins' rows and
+    takes two sums through mean_se.  One replica gives stderr 0.
     """
     n_rep, n_flat = counts.shape
     check_correlation_grid(order, n_flat)
+    if n_rep < 1:
+        raise ValueError("empty sample set")
     vol_bin = float(np.prod([(e[-1] - e[0]) / (len(e) - 1) for e in edges]))
+    # falling[m - 1][b]: the m-factor falling factorial of bin b's counts
+    falling = [np.ascontiguousarray(counts.T, dtype=float)]
+    for j in range(1, order):
+        falling.append(falling[-1] * (falling[0] - j))
 
     tuples = list(combinations_with_replacement(range(n_flat), order))
     estimates = np.empty(len(tuples))
     stderrs = np.empty(len(tuples))
     for i, tup in enumerate(tuples):
-        vals = np.ones(n_rep)
-        for b, m in Counter(tup).items():
-            vals = vals * _falling(counts[:, b], m)
-        denom = vol_bin ** order
-        estimates[i] = np.mean(vals) / denom
-        stderrs[i] = (np.std(vals, ddof=1) / math.sqrt(len(vals)) / denom
-                      if len(vals) > 1 else 0.0)
-    return CorrelationGrid(order, edges, tuples, estimates, stderrs, n_rep)
+        (b, m), *rest = Counter(tup).items()
+        vals = falling[m - 1][b]
+        for b, m in rest:
+            vals = vals * falling[m - 1][b]
+        # one replica: its sum is its mean (and turns -0.0 into 0.0)
+        estimates[i], stderrs[i] = (mean_se(vals) if n_rep > 1
+                                    else (vals.sum(), 0.0))
+    denom = vol_bin ** order
+    return CorrelationGrid(order, edges, tuples, estimates / denom,
+                           stderrs / denom, n_rep)
 
 
 def estimate_correlations(samples, order, bins_per_axis):

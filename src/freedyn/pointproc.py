@@ -29,7 +29,7 @@ import ctypes
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 # numpy loads its random package on first use: imported here, it loads
@@ -159,10 +159,16 @@ def pair_into(acc, ids, values):
 
 
 def mean_se(values):
-    """Mean and standard error of replica values; needs two replicas."""
-    if len(values) < 2:
+    """Mean and standard error of replica values; needs two replicas.
+    One sum for the mean, one of the squared deviations: in numpy's order,
+    the bits of values.mean() and values.std(ddof=1) / sqrt(n)."""
+    n = len(values)
+    if n < 2:
         raise ValueError("need at least 2 replicas")
-    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+    mean = np.add.reduce(values, dtype=float) / n
+    dev = values - mean
+    np.square(dev, out=dev)
+    return float(mean), math.sqrt(np.add.reduce(dev) / (n - 1)) / math.sqrt(n)
 
 
 def check_times(times):
@@ -328,6 +334,17 @@ class Configuration:
         return Configuration(pts, domain)
 
 
+def uniform_points(gen, n, lo, hi):
+    """n uniform points in the box [lo, hi): lo + (hi - lo) * u, scaled and
+    shifted in place column by column (a broadcast of the (n, dim) draw by
+    (dim,) vectors costs several times as much per element)."""
+    pts = gen.random((n, len(lo)))
+    for col, a, b in zip(pts.T, lo, hi):
+        col *= b - a
+        col += a
+    return pts
+
+
 class BatchMeasure:
     """Random starting measure: sample() is a one-replica sample_batch."""
 
@@ -363,17 +380,13 @@ class PoissonMeasure(BatchMeasure):
         With ends, the second array is instead each replica's end row, one
         past its last: replica r holds the rows from ends[r - 1] (0 for
         r = 0) up to ends[r].  Same draws, no id per point.  The points
-        are lo + (hi - lo) * u for uniforms u in [0, 1), scaled and shifted
-        in place, which gives the bits of that expression with no
-        temporary beside the draw; on a torus they lie in [0, side).
+        are uniform_points in the window; on a torus they lie in [0, side).
         """
         lo, hi = self.domain.lower, self.domain.upper
         volume = float(np.prod(hi - lo))
         counts = gen.poisson(self.intensity * volume, size=n_rep)
         total = int(counts.sum())
-        pts = gen.random((total, self.domain.dim))
-        pts *= hi - lo
-        pts += lo
+        pts = uniform_points(gen, total, lo, hi)
         if ends:
             return pts, np.cumsum(counts)
         ids = np.repeat(np.arange(n_rep), counts)
@@ -410,7 +423,7 @@ def sample_space_time_batch(n_rep, rate, horizon, lo, hi, gen):
     volume = float(np.prod(hi - lo))
     counts = gen.poisson(field_.bound * volume * horizon, size=n_rep)
     total = int(counts.sum())
-    pts = lo + (hi - lo) * gen.random((total, len(lo)))
+    pts = uniform_points(gen, total, lo, hi)
     times = horizon * gen.random(total)
     ids = np.repeat(np.arange(n_rep), counts)
     if field_.bound > 0 and total > 0:
@@ -454,14 +467,7 @@ class ThetaReport:
     note: str = field(default="certificate truncated to the probed radii")
 
     def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "center": list(self.center),
-            "radii": list(self.radii),
-            "counts": list(self.counts),
-            "kmin": self.kmin,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 def theta_check(config, alpha, r_max, center=None):

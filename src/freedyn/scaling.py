@@ -22,7 +22,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
@@ -32,7 +32,7 @@ from .kernels import GaussianProfile, KawasakiKernel
 from .observables import glauber_joint_laplace
 from .pointproc import (BatchMeasure, Comparison, PoissonMeasure,
                         check_times, chunk_sizes, mean_se, pair_into,
-                        release_free_memory, run_chunks)
+                        release_free_memory, run_chunks, uniform_points)
 from .space import Domain, in_box
 
 _BLOCK = 1 << 15  # rows per blocked pass: its buffers stay in cache
@@ -126,9 +126,7 @@ class NeymanScottMeasure(BatchMeasure):
         volume = float(np.prod(hi - lo))
         n_parents = gen.poisson(self.parent_intensity * volume, size=n_rep)
         total_parents = int(n_parents.sum())
-        parent_pts = gen.random((total_parents, domain.dim))
-        parent_pts *= hi - lo
-        parent_pts += lo
+        parent_pts = uniform_points(gen, total_parents, lo, hi)
         second = gen.random(total_parents) < self.second_prob
         pts = gen.standard_normal(
             (total_parents + int(np.count_nonzero(second)), domain.dim))
@@ -210,18 +208,7 @@ class MuConditionsReport:
     notes: tuple
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "admissible": self.admissible,
-            "growth_exponent": self.growth_exponent,
-            "growth_constant": self.growth_constant,
-            "growth_checked_to": self.growth_checked_to,
-            "growth_holds": self.growth_holds,
-            "translation_invariant": self.translation_invariant,
-            "decay_probe": list(self.decay_probe),
-            "decay_holds": self.decay_holds,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def verify_mu_conditions(measure):

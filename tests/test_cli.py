@@ -96,6 +96,19 @@ _BAD_BOX = {"family": "box", "level": "low", "lo": [-1.0], "hi": [1.0]}
      "'output.prefix' must be a nonempty string"),
     (lambda c: c.update(output={"prefix": ""}),
      "'output.prefix' must be a nonempty string"),
+    (lambda c: c.update(output={"prefix": "sub/x"}),
+     "'output.prefix' must be a file name, not a path"),
+    (lambda c: c.update(output={"prefix": "../x"}),
+     "'output.prefix' must be a file name, not a path"),
+    (lambda c: c.update(output={"prefix": ".."}),
+     "'output.prefix' must be a file name, not a path"),
+    # range errors of the library name the block they come from
+    (lambda c: c["observables"][0].update(level=-1.5),
+     "'observables[0]': level must lie in (-1, 0]"),
+    (lambda c: c.update(domain={"mode": "torus", "dim": 1, "side": -2}),
+     "'domain': torus mode needs side > 0"),
+    (lambda c: c["start"].update(points=[[0.0, 1.0]]),
+     "'start': points must be an (n, dim) array"),
 ])
 def test_config_error_messages_name_the_path(tmp_path, capsys, edit,
                                              message):
@@ -107,6 +120,23 @@ def test_config_error_messages_name_the_path(tmp_path, capsys, edit,
     assert cli.main(["laplace", "--config", path, "--out",
                      str(tmp_path)]) == 2
     assert capsys.readouterr().err == "config error: %s\n" % message
+
+
+@pytest.mark.parametrize("prefix", ["sub/x", "../x", "."])
+def test_prefix_with_a_path_is_refused_before_any_work(tmp_path, capsys,
+                                                       prefix):
+    # "sub/x" once ran the whole command and then died writing into a
+    # missing directory; "../x" wrote outside --out
+    from freedyn import cli
+
+    cfg = dict(MARKOV_CFG, output={"prefix": prefix})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    (out / "sub").mkdir(parents=True)
+    assert cli.main(["laplace", "--config", path, "--out", str(out)]) == 2
+    assert "'output.prefix'" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == [
+        "cfg.json", "out", "sub"]
 
 
 def test_sample_poisson_outputs(tmp_path):
@@ -885,6 +915,56 @@ def test_evolve_outputs_keep_their_bytes(tmp_path, case):
         got.append(hashlib.sha256(out.read_bytes()).hexdigest()
                    if out.exists() else None)
     assert got == digests
+
+
+_CORR_1D = {"mode": "fullspace", "window": [[0.0], [5.0]]}
+_CORR_2D = {"mode": "fullspace", "window": [[0.0, 0.0], [3.0, 3.0]]}
+
+# config blocks, then the sha256 of <prefix>_correlation.csv and
+# <prefix>_correlation.json
+_CORRELATION_BYTES = {
+    "order1-1d": (
+        {"domain": _CORR_1D, "start": {"kind": "poisson", "intensity": 2.0},
+         "correlation": {"order": 1, "bins": 4}},
+        "b62629ec0b3e901daac1d588e32e157ba07718222e382c7a08252606784ee844",
+        "b8443e073dc783204062ba5e9b61e348b68bea86c32deb01933e97d5966bf4f9"),
+    # the shape of the correlation benchmark workload
+    "order2-2d": (
+        {"domain": _CORR_2D, "start": {"kind": "poisson", "intensity": 1.0},
+         "correlation": {"order": 2, "bins": 3}},
+        "ce6f71d435653f5083170601223674db1b2397003b9e3654defc94daf1fd8861",
+        "ec6093c93b826848c024583793a8ae2ece0f6cc47b5690f34ffdc0aa7c47efb0"),
+    "order3-1d": (
+        {"domain": _CORR_1D, "start": {"kind": "poisson", "intensity": 2.0},
+         "correlation": {"order": 3, "bins": 3}},
+        "8ed77897e0d3f31e7780ef42d1387c27f49bcea4de45beb34d64bb92a7b2ad83",
+        "848d583adc7680351696caf549748515de595d3d67953781c924a3d5be8f0ced"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORRELATION_BYTES))
+def test_correlation_outputs_keep_their_bytes(tmp_path, case):
+    """The correlation grid writes the same bytes at seed 1, on reruns and
+    at 1, 2 and 4 threads (25 000 replicas: two chunks).
+
+    A rewrite of the sampler, the binning or the reduce must leave the
+    digests as they are.
+    """
+    import hashlib
+
+    from freedyn import cli
+
+    blocks, *digests = _CORRELATION_BYTES[case]
+    cfg = dict(blocks, samples=25000, rng={"seed": 1},
+               output={"prefix": "c"})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "4")):
+        out = tmp_path / name
+        assert cli.main(["correlation", "--config", path, "--threads",
+                         threads, "--out", str(out)]) == 0
+        got = [hashlib.sha256((out / ("c_" + suffix)).read_bytes()).hexdigest()
+               for suffix in ("correlation.csv", "correlation.json")]
+        assert got == digests, name
 
 
 # --- one dynamics reader for evolve, laplace and generator-check ----------

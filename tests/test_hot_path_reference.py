@@ -24,7 +24,16 @@ taking 200 steps, under the promise of the same widths.  The torus
 smoothing ``gauss_smooth_box_torus`` evaluates the normal cdf once per box
 edge and axis over all periodic images, not once per image, and adds the
 images in the same order, under the promise of the same bits (the
-reference calls freedyn's own ``ndtr``).
+reference calls freedyn's own ``ndtr``).  The correlation reduce
+``correlations_from_counts`` builds each bin's falling factorials once
+and reduces each cell through ``mean_se``, which takes one sum for the
+mean and one for the squared deviations; the Poisson sampler, the
+Neyman-Scott parents and the space-time rain scale and shift their
+uniform draw column by column instead of by a broadcast, all under the
+promise of the same bits (``ref_correlations_from_counts``,
+``ref_mean_se``, ``ref_poisson_sample_batch`` and
+``ref_sample_space_time_batch``; ``ref_neyman_scott`` already places its
+parents by the broadcast).
 The functions below are the earlier implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
 shapes, domains and seeds.  One line changed on purpose: the Kawasaki
@@ -34,6 +43,8 @@ and ``ref_kawasaki`` spells that rule out row by row.
 """
 
 import math
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -48,10 +59,14 @@ from freedyn.functions import (TestFunction, gauss_smooth_box_torus, ndtr,
 from freedyn.kernels import (_DRAW_BLOCK, BrownianKernel, BumpProfile,
                              DeathKernel, GaussianProfile, KawasakiKernel,
                              KilledBrownianKernel, _jump_blocks)
-from freedyn.observables import glauber_joint_laplace
+from freedyn.observables import (CorrelationGrid, bin_counts,
+                                 check_correlation_grid, correlation_edges,
+                                 correlations_from_counts,
+                                 glauber_joint_laplace)
 from freedyn.pointproc import (CHUNK, BoundedField, Configuration,
-                               PoissonMeasure, RngStream, as_field,
-                               sample_poisson_space_time)
+                               PoissonMeasure, RngStream, as_field, mean_se,
+                               sample_poisson_space_time,
+                               sample_space_time_batch)
 from freedyn.scaling import NeymanScottMeasure, _chunk_joint_values
 from freedyn.space import Domain, in_box
 
@@ -386,6 +401,67 @@ def ref_gauss_smooth_box_torus(func, var, points, side):
                     - ndtr((func.support_lo[axis] + shift - x) / sd))
         out = out * acc
     return out
+
+
+def ref_mean_se(values):
+    """Mean and standard error of replica values; needs two replicas."""
+    if len(values) < 2:
+        raise ValueError("need at least 2 replicas")
+    return float(values.mean()), float(values.std(ddof=1) / math.sqrt(len(values)))
+
+
+def _falling(counts, m):
+    out = counts.astype(float)
+    for j in range(1, m):
+        out = out * (counts - j)
+    return out
+
+
+def ref_correlations_from_counts(counts, order, edges):
+    n_rep, n_flat = counts.shape
+    check_correlation_grid(order, n_flat)
+    vol_bin = float(np.prod([(e[-1] - e[0]) / (len(e) - 1) for e in edges]))
+
+    tuples = list(combinations_with_replacement(range(n_flat), order))
+    estimates = np.empty(len(tuples))
+    stderrs = np.empty(len(tuples))
+    for i, tup in enumerate(tuples):
+        vals = np.ones(n_rep)
+        for b, m in Counter(tup).items():
+            vals = vals * _falling(counts[:, b], m)
+        denom = vol_bin ** order
+        estimates[i] = np.mean(vals) / denom
+        stderrs[i] = (np.std(vals, ddof=1) / math.sqrt(len(vals)) / denom
+                      if len(vals) > 1 else 0.0)
+    return CorrelationGrid(order, edges, tuples, estimates, stderrs, n_rep)
+
+
+def ref_poisson_sample_batch(measure, n_rep, gen, ends=False):
+    lo, hi = measure.domain.lower, measure.domain.upper
+    volume = float(np.prod(hi - lo))
+    counts = gen.poisson(measure.intensity * volume, size=n_rep)
+    total = int(counts.sum())
+    pts = gen.random((total, measure.domain.dim))
+    pts *= hi - lo
+    pts += lo
+    if ends:
+        return pts, np.cumsum(counts)
+    ids = np.repeat(np.arange(n_rep), counts)
+    return pts, ids
+
+
+def ref_sample_space_time_batch(n_rep, rate, horizon, lo, hi, gen):
+    field_ = as_field(rate)
+    volume = float(np.prod(hi - lo))
+    counts = gen.poisson(field_.bound * volume * horizon, size=n_rep)
+    total = int(counts.sum())
+    pts = lo + (hi - lo) * gen.random((total, len(lo)))
+    times = horizon * gen.random(total)
+    ids = np.repeat(np.arange(n_rep), counts)
+    if field_.bound > 0 and total > 0:
+        accept = gen.random(total) * field_.bound < field_(pts)
+        pts, ids, times = pts[accept], ids[accept], times[accept]
+    return pts, ids, times
 
 
 # ---------------------------------------------------------------------------
@@ -1065,3 +1141,115 @@ def test_gauss_smooth_box_torus_matches_image_loop(dim, var):
     pts = np.random.default_rng(dim).uniform(-1.0, 6.0, size=(257, dim))
     got = gauss_smooth_box_torus(func, var, pts, side)
     _same(got, ref_gauss_smooth_box_torus(func, var, pts, side))
+
+
+# ---------------------------------------------------------------------------
+# the correlation reduce and the column-wise samplers
+
+@pytest.mark.parametrize("n", [2, 3, 7, 8193, 20_000, 100_003])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "reversed"])
+@pytest.mark.parametrize("dtype", [float, np.int64, bool])
+def test_mean_se_matches_reference(n, layout, dtype):
+    # strided columns go through numpy's buffered reduction, in blocks
+    table = np.random.default_rng(n).lognormal(1.0, 2.0, size=(n, 3))
+    table = (table > 3.0) if dtype is bool else table.astype(dtype)
+    values = {"contiguous": np.ascontiguousarray(table[:, 1]),
+              "strided": table[:, 1], "reversed": table[::-1, 2]}[layout]
+    got, want = mean_se(values), ref_mean_se(values)
+    assert got == want
+    assert all(type(v) is float for v in got)
+
+
+def _correlation_counts(dim, n_rep, seed, empty=False):
+    # [0, 3]^dim, 3 bins an axis (2 in 3-D), about four points a bin
+    domain = Domain.fullspace((0.0,) * dim, (3.0,) * dim)
+    edges = correlation_edges(domain, 3 if dim < 3 else 2)
+    z = 4.0 * (len(edges[0]) - 1) ** dim / 3.0 ** dim
+    pts, ids = PoissonMeasure(domain, z).sample_batch(
+        0 if empty else n_rep, RngStream(seed).generator())
+    return bin_counts(pts, ids, n_rep, domain, edges), edges
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_rep", [1, 2, 7, 20_000])
+def test_correlations_from_counts_match_reference(order, dim, n_rep):
+    counts, edges = _correlation_counts(dim, n_rep, 100 * dim + n_rep)
+    assert counts.any()
+    got = correlations_from_counts(counts, order, edges)
+    want = ref_correlations_from_counts(counts, order, edges)
+    assert got.index_tuples == want.index_tuples
+    assert got.n_samples == want.n_samples == n_rep
+    _same(got.estimates, want.estimates)
+    _same(got.stderrs, want.stderrs)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n_rep", [1, 2, 7])
+def test_correlations_of_empty_batches_match_reference(order, dim, n_rep):
+    counts, edges = _correlation_counts(dim, n_rep, 0, empty=True)
+    assert not counts.any()
+    got = correlations_from_counts(counts, order, edges)
+    want = ref_correlations_from_counts(counts, order, edges)
+    _same(got.estimates, want.estimates)
+    _same(got.stderrs, want.stderrs)
+
+
+def test_correlations_from_counts_of_a_strided_table_match_reference():
+    counts, edges = _correlation_counts(2, 5000, 3)
+    strided = np.asfortranarray(counts)[::-1]
+    for order in (1, 2, 3):
+        got = correlations_from_counts(strided, order, edges)
+        want = ref_correlations_from_counts(strided, order, edges)
+        _same(got.estimates, want.estimates)
+        _same(got.stderrs, want.stderrs)
+
+
+def _sampler_domains(dim):
+    return {"torus": Domain.torus(dim, 3.5),
+            "fullspace": Domain.fullspace((-1.25,) * dim,
+                                          (2.0 + 0.5 * dim,) * dim)}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["torus", "fullspace"])
+@pytest.mark.parametrize("n_rep", [0, 1, 7, 20_000])
+@pytest.mark.parametrize("ends", [False, True])
+def test_poisson_sample_batch_matches_broadcast_reference(dim, mode, n_rep,
+                                                          ends):
+    measure = PoissonMeasure(_sampler_domains(dim)[mode], 0.8)
+    got_gen, want_gen = RngStream(n_rep, 6).generator(), \
+        RngStream(n_rep, 6).generator()
+    got = measure.sample_batch(n_rep, got_gen, ends=ends)
+    want = ref_poisson_sample_batch(measure, n_rep, want_gen, ends=ends)
+    _same(got[0], want[0])
+    _same(got[1], want[1])
+    _same_next_draw(got_gen, want_gen)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["torus", "fullspace"])
+@pytest.mark.parametrize("n_rep", [0, 1, 7, 2000])
+@pytest.mark.parametrize("rate", list(RAIN_RATES), ids=list(RAIN_RATES))
+def test_sample_space_time_batch_matches_broadcast_reference(dim, mode,
+                                                             n_rep, rate):
+    domain = _sampler_domains(dim)[mode]
+    lo, hi = domain.lower + 0.25, domain.upper - 0.5
+    got_gen, want_gen = RngStream(n_rep, 7).generator(), \
+        RngStream(n_rep, 7).generator()
+    got = sample_space_time_batch(n_rep, RAIN_RATES[rate], 1.5, lo, hi,
+                                  got_gen)
+    want = ref_sample_space_time_batch(n_rep, RAIN_RATES[rate], 1.5, lo, hi,
+                                       want_gen)
+    for a, b in zip(got, want, strict=True):
+        _same(a, b)
+    _same_next_draw(got_gen, want_gen)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("mode", ["torus", "fullspace"])
+@pytest.mark.parametrize("n_rep", [0, 1, 7, 2000])
+def test_neyman_scott_parents_match_broadcast_reference(dim, mode, n_rep):
+    measure = NeymanScottMeasure(_sampler_domains(dim)[mode], 0.4, 0.5, 0.2)
+    _same_batch(measure, ref_neyman_scott, n_rep, 8 + n_rep)

@@ -297,6 +297,13 @@ class TestCorrelations:
         grid = estimate_correlations(empty, 2, bins_per_axis=3)
         assert np.all(grid.estimates == 0.0) and np.all(grid.stderrs == 0.0)
 
+    def test_grid_without_replicas_is_refused(self):
+        # zero count rows once gave a grid of nan with numpy warnings
+        edges = correlation_edges(D1, 3)
+        with pytest.raises(ValueError, match="empty sample set"):
+            correlations_from_counts(np.zeros((0, 3), dtype=np.int64), 2,
+                                     edges)
+
 
 # independent partition enumerator via restricted growth strings, used to
 # cross-check both set_partitions and the Ursell conversion

@@ -11,8 +11,9 @@ small-jump scaling limit connecting jump dynamics to birth-and-death.
 __version__ = "0.1.0"
 
 from .space import Domain, ball_volume
-from .pointproc import (BoundedField, Configuration, PoissonMeasure,
-                        RngStream, as_field, parallel_map_ordered,
+from .pointproc import (BoundedField, Configuration, MuConditionsReport,
+                        NeymanScottMeasure, PoissonMeasure, RngStream,
+                        as_field, parallel_map_ordered,
                         sample_poisson_space_time, theta_check)
 from .functions import (NumericFunction, TestFunction, gauss_smooth,
                         integrate_function)
@@ -32,8 +33,7 @@ from .observables import (CylinderFunction, UrsellTable,
                           glauber_joint_laplace, pairing,
                           poisson_laplace_exponent, set_partitions,
                           ursell_from_correlations)
-from .scaling import (NeymanScottMeasure, ScalingReport,
-                      run_scaling_experiment, verify_mu_conditions)
+from .scaling import ScalingReport, run_scaling_experiment
 from .experiments import (ExperimentReport, glauber_joint_experiment,
                           markov_laplace_experiment,
                           poisson_correlation_experiment,

@@ -35,9 +35,10 @@ from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       check_summability, exit_probability,
                       kawasaki_polynomial_certificate)
 from .observables import CylinderFunction, generator_fd_check
-from .pointproc import (SIGMAS, Comparison, Configuration, PoissonMeasure,
-                        RngStream, check_times, theta_check)
-from .scaling import NeymanScottMeasure, run_scaling_experiment
+from .pointproc import (SIGMAS, Comparison, Configuration,
+                        NeymanScottMeasure, PoissonMeasure, RngStream,
+                        check_times, theta_check)
+from .scaling import run_scaling_experiment
 from .space import Domain
 
 
@@ -94,6 +95,12 @@ def _vec(value, path):
                 for v in value):
         raise ConfigError("'%s' must be a nonempty number list" % path)
     return [float(v) for v in value]
+
+
+def _points(value, path):
+    if not isinstance(value, list):
+        raise ConfigError("'%s' must be a list of points" % path)
+    return [_vec(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
 
 
 def _times(value, path):
@@ -241,11 +248,8 @@ def build_start(cfg, domain, config_dir):
                            block.num("parent_intensity"),
                            block.num("second_prob"), block.num("cluster_std"))
     if "csv" not in block.raw:
-        points = block.value("points")
-        if not isinstance(points, list):
-            raise ConfigError("'%s' must be a list of points"
-                              % block.key_path("points"))
-        return block.build(Configuration, points, domain)
+        return block.build(Configuration, block.read("points", _points),
+                           domain)
     path = block.key_path("csv")
     try:
         with open(os.path.join(config_dir, block.value("csv")), "r",

@@ -8,8 +8,9 @@ level, and smooth radial bumps (infinitely differentiable, so they can also
 feed the diffusion generator, which needs two derivatives).
 
 The module also provides Gaussian smoothing (heat-kernel convolution) with
-closed forms for boxes, including the image-sum version on a torus, and
-the package's one quadrature engine, ``box_quad``: every analytic oracle
+closed forms for boxes, including the image-sum version on a torus (only
+``gauss_smooth``'s ``side`` chooses between the two), and the package's
+one quadrature engine, ``box_quad``: every analytic oracle
 that needs an integral the closed forms do not give calls it.  The engine
 is globally adaptive product Gauss-Kronrod quadrature (the 21-point rule
 of QUADPACK, Piessens et al. 1983), written here in numpy so that no
@@ -343,7 +344,7 @@ def integrate_function(func, tol=1e-10):
     return box_quad(func, func.support_lo, func.support_hi, tol)[0]
 
 
-def gauss_smooth(func, var, points, weights=1.0):
+def gauss_smooth(func, var, points, weights=1.0, side=None):
     """Heat smoothing: E[func(x + Z)] with Z ~ Normal(0, var * Id).
 
     var and weights may be matching arrays: the sum over the Gaussian
@@ -351,13 +352,18 @@ def gauss_smooth(func, var, points, weights=1.0):
     product-of-normal-cdf form; other supported functions are integrated
     over their support box, in one array-valued quadrature that serves
     every evaluation point and every mixture term.
-    var = 0 returns func itself (times the total weight).
+    var = 0 returns func itself (times the total weight).  With side, Z
+    wraps on the torus of that side: the mixture is summed term by term,
+    from 0, through gauss_smooth_box_torus, which takes boxes only.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     var = np.atleast_1d(np.asarray(var, dtype=float))
     weights = np.broadcast_to(np.asarray(weights, dtype=float), var.shape)
     if np.any(var < 0):
         raise ValueError("var must be >= 0")
+    if side is not None:
+        return sum(w * gauss_smooth_box_torus(func, v, points, side)
+                   for w, v in zip(weights, var))
     if not np.any(var):
         return np.sum(weights) * func(points)
     sd = np.sqrt(var)[:, None, None]

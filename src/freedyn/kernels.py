@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .functions import (NumericFunction, bump_shape_integral, gauss_smooth,
-                        gauss_smooth_box_torus, integrate_function)
+                        integrate_function)
 from .pointproc import as_field, mean_se
 
 DEFAULT_TOL = 1e-8
@@ -141,13 +141,9 @@ class GaussianProfile:
     def smooth(self, func, weights, pts, torus_side=None):
         """E[func(x + D)] at the rows x of pts, D with the jump mixture law,
         term n Gaussian of variance n std**2: gauss_smooth of the whole
-        mixture (the wrapped box closed form on a torus, which refuses
-        other functions)."""
+        mixture (wrapped on a torus)."""
         var = self.std ** 2 * np.arange(1, len(weights) + 1)
-        if torus_side is not None:
-            return sum(w * gauss_smooth_box_torus(func, v, pts, torus_side)
-                       for w, v in zip(weights, var))
-        return gauss_smooth(func, var, pts, weights)
+        return gauss_smooth(func, var, pts, weights, torus_side)
 
     def scaled(self, eps):
         if not eps > 0:
@@ -574,19 +570,15 @@ class BrownianKernel(Kernel):
             return phi
         if self.domain.is_torus:
             side = self.domain.side
-
-            def func(pts):
-                return gauss_smooth_box_torus(phi, t, pts, side)
-
-            return NumericFunction(func, np.zeros(self.domain.dim),
-                                   np.full(self.domain.dim, side), phi.bound)
-        pad = _effective_pad(t)
+            lo, hi = np.zeros(self.domain.dim), np.full(self.domain.dim, side)
+        else:
+            side, pad = None, _effective_pad(t)
+            lo, hi = phi.support_lo - pad, phi.support_hi + pad
 
         def func(pts):
-            return gauss_smooth(phi, t, pts)
+            return gauss_smooth(phi, t, pts, side=side)
 
-        return NumericFunction(func, phi.support_lo - pad, phi.support_hi + pad,
-                               phi.bound)
+        return NumericFunction(func, lo, hi, phi.bound)
 
     def survival(self, x, t):
         return 1.0
@@ -827,7 +819,7 @@ class KilledBrownianKernel(Kernel):
     With a constant rate the semigroup and survival are exact:
     exp(-a t) times the conservative heat flow (wrapped on a torus).  For
     nonconstant rates the semigroup uses a splitting scheme on a spatial
-    grid (dimension one, full space), with documented O(h) time-step bias.
+    grid (dim 1, full space; O(h) time-step bias) and survival refuses.
     """
 
     variant = "killed_brownian"
@@ -839,7 +831,6 @@ class KilledBrownianKernel(Kernel):
         self.h_kill = h_kill
         # constants get exact semigroup and survival formulas
         self._rate_const = float(rate) if isinstance(rate, (int, float)) else None
-        self._constant_rate = self._rate_const is not None
 
     def _step(self, t):
         return self.h_kill if self.h_kill is not None else max(t / 1000.0, 1e-9)
@@ -874,7 +865,7 @@ class KilledBrownianKernel(Kernel):
             raise ValueError("t must be >= 0")
         if t == 0:
             return phi
-        if self._constant_rate:
+        if self._rate_const is not None:
             damp = math.exp(-self._rate_const * t)
             heat = BrownianKernel(self.domain).semigroup(phi, t, tol)
             return NumericFunction(lambda pts: damp * heat(pts),
@@ -913,25 +904,20 @@ class KilledBrownianKernel(Kernel):
 
         return NumericFunction(func, np.array([lo]), np.array([hi]), phi.bound)
 
-    def survival(self, x, t, n_paths=20000, rng=None):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
+    def survival(self, x, t):
         if t == 0:
             return 1.0
-        if self._constant_rate:
-            return math.exp(-self._rate_const * t)
-        if rng is None:
-            raise ValueError("nonconstant killing survival needs an RngStream")
-        gen = rng.generator()
-        pts = np.repeat(x, n_paths, axis=0)
-        _, alive = self.propagate_batch(pts, t, gen)
-        return float(alive.mean())
+        if self._rate_const is None:
+            raise NotImplementedError(
+                "nonconstant killing survival not implemented")
+        return math.exp(-self._rate_const * t)
 
     def tail_bound(self, t, r):
         # killing only removes mass, so the conservative heat tail dominates
         return _heat_tail(self.domain.dim, t, r)
 
     def image_integral(self, phi, image, t, tol):
-        if self._constant_rate:
+        if self._rate_const is not None:
             # heat flow preserves the integral; killing scales it
             return math.exp(-self._rate_const * t) * integrate_function(phi, tol)
         return integrate_function(image, tol)

@@ -1,19 +1,21 @@
 """Random point configurations, starting measures and Poisson sampling.
 
 A configuration is a finite simple point set (all points distinct) in a
-domain.  Every starting measure of the dynamics speaks one protocol:
-``sample_batch(n_rep, gen) -> (points, replica ids)``, ``sample(rng) ->
-Configuration`` (a one-replica batch) and
+domain.  Every starting measure of the dynamics lives here and speaks one
+protocol: ``sample_batch(n_rep, gen) -> (points, replica ids)``,
+``sample(rng) -> Configuration`` (a one-replica batch) and
 ``expected_product_functional(terms, tol)``.  A random measure (a
 BatchMeasure) also gives ``sample_batch(n_rep, gen, ends=True) -> (points,
 end rows)``: the same draws, each replica a run of rows, with no id per
-point.  A Configuration is the point-mass measure at itself;
-PoissonMeasure is the homogeneous Poisson measure and the one Poisson
-configuration sampler.  Space-time Poisson arrivals (the immigration rain
-of the dynamics) are drawn replica batch by replica batch with constant or
-bounded inhomogeneous rate.  All draws come from SFC64 streams seeded from
-a (seed, stream) pair through ``SeedSequence``, so every draw is
-reproducible from that pair regardless of how work is scheduled.
+point; and ``mu_conditions()``, its admissibility report.  A
+Configuration is the point-mass measure at itself; PoissonMeasure is the
+homogeneous Poisson measure and NeymanScottMeasure the two-point cluster
+measure.  Every Poisson batch (configurations, cluster parents, and the
+space-time arrivals of the immigration rain, at constant or bounded
+inhomogeneous rate) comes from ``poisson_points``.  All draws come from
+SFC64 streams seeded from a (seed, stream) pair through ``SeedSequence``,
+so every draw is reproducible from that pair regardless of how work is
+scheduled.
 
 The growth certificate ``theta_check`` reports, for an observed
 configuration, the smallest integer K such that the ball counts around a
@@ -36,7 +38,7 @@ import numpy as np
 # with freedyn rather than inside a command's first draw
 from numpy.random import SFC64, Generator, SeedSequence
 
-from .functions import integrate_function
+from .functions import box_quad, gauss_smooth, integrate_function, support_box
 from .space import Domain, ball_volume
 
 _MASK64 = (1 << 64) - 1
@@ -334,15 +336,28 @@ class Configuration:
         return Configuration(pts, domain)
 
 
-def uniform_points(gen, n, lo, hi):
-    """n uniform points in the box [lo, hi): lo + (hi - lo) * u, scaled and
-    shifted in place column by column (a broadcast of the (n, dim) draw by
-    (dim,) vectors costs several times as much per element)."""
-    pts = gen.random((n, len(lo)))
+_BLOCK = 1 << 15  # rows per blocked pass: its buffers stay in cache
+# mu_conditions: growth checked up to order _GROWTH_ORDER; decay probed at
+# _PROBE_DISTANCE / eps along _PROBE_EPS, and holding when the last probe
+# is at most _DECAY_TOL of the largest value
+_GROWTH_ORDER = 8
+_PROBE_EPS = (1.0, 0.5, 0.25, 0.1)
+_PROBE_DISTANCE = 1.0
+_DECAY_TOL = 1e-3
+
+
+def poisson_points(gen, n_rep, mean, lo, hi):
+    """n_rep Poisson counts of the given mean, then that many uniform
+    points in the box [lo, hi), as (points, counts).  A point is
+    lo + (hi - lo) * u, scaled and shifted in place column by column (a
+    broadcast of the (n, dim) draw by (dim,) vectors costs several times
+    as much per element)."""
+    counts = gen.poisson(mean, size=n_rep)
+    pts = gen.random((int(counts.sum()), len(lo)))
     for col, a, b in zip(pts.T, lo, hi):
         col *= b - a
         col += a
-    return pts
+    return pts, counts
 
 
 class BatchMeasure:
@@ -351,6 +366,42 @@ class BatchMeasure:
     def sample(self, rng):
         pts, _ = self.sample_batch(1, rng.generator())
         return Configuration(pts, self.domain)
+
+
+@dataclass(frozen=True)
+class MuConditionsReport:
+    """A random starting measure's admissibility checks (mu_conditions).
+
+    (i) ``growth_constant`` and ``growth_exponent`` are the (C, gamma)
+    pair in the bound k^(n) <= (n!)**gamma * C**n, checked numerically up
+    to ``growth_checked_to``.  (ii) Both random families are translation
+    invariant by construction.  (iii) ``decay_probe`` records the second
+    cluster correlation at separations probe/eps along the epsilon
+    schedule; a finite probe certifies decay at the probed separations
+    only.
+    """
+
+    family: str
+    admissible: bool
+    growth_exponent: float
+    growth_constant: float
+    growth_checked_to: int
+    growth_holds: bool
+    translation_invariant: bool
+    decay_probe: tuple
+    decay_holds: bool
+    notes: tuple
+
+    def to_dict(self):
+        return asdict(self)
+
+
+def _involution_numbers(n_max):
+    # partitions of {1..n} into singletons and pairs
+    vals = [1, 1]
+    for n in range(2, n_max + 1):
+        vals.append(vals[n - 1] + (n - 1) * vals[n - 2])
+    return vals
 
 
 @dataclass(frozen=True)
@@ -380,22 +431,187 @@ class PoissonMeasure(BatchMeasure):
         With ends, the second array is instead each replica's end row, one
         past its last: replica r holds the rows from ends[r - 1] (0 for
         r = 0) up to ends[r].  Same draws, no id per point.  The points
-        are uniform_points in the window; on a torus they lie in [0, side).
+        are poisson_points in the window; on a torus they lie in [0, side).
         """
         lo, hi = self.domain.lower, self.domain.upper
         volume = float(np.prod(hi - lo))
-        counts = gen.poisson(self.intensity * volume, size=n_rep)
-        total = int(counts.sum())
-        pts = uniform_points(gen, total, lo, hi)
+        pts, counts = poisson_points(gen, n_rep, self.intensity * volume,
+                                     lo, hi)
         if ends:
             return pts, np.cumsum(counts)
-        ids = np.repeat(np.arange(n_rep), counts)
-        return pts, ids
+        return pts, np.repeat(np.arange(n_rep), counts)
 
     def expected_product_functional(self, terms, tol=1e-10):
         """E[prod over points of (1 + sum_j coef_j fn_j)] in closed form."""
         total = sum(coef * integrate_function(fn, tol) for coef, fn in terms)
         return math.exp(self.intensity * total)
+
+    def mu_conditions(self):
+        """The admissibility report: correlations z**n, no cluster
+        correlation of order >= 2."""
+        return MuConditionsReport(
+            family=self.family, admissible=True,
+            growth_exponent=0.0, growth_constant=self.intensity,
+            growth_checked_to=_GROWTH_ORDER, growth_holds=True,
+            translation_invariant=True,
+            decay_probe=tuple(0.0 for _ in _PROBE_EPS), decay_holds=True,
+            notes=("correlations are exactly z**n",
+                   "cluster correlations of order >= 2 vanish identically"))
+
+
+@dataclass(frozen=True)
+class NeymanScottMeasure(BatchMeasure):
+    """Cluster starting measure: Poisson parents, one or two offspring each.
+
+    Parents form a homogeneous Poisson process with intensity
+    ``parent_intensity``.  Every parent produces one offspring, and with
+    probability ``second_prob`` a second one; offspring are displaced from
+    the parent by independent centered Gaussians with scale ``cluster_std``
+    (wrapped on a torus).  Parents themselves are not points of the process.
+
+    Closed correlation data: the intensity is parent_intensity * (1 + q)
+    and the second cluster correlation is 2 * parent_intensity * q times
+    the centered Gaussian density with variance 2 * cluster_std**2 at the
+    pair separation.  Cluster correlations of order >= 3 vanish because a
+    cluster never holds more than two points.
+    """
+
+    domain: Domain
+    parent_intensity: float
+    second_prob: float
+    cluster_std: float
+
+    family = "neyman-scott"
+
+    def __post_init__(self):
+        if not self.parent_intensity > 0:
+            raise ValueError("parent_intensity must be > 0")
+        if not 0.0 <= self.second_prob <= 1.0:
+            raise ValueError("second_prob must lie in [0, 1]")
+        if not self.cluster_std > 0:
+            raise ValueError("cluster_std must be > 0")
+
+    @property
+    def k1(self):
+        return self.parent_intensity * (1.0 + self.second_prob)
+
+    def u2(self, distance):
+        """Second cluster correlation at the given pair separations."""
+        d = self.domain.dim
+        var = 2.0 * self.cluster_std ** 2
+        r = np.asarray(distance, dtype=float)
+        norm = (2.0 * math.pi * var) ** (-d / 2.0)
+        return (2.0 * self.parent_intensity * self.second_prob
+                * norm * np.exp(-np.square(r) / (2.0 * var)))
+
+    @property
+    def u2_max(self):
+        return float(self.u2(0.0))
+
+    def sample_batch(self, n_rep, gen, ends=False):
+        """Sample n_rep independent configurations as (points, replica ids).
+
+        With ends, the second array is instead each replica's end row, one
+        past its last, as PoissonMeasure.sample_batch gives it.  Stream
+        layout: the parent counts, the parent positions, one uniform per
+        parent for its second offspring, then one normal vector per
+        offspring, in parent order.  The parents are added to their
+        offspring _BLOCK parents at a time and the ids come from the
+        per-replica offspring counts, so no offspring-long temporary is
+        made; the blocks leave the stream and the bits unchanged.  Points
+        are wrapped into the cell on a torus.
+        """
+        domain = self.domain
+        if domain.is_torus:
+            lo, hi = domain.lower, domain.upper
+        else:
+            # pad so clusters with parents just outside still reach the window
+            pad = 8.0 * self.cluster_std
+            lo, hi = domain.lower - pad, domain.upper + pad
+        volume = float(np.prod(hi - lo))
+        parent_pts, n_parents = poisson_points(
+            gen, n_rep, self.parent_intensity * volume, lo, hi)
+        total_parents = len(parent_pts)
+        second = gen.random(total_parents) < self.second_prob
+        pts = gen.standard_normal(
+            (total_parents + int(np.count_nonzero(second)), domain.dim))
+        pts *= self.cluster_std
+        # per block of parents: add them to their offspring, and read the
+        # running count of seconds at the replicas whose last parent it holds
+        last = np.cumsum(n_parents)  # one past each replica's last parent
+        seconds = np.zeros(n_rep, dtype=np.intp)  # seconds of replicas <= r
+        done = 0  # seconds of the parents before the block
+        for start in range(0, total_parents, _BLOCK):
+            stop = min(start + _BLOCK, total_parents)
+            extra = second[start:stop]
+            block = np.repeat(parent_pts[start:stop], 1 + extra, axis=0)
+            pts[start + done:start + done + len(block)] += block
+            counts = np.cumsum(extra)
+            reps = slice(*np.searchsorted(last, (start, stop), side="right"))
+            seconds[reps] = done + counts[last[reps] - start - 1]
+            done += int(counts[-1])
+        del parent_pts, second
+        per_rep = np.diff(seconds, prepend=0)
+        per_rep += n_parents
+        pts = domain.wrap(pts, copy=False)
+        if ends:
+            return pts, np.cumsum(per_rep)
+        return pts, np.repeat(np.arange(n_rep), per_rep)
+
+    def _smooth(self, terms, c_pts):
+        # G(c) = E[F(c + offset)], the cluster-displacement smoothing of F:
+        # the offset is Gaussian with variance cluster_std**2
+        side = self.domain.side if self.domain.is_torus else None
+        return sum(coef * gauss_smooth(fn, self.cluster_std ** 2, c_pts,
+                                       side=side)
+                   for coef, fn in terms)
+
+    def expected_product_functional(self, terms, tol=1e-10):
+        """E[prod over points of (1 + F)] with F = sum_j coef_j fn_j.
+
+        Conditioning on the parent process and averaging each cluster gives
+        a per-parent factor (1 + G(c)) or (1 + G(c))**2 with G the cluster
+        smoothing of F, hence the Poisson-parent closed form
+
+            exp[ rho * integral of ((1 + q) G + q G**2) ].
+        """
+        q = self.second_prob
+
+        def integrand(c_pts):
+            g = self._smooth(terms, c_pts)
+            return (1.0 + q) * g + q * g * g
+
+        if self.domain.is_torus:
+            lo, hi = self.domain.lower, self.domain.upper
+        else:
+            lo, hi = support_box([fn for _, fn in terms],
+                                 10.0 * self.cluster_std)
+        value, _ = box_quad(integrand, lo, hi, tol)
+        return math.exp(self.parent_intensity * value)
+
+    def mu_conditions(self):
+        """The admissibility report.  Correlations split over pairings:
+        k^(n) <= I_n * C0**n with I_n the number of involutions, and
+        I_n <= sqrt(n!) * e**sqrt(n) gives gamma = 1/2, C = e * C0.  Decay
+        is probed pointwise along the epsilon schedule."""
+        c0 = max(1.0, self.k1, self.u2_max)
+        inv = _involution_numbers(_GROWTH_ORDER)
+        growth_c = math.e * c0
+        holds = all(inv[n] * c0 ** n <= math.sqrt(math.factorial(n)) * growth_c ** n
+                    for n in range(1, _GROWTH_ORDER + 1))
+        probes = tuple(float(self.u2(_PROBE_DISTANCE / eps))
+                       for eps in _PROBE_EPS)
+        decreasing = all(b <= a for a, b in zip(probes, probes[1:]))
+        decay = decreasing and \
+            probes[-1] <= _DECAY_TOL * max(self.u2_max, 1e-300)
+        return MuConditionsReport(
+            family=self.family, admissible=holds and decay,
+            growth_exponent=0.5, growth_constant=growth_c,
+            growth_checked_to=_GROWTH_ORDER, growth_holds=holds,
+            translation_invariant=True,
+            decay_probe=probes, decay_holds=decay,
+            notes=("pairing bound via involution numbers",
+                   "decay probed pointwise along the epsilon schedule"))
 
 
 def _sampling_box(domain, lo, hi):
@@ -421,9 +637,9 @@ def sample_space_time_batch(n_rep, rate, horizon, lo, hi, gen):
     """
     field_ = as_field(rate)
     volume = float(np.prod(hi - lo))
-    counts = gen.poisson(field_.bound * volume * horizon, size=n_rep)
-    total = int(counts.sum())
-    pts = uniform_points(gen, total, lo, hi)
+    pts, counts = poisson_points(gen, n_rep, field_.bound * volume * horizon,
+                                 lo, hi)
+    total = len(pts)
     times = horizon * gen.random(total)
     ids = np.repeat(np.arange(n_rep), counts)
     if field_.bound > 0 and total > 0:

@@ -8,253 +8,36 @@ jumping back in acts as immigration: the dynamics converges to the free
 birth-and-death process with death rate ``<xi>`` and immigration intensity
 equal to the first correlation of the starting measure.
 
-This module provides the pieces needed to observe that limit numerically
-(the contracted profiles are the profiles' own ``scaled``, the jump-count
-series ``kernels.g_t_series``): a two-point Neyman-Scott cluster starting
-measure with its closed-form correlation data (the Poisson one is
-``pointproc.PoissonMeasure``), their admissibility checks, and an
-experiment harness that estimates joint Laplace functionals of the jump
-dynamics along an epsilon schedule against the closed-form limit.
+This module holds only the experiment that observes that limit
+numerically: it estimates joint Laplace functionals of the jump dynamics
+along an epsilon schedule against the closed-form limit.  The contracted
+profiles are the profiles' own ``scaled``, the jump-count series is
+``kernels.g_t_series``, and the starting measures (Poisson and
+Neyman-Scott) with their admissibility reports (``mu_conditions()``) are
+in ``pointproc``.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .functions import TestFunction, box_quad, support_box
-from .kernels import GaussianProfile, KawasakiKernel
+from .functions import TestFunction
+from .kernels import KawasakiKernel
 from .observables import glauber_joint_laplace
-from .pointproc import (BatchMeasure, Comparison, PoissonMeasure,
+from .pointproc import (_BLOCK, BatchMeasure, Comparison, MuConditionsReport,
                         check_times, chunk_sizes, mean_se, pair_into,
-                        release_free_memory, run_chunks, uniform_points)
-from .space import Domain, in_box
+                        release_free_memory, run_chunks)
+# perfbench/tracer.py times PoissonMeasure.sample_batch and
+# NeymanScottMeasure.sample_batch under this module's name
+from .pointproc import NeymanScottMeasure, PoissonMeasure  # noqa: F401
+from .space import in_box
 
-_BLOCK = 1 << 15  # rows per blocked pass: its buffers stay in cache
 _ROW_BUDGET = 1 << 18  # expected start rows of one sub-batch of a chunk
-# verify_mu_conditions: growth checked up to order _GROWTH_ORDER; decay
-# probed at _PROBE_DISTANCE / eps along _PROBE_EPS, and holding when the
-# last probe is at most _DECAY_TOL of the largest value
-_GROWTH_ORDER = 8
-_PROBE_EPS = (1.0, 0.5, 0.25, 0.1)
-_PROBE_DISTANCE = 1.0
-_DECAY_TOL = 1e-3
-
-
-def _involution_numbers(n_max):
-    # partitions of {1..n} into singletons and pairs
-    vals = [1, 1]
-    for n in range(2, n_max + 1):
-        vals.append(vals[n - 1] + (n - 1) * vals[n - 2])
-    return vals
-
-
-@dataclass(frozen=True)
-class NeymanScottMeasure(BatchMeasure):
-    """Cluster starting measure: Poisson parents, one or two offspring each.
-
-    Parents form a homogeneous Poisson process with intensity
-    ``parent_intensity``.  Every parent produces one offspring, and with
-    probability ``second_prob`` a second one; offspring are displaced from
-    the parent by independent centered Gaussians with scale ``cluster_std``
-    (wrapped on a torus).  Parents themselves are not points of the process.
-
-    Closed correlation data: the intensity is parent_intensity * (1 + q)
-    and the second cluster correlation is 2 * parent_intensity * q times
-    the centered Gaussian density with variance 2 * cluster_std**2 at the
-    pair separation.  Cluster correlations of order >= 3 vanish because a
-    cluster never holds more than two points.
-    """
-
-    domain: Domain
-    parent_intensity: float
-    second_prob: float
-    cluster_std: float
-
-    family = "neyman-scott"
-
-    def __post_init__(self):
-        if not self.parent_intensity > 0:
-            raise ValueError("parent_intensity must be > 0")
-        if not 0.0 <= self.second_prob <= 1.0:
-            raise ValueError("second_prob must lie in [0, 1]")
-        if not self.cluster_std > 0:
-            raise ValueError("cluster_std must be > 0")
-
-    @property
-    def k1(self):
-        return self.parent_intensity * (1.0 + self.second_prob)
-
-    def u2(self, distance):
-        """Second cluster correlation at the given pair separations."""
-        d = self.domain.dim
-        var = 2.0 * self.cluster_std ** 2
-        r = np.asarray(distance, dtype=float)
-        norm = (2.0 * math.pi * var) ** (-d / 2.0)
-        return (2.0 * self.parent_intensity * self.second_prob
-                * norm * np.exp(-np.square(r) / (2.0 * var)))
-
-    @property
-    def u2_max(self):
-        return float(self.u2(0.0))
-
-    def sample_batch(self, n_rep, gen, ends=False):
-        """Sample n_rep independent configurations as (points, replica ids).
-
-        With ends, the second array is instead each replica's end row, one
-        past its last, as PoissonMeasure.sample_batch gives it.  Stream
-        layout: the parent counts, the parent positions, one uniform per
-        parent for its second offspring, then one normal vector per
-        offspring, in parent order.  The parents are added to their
-        offspring _BLOCK parents at a time and the ids come from the
-        per-replica offspring counts, so no offspring-long temporary is
-        made; the blocks leave the stream and the bits unchanged.  Points
-        are wrapped into the cell on a torus.
-        """
-        domain = self.domain
-        if domain.is_torus:
-            lo, hi = domain.lower, domain.upper
-        else:
-            # pad so clusters with parents just outside still reach the window
-            pad = 8.0 * self.cluster_std
-            lo, hi = domain.lower - pad, domain.upper + pad
-        volume = float(np.prod(hi - lo))
-        n_parents = gen.poisson(self.parent_intensity * volume, size=n_rep)
-        total_parents = int(n_parents.sum())
-        parent_pts = uniform_points(gen, total_parents, lo, hi)
-        second = gen.random(total_parents) < self.second_prob
-        pts = gen.standard_normal(
-            (total_parents + int(np.count_nonzero(second)), domain.dim))
-        pts *= self.cluster_std
-        # per block of parents: add them to their offspring, and read the
-        # running count of seconds at the replicas whose last parent it holds
-        last = np.cumsum(n_parents)  # one past each replica's last parent
-        seconds = np.zeros(n_rep, dtype=np.intp)  # seconds of replicas <= r
-        done = 0  # seconds of the parents before the block
-        for start in range(0, total_parents, _BLOCK):
-            stop = min(start + _BLOCK, total_parents)
-            extra = second[start:stop]
-            block = np.repeat(parent_pts[start:stop], 1 + extra, axis=0)
-            pts[start + done:start + done + len(block)] += block
-            counts = np.cumsum(extra)
-            reps = slice(*np.searchsorted(last, (start, stop), side="right"))
-            seconds[reps] = done + counts[last[reps] - start - 1]
-            done += int(counts[-1])
-        del parent_pts, second
-        per_rep = np.diff(seconds, prepend=0)
-        per_rep += n_parents
-        pts = domain.wrap(pts, copy=False)
-        if ends:
-            return pts, np.cumsum(per_rep)
-        return pts, np.repeat(np.arange(n_rep), per_rep)
-
-    def _smooth(self, terms, c_pts):
-        # G(c) = E[F(c + offset)], the cluster-displacement smoothing of F:
-        # the offset is the one-term Gaussian mixture of scale cluster_std
-        offset = GaussianProfile(self.domain.dim, 1.0, self.cluster_std)
-        side = self.domain.side if self.domain.is_torus else None
-        return sum(coef * offset.smooth(fn, np.ones(1), c_pts, side)
-                   for coef, fn in terms)
-
-    def expected_product_functional(self, terms, tol=1e-10):
-        """E[prod over points of (1 + F)] with F = sum_j coef_j fn_j.
-
-        Conditioning on the parent process and averaging each cluster gives
-        a per-parent factor (1 + G(c)) or (1 + G(c))**2 with G the cluster
-        smoothing of F, hence the Poisson-parent closed form
-
-            exp[ rho * integral of ((1 + q) G + q G**2) ].
-        """
-        q = self.second_prob
-
-        def integrand(c_pts):
-            g = self._smooth(terms, c_pts)
-            return (1.0 + q) * g + q * g * g
-
-        if self.domain.is_torus:
-            lo, hi = self.domain.lower, self.domain.upper
-        else:
-            lo, hi = support_box([fn for _, fn in terms],
-                                 10.0 * self.cluster_std)
-        value, _ = box_quad(integrand, lo, hi, tol)
-        return math.exp(self.parent_intensity * value)
-
-
-@dataclass(frozen=True)
-class MuConditionsReport:
-    """Outcome of the admissibility checks for a starting measure.
-
-    ``growth_constant`` and ``growth_exponent`` are the (C, gamma) pair in
-    the factorial-moment bound k^(n) <= (n!)**gamma * C**n, checked
-    numerically up to ``growth_checked_to``.  ``decay_probe`` records the
-    second cluster correlation at separations probe/eps along the epsilon
-    schedule; a finite probe certifies decay at the probed separations only.
-    """
-
-    family: str
-    admissible: bool
-    growth_exponent: float
-    growth_constant: float
-    growth_checked_to: int
-    growth_holds: bool
-    translation_invariant: bool
-    decay_probe: tuple
-    decay_holds: bool
-    notes: tuple
-
-    def to_dict(self):
-        return asdict(self)
-
-
-def verify_mu_conditions(measure):
-    """Check the three admissibility conditions on a starting measure.
-
-    (i) correlation growth k^(n) <= (n!)**gamma * C**n, (ii) translation
-    invariance, (iii) decay of the second cluster correlation when one
-    argument is pulled away by 1/eps.  Both supported families satisfy (ii)
-    by construction (homogeneous Poisson ingredients, shift-equivariant
-    displacements); the report records the closed-form constants and the
-    numerical spot checks.
-    """
-    if isinstance(measure, PoissonMeasure):
-        z = measure.intensity
-        probes = tuple(0.0 for _ in _PROBE_EPS)
-        return MuConditionsReport(
-            family=measure.family, admissible=True,
-            growth_exponent=0.0, growth_constant=z,
-            growth_checked_to=_GROWTH_ORDER, growth_holds=True,
-            translation_invariant=True,
-            decay_probe=probes, decay_holds=True,
-            notes=("correlations are exactly z**n",
-                   "cluster correlations of order >= 2 vanish identically"))
-    if isinstance(measure, NeymanScottMeasure):
-        # correlations split over pairings: k^(n) <= I_n * C0**n with I_n the
-        # number of involutions, and I_n <= sqrt(n!) * e**sqrt(n) gives
-        # gamma = 1/2, C = e * C0
-        c0 = max(1.0, measure.k1, measure.u2_max)
-        inv = _involution_numbers(_GROWTH_ORDER)
-        growth_c = math.e * c0
-        holds = all(inv[n] * c0 ** n <= math.sqrt(math.factorial(n)) * growth_c ** n
-                    for n in range(1, _GROWTH_ORDER + 1))
-        probes = tuple(float(measure.u2(_PROBE_DISTANCE / eps))
-                       for eps in _PROBE_EPS)
-        decreasing = all(b <= a for a, b in zip(probes, probes[1:]))
-        decay = decreasing and \
-            probes[-1] <= _DECAY_TOL * max(measure.u2_max, 1e-300)
-        return MuConditionsReport(
-            family=measure.family, admissible=holds and decay,
-            growth_exponent=0.5, growth_constant=growth_c,
-            growth_checked_to=_GROWTH_ORDER, growth_holds=holds,
-            translation_invariant=True,
-            decay_probe=probes, decay_holds=decay,
-            notes=("pairing bound via involution numbers",
-                   "decay probed pointwise along the epsilon schedule"))
-    raise ValueError("unsupported starting measure family")
 
 
 @dataclass(frozen=True)
@@ -550,7 +333,9 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     """
     if not measure.domain.is_torus:
         raise ValueError("scaling needs a torus domain")
-    conditions = verify_mu_conditions(measure)
+    if not isinstance(measure, BatchMeasure):
+        raise ValueError("unsupported starting measure family")
+    conditions = measure.mu_conditions()
     if not conditions.admissible:
         raise ValueError("starting measure fails admissibility: %s"
                          % json.dumps(conditions.to_dict()))

@@ -109,6 +109,12 @@ _BAD_BOX = {"family": "box", "level": "low", "lo": [-1.0], "hi": [1.0]}
      "'domain': torus mode needs side > 0"),
     (lambda c: c["start"].update(points=[[0.0, 1.0]]),
      "'start': points must be an (n, dim) array"),
+    # each point is a number list: a dict once died with a TypeError
+    # traceback, and [true] ran as the point 1.0
+    (lambda c: c["start"].update(points=[[0.0], {"a": 1}]),
+     "'start.points[1]' must be a nonempty number list"),
+    (lambda c: c["start"].update(points=[[True]]),
+     "'start.points[0]' must be a nonempty number list"),
 ])
 def test_config_error_messages_name_the_path(tmp_path, capsys, edit,
                                              message):

@@ -20,8 +20,7 @@ from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, Kawasa
 from freedyn.observables import estimate_correlations
 from freedyn.pointproc import (CHUNK, Comparison, Configuration, RngStream,
                                chunk_sizes)
-from freedyn.scaling import (PoissonMeasure, ScalingReport,
-                            verify_mu_conditions)
+from freedyn.scaling import PoissonMeasure, ScalingReport
 from freedyn.space import Domain
 
 
@@ -88,7 +87,7 @@ def test_scaling_final_rule_boundary(tmp_path, monkeypatch, estimate, stderr,
             eps_schedule=(1.0,), estimates=(estimate,), stderrs=(stderr,),
             target=0.0, n_samples=n, times=tuple(times), death_rate=1.0,
             immigration=1.0, measure_family="poisson", notes=(),
-            mu_conditions=verify_mu_conditions(measure))
+            mu_conditions=measure.mu_conditions())
 
     monkeypatch.setattr(cli, "run_scaling_experiment", report)
     path = _config_file(tmp_path, {

@@ -33,7 +33,15 @@ uniform draw column by column instead of by a broadcast, all under the
 promise of the same bits (``ref_correlations_from_counts``,
 ``ref_mean_se``, ``ref_poisson_sample_batch`` and
 ``ref_sample_space_time_batch``; ``ref_neyman_scott`` already places its
-parents by the broadcast).
+parents by the broadcast).  The choice between full-space and torus
+Gaussian smoothing moved from three call sites into ``gauss_smooth``'s
+``side``: ``GaussianProfile.smooth``, ``BrownianKernel.semigroup`` and the
+Neyman-Scott cluster smoothing ``NeymanScottMeasure._smooth`` (which no
+longer builds a ``GaussianProfile``) now all call it, under the promise
+of the same bits (``ref_gaussian_profile_smooth``,
+``ref_brownian_semigroup`` and ``ref_neyman_scott_smooth``; one torus
+case differs only in the sign of a zero, see
+``test_brownian_semigroup_matches_reference``).
 The functions below are the earlier implementations, kept verbatim; every
 test compares the new code with them using ``==`` over dimensions, time
 shapes, domains and seeds.  One line changed on purpose: the Kawasaki
@@ -54,11 +62,12 @@ from scipy.special import pdtr
 
 from freedyn import scaling
 from freedyn.dynamics import _march
-from freedyn.functions import (TestFunction, gauss_smooth_box_torus, ndtr,
-                               support_box)
+from freedyn.functions import (NumericFunction, TestFunction, gauss_smooth,
+                               gauss_smooth_box_torus, ndtr, support_box)
 from freedyn.kernels import (_DRAW_BLOCK, BrownianKernel, BumpProfile,
                              DeathKernel, GaussianProfile, KawasakiKernel,
-                             KilledBrownianKernel, _jump_blocks)
+                             KilledBrownianKernel, _effective_pad,
+                             _jump_blocks)
 from freedyn.observables import (CorrelationGrid, bin_counts,
                                  check_correlation_grid, correlation_edges,
                                  correlations_from_counts,
@@ -401,6 +410,44 @@ def ref_gauss_smooth_box_torus(func, var, points, side):
                     - ndtr((func.support_lo[axis] + shift - x) / sd))
         out = out * acc
     return out
+
+
+def ref_gaussian_profile_smooth(profile, func, weights, pts, torus_side=None):
+    var = profile.std ** 2 * np.arange(1, len(weights) + 1)
+    if torus_side is not None:
+        return sum(w * gauss_smooth_box_torus(func, v, pts, torus_side)
+                   for w, v in zip(weights, var))
+    return gauss_smooth(func, var, pts, weights)
+
+
+def ref_brownian_semigroup(kernel, phi, t):
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    if t == 0:
+        return phi
+    if kernel.domain.is_torus:
+        side = kernel.domain.side
+
+        def func(pts):
+            return gauss_smooth_box_torus(phi, t, pts, side)
+
+        return NumericFunction(func, np.zeros(kernel.domain.dim),
+                               np.full(kernel.domain.dim, side), phi.bound)
+    pad = _effective_pad(t)
+
+    def func(pts):
+        return gauss_smooth(phi, t, pts)
+
+    return NumericFunction(func, phi.support_lo - pad, phi.support_hi + pad,
+                           phi.bound)
+
+
+def ref_neyman_scott_smooth(measure, terms, c_pts):
+    offset = GaussianProfile(measure.domain.dim, 1.0, measure.cluster_std)
+    side = measure.domain.side if measure.domain.is_torus else None
+    return sum(coef * ref_gaussian_profile_smooth(offset, fn, np.ones(1),
+                                                  c_pts, side)
+               for coef, fn in terms)
 
 
 def ref_mean_se(values):
@@ -1253,3 +1300,74 @@ def test_sample_space_time_batch_matches_broadcast_reference(dim, mode,
 def test_neyman_scott_parents_match_broadcast_reference(dim, mode, n_rep):
     measure = NeymanScottMeasure(_sampler_domains(dim)[mode], 0.4, 0.5, 0.2)
     _same_batch(measure, ref_neyman_scott, n_rep, 8 + n_rep)
+
+
+# ---------------------------------------------------------------------------
+# the one smoothing decision: gauss_smooth's side
+
+SMOOTH_SIDE = 5.0
+
+
+def _smooth_case(dim, mode, family):
+    """A domain, a test function reaching past the cell, and points in and
+    out of the cell (a bump only on full space: the torus form refuses
+    it)."""
+    domain = (Domain.torus(dim, SMOOTH_SIDE) if mode == "torus" else
+              Domain.fullspace((0.0,) * dim, (SMOOTH_SIDE,) * dim))
+    if family == "box":
+        func = TestFunction.box(-0.4, np.full(dim, 3.5), np.full(dim, 6.2))
+        n = 257
+    else:
+        func = TestFunction.bump(-0.7, np.full(dim, 2.0), 1.3)
+        n = 9
+    pts = np.random.default_rng(dim).uniform(-SMOOTH_SIDE, 2.0 * SMOOTH_SIDE,
+                                             size=(n, dim))
+    return domain, func, pts
+
+
+SMOOTH_GRID = [(dim, mode, family) for dim in (1, 2)
+               for mode in ("torus", "fullspace") for family in ("box", "bump")
+               if (mode, family) != ("torus", "bump")]
+
+
+@pytest.mark.parametrize("dim, mode, family", SMOOTH_GRID)
+@pytest.mark.parametrize("n_terms", [1, 2, 3, 4, 5])
+def test_gaussian_profile_smooth_matches_reference(dim, mode, family,
+                                                   n_terms):
+    domain, func, pts = _smooth_case(dim, mode, family)
+    profile = GaussianProfile(dim, 1.3, 0.6)
+    weights = np.random.default_rng(n_terms).uniform(0.1, 1.0, n_terms)
+    side = domain.side if domain.is_torus else None
+    _same(profile.smooth(func, weights, pts, side),
+          ref_gaussian_profile_smooth(profile, func, weights, pts, side))
+
+
+@pytest.mark.parametrize("dim, mode, family", SMOOTH_GRID)
+@pytest.mark.parametrize("t", [1e-4, 0.01, 0.7, 30.0])
+def test_brownian_semigroup_matches_reference(dim, mode, family, t):
+    domain, func, pts = _smooth_case(dim, mode, family)
+    kernel = BrownianKernel(domain)
+    got, want = kernel.semigroup(func, t), ref_brownian_semigroup(kernel,
+                                                                  func, t)
+    _same(got.support_lo, want.support_lo)
+    _same(got.support_hi, want.support_hi)
+    assert got.bound == want.bound
+    if domain.is_torus:
+        # gauss_smooth sums the one torus term from 0, as it sums every
+        # mixture: a -0.0 of the wrapped closed form (a mass that is
+        # exactly 0, as at t = 1e-4, times the negative level) comes out
+        # as +0.0, so == compares, and the bits agree up to that sign
+        assert np.array_equal(got(pts), want(pts))
+        _same(got(pts) + 0.0, want(pts) + 0.0)
+    else:
+        _same(got(pts), want(pts))
+
+
+@pytest.mark.parametrize("dim, mode, family", SMOOTH_GRID)
+def test_neyman_scott_smooth_matches_reference(dim, mode, family):
+    domain, func, pts = _smooth_case(dim, mode, family)
+    measure = NeymanScottMeasure(domain, 0.6, 0.5, 0.3)
+    other = TestFunction.box(-0.3, np.full(dim, -1.0), np.full(dim, 1.5))
+    terms = [(1.0, func), (-0.5, other)]
+    _same(measure._smooth(terms, pts),
+          ref_neyman_scott_smooth(measure, terms, pts))

@@ -223,6 +223,12 @@ class TestSurvival:
         for kernel in (DeathKernel(D1, 3.0), KilledBrownianKernel(D1, 1.0)):
             assert kernel.survival(np.array([0.0]), 0.0) == pytest.approx(1.0)
 
+    def test_killed_brownian_nonconstant_rate_refused(self):
+        rate = BoundedField(lambda p: 0.25 * (1.0 + np.cos(p[:, 0])), 0.5)
+        kernel = KilledBrownianKernel(D1, rate)
+        with pytest.raises(NotImplementedError):
+            kernel.survival(np.array([0.0]), 1.0)
+
 
 class TestKillingRate:
     def test_constant_rate(self):

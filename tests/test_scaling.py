@@ -11,12 +11,11 @@ from freedyn.functions import NumericFunction, TestFunction, box_quad
 from freedyn.kernels import (BumpProfile, GaussianProfile, KawasakiKernel,
                              g_t_series)
 from freedyn import scaling
-from freedyn.pointproc import RngStream, pair_into
+from freedyn.pointproc import Configuration, RngStream, pair_into
 from freedyn.scaling import (
     NeymanScottMeasure,
     PoissonMeasure,
     run_scaling_experiment,
-    verify_mu_conditions,
 )
 from freedyn.space import Domain, in_box
 
@@ -233,13 +232,13 @@ class TestNeymanScottMeasure:
 
 class TestMuConditions:
     def test_poisson_admissible(self):
-        rep = verify_mu_conditions(PoissonMeasure(T100, 1.0))
+        rep = PoissonMeasure(T100, 1.0).mu_conditions()
         assert rep.admissible
         assert rep.growth_exponent == 0.0
         assert rep.translation_invariant
 
     def test_neyman_scott_admissible(self):
-        rep = verify_mu_conditions(NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25))
+        rep = NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25).mu_conditions()
         assert rep.admissible
         assert rep.growth_holds
         assert rep.decay_holds
@@ -250,7 +249,7 @@ class TestMuConditions:
     def test_report_serializes(self):
         import json
 
-        rep = verify_mu_conditions(PoissonMeasure(T100, 1.0))
+        rep = PoissonMeasure(T100, 1.0).mu_conditions()
         json.dumps(rep.to_dict())
 
 
@@ -268,6 +267,17 @@ class TestRunScalingExperiment:
         )
         assert rep.target == pytest.approx(1.0)
         assert all(e == pytest.approx(1.0) for e in rep.estimates)
+
+    def test_configuration_start_is_refused_before_any_draw(self):
+        # a fixed start has no admissibility report; rng=None would fail
+        # with AttributeError at the first draw
+        start = Configuration(np.array([[10.0], [50.0]]), T100)
+        with pytest.raises(ValueError,
+                           match="unsupported starting measure family"):
+            run_scaling_experiment(
+                start, GaussianProfile(1, 1.0, 1.0), times=(0.5,),
+                phi_list=(TestFunction.box(-0.5, (48.0,), (52.0,)),),
+                eps_schedule=(1.0, 0.5), n_samples=200, rng=None)
 
     def test_single_time_poisson_stationary(self):
         # both dynamics preserve the Poisson law, so every eps estimate and

@@ -35,7 +35,8 @@ def worker(m, gen):
     return bin_counts(pts, ids, m, domain, edges)
 
 
-grid = correlations_from_counts(run_chunks(worker, n_rep, rng), 2, edges)
+counts = run_chunks(worker, n_rep, rng, rows=measure.mean_points)
+grid = correlations_from_counts(counts, 2, edges)
 
 k1 = rho * (1.0 + q)
 w = side / 12.0

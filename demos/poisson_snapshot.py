@@ -37,7 +37,7 @@ def worker(m, gen):
     return np.column_stack([np.exp(logs.T), np.bincount(ids, minlength=m)])
 
 
-values = run_chunks(worker, n_snapshots, rng)
+values = run_chunks(worker, n_snapshots, rng, rows=measure.mean_points)
 
 print("Poisson(z=%.1f) on [0, 10], %d snapshots" % (intensity, n_snapshots))
 print("%-28s %12s %12s %12s %8s" % ("phi", "estimate", "exact", "stderr",

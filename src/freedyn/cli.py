@@ -97,10 +97,15 @@ def _vec(value, path):
     return [float(v) for v in value]
 
 
-def _points(value, path):
+def _points(value, path, dim):
     if not isinstance(value, list):
         raise ConfigError("'%s' must be a list of points" % path)
-    return [_vec(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+    points = [_vec(v, "%s[%d]" % (path, i)) for i, v in enumerate(value)]
+    for i, point in enumerate(points):
+        if len(point) != dim:
+            raise ConfigError("'%s[%d]' must be a point of dim %d"
+                              % (path, i, dim))
+    return points
 
 
 def _times(value, path):
@@ -248,8 +253,8 @@ def build_start(cfg, domain, config_dir):
                            block.num("parent_intensity"),
                            block.num("second_prob"), block.num("cluster_std"))
     if "csv" not in block.raw:
-        return block.build(Configuration, block.read("points", _points),
-                           domain)
+        points = block.read("points", lambda v, p: _points(v, p, domain.dim))
+        return block.build(Configuration, points, domain)
     path = block.key_path("csv")
     try:
         with open(os.path.join(config_dir, block.value("csv")), "r",

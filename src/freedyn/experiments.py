@@ -1,8 +1,8 @@
 """Replicated Monte Carlo experiments against their closed-form targets.
 
 Every estimator here is a vectorized chunk worker run by the chunk driver
-``pointproc.run_chunks``, so its estimate is a pure function of (seed,
-budget), independent of the thread count.
+``pointproc.run_chunks`` at its start's mean_points, so its estimate is a
+pure function of (seed, budget), independent of the thread count.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
         pair_into(acc, ids, np.asarray(phi(pts), dtype=float))
         return np.exp(acc)
 
-    values = run_chunks(worker, n_samples, rng, threads)
+    values = run_chunks(worker, n_samples, rng, threads, measure.mean_points)
     return ExperimentReport.of(
         "poisson-laplace", values,
         math.exp(poisson_laplace_exponent(phi, z, tol)),
@@ -117,7 +117,7 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
         steps = _march(*config.sample_batch(m, gen), kernel, (t,), gen)
         return _product_values(m, steps, [phi])
 
-    values = run_chunks(worker, n_samples, rng, threads)
+    values = run_chunks(worker, n_samples, rng, threads, config.mean_points)
     return ExperimentReport.of(
         "markov-laplace", values,
         analytic_laplace_markov(kernel, config, phi, t, tol),
@@ -148,7 +148,7 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
         steps = _march(*rows, kernel, (t,), gen, births)
         return _product_values(m, steps, [phi])
 
-    values = run_chunks(worker, n_samples, rng, threads)
+    values = run_chunks(worker, n_samples, rng, threads, config.mean_points)
     return ExperimentReport.of(
         "submarkov-laplace", values,
         analytic_laplace_submarkov(kernel, config, phi, t, z, tol),
@@ -184,7 +184,7 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
         steps = _march(*rows, kernel, times, gen, births)
         return _product_values(m, steps, phi_list)
 
-    values = run_chunks(worker, n_samples, rng, threads)
+    values = run_chunks(worker, n_samples, rng, threads, start.mean_points)
     return ExperimentReport.of(
         "glauber-joint-laplace", values,
         glauber_joint_laplace(start, a, z, times, phi_list, tol),
@@ -213,5 +213,5 @@ def poisson_correlation_experiment(domain, intensity, order, bins_per_axis,
         pts, ids = measure.sample_batch(m, gen)
         return bin_counts(pts, ids, m, domain, edges)
 
-    counts = run_chunks(worker, n_samples, rng, threads)
+    counts = run_chunks(worker, n_samples, rng, threads, measure.mean_points)
     return correlations_from_counts(counts, order, edges), z ** order

@@ -558,7 +558,8 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
         (pts, ids), = _march(*rows, kernel, (h,), gen, births)
         return values(pts, ids, m) - base
 
-    fd, stderr = mean_se(run_chunks(worker, n_replicas, rng))
+    fd, stderr = mean_se(run_chunks(worker, n_replicas, rng,
+                                    rows=config.mean_points))
     fd, stderr = fd / h, stderr / h
     analytic = generator_apply(F, config, dynamics_spec)
     return FDCheck(fd, stderr, analytic, h, n_replicas)

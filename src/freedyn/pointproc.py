@@ -3,14 +3,15 @@
 A configuration is a finite simple point set (all points distinct) in a
 domain.  Every starting measure of the dynamics lives here and speaks one
 protocol: ``sample_batch(n_rep, gen) -> (points, replica ids)``,
-``sample(rng) -> Configuration`` (a one-replica batch) and
-``expected_product_functional(terms, tol)``.  A random measure (a
-BatchMeasure) also gives ``sample_batch(n_rep, gen, ends=True) -> (points,
-end rows)``: the same draws, each replica a run of rows, with no id per
-point; and ``mu_conditions()``, its admissibility report.  A
-Configuration is the point-mass measure at itself; PoissonMeasure is the
-homogeneous Poisson measure and NeymanScottMeasure the two-point cluster
-measure.  Every Poisson batch (configurations, cluster parents, and the
+``sample(rng) -> Configuration`` (a one-replica batch), ``mean_points``
+(the expected points per replica, which size the chunks of
+``run_chunks``) and ``expected_product_functional(terms, tol)``.  A
+random measure (a BatchMeasure) also gives ``sample_batch(n_rep, gen,
+ends=True) -> (points, end rows)``: the same draws, each replica a run
+of rows, with no id per point; and ``mu_conditions()``, its
+admissibility report.  A Configuration is the point-mass measure at
+itself; PoissonMeasure is the homogeneous Poisson measure and
+NeymanScottMeasure the two-point cluster measure.  Every Poisson batch (configurations, cluster parents, and the
 space-time arrivals of the immigration rain, at constant or bounded
 inhomogeneous rate) comes from ``poisson_points``.  All draws come from
 SFC64 streams seeded from a (seed, stream) pair through ``SeedSequence``,
@@ -109,7 +110,8 @@ def parallel_map_ordered(fn, n_tasks, threads=1):
         return list(pool.map(fn, range(n_tasks)))
 
 
-CHUNK = 20000
+CHUNK = 20000  # replicas of one chunk, at most
+CHUNK_ROWS = 1 << 18  # expected start points of one chunk, about
 
 try:  # glibc; numpy has loaded ctypes already
     _malloc_trim = ctypes.CDLL(None).malloc_trim
@@ -120,30 +122,35 @@ except (AttributeError, OSError, TypeError):
 def release_free_memory():
     """Return the malloc heap's free pages to the system.
 
-    glibc keeps freed memory mapped for reuse: past a chunk's arrays,
-    their pages stay resident under whatever the process allocates next,
-    and the next chunk's arrays land in their holes or extend the heap
-    according to sizes a few kB apart.  malloc_trim(0) hands back every
-    free page.  A no-op under other C libraries.
+    glibc keeps freed memory mapped for reuse: past a run's chunks, their
+    pages stay resident under whatever the process allocates next.
+    malloc_trim(0) hands back every free page.  A no-op under other C
+    libraries.
     """
     if _malloc_trim is not None:
         _malloc_trim(0)
 
 
-def run_chunks(worker, n_samples, rng, threads=1):
+def run_chunks(worker, n_samples, rng, threads=1, rows=0.0):
     """Run worker(size, generator) per chunk; concatenate results in order.
 
-    The budget is split by chunk_sizes(n_samples, CHUNK), chunk c draws all
-    of its randomness from rng.child(c).generator(), chunks may run on a
-    thread pool, and results are concatenated in chunk order, so the output
-    is a pure function of (seed, budget) for any thread count.  Workers are
-    vectorized across replicas: a chunk holds one flat point array, not one
-    Python loop turn per replica, and returns one row per replica.
+    rows is the start's expected points per replica (its mean_points).
+    The budget is split by chunk_sizes into chunks of at most CHUNK
+    replicas and about CHUNK_ROWS expected points, max(1, min(CHUNK,
+    CHUNK_ROWS / rows)) replicas each (CHUNK up to about 13 points per
+    replica), so a chunk's arrays stay a few MiB however large the
+    window.  Chunk c draws all of its randomness from
+    rng.child(c).generator(), chunks may run on a thread pool, and results
+    are concatenated in chunk order, so the output is a pure function of
+    (seed, budget, rows) for any thread count.  Workers are vectorized
+    across replicas: a chunk holds one flat point array, not one Python
+    loop turn per replica, and returns one row per replica.
     """
     n_samples = int(n_samples)
     if n_samples < 1:
         raise ValueError("need a positive number of replicas")
-    sizes = chunk_sizes(n_samples, CHUNK)
+    per_chunk = max(1, min(CHUNK, int(CHUNK_ROWS / max(rows, 1.0))))
+    sizes = chunk_sizes(n_samples, per_chunk)
 
     def task(c_idx):
         return worker(sizes[c_idx], rng.child(c_idx).generator())
@@ -279,6 +286,8 @@ class Configuration:
     def __len__(self):
         return len(self._points)
 
+    mean_points = property(__len__)
+
     def __eq__(self, other):
         if not isinstance(other, Configuration):
             return NotImplemented
@@ -366,6 +375,10 @@ class BatchMeasure:
     def sample(self, rng):
         pts, _ = self.sample_batch(1, rng.generator())
         return Configuration(pts, self.domain)
+
+    @property
+    def mean_points(self):
+        return self.k1 * self.domain.window_volume
 
 
 @dataclass(frozen=True)

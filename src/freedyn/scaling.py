@@ -30,14 +30,12 @@ from .functions import TestFunction
 from .kernels import KawasakiKernel
 from .observables import glauber_joint_laplace
 from .pointproc import (_BLOCK, BatchMeasure, Comparison, MuConditionsReport,
-                        check_times, chunk_sizes, mean_se, pair_into,
-                        release_free_memory, run_chunks)
+                        check_times, mean_se, pair_into, release_free_memory,
+                        run_chunks)
 # perfbench/tracer.py times PoissonMeasure.sample_batch and
 # NeymanScottMeasure.sample_batch under this module's name
 from .pointproc import NeymanScottMeasure, PoissonMeasure  # noqa: F401
 from .space import in_box
-
-_ROW_BUDGET = 1 << 18  # expected start rows of one sub-batch of a chunk
 
 
 @dataclass(frozen=True)
@@ -273,29 +271,6 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
     return out
 
 
-def _chunk_values(measure, kernel, times, phis, eps_schedule, n_rep, gen):
-    """(n_rep, len(eps_schedule)) joint Laplace integrands of one chunk.
-
-    The chunk's replicas are split by chunk_sizes into sub-batches of
-    about _ROW_BUDGET expected start rows (measure.k1 times the cell
-    volume per replica; at least one replica, at most _ROW_BUDGET), and
-    each sub-batch, in order, is one _chunk_joint_values call on the
-    chunk's one generator: the chunk's arrays are those of a sub-batch, a
-    few MiB, not of all its replicas.  The heap's free pages then go back
-    to the system (release_free_memory).
-    """
-    rows = measure.k1 * measure.domain.window_volume
-    per_batch = max(1, int(_ROW_BUDGET / max(rows, 1.0)))
-    values = np.concatenate([
-        _chunk_joint_values(measure, kernel, times, phis, eps_schedule, m,
-                            gen)
-        for m in chunk_sizes(n_rep, per_batch)])
-    # the sub-batches' arrays are gone: hand their pages back, so that
-    # they do not stay resident under what the process allocates next
-    release_free_memory()
-    return values
-
-
 def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
                            n_samples, rng, threads=1, tol=1e-8):
     """Estimate joint Laplace functionals of the contracted jump dynamics.
@@ -319,11 +294,11 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
     schedule are therefore correlated (common random numbers), which makes
     their differences far less noisy, while each standard error stays the
     marginal one of its epsilon.  Replicas are run by the chunk driver on
-    the stream rng.child(0); an epsilon's estimate does not depend on the
-    rest of the schedule, and the result does not depend on the thread
-    count.  A chunk runs its replicas a sub-batch at a time, in order, on
-    its one stream, and then hands the heap's free pages back to the
-    system (_chunk_values).
+    the stream rng.child(0), in chunks of about CHUNK_ROWS expected start
+    points (measure.k1 times the cell volume per replica); an epsilon's
+    estimate does not depend on the rest of the schedule, and the result
+    does not depend on the thread count.  After the last chunk the heap's
+    free pages go back to the system (release_free_memory).
 
     The domain must be a torus: on full space the start is sampled on the
     window only and particles that jump out never come back, so the
@@ -364,9 +339,13 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
 
     kernel = KawasakiKernel(measure.domain, profile)
 
-    worker = partial(_chunk_values, measure, kernel, times, phi_list,
+    worker = partial(_chunk_joint_values, measure, kernel, times, phi_list,
                      eps_schedule)
-    values = run_chunks(worker, n_samples, rng.child(0), threads)
+    values = run_chunks(worker, n_samples, rng.child(0), threads,
+                        measure.mean_points)
+    # the chunks' arrays are gone: hand their pages back, so that they do
+    # not stay resident under what the process allocates next
+    release_free_memory()
     estimates, stderrs = zip(*map(mean_se, np.ascontiguousarray(values.T)))
     return ScalingReport(
         eps_schedule=tuple(eps_schedule), estimates=estimates,

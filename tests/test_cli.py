@@ -107,8 +107,12 @@ _BAD_BOX = {"family": "box", "level": "low", "lo": [-1.0], "hi": [1.0]}
      "'observables[0]': level must lie in (-1, 0]"),
     (lambda c: c.update(domain={"mode": "torus", "dim": 1, "side": -2}),
      "'domain': torus mode needs side > 0"),
+    # each point has the domain's dim coordinates: a ragged list once
+    # exited with numpy's "inhomogeneous shape" text
     (lambda c: c["start"].update(points=[[0.0, 1.0]]),
-     "'start': points must be an (n, dim) array"),
+     "'start.points[0]' must be a point of dim 1"),
+    (lambda c: c["start"].update(points=[[0.0], [1.0, 2.0]]),
+     "'start.points[1]' must be a point of dim 1"),
     # each point is a number list: a dict once died with a TypeError
     # traceback, and [true] ran as the point 1.0
     (lambda c: c["start"].update(points=[[0.0], {"a": 1}]),
@@ -245,6 +249,39 @@ def test_thread_count_does_not_change_output(tmp_path):
         assert res.returncode == 0, res.stderr
         payloads.append((out / "probe_laplace.json").read_bytes())
     assert payloads[0] == payloads[1]
+
+
+def test_row_budgeted_sample_poisson_is_byte_identical(tmp_path,
+                                                      monkeypatch):
+    # 400 expected points per replica on a 20 x 20 window: the chunk driver
+    # sizes chunks by points, so 2 000 replicas run as four chunks
+    from freedyn import cli, experiments
+    from freedyn.pointproc import run_chunks
+
+    chunks = []
+
+    def counting(worker, *args, **kwargs):
+        def counted(m, gen):
+            chunks.append(m)
+            return worker(m, gen)
+        return run_chunks(counted, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_chunks", counting)
+    cfg = dict(SAMPLE_CFG, samples=2000,
+               domain={"mode": "fullspace", "window": [[0.0, 0.0],
+                                                       [20.0, 20.0]]},
+               observables=[{"family": "box", "level": -0.5,
+                             "lo": [8.0, 8.0], "hi": [12.0, 12.0]}])
+    path = write_config(tmp_path, "cfg.json", cfg)
+    outputs = []
+    for name, threads in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "4")):
+        out = tmp_path / name
+        assert cli.main(["sample-poisson", "--config", path, "--threads",
+                         threads, "--out", str(out)]) == 0
+        outputs.append([(out / f).read_bytes() for f in (
+            "probe_configuration.csv", "probe_laplace.json")])
+    assert all(o == outputs[0] for o in outputs[1:])
+    assert sorted(chunks) == [500] * 16  # four chunks in each of four runs
 
 
 def test_seed_flag_overrides_config_seed(tmp_path):

@@ -142,6 +142,26 @@ def test_poisson_laplace_thread_invariance():
     assert a.stderr == b.stderr
 
 
+def test_poisson_laplace_peak_memory_does_not_grow_with_the_window():
+    # 400 expected points per replica on a 20 x 20 window: the chunk driver
+    # cuts the 20 000 replicas into chunks of about 2**18 points, so the
+    # traced peak is a few MiB.  One 20 000-replica chunk held 8e6 points
+    # with their replica ids and traced about 250 MiB.
+    import tracemalloc
+
+    domain = Domain.fullspace((0.0, 0.0), (20.0, 20.0))
+    phi = TestFunction.box(-0.5, (8.0, 8.0), (12.0, 12.0))
+    tracemalloc.start()
+    try:
+        rep = poisson_laplace_experiment(domain, 1.0, phi, 20000,
+                                         RngStream(30))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_samples == 20000
+    assert peak <= 32 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
+
+
 @pytest.mark.parametrize("n", [-3, 0, 1])
 def test_budgets_below_two_replicas_are_refused(n):
     cfg = Configuration(np.array([[0.0]]), D1)

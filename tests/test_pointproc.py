@@ -73,13 +73,21 @@ def test_parallel_map_ordered_matches_serial():
     assert serial == threaded == [i * i for i in range(20)]
 
 
-def test_run_chunks_draws_chunk_c_from_child_c_in_order():
-    rng, n = RngStream(9), 2 * CHUNK + 3
-    sizes = chunk_sizes(n, CHUNK)
+@pytest.mark.parametrize("rows, n, per_chunk", [
+    (None, 2 * CHUNK + 3, CHUNK),  # the default: few points per replica
+    (13.0, 2 * CHUNK + 3, CHUNK),  # 2**18 / 13 replicas exceed CHUNK
+    (100.0, 2 * CHUNK + 3, 2621),  # about 2**18 expected points a chunk
+    (1e9, 5, 1),  # at least one replica a chunk
+])
+def test_run_chunks_draws_chunk_c_from_child_c_in_order(rows, n, per_chunk):
+    rng = RngStream(9)
+    sizes = chunk_sizes(n, per_chunk)
     expected = np.concatenate([rng.child(c).generator().random(m)
                                for c, m in enumerate(sizes)])
+    extra = {} if rows is None else {"rows": rows}
     for threads in (1, 2):
-        out = run_chunks(lambda m, gen: gen.random(m), n, rng, threads)
+        out = run_chunks(lambda m, gen: gen.random(m), n, rng, threads,
+                         **extra)
         assert np.array_equal(out, expected)
 
 

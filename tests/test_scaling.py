@@ -2,6 +2,7 @@
 and the small-jump convergence experiment."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -406,7 +407,7 @@ class TestSharedDraws:
         # the rows really differ: the contraction moves the estimates
         assert len(set(full.estimates)) == len(self.SCHEDULE)
 
-    def test_memory_goes_back_after_each_chunk(self, monkeypatch):
+    def test_memory_goes_back_once_per_run(self, monkeypatch):
         from freedyn.pointproc import CHUNK
 
         calls = []
@@ -414,8 +415,8 @@ class TestSharedDraws:
                             lambda: calls.append(1))
         measure = PoissonMeasure(Domain.torus(1, 10.0), 1.0)
         phis = (TestFunction.box(-0.5, (4.0,), (6.0,)),)
-        self._run(measure, phis, (1.0,), CHUNK + 5)
-        assert len(calls) == 2
+        self._run(measure, phis, (1.0,), CHUNK + 5)  # two chunks
+        assert len(calls) == 1
 
     def test_chunk_without_points(self):
         measure = PoissonMeasure(Domain.torus(1, 10.0), 1e-9)
@@ -459,23 +460,25 @@ def test_criterion_6_chunk_peak_memory(start):
 
 @pytest.mark.parametrize("start", [0, 1], ids=("poisson", "neyman-scott"))
 def test_criterion_6_worker_peak_memory(start):
-    # one full chunk of criterion 6 through the scaling worker under
-    # tracemalloc.  The worker runs the chunk's 20 000 replicas in eight
-    # sub-batches of 2 500 (about 2.5e5 start rows each), so its peak is
-    # that of one sub-batch plus the chunk's output: 5.9 MiB for either
-    # start, against 39.0 MiB for the whole chunk in one batch.
+    # criterion 6's chunk worker run by the chunk driver under tracemalloc,
+    # on CHUNK replicas.  At 100 expected start points per replica the
+    # driver makes chunks of 2 621 replicas (about 2.6e5 start rows), so
+    # the peak is that of one such chunk plus the run's output, 5.9 MiB for
+    # either start: the whole 20 000 replicas in one batch took 39.0 MiB.
     import tracemalloc
 
-    from freedyn.pointproc import CHUNK
+    from freedyn.pointproc import CHUNK, run_chunks
+    from freedyn.scaling import _chunk_joint_values
 
     measure = (PoissonMeasure(T100, 1.0),
                NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25))[start]
     kernel = KawasakiKernel(T100, GaussianProfile(1, 1.0, 1.0))
-    gen = RngStream(1006, start).child(0).generator()
+    worker = partial(_chunk_joint_values, measure, kernel, (0.5, 1.0),
+                     _PHIS_1D, (1.0, 0.5, 0.25, 0.1))
     tracemalloc.start()
     try:
-        values = scaling._chunk_values(measure, kernel, (0.5, 1.0), _PHIS_1D,
-                                       (1.0, 0.5, 0.25, 0.1), CHUNK, gen)
+        values = run_chunks(worker, CHUNK, RngStream(1006, start).child(0),
+                            rows=measure.mean_points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -483,54 +486,40 @@ def test_criterion_6_worker_peak_memory(start):
     assert peak <= 8 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
 
 
-_NS_T100 = NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25)
 _LAYOUT_CASES = {
-    # name: (start, n_rep, sub-batch sizes); 100 expected start points
-    # per replica make 2 621 replicas per sub-batch at most
-    "below-one-batch": (PoissonMeasure(T100, 1.0), 1000, [1000]),
-    "one-replica": (_NS_T100, 1, [1]),
-    "not-a-multiple": (_NS_T100, 6001, [2001, 2000, 2000]),
-    # ten times the points per replica: 262 replicas per sub-batch at most
+    # name: (start, n_rep, chunk sizes); 100 expected start points per
+    # replica make 2 621 replicas per chunk at most
+    "below-one-chunk": (PoissonMeasure(T100, 1.0), 1000, [1000]),
+    "not-a-multiple": (NeymanScottMeasure(T100, 2.0 / 3.0, 0.5, 0.25), 6001,
+                       [2001, 2000, 2000]),
+    # ten times the points per replica: 262 replicas per chunk at most
     "dense": (PoissonMeasure(T100, 10.0), 700, [234, 233, 233]),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_LAYOUT_CASES))
-def test_worker_runs_its_sub_batches_in_order_on_one_stream(case):
-    # the chunk's stream layout: its sub-batches, in order, each one
-    # _chunk_joint_values call on the chunk's one generator
+def test_experiment_runs_chunk_c_on_child_c(case):
+    # the run's stream layout: chunk c is one _chunk_joint_values call on
+    # the stream rng.child(0).child(c), sized by the start's points
+    from freedyn.pointproc import mean_se
     from freedyn.scaling import _chunk_joint_values
 
     measure, n_rep, sizes = _LAYOUT_CASES[case]
-    kernel = KawasakiKernel(T100, GaussianProfile(1, 1.0, 1.0))
-    args = (measure, kernel, (0.5, 1.0), _PHIS_1D, (1.0, 0.5, 0.25, 0.1))
-    seed = RngStream(1025).child(n_rep)
-    got = scaling._chunk_values(*args, n_rep, seed.generator())
-    gen = seed.generator()
-    want = np.concatenate([_chunk_joint_values(*args, m, gen)
-                           for m in sizes])
-    assert got.tobytes() == want.tobytes()
-    assert np.any(got < 1.0)  # the observables are met
-    if len(sizes) > 1:  # a new layout: one whole batch draws otherwise
-        whole = _chunk_joint_values(*args, n_rep, seed.generator())
-        assert not np.array_equal(got, whole)
-
-
-def test_experiment_reads_its_chunk_off_the_worker():
-    # a budget below one chunk: the estimates are those of one worker call
-    # on the stream rng.child(0).child(0)
-    from freedyn.pointproc import mean_se
-
-    measure, n_rep, _ = _LAYOUT_CASES["not-a-multiple"]
     profile = GaussianProfile(1, 1.0, 1.0)
-    schedule = (1.0, 0.25)
-    rep = run_scaling_experiment(measure, profile, (0.5, 1.0), _PHIS_1D,
-                                 schedule, n_rep, RngStream(1026))
-    values = scaling._chunk_values(
-        measure, KawasakiKernel(T100, profile), (0.5, 1.0), _PHIS_1D,
-        schedule, n_rep, RngStream(1026).child(0).child(0).generator())
+    args = (measure, KawasakiKernel(T100, profile), (0.5, 1.0), _PHIS_1D,
+            (1.0, 0.5, 0.25, 0.1))
+    rng = RngStream(1025).child(n_rep)
+    rep = run_scaling_experiment(measure, profile, *args[2:], n_rep, rng)
+    values = np.concatenate([
+        _chunk_joint_values(*args, m, rng.child(0).child(c).generator())
+        for c, m in enumerate(sizes)])
     want = tuple(zip(*map(mean_se, np.ascontiguousarray(values.T))))
     assert (rep.estimates, rep.stderrs) == want
+    assert np.any(values < 1.0)  # the observables are met
+    if len(sizes) > 1:  # a new layout: one whole batch draws otherwise
+        whole = _chunk_joint_values(*args, n_rep,
+                                    rng.child(0).child(0).generator())
+        assert not np.array_equal(values, whole)
 
 
 def _ids_pair_log1p(acc, ids, phi, pts, among=None):

@@ -418,8 +418,7 @@ def cmd_evolve(run):
 def cmd_laplace(run):
     cfg = run.cfg
     domain = build_domain(cfg)
-    dyn = cfg.block("dynamics", {"times", "mode", "z", "death_rate",
-                                 "birth_pad"})
+    dyn = cfg.block("dynamics", {"times", "mode", "z", "death_rate"})
     times = dyn.read("times", _times)
     mode, model, z = build_dynamics(cfg, dyn, domain)
     phis = build_phis(cfg, domain.dim)
@@ -452,7 +451,7 @@ def cmd_laplace(run):
         else:
             report = submarkov_laplace_experiment(
                 model, start, phis[0], times[0], z, n, run.rng.child(2),
-                threads=run.threads, birth_pad=dyn.num("birth_pad", 0.0))
+                threads=run.threads)
 
     run.write_json("laplace.json", report.to_dict())
     row = report.to_dict()

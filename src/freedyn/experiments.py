@@ -1,8 +1,9 @@
 """Replicated Monte Carlo experiments against their closed-form targets.
 
 Every estimator here is a vectorized chunk worker run by the chunk driver
-``pointproc.run_chunks`` at its start's mean_points, so its estimate is a
-pure function of (seed, budget), independent of the thread count.
+``pointproc.run_chunks`` at its start's mean_points plus its expected
+births, so its estimate is a pure function of (seed, budget), independent
+of the thread count.
 """
 
 from __future__ import annotations
@@ -16,12 +17,13 @@ import numpy as np
 from .dynamics import _march
 from .functions import support_box
 from .kernels import DeathKernel
-from .observables import (analytic_laplace_markov, analytic_laplace_submarkov,
-                          bin_counts, check_correlation_grid,
-                          correlation_edges, correlations_from_counts,
-                          glauber_joint_laplace, poisson_laplace_exponent)
+from .observables import (QUAD_TOL, analytic_laplace_markov,
+                          analytic_laplace_submarkov, bin_counts,
+                          check_correlation_grid, correlation_edges,
+                          correlations_from_counts, glauber_joint_laplace,
+                          poisson_laplace_exponent)
 from .pointproc import (Comparison, PoissonMeasure, as_field, check_times,
-                        mean_se, pair_into, run_chunks,
+                        expected_births, mean_se, pair_into, run_chunks,
                         sample_space_time_batch)
 
 
@@ -70,8 +72,8 @@ class ExperimentReport:
             "parameters": self.parameters,
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _product_values(m, steps, phi_list):
@@ -84,7 +86,7 @@ def _product_values(m, steps, phi_list):
 
 
 def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
-                               threads=1, tol=1e-10):
+                               threads=1):
     """Empirical E[exp<phi, gamma>] for Poisson gamma vs the closed form."""
     z = float(intensity)
     measure = PoissonMeasure(domain, z)
@@ -98,12 +100,12 @@ def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
     values = run_chunks(worker, n_samples, rng, threads, measure.mean_points)
     return ExperimentReport.of(
         "poisson-laplace", values,
-        math.exp(poisson_laplace_exponent(phi, z, tol)),
+        math.exp(poisson_laplace_exponent(phi, z, 1e-10)),
         {"intensity": z, "domain": domain.to_dict()})
 
 
 def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
-                              threads=1, tol=1e-8):
+                              threads=1):
     """Empirical E[prod over points of (1+phi(X_t))] vs prod (1+T_t phi)(x).
 
     The kernel must conserve particles; every replica moves an independent
@@ -120,27 +122,29 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
     values = run_chunks(worker, n_samples, rng, threads, config.mean_points)
     return ExperimentReport.of(
         "markov-laplace", values,
-        analytic_laplace_markov(kernel, config, phi, t, tol),
+        analytic_laplace_markov(kernel, config, phi, t),
         {"variant": kernel.variant, "t": t, "points": len(config)})
 
 
 def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
-                                 threads=1, tol=1e-8, birth_pad=0.0):
+                                 threads=1):
     """Sub-Markov evolution with immigration vs the two-factor closed form.
 
     Initial particles evolve (and possibly die) under the kernel; fresh
     particles arrive as a space-time Poisson stream with rate z times the
-    killing rate and evolve from their birth times.  Immigrants are sampled
-    on the support box of phi padded by birth_pad; for motionless kernels
-    pad 0 is exact, for moving kernels pass a pad large enough that entering
-    the support from outside is negligible at the tolerance in play.
+    killing rate and evolve from their birth times.  They rain on phi's
+    support box padded by the kernel's tail radius at QUAD_TOL (0, which is
+    exact, for the death kernel), at most one period wide on a torus.
     """
     if kernel.conservative:
         raise ValueError("immigration balances killing; kernel must kill")
     t = float(t)
     z = float(z)
     rain = kernel.rate.scaled(z)
-    lo, hi = support_box([phi], birth_pad)
+    pad = kernel.buffer_width(t, QUAD_TOL)
+    lo, hi = support_box([phi], pad)
+    if pad and kernel.domain.is_torus:  # births wrap: rain once on the cell
+        hi = np.minimum(hi, lo + kernel.domain.side)
 
     def worker(m, gen):
         rows = config.sample_batch(m, gen)
@@ -148,15 +152,16 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
         steps = _march(*rows, kernel, (t,), gen, births)
         return _product_values(m, steps, [phi])
 
-    values = run_chunks(worker, n_samples, rng, threads, config.mean_points)
+    mean_rows = config.mean_points + expected_births(rain, t, lo, hi)
+    values = run_chunks(worker, n_samples, rng, threads, mean_rows)
     return ExperimentReport.of(
         "submarkov-laplace", values,
-        analytic_laplace_submarkov(kernel, config, phi, t, z, tol),
+        analytic_laplace_submarkov(kernel, config, phi, t, z),
         {"variant": kernel.variant, "t": t, "z": z, "points": len(config)})
 
 
 def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
-                             rng, threads=1, tol=1e-8):
+                             rng, threads=1):
     """Joint Laplace functional of birth-and-death dynamics vs closed form.
 
     start is any starting measure, a fixed Configuration included.  The
@@ -184,10 +189,11 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
         steps = _march(*rows, kernel, times, gen, births)
         return _product_values(m, steps, phi_list)
 
-    values = run_chunks(worker, n_samples, rng, threads, start.mean_points)
+    mean_rows = start.mean_points + expected_births(rain, times[-1], lo, hi)
+    values = run_chunks(worker, n_samples, rng, threads, mean_rows)
     return ExperimentReport.of(
         "glauber-joint-laplace", values,
-        glauber_joint_laplace(start, a, z, times, phi_list, tol),
+        glauber_joint_laplace(start, a, z, times, phi_list),
         {"death_rate": a, "immigration": z, "times": times})
 
 

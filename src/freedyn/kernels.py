@@ -568,11 +568,11 @@ class BrownianKernel(Kernel):
             raise ValueError("t must be >= 0")
         if t == 0:
             return phi
-        if self.domain.is_torus:
-            side = self.domain.side
+        side = self.domain.side
+        if side is not None:
             lo, hi = np.zeros(self.domain.dim), np.full(self.domain.dim, side)
         else:
-            side, pad = None, _effective_pad(t)
+            pad = _effective_pad(t)
             lo, hi = phi.support_lo - pad, phi.support_hi + pad
 
         def func(pts):
@@ -711,7 +711,7 @@ class KawasakiKernel(Kernel):
         atom = self.atom_weight(t)
         series = g_t_series(self.profile, t, tol / phi.bound)
         smooth, weights = self.profile.smooth, series.weights
-        side = self.domain.side if self.domain.is_torus else None
+        side = self.domain.side
 
         def func(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))

@@ -22,8 +22,8 @@ import numpy as np
 from .dynamics import GlauberDynamics, _march
 from .functions import box_quad, integrate_function, support_box
 from .kernels import BrownianKernel, DeathKernel, KawasakiKernel
-from .pointproc import (Comparison, check_times, mean_se, pair_into,
-                        run_chunks, sample_space_time_batch)
+from .pointproc import (Comparison, check_times, expected_births, mean_se,
+                        pair_into, run_chunks, sample_space_time_batch)
 
 QUAD_TOL = 1e-8
 _MAX_BIN_TUPLES = 20000  # most bin tuples a correlation grid may have
@@ -292,15 +292,14 @@ class UrsellTable:
     correlations: dict = None
     ursell: dict = None
 
-    def _subsets(self, side, name, n_max):
-        """The label subsets of sizes 1..n_max (default: all), smallest
-        first, once the named side of the table is checked to hold each."""
-        n_max = len(self.labels) if n_max is None else n_max
-        if n_max > 8:
-            raise ValueError("n_max above 8 is too costly (Bell numbers)")
+    def _subsets(self, side, name):
+        """Every nonempty label subset, smallest first, once the named side
+        of the table is checked to hold each."""
+        if len(self.labels) > 8:
+            raise ValueError("over 8 labels is too costly (Bell numbers)")
         if side is None:
             raise ValueError(f"{name} side of the table is empty")
-        subsets = [frozenset(c) for size in range(1, n_max + 1)
+        subsets = [frozenset(c) for size in range(1, len(self.labels) + 1)
                    for c in combinations(self.labels, size)]
         for eta in subsets:
             if eta not in side:
@@ -318,7 +317,7 @@ def _partition_sum(u, eta, min_blocks):
     return total
 
 
-def ursell_from_correlations(table, n_max=None):
+def ursell_from_correlations(table):
     """Fill the table's Ursell side from its correlation side.
 
     Inverts k(eta) = sum over partitions of eta of prod u(block) by
@@ -326,17 +325,17 @@ def ursell_from_correlations(table, n_max=None):
     u(eta) = k(eta) - sum over partitions with >= 2 blocks.
     """
     u = {}
-    for eta in table._subsets(table.correlations, "correlation", n_max):
+    for eta in table._subsets(table.correlations, "correlation"):
         u[eta] = table.correlations[eta] - _partition_sum(u, eta, 2)
     table.ursell = u
     return table
 
 
-def correlations_from_ursell(table, n_max=None):
+def correlations_from_ursell(table):
     """Fill the correlation side: k(eta) = sum over partitions prod u."""
     table.correlations = {
         eta: _partition_sum(table.ursell, eta, 1)
-        for eta in table._subsets(table.ursell, "ursell", n_max)}
+        for eta in table._subsets(table.ursell, "ursell")}
     return table
 
 
@@ -396,20 +395,20 @@ class CylinderFunction:
             lambda v: np.array([[0.0, 1.0], [1.0, 0.0]]), [phi1, phi2])
 
 
-def generator_apply(F, config, dynamics_spec, tol=QUAD_TOL):
+def generator_apply(F, config, dynamics_spec):
     """Evaluate the matching generator formula at the configuration.
 
     dynamics_spec selects the formula: a Brownian kernel applies the
     diffusion generator through the cylinder chain rule, a GlauberDynamics
     applies the birth-and-death difference formula, and a Kawasaki kernel
-    applies the jump-difference formula.
+    applies the jump-difference formula.  Integrals are to QUAD_TOL.
     """
     if isinstance(dynamics_spec, BrownianKernel):
         return _generator_brownian(F, config)
     if isinstance(dynamics_spec, GlauberDynamics):
-        return _generator_glauber(F, config, dynamics_spec, tol)
+        return _generator_glauber(F, config, dynamics_spec)
     if isinstance(dynamics_spec, KawasakiKernel):
-        return _generator_kawasaki(F, config, dynamics_spec, tol)
+        return _generator_kawasaki(F, config, dynamics_spec)
     raise ValueError("unsupported dynamics for generator_apply")
 
 
@@ -440,7 +439,7 @@ def _generator_brownian(F, config):
     return 0.5 * total
 
 
-def _generator_glauber(F, config, spec, tol):
+def _generator_glauber(F, config, spec):
     """sum_x a(x)(F(gamma without x) - F(gamma))
        + z * int a(x)(F(gamma with x) - F(gamma)) dx."""
     v = F.inner(config)
@@ -457,11 +456,11 @@ def _generator_glauber(F, config, spec, tol):
         def integrand(pts):
             return spec.rate(pts) * (F.outer(v + F.inner_at(pts)) - base)
 
-        birth = spec.intensity * box_quad(integrand, lo, hi, tol)[0]
+        birth = spec.intensity * box_quad(integrand, lo, hi, QUAD_TOL)[0]
     return death + birth
 
 
-def _generator_kawasaki(F, config, kernel, tol):
+def _generator_kawasaki(F, config, kernel):
     """sum_x int jump_profile(x - y) (F(gamma move x->y) - F(gamma)) dy.
 
     Split per particle as rate * (F(gamma without x) - F(gamma)) plus an
@@ -486,7 +485,7 @@ def _generator_kawasaki(F, config, kernel, tol):
         moved = F.outer(removed[None, :, :] + F.inner_at(pts)[:, None, :])
         return dens.reshape(len(pts), len(x)) * (moved - f_removed)
 
-    jumps_in, _ = box_quad(integrand, lo, hi, tol)
+    jumps_in, _ = box_quad(integrand, lo, hi, QUAD_TOL)
     return float(np.sum(kernel.clock_rate * (f_removed - base) + jumps_in))
 
 
@@ -528,7 +527,7 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     noise, so acceptance is |fd - analytic| <= 3 stderr + C h.
     """
     domain = config.domain
-    rain = None
+    rain, mean_rows = None, config.mean_points
     if isinstance(dynamics_spec, GlauberDynamics):
         kernel = DeathKernel(domain, dynamics_spec.rate)
         rain = dynamics_spec.rate.scaled(dynamics_spec.intensity)
@@ -536,6 +535,7 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
         if domain.is_torus:  # births land in the cell
             lo = np.maximum(lo, domain.lower)
             hi = np.maximum(np.minimum(hi, domain.upper), lo)
+        mean_rows += expected_births(rain, h, lo, hi)
     elif isinstance(dynamics_spec, (BrownianKernel, KawasakiKernel)):
         if dynamics_spec.domain != domain:
             raise ValueError("kernel and configuration domains differ")
@@ -558,8 +558,7 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
         (pts, ids), = _march(*rows, kernel, (h,), gen, births)
         return values(pts, ids, m) - base
 
-    fd, stderr = mean_se(run_chunks(worker, n_replicas, rng,
-                                    rows=config.mean_points))
+    fd, stderr = mean_se(run_chunks(worker, n_replicas, rng, rows=mean_rows))
     fd, stderr = fd / h, stderr / h
     analytic = generator_apply(F, config, dynamics_spec)
     return FDCheck(fd, stderr, analytic, h, n_replicas)

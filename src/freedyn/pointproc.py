@@ -134,7 +134,8 @@ def release_free_memory():
 def run_chunks(worker, n_samples, rng, threads=1, rows=0.0):
     """Run worker(size, generator) per chunk; concatenate results in order.
 
-    rows is the start's expected points per replica (its mean_points).
+    rows is the expected points per replica: the start's mean_points,
+    plus the expected_births of an immigration rain drawn in the chunk.
     The budget is split by chunk_sizes into chunks of at most CHUNK
     replicas and about CHUNK_ROWS expected points, max(1, min(CHUNK,
     CHUNK_ROWS / rows)) replicas each (CHUNK up to about 13 points per
@@ -377,8 +378,15 @@ class BatchMeasure:
         return Configuration(pts, self.domain)
 
     @property
+    def box(self):
+        """The box the measure draws on: the window."""
+        return self.domain.lower, self.domain.upper
+
+    @property
     def mean_points(self):
-        return self.k1 * self.domain.window_volume
+        """Expected points per replica: k1 times the volume of the box."""
+        lo, hi = self.box
+        return self.k1 * float(np.prod(hi - lo))
 
 
 @dataclass(frozen=True)
@@ -446,7 +454,7 @@ class PoissonMeasure(BatchMeasure):
         r = 0) up to ends[r].  Same draws, no id per point.  The points
         are poisson_points in the window; on a torus they lie in [0, side).
         """
-        lo, hi = self.domain.lower, self.domain.upper
+        lo, hi = self.box
         volume = float(np.prod(hi - lo))
         pts, counts = poisson_points(gen, n_rep, self.intensity * volume,
                                      lo, hi)
@@ -518,6 +526,16 @@ class NeymanScottMeasure(BatchMeasure):
                 * norm * np.exp(-np.square(r) / (2.0 * var)))
 
     @property
+    def box(self):
+        """The parents' box: the cell on a torus; on full space the window
+        padded by 8 cluster_std, so that clusters whose parents lie just
+        outside still reach the window."""
+        if self.domain.is_torus:
+            return self.domain.lower, self.domain.upper
+        pad = 8.0 * self.cluster_std
+        return self.domain.lower - pad, self.domain.upper + pad
+
+    @property
     def u2_max(self):
         return float(self.u2(0.0))
 
@@ -535,12 +553,7 @@ class NeymanScottMeasure(BatchMeasure):
         are wrapped into the cell on a torus.
         """
         domain = self.domain
-        if domain.is_torus:
-            lo, hi = domain.lower, domain.upper
-        else:
-            # pad so clusters with parents just outside still reach the window
-            pad = 8.0 * self.cluster_std
-            lo, hi = domain.lower - pad, domain.upper + pad
+        lo, hi = self.box
         volume = float(np.prod(hi - lo))
         parent_pts, n_parents = poisson_points(
             gen, n_rep, self.parent_intensity * volume, lo, hi)
@@ -574,9 +587,8 @@ class NeymanScottMeasure(BatchMeasure):
     def _smooth(self, terms, c_pts):
         # G(c) = E[F(c + offset)], the cluster-displacement smoothing of F:
         # the offset is Gaussian with variance cluster_std**2
-        side = self.domain.side if self.domain.is_torus else None
         return sum(coef * gauss_smooth(fn, self.cluster_std ** 2, c_pts,
-                                       side=side)
+                                       side=self.domain.side)
                    for coef, fn in terms)
 
     def expected_product_functional(self, terms, tol=1e-10):
@@ -639,6 +651,13 @@ def _sampling_box(domain, lo, hi):
     return lo, hi
 
 
+def expected_births(rate, horizon, lo, hi):
+    """Expected space-time arrivals per replica on [lo, hi) x [0, horizon)
+    before thinning: the rate's bound times the box volume times horizon.
+    Births count with the start's points in the rows of run_chunks."""
+    return as_field(rate).bound * float(np.prod(hi - lo)) * horizon
+
+
 def sample_space_time_batch(n_rep, rate, horizon, lo, hi, gen):
     """Space-time Poisson arrivals of n_rep replicas on [lo, hi) x [0, horizon).
 
@@ -649,8 +668,8 @@ def sample_space_time_batch(n_rep, rate, horizon, lo, hi, gen):
     by replica, unsorted in time.
     """
     field_ = as_field(rate)
-    volume = float(np.prod(hi - lo))
-    pts, counts = poisson_points(gen, n_rep, field_.bound * volume * horizon,
+    pts, counts = poisson_points(gen, n_rep,
+                                 expected_births(field_, horizon, lo, hi),
                                  lo, hi)
     total = len(pts)
     times = horizon * gen.random(total)

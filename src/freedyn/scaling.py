@@ -91,8 +91,8 @@ class ScalingReport:
             "mu_conditions": self.mu_conditions.to_dict(),
         }
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
     def to_csv(self):
         out = io.StringIO()
@@ -272,7 +272,7 @@ def _chunk_joint_values(measure, kernel, times, phis, eps_schedule, n_rep,
 
 
 def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
-                           n_samples, rng, threads=1, tol=1e-8):
+                           n_samples, rng, threads=1):
     """Estimate joint Laplace functionals of the contracted jump dynamics.
 
     For each epsilon in the schedule, evolves n_samples replicas of the
@@ -334,8 +334,7 @@ def run_scaling_experiment(measure, profile, times, phi_list, eps_schedule,
 
     a_const = profile.mass
     z = measure.k1
-    target = glauber_joint_laplace(measure, a_const, z, times, phi_list,
-                                   tol=tol)
+    target = glauber_joint_laplace(measure, a_const, z, times, phi_list)
 
     kernel = KawasakiKernel(measure.domain, profile)
 

@@ -56,7 +56,8 @@ class Domain:
     mode : str
         Either ``"fullspace"`` or ``"torus"``.
     side : float or None
-        Torus side length (torus mode only).
+        Torus side length in torus mode; None, and only None, in full
+        space, so it alone says whether distances wrap.
     window_min, window_max : tuple of float
         Axis-aligned observation window.  In torus mode this is the
         fundamental cell ``[0, side)^dim``.
@@ -76,6 +77,8 @@ class Domain:
         if self.mode == TORUS:
             if self.side is None or not self.side > 0:
                 raise ValueError("torus mode needs side > 0")
+        elif self.side is not None:
+            raise ValueError("full-space mode takes no side")
         lo, hi = self.lower, self.upper
         if lo.shape != (self.dim,) or hi.shape != (self.dim,):
             raise ValueError("window bounds must have length dim")

@@ -83,6 +83,9 @@ _BAD_BOX = {"family": "box", "level": "low", "lo": [-1.0], "hi": [1.0]}
      "'kernel.rate' must be a number"),
     (lambda c: c["dynamics"].update(speed=1.0),
      "unknown key 'dynamics.speed'"),
+    # the immigrant box is padded by the kernel's own tail radius
+    (lambda c: c["dynamics"].update(birth_pad=6.0),
+     "unknown key 'dynamics.birth_pad'"),
     (lambda c: c["observables"].append(_BAD_BOX),
      "'observables[1].level' must be a number"),
     (lambda c: c["domain"].update(window=[["a"], [3.0]]),
@@ -224,6 +227,29 @@ def test_glauber_laplace_neyman_scott_start_off_window(tmp_path):
     assert res.returncode == 0, res.stderr
     rep = json.loads((out / "probe_laplace.json").read_text())["report"]
     assert rep["sigma_distance"] <= 4.0, rep
+
+
+def test_killed_brownian_laplace_rains_immigrants_past_the_support(
+        tmp_path):
+    # the oracle counts immigrants born anywhere that diffuse into the
+    # box; raining on the box alone missed them and failed at 15 sigma
+    from freedyn import cli
+
+    cfg = {
+        "domain": {"mode": "fullspace", "window": [[-4.0], [4.0]]},
+        "kernel": {"variant": "killed_brownian", "rate": 1.0},
+        "dynamics": {"times": [1.0], "mode": "submarkov_immigration",
+                     "z": 1.0},
+        "start": {"kind": "fixed", "points": [[0.0]]},
+        "observables": [
+            {"family": "box", "level": -0.5, "lo": [-1.0], "hi": [1.0]}],
+        "samples": 4000,
+        "rng": {"seed": 5},
+        "output": {"prefix": "probe", "formats": ["json"]},
+    }
+    path = write_config(tmp_path, "cfg.json", cfg)
+    assert cli.main(["laplace", "--config", path, "--assert",
+                     "--out", str(tmp_path)]) == 0
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -16,7 +16,8 @@ from freedyn.experiments import (
     submarkov_laplace_experiment,
 )
 from freedyn.functions import TestFunction, support_box
-from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
+from freedyn.kernels import (BrownianKernel, DeathKernel, GaussianProfile,
+                             KawasakiKernel, KilledBrownianKernel)
 from freedyn.observables import estimate_correlations
 from freedyn.pointproc import (CHUNK, Comparison, Configuration, RngStream,
                                chunk_sizes)
@@ -162,6 +163,27 @@ def test_poisson_laplace_peak_memory_does_not_grow_with_the_window():
     assert peak <= 32 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
 
 
+def test_glauber_births_count_in_the_chunk_budget():
+    # an empty start gains about 400 births per replica on a 20 x 20
+    # window: they size the chunks with the start's points, so the traced
+    # peak is a few MiB.  Sized by the empty start alone, all 20 000
+    # replicas ran in one chunk and traced about 550 MiB.
+    import tracemalloc
+
+    domain = Domain.fullspace((0.0, 0.0), (20.0, 20.0))
+    empty = Configuration(np.empty((0, 2)), domain)
+    phi = TestFunction.box(-0.5, (0.0, 0.0), (20.0, 20.0))
+    tracemalloc.start()
+    try:
+        rep = glauber_joint_experiment(empty, 1.0, 1.0, (1.0,), (phi,),
+                                       20000, RngStream(31))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.n_samples == 20000
+    assert peak <= 32 * 2 ** 20, "%.1f MiB" % (peak / 2 ** 20)
+
+
 @pytest.mark.parametrize("n", [-3, 0, 1])
 def test_budgets_below_two_replicas_are_refused(n):
     cfg = Configuration(np.array([[0.0]]), D1)
@@ -200,6 +222,19 @@ def test_submarkov_laplace_death_kernel():
                                        30000, RngStream(6))
     assert rep.analytic == pytest.approx(0.45489799478447507, abs=1e-9)
     assert rep.sigma_distance <= 3.5
+
+
+def test_submarkov_laplace_killed_brownian_on_a_small_torus():
+    # the padded immigrant box (tail radius 5.7) is wider than the cell:
+    # it is cut to one period, so that every point of the cell gets its
+    # rain once after the births wrap (the whole padded box ran at 128
+    # sigma, the unpadded support box at 14)
+    domain = Domain.torus(1, 4.0)
+    cfg = Configuration(np.array([[2.0]]), domain)
+    phi = TestFunction.box(-0.5, (1.0,), (3.0,))
+    rep = submarkov_laplace_experiment(KilledBrownianKernel(domain, 1.0),
+                                       cfg, phi, 1.0, 1.0, 4000, RngStream(1))
+    assert rep.within_3sigma, rep.to_dict()
 
 
 def test_glauber_joint_two_time_fixed_start():

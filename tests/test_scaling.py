@@ -208,6 +208,19 @@ class TestNeymanScottMeasure:
         mean, se = mc.mean(), mc.std(ddof=1) / math.sqrt(len(mc))
         assert abs(mean - val) <= 3.5 * se
 
+    @pytest.mark.parametrize("domain", [Domain.fullspace((0.0,), (1.0,)),
+                                        Domain.torus(1, 4.0)],
+                             ids=["fullspace", "torus"])
+    def test_mean_points_is_what_sample_batch_draws(self, domain):
+        # on full space the parents cover the window padded by 8
+        # cluster_std: 25.5 points per replica here, not k1 * 1 = 1.5
+        meas = NeymanScottMeasure(domain, 1.0, 0.5, 1.0)
+        _, ends = meas.sample_batch(4000, RngStream(1).generator(),
+                                    ends=True)
+        per_rep = np.diff(ends, prepend=0)
+        se = np.std(per_rep, ddof=1) / math.sqrt(len(per_rep))
+        assert abs(per_rep.mean() - meas.mean_points) <= 3 * se
+
     @pytest.mark.parametrize("n_rep", [1, 40])
     def test_sample_batch_ends_are_the_end_rows_of_its_ids(self, n_rep):
         got_gen, want_gen = RngStream(6).generator(), RngStream(6).generator()

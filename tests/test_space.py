@@ -64,6 +64,21 @@ def test_in_box_refuses_a_dimension_mismatch():
         in_box(np.zeros((3, 2)), np.zeros(3), np.ones(3))
 
 
+@pytest.mark.parametrize("fields, message", [
+    ((0, "fullspace", None, (), ()), "dim must be >= 1"),
+    ((1, "sphere", None, (0.0,), (1.0,)), "mode must be"),
+    ((1, "torus", None, (0.0,), (1.0,)), "torus mode needs side > 0"),
+    ((1, "torus", -1.0, (0.0,), (1.0,)), "torus mode needs side > 0"),
+    # side alone tells a torus from full space
+    ((1, "fullspace", 1.0, (0.0,), (1.0,)), "full-space mode takes no side"),
+    ((2, "fullspace", None, (0.0,), (1.0,)), "length dim"),
+    ((1, "fullspace", None, (1.0,), (1.0,)), "positive extent"),
+])
+def test_domain_refuses_inconsistent_geometry(fields, message):
+    with pytest.raises(ValueError, match=message):
+        Domain(*fields)
+
+
 def test_window_volume():
     assert Domain.torus(2, 4.0).window_volume == pytest.approx(16.0)
     assert Domain.fullspace((-1.0, 0.0), (1.0, 3.0)).window_volume == pytest.approx(6.0)

@@ -183,7 +183,12 @@ class _Block:
 
 def build_domain(cfg):
     block = cfg.block("domain", {"mode", "dim", "side", "window"})
-    if block.choice("mode", ("torus", "fullspace")) == "torus":
+    mode = block.choice("mode", ("torus", "fullspace"))
+    for key in ("window",) if mode == "torus" else ("dim", "side"):
+        if key in block.raw:
+            raise ConfigError("'%s' is not read in %s mode"
+                              % (block.key_path(key), mode))
+    if mode == "torus":
         return block.build(Domain.torus, block.integer("dim"),
                            block.num("side"))
     window, path = block.value("window"), block.key_path("window")
@@ -577,6 +582,9 @@ def cmd_generator_check(run):
 
     fd = cfg.block("fd", {"h", "replicas", "slope"})
     h_list, replicas = fd.vec("h"), fd.integer("replicas")
+    for i, h in enumerate(h_list):
+        if not h > 0:
+            raise ConfigError("'%s[%d]' must be > 0" % (fd.key_path("h"), i))
     slope = fd.num("slope", 10.0)
 
     checks = [generator_fd_check(func, start, spec, h, replicas,

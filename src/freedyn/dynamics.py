@@ -9,12 +9,13 @@ immigration.  An evolution is fixed by its kernel, its start and its
 observation times, plus the birth intensity z when it has immigration;
 the evolution functions take just these (glauber_evolve's z = 0 is pure
 death).  One batch engine, ``_march``, steps the rows of a replica batch
-and their newborns through the observation times; the snapshot functions
-here and the replica-batch estimators in ``experiments`` and
-``observables`` all run on it.  Snapshots are exact in distribution at
-the requested times for Brownian, Death and Kawasaki kernels (no
-time-discretization anywhere; the grid steps below are Markov
-increments); only KilledBrownian carries its internal killing-grid bias.
+and their newborns through the observation times: on one replica for the
+snapshot functions here, chunk by chunk in ``march_chunks`` for every
+evolving estimator (a start, a kernel, a rain and a reducer each).
+Snapshots are exact in distribution at the requested times for Brownian,
+Death and Kawasaki kernels (no time-discretization anywhere; the grid
+steps below are Markov increments); only KilledBrownian carries its
+internal killing-grid bias.
 
 The domain fixes the boundary.  On the torus the evolution is exact.  On
 full space it is the Buffer() collar: the window is enlarged by the
@@ -37,7 +38,8 @@ import numpy as np
 
 from .kernels import DeathKernel
 from .pointproc import (Configuration, PoissonMeasure, as_field, check_times,
-                        sample_poisson_space_time)
+                        expected_births, run_chunks,
+                        sample_poisson_space_time, sample_space_time_batch)
 from .space import Domain, in_box
 
 
@@ -183,6 +185,30 @@ def _march(points, ids, kernel, times, gen, births=None, cull=None):
         out.append((points, ids))
         prev = t
     return out
+
+
+def march_chunks(start, kernel, times, values, n_samples, rng, threads=1,
+                 rain=None, box=None):
+    """run_chunks of values(m, steps), the m replicas of start _march-ed
+    through the times, with immigrants born at rate rain on box = (lo, hi)
+    over [0, times[-1]] when rain is given.  Stream per chunk:
+    start.sample_batch, the rain's sample_space_time_batch, the kernel
+    steps.  Rows: the start's mean_points plus the rain's expected_births.
+    """
+    times = check_times(times)
+    if kernel.domain != start.domain:
+        raise ValueError("kernel and configuration domains differ")
+    rows = start.mean_points
+    if rain is not None:
+        rows += expected_births(rain, times[-1], *box)
+
+    def worker(m, gen):
+        batch = start.sample_batch(m, gen)
+        births = None if rain is None else \
+            sample_space_time_batch(m, rain, times[-1], *box, gen)
+        return values(m, _march(*batch, kernel, times, gen, births))
+
+    return run_chunks(worker, n_samples, rng, threads, rows)
 
 
 def _snapshots(pts, kernel, times, gen, births=None, cull=None):

@@ -1,9 +1,9 @@
 """Replicated Monte Carlo experiments against their closed-form targets.
 
-Every estimator here is a vectorized chunk worker run by the chunk driver
-``pointproc.run_chunks`` at its start's mean_points plus its expected
-births, so its estimate is a pure function of (seed, budget), independent
-of the thread count.
+Every estimator here is a vectorized chunk worker of ``pointproc.run_chunks``
+(through ``dynamics.march_chunks`` when it evolves its replicas), so its
+estimate is a pure function of (seed, budget), independent of the thread
+count.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _march
+from .dynamics import march_chunks
 from .functions import support_box
 from .kernels import DeathKernel
 from .observables import (QUAD_TOL, analytic_laplace_markov,
@@ -23,8 +23,7 @@ from .observables import (QUAD_TOL, analytic_laplace_markov,
                           correlations_from_counts, glauber_joint_laplace,
                           poisson_laplace_exponent)
 from .pointproc import (Comparison, PoissonMeasure, as_field, check_times,
-                        expected_births, mean_se, pair_into, run_chunks,
-                        sample_space_time_batch)
+                        mean_se, pair_into, run_chunks)
 
 
 @dataclass(frozen=True)
@@ -76,13 +75,17 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _product_values(m, steps, phi_list):
-    """exp sum_i <log(1 + phi_i), gamma_{t_i}> of each of m replicas, from
-    the engine's (points, ids) at each time."""
-    acc = np.zeros(m)
-    for (pts, ids), phi in zip(steps, phi_list, strict=True):
-        pair_into(acc, ids, np.log1p(np.asarray(phi(pts), dtype=float)))
-    return np.exp(acc)
+def _product_values(phi_list):
+    """The march_chunks reducer to exp sum_i <log(1 + phi_i), gamma_{t_i}>
+    of each of m replicas, from the engine's (points, ids) at each time."""
+
+    def values(m, steps):
+        acc = np.zeros(m)
+        for (pts, ids), phi in zip(steps, phi_list, strict=True):
+            pair_into(acc, ids, np.log1p(np.asarray(phi(pts), dtype=float)))
+        return np.exp(acc)
+
+    return values
 
 
 def poisson_laplace_experiment(domain, intensity, phi, n_samples, rng,
@@ -114,12 +117,8 @@ def markov_laplace_experiment(kernel, config, phi, t, n_samples, rng,
     if not kernel.conservative:
         raise ValueError("markov identity needs a conservative kernel")
     t = float(t)
-
-    def worker(m, gen):
-        steps = _march(*config.sample_batch(m, gen), kernel, (t,), gen)
-        return _product_values(m, steps, [phi])
-
-    values = run_chunks(worker, n_samples, rng, threads, config.mean_points)
+    values = march_chunks(config, kernel, (t,), _product_values([phi]),
+                          n_samples, rng, threads)
     return ExperimentReport.of(
         "markov-laplace", values,
         analytic_laplace_markov(kernel, config, phi, t),
@@ -145,15 +144,8 @@ def submarkov_laplace_experiment(kernel, config, phi, t, z, n_samples, rng,
     lo, hi = support_box([phi], pad)
     if pad and kernel.domain.is_torus:  # births wrap: rain once on the cell
         hi = np.minimum(hi, lo + kernel.domain.side)
-
-    def worker(m, gen):
-        rows = config.sample_batch(m, gen)
-        births = sample_space_time_batch(m, rain, t, lo, hi, gen)
-        steps = _march(*rows, kernel, (t,), gen, births)
-        return _product_values(m, steps, [phi])
-
-    mean_rows = config.mean_points + expected_births(rain, t, lo, hi)
-    values = run_chunks(worker, n_samples, rng, threads, mean_rows)
+    values = march_chunks(config, kernel, (t,), _product_values([phi]),
+                          n_samples, rng, threads, rain, (lo, hi))
     return ExperimentReport.of(
         "submarkov-laplace", values,
         analytic_laplace_submarkov(kernel, config, phi, t, z),
@@ -179,18 +171,9 @@ def glauber_joint_experiment(start, a_rate, z, times, phi_list, n_samples,
     times = check_times(times)
     if len(phi_list) != len(times):
         raise ValueError("need one test function per time")
-    rain = as_field(a).scaled(z)
-    lo, hi = support_box(phi_list)
-    kernel = DeathKernel(start.domain, a)
-
-    def worker(m, gen):
-        rows = start.sample_batch(m, gen)
-        births = sample_space_time_batch(m, rain, times[-1], lo, hi, gen)
-        steps = _march(*rows, kernel, times, gen, births)
-        return _product_values(m, steps, phi_list)
-
-    mean_rows = start.mean_points + expected_births(rain, times[-1], lo, hi)
-    values = run_chunks(worker, n_samples, rng, threads, mean_rows)
+    values = march_chunks(start, DeathKernel(start.domain, a), times,
+                          _product_values(phi_list), n_samples, rng, threads,
+                          as_field(a).scaled(z), support_box(phi_list))
     return ExperimentReport.of(
         "glauber-joint-laplace", values,
         glauber_joint_laplace(start, a, z, times, phi_list),

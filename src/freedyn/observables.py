@@ -19,11 +19,10 @@ from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 
-from .dynamics import GlauberDynamics, _march
+from .dynamics import GlauberDynamics, march_chunks
 from .functions import box_quad, integrate_function, support_box
 from .kernels import BrownianKernel, DeathKernel, KawasakiKernel
-from .pointproc import (Comparison, check_times, expected_births, mean_se,
-                        pair_into, run_chunks, sample_space_time_batch)
+from .pointproc import Comparison, check_times, mean_se, pair_into
 
 QUAD_TOL = 1e-8
 _MAX_BIN_TUPLES = 20000  # most bin tuples a correlation grid may have
@@ -401,7 +400,8 @@ def generator_apply(F, config, dynamics_spec):
     dynamics_spec selects the formula: a Brownian kernel applies the
     diffusion generator through the cylinder chain rule, a GlauberDynamics
     applies the birth-and-death difference formula, and a Kawasaki kernel
-    applies the jump-difference formula.  Integrals are to QUAD_TOL.
+    applies the jump-difference formula.  Births and jump targets are
+    integrated, to QUAD_TOL, over the phis' _cell_box.
     """
     if isinstance(dynamics_spec, BrownianKernel):
         return _generator_brownian(F, config)
@@ -410,6 +410,16 @@ def generator_apply(F, config, dynamics_spec):
     if isinstance(dynamics_spec, KawasakiKernel):
         return _generator_kawasaki(F, config, dynamics_spec)
     raise ValueError("unsupported dynamics for generator_apply")
+
+
+def _cell_box(phis, domain):
+    """The phis' support box, cut to the cell on a torus: where a birth or
+    a jump can land and F sees it."""
+    lo, hi = support_box(phis)
+    if domain.is_torus:
+        lo = np.maximum(lo, domain.lower)
+        hi = np.maximum(np.minimum(hi, domain.upper), lo)
+    return lo, hi
 
 
 def _generator_brownian(F, config):
@@ -451,7 +461,7 @@ def _generator_glauber(F, config, spec):
                                       - base)))
     birth = 0.0
     if spec.intensity > 0:
-        lo, hi = support_box(F.phis)
+        lo, hi = _cell_box(F.phis, config.domain)
 
         def integrand(pts):
             return spec.rate(pts) * (F.outer(v + F.inner_at(pts)) - base)
@@ -476,7 +486,7 @@ def _generator_kawasaki(F, config, kernel):
     x = config.points
     removed = v - F.inner_at(x)        # pairings without particle i, row i
     f_removed = F.outer(removed)
-    lo, hi = support_box(F.phis)
+    lo, hi = _cell_box(F.phis, domain)
 
     def integrand(pts):
         # column i: jump density from particle i times the change of F
@@ -516,32 +526,23 @@ class FDCheck:
 def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
     """(E[F(gamma_h)] - F(gamma)) / h against the generator value.
 
-    Each chunk evolves exactly the given particles of its replicas as one
-    batch through the batch engine, with no collar seeding; Glauber
+    generator_apply gives the value, and refuses an unsupported
+    dynamics_spec before any draw.  march_chunks then evolves exactly the
+    given particles of each replica, with no collar seeding; Glauber
     dynamics runs as the death kernel with immigration.  On full space
     particles live in all of R^d, as in the generator formulas: no row is
-    clipped to the window, and Glauber births rain on the whole support box
-    of the phis (on a torus, its part in the cell), which is exact since
-    particles never move and F only sees points in the supports.  The
-    finite difference carries an O(h) semigroup bias on top of Monte Carlo
-    noise, so acceptance is |fd - analytic| <= 3 stderr + C h.
+    clipped to the window, and Glauber births rain on the phis' _cell_box,
+    the box the generator integrates over, which is exact since particles
+    never move and F only sees points in the supports.  The finite
+    difference carries an O(h) semigroup bias on top of Monte Carlo noise,
+    so acceptance is |fd - analytic| <= 3 stderr + C h.
     """
-    domain = config.domain
-    rain, mean_rows = None, config.mean_points
+    analytic = generator_apply(F, config, dynamics_spec)
+    kernel, rain, box = dynamics_spec, None, None
     if isinstance(dynamics_spec, GlauberDynamics):
-        kernel = DeathKernel(domain, dynamics_spec.rate)
+        kernel = DeathKernel(config.domain, dynamics_spec.rate)
         rain = dynamics_spec.rate.scaled(dynamics_spec.intensity)
-        lo, hi = support_box(F.phis)
-        if domain.is_torus:  # births land in the cell
-            lo = np.maximum(lo, domain.lower)
-            hi = np.maximum(np.minimum(hi, domain.upper), lo)
-        mean_rows += expected_births(rain, h, lo, hi)
-    elif isinstance(dynamics_spec, (BrownianKernel, KawasakiKernel)):
-        if dynamics_spec.domain != domain:
-            raise ValueError("kernel and configuration domains differ")
-        kernel = dynamics_spec
-    else:
-        raise ValueError("unsupported dynamics for generator_fd_check")
+        box = _cell_box(F.phis, config.domain)
 
     def values(pts, ids, m):
         inner = np.zeros((m, len(F.phis)))
@@ -550,15 +551,7 @@ def generator_fd_check(F, config, dynamics_spec, h, n_replicas, rng):
         return F.outer(inner)
 
     base = values(config.points, np.zeros(len(config), dtype=np.int64), 1)[0]
-
-    def worker(m, gen):
-        rows = config.sample_batch(m, gen)
-        births = None if rain is None else \
-            sample_space_time_batch(m, rain, h, lo, hi, gen)
-        (pts, ids), = _march(*rows, kernel, (h,), gen, births)
-        return values(pts, ids, m) - base
-
-    fd, stderr = mean_se(run_chunks(worker, n_replicas, rng, rows=mean_rows))
-    fd, stderr = fd / h, stderr / h
-    analytic = generator_apply(F, config, dynamics_spec)
-    return FDCheck(fd, stderr, analytic, h, n_replicas)
+    fd, stderr = mean_se(march_chunks(
+        config, kernel, (h,), lambda m, steps: values(*steps[0], m) - base,
+        n_replicas, rng, rain=rain, box=box))
+    return FDCheck(fd / h, stderr / h, analytic, h, n_replicas)

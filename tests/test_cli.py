@@ -110,6 +110,15 @@ _BAD_BOX = {"family": "box", "level": "low", "lo": [-1.0], "hi": [1.0]}
      "'observables[0]': level must lie in (-1, 0]"),
     (lambda c: c.update(domain={"mode": "torus", "dim": 1, "side": -2}),
      "'domain': torus mode needs side > 0"),
+    # each mode reads only its own keys: these once ran in 1-D on the
+    # window, and on the torus with the window ignored
+    (lambda c: c["domain"].update(side=3.0, dim=2),
+     "'domain.dim' is not read in fullspace mode"),
+    (lambda c: c["domain"].update(side=3.0),
+     "'domain.side' is not read in fullspace mode"),
+    (lambda c: c.update(domain={"mode": "torus", "dim": 1, "side": 6.0,
+                                "window": [[-3.0], [3.0]]}),
+     "'domain.window' is not read in torus mode"),
     # each point has the domain's dim coordinates: a ragged list once
     # exited with numpy's "inhomogeneous shape" text
     (lambda c: c["start"].update(points=[[0.0, 1.0]]),
@@ -563,6 +572,25 @@ def test_generator_check_verdict_fails_tolerance_and_shrink(tmp_path):
     assert [c["within_tolerance"] for c in rep["checks"]] == [True, False]
     assert rep["discrepancy_shrinks"] is False and rep["passed"] is False
     assert codes == [0, 4]
+
+
+@pytest.mark.parametrize("h_list, message", [
+    ([0], "'fd.h[0]' must be > 0"),
+    ([0.01, -0.005], "'fd.h[1]' must be > 0"),
+])
+def test_generator_check_step_must_be_positive(tmp_path, capsys, h_list,
+                                               message):
+    # h = 0 once died with a ZeroDivisionError traceback, and a negative h
+    # exited with numpy's text, which names no key
+    from freedyn import cli
+
+    cfg = dict(GEN_CFG, fd={"h": h_list, "replicas": 200})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    out = tmp_path / "out"
+    assert cli.main(["generator-check", "--config", path, "--out",
+                     str(out)]) == 2
+    assert capsys.readouterr().err == "config error: %s\n" % message
+    assert not list(out.iterdir())
 
 
 SCALING_CFG = {
@@ -1034,6 +1062,106 @@ def test_correlation_outputs_keep_their_bytes(tmp_path, case):
         got = [hashlib.sha256((out / ("c_" + suffix)).read_bytes()).hexdigest()
                for suffix in ("correlation.csv", "correlation.json")]
         assert got == digests, name
+
+
+_PIN_BOX = {"family": "box", "level": -0.5, "lo": [-1.0], "hi": [1.0]}
+_PIN_FULL = {"mode": "fullspace", "window": [[-4.0], [4.0]]}
+_PIN_TORUS = {"mode": "torus", "dim": 1, "side": 5.0}
+_PIN_KAWASAKI = {"variant": "kawasaki", "profile": {
+    "kind": "gaussian", "mass": 1.0, "std": 0.7}}
+_PIN_FIXED = {"kind": "fixed", "points": [[0.0], [0.5]]}
+_PIN_NEYMAN_SCOTT = {"kind": "neyman-scott", "parent_intensity": 0.6,
+                     "second_prob": 0.5, "cluster_std": 0.3}
+
+# command, config blocks, then the sha256 of <prefix>_laplace.csv and
+# <prefix>_laplace.json, or of <prefix>_generator.json
+_ESTIMATOR_BYTES = {
+    "laplace-conservative-kawasaki": (
+        "laplace",
+        {"domain": _PIN_FULL, "kernel": _PIN_KAWASAKI,
+         "dynamics": {"times": [0.5], "mode": "conservative"},
+         "start": _PIN_FIXED, "observables": [_PIN_BOX], "samples": 3000},
+        "85be592ebb4783c182312d742fe12bdd3902724dca6fcf078c6d7dbd762b5de7",
+        "9a6a0fc3f47921ff40917da59350ca8da8145a40ca965a9ecd4b14d46319965c"),
+    "laplace-submarkov-killed-brownian": (
+        "laplace",
+        {"domain": _PIN_FULL,
+         "kernel": {"variant": "killed_brownian", "rate": 1.0},
+         "dynamics": {"times": [0.5], "mode": "submarkov_immigration",
+                      "z": 1.0},
+         "start": _PIN_FIXED, "observables": [_PIN_BOX], "samples": 1000},
+        "72fe25376d995aaa42e06004cdc78ec8f6f2deacd0f09e49e4294466348179b1",
+        "04479cb746304888fc67da91310e5c98494b5319712d8cdc82b9f926b6b675cb"),
+    "laplace-glauber-neyman-scott-torus": (
+        "laplace",
+        {"domain": _PIN_TORUS,
+         "dynamics": {"times": [0.5, 1.0], "mode": "glauber",
+                      "death_rate": 1.0, "z": 1.0},
+         "start": _PIN_NEYMAN_SCOTT,
+         "observables": [_PIN_BOX, {"family": "box", "level": -0.3,
+                                    "lo": [0.0], "hi": [2.0]}],
+         "samples": 3000},
+        "d490d4fc0113d9aac3690174bd95c92b4ca098978a527604b3888828800689ad",
+        "178d8ea7a1c6c9ed90f695daa7fbfed81970f971523170dd0afcc612189005ad"),
+    # about 1020 points and births per replica: six chunks of at most 257
+    "laplace-glauber-poisson-six-chunks": (
+        "laplace",
+        {"domain": _PIN_FULL,
+         "dynamics": {"times": [1.0], "mode": "glauber", "death_rate": 1.0,
+                      "z": 1.0},
+         "start": {"kind": "poisson", "intensity": 50.0},
+         "observables": [{"family": "box", "level": -0.01, "lo": [0.0],
+                          "hi": [20.0]}],
+         "samples": 1500},
+        "695ede23862beac11349e9a457cf06dafbaddd49e9742e2170016fae67e95220",
+        "c4b1416bbd5bd463421f15af77291c08f40d7a4e54a786bd04af45746efe58b7"),
+    "generator-glauber": (
+        "generator-check",
+        {"domain": {"mode": "fullspace", "window": [[-6.0], [6.0]]},
+         "start": {"kind": "fixed", "points": [[0.0], [2.5]]},
+         "dynamics": {"mode": "glauber", "death_rate": 1.0, "z": 1.0},
+         "cylinder": {"outer": "exp_pairing", "observables": [_PIN_BOX]},
+         "fd": {"h": [0.01, 0.005], "replicas": 2500}},
+        "de3b9ec9ff0916a8e24ecc646a69b1315bf54909e255e7a290eec87a9f346238"),
+    "generator-kawasaki-torus": (
+        "generator-check",
+        {"domain": _PIN_TORUS, "kernel": _PIN_KAWASAKI,
+         "start": {"kind": "fixed", "points": [[0.0], [2.5]]},
+         "cylinder": {"outer": "linear", "observables": [
+             {"family": "box", "level": -0.5, "lo": [0.5], "hi": [2.0]}]},
+         "fd": {"h": [0.01, 0.005], "replicas": 2500}},
+        "584e42ad56b22c52decb322b33254ffe3dcc4682f1a0c1b04f0f9cdb2fd152ca"),
+    "generator-brownian-bump": (
+        "generator-check",
+        {"domain": _PIN_FULL, "kernel": {"variant": "brownian"},
+         "start": {"kind": "fixed", "points": [[0.0], [0.3]]},
+         "cylinder": {"outer": "exp_pairing", "observables": [
+             {"family": "bump", "level": -0.5, "center": [0.0],
+              "radius": 1.0}]},
+         "fd": {"h": [0.01], "replicas": 2500}},
+        "d78d3b2f66202eff389b69738807789df15eb44cd5288fb74507257032ec6d03"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ESTIMATOR_BYTES))
+def test_laplace_and_generator_outputs_keep_their_bytes(tmp_path, case):
+    """Every evolving estimator writes the same bytes at seed 1, at 1 and
+    2 threads: each draws its start rows, its births and its kernel steps
+    chunk by chunk in one layout, and the digests pin it."""
+    import hashlib
+
+    from freedyn import cli
+
+    command, blocks, *digests = _ESTIMATOR_BYTES[case]
+    cfg = dict(blocks, rng={"seed": 1}, output={"prefix": "p"})
+    path = write_config(tmp_path, "cfg.json", cfg)
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert cli.main([command, "--config", path, "--threads", threads,
+                         "--out", str(out)]) == 0
+        got = [hashlib.sha256(f.read_bytes()).hexdigest()
+               for f in sorted(out.iterdir())]
+        assert got == digests, threads
 
 
 # --- one dynamics reader for evolve, laplace and generator-check ----------

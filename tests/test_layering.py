@@ -7,6 +7,11 @@ other), then cli.  The package's ``__init__`` gathers them all and is
 not a layer.  Imports inside a function are not read: the kernels'
 ``events`` methods import ``dynamics``, which imports ``kernels``.
 
+No module imports another module's private callable: what a later layer
+needs of an earlier one is public there (the replica-batch estimators
+run ``dynamics.march_chunks``, not the ``_march`` it wraps).  A private
+constant, such as pointproc's ``_BLOCK``, may be shared.
+
 Every starting measure lives in pointproc, next to PoissonMeasure,
 because pointproc imports only functions and space: the Neyman-Scott
 cluster smoothing goes through ``functions.gauss_smooth``, not through a
@@ -14,6 +19,7 @@ jump profile of ``kernels`` (which imports pointproc).
 """
 
 import ast
+import importlib
 import os
 
 import pytest
@@ -49,6 +55,17 @@ def test_module_imports_only_earlier_layers(name):
             assert names == ["__version__"], (name, names)
             continue
         assert RANK[module] < RANK[name], "%s imports %s" % (name, module)
+
+
+@pytest.mark.parametrize("name", sorted(RANK))
+def test_module_imports_no_private_callable(name):
+    for module, names in _top_level_imports(name):
+        if module is None:
+            continue
+        owner = importlib.import_module("freedyn." + module)
+        private = [n for n in names
+                   if n.startswith("_") and callable(getattr(owner, n))]
+        assert not private, "%s imports %s from %s" % (name, private, module)
 
 
 def test_pointproc_imports_only_functions_and_space():

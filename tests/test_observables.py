@@ -558,3 +558,39 @@ def test_fd_past_window_edge_matches_generator(spec, seed):
     assert chk.stderr > 0
     assert abs(chk.discrepancy) <= 4.0 * chk.stderr, \
         (chk.fd_estimate, chk.stderr, chk.analytic)
+
+
+@pytest.mark.parametrize("spec, n, seed", [
+    (GlauberDynamics(1.0, 1.0), 200_000, 1),
+    (KawasakiKernel(TORUS4, GaussianProfile(1, 1.0, 0.7)), 400_000, 11),
+], ids=["glauber", "kawasaki"])
+def test_fd_on_a_torus_integrates_over_the_cell(spec, n, seed):
+    # BOX reaches past the lower cell edge at 0: births and jumps land in
+    # the cell only, so the generator integrates over BOX cut to [0, 1]
+    # (over all of BOX it read -0.787, 44 standard errors off, for Glauber
+    # and -0.098, 4.2 off, for Kawasaki)
+    F = CylinderFunction.exp_pairing(BOX)
+    start = Configuration(np.array([[1.5]]), TORUS4)
+    chk = generator_fd_check(F, start, spec, 0.01, n, RngStream(seed))
+    assert chk.stderr > 0
+    assert abs(chk.discrepancy) <= 3.0 * chk.stderr, \
+        (chk.fd_estimate, chk.stderr, chk.analytic)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.01, math.nan])
+@pytest.mark.parametrize("spec", [
+    GlauberDynamics(1.0, 1.0), KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.7)),
+], ids=["glauber", "kawasaki"])
+def test_fd_step_must_be_positive(spec, h, monkeypatch):
+    # h = 0 once divided by zero, and a negative h reached numpy's draws
+    from freedyn import pointproc
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking h")
+
+    monkeypatch.setattr(pointproc.RngStream, "generator", no_draws)
+    F = CylinderFunction.linear(BOX)
+    with pytest.raises(ValueError, match="times must be strictly increasing "
+                                         "and > 0"):
+        generator_fd_check(F, config_of(0.0, 0.5), spec, h, 100,
+                           RngStream(79))

@@ -22,9 +22,9 @@ from .kernels import (BrownianKernel, BumpProfile, DeathKernel,
                       KilledBrownianKernel, check_summability,
                       exit_probability, g_t_series,
                       kawasaki_polynomial_certificate)
-from .dynamics import (Buffer, Event, EventStream, GlauberDynamics,
-                       buffer_leakage_bound, event_stream, evolve_snapshot,
-                       evolve_with_immigration, glauber_evolve)
+from .dynamics import (Event, EventStream, GlauberDynamics, collar_box,
+                       event_stream, evolve_snapshot, evolve_with_immigration,
+                       glauber_evolve)
 from .observables import (CylinderFunction, UrsellTable,
                           analytic_laplace_markov,
                           analytic_laplace_submarkov,

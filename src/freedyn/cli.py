@@ -23,8 +23,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dynamics import (GlauberDynamics, event_stream, evolve_snapshot,
-                       evolve_with_immigration, glauber_evolve)
+from .dynamics import (GlauberDynamics, collar_box, event_stream,
+                       evolve_snapshot, evolve_with_immigration,
+                       glauber_evolve, window_content)
 from .experiments import (glauber_joint_experiment, markov_laplace_experiment,
                           poisson_correlation_experiment,
                           poisson_laplace_experiment,
@@ -399,8 +400,14 @@ def cmd_evolve(run):
             "glauber has an event stream")
     else:
         mode, model, z = build_dynamics(cfg, dyn, domain)
-    config = build_start(cfg, domain, run.config_dir).sample(
-        run.rng.child(0))
+    start = build_start(cfg, domain, run.config_dir)
+    if not isinstance(start, Configuration) and not domain.is_torus \
+            and mode != "glauber":
+        # a random start is a measure on R^d: draw it where particles can
+        # reach the window from (Glauber particles never move)
+        start = dataclasses.replace(start, domain=Domain.fullspace(
+            *collar_box(domain, model, times[-1])))
+    config = Configuration(start.sample(run.rng.child(0)).points, domain)
 
     if events:
         stream = event_stream(config, model, times[-1], run.rng.child(1))
@@ -415,7 +422,8 @@ def cmd_evolve(run):
                                         run.rng.child(1))
     run.write_csv("snapshots.csv", _snapshot_csv(times, snaps, domain.dim))
     run.write_json("evolve.json", {
-        "times": times, "mode": mode, "initial_points": len(config),
+        "times": times, "mode": mode,
+        "initial_points": len(window_content(config.points, domain)),
         "snapshot_points": [len(s) for s in snaps]})
     return 0
 

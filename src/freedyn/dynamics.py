@@ -18,46 +18,26 @@ steps below are Markov increments); only KilledBrownian carries its
 internal killing-grid bias.
 
 The domain fixes the boundary.  On the torus the evolution is exact.  On
-full space it is the Buffer() collar: the window is enlarged by the
-kernel's tail radius at 1e-4 (kernel.buffer_width; 0 for the death
-kernel, which never moves), the collar is seeded with fresh Poisson points
-at the start's own realized density, immigrants rain on window and collar,
-and any particle drifting past the collar is dropped.
-buffer_leakage_bound bounds only the expected number of such discards,
-and nothing in the package calls it; the error of window statistics has
-no stated bound.  Only evolve_snapshot takes a Buffer other than Buffer().
+full space a fixed start is finite: every particle is tracked in all of
+R^d, with no boundary.  A random start is sampled on collar_box, the
+window widened by the kernel's tail radius at 1e-4 (kernel.buffer_width;
+0 for the death kernel, which never moves), and immigrants rain on the
+same box.  Each snapshot, marched or replayed from an event stream, is
+the window content (window_content).
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import DeathKernel
-from .pointproc import (Configuration, PoissonMeasure, as_field, check_times,
+from .pointproc import (Configuration, as_field, check_times,
                         expected_births, run_chunks,
                         sample_poisson_space_time, sample_space_time_batch)
-from .space import Domain, in_box
-
-
-@dataclass(frozen=True)
-class Buffer:
-    """Full-space boundary policy: collar of the given width around the window.
-
-    width None means: solve tail_bound(t_max, width) = 1e-4 for the kernel
-    at hand.  intensity None means: seed the collar at the initial
-    configuration's empirical density.
-    """
-
-    width: float = None
-    intensity: float = None
-
-    def __post_init__(self):
-        if self.width is not None and not self.width >= 0:
-            raise ValueError("buffer width must be >= 0")
+from .space import in_box
 
 
 @dataclass(frozen=True)
@@ -107,57 +87,33 @@ def _exponential_lifetimes(rate_vals, gen):
                         np.inf)
 
 
-def buffer_leakage_bound(kernel, t_max, width, population):
-    """Bound on the expected number of particles lost past the collar.
-
-    Each particle's chance of ending beyond distance width from its start
-    by time t_max is at most tail_bound(t_max, width); collar crossings in
-    and out are not tracked, so this bounds only the discard leakage.
-    """
-    if width <= 0:
-        return float(population)
-    return float(population) * kernel.tail_bound(t_max, width)
-
-
-def _seed_buffer(config, kernel, t_max, rng, buffer):
-    """Simulation state: (points, cull box).
-
-    On a torus the start as it is, with no cull box.  On full space the
-    window points plus the buffer's Poisson collar, culled past
-    (window + collar).
-    """
-    domain = config.domain
+def collar_box(domain, kernel, t_max):
+    """The box a full-space evolution to t_max draws on: the window widened
+    by the kernel's tail radius at 1e-4, so that a particle starting past
+    it is in the window at t_max with probability at most 1e-4; the cell
+    on a torus."""
     if domain.is_torus:
-        return config.points, None
-    width = buffer.width
-    if buffer.intensity is not None:
-        density = buffer.intensity
-    else:
-        density = len(config) / domain.window_volume
-    if width is None:
-        width = kernel.buffer_width(t_max, 1e-4)
-    lo = domain.lower - width
-    hi = domain.upper + width
-    pts = config.points
-    if width > 0 and density > 0:
-        shell = PoissonMeasure(Domain.fullspace(lo, hi), density).sample(
-            rng.child(0xB0FF))
-        outside = ~in_box(shell.points, domain.lower, domain.upper,
-                          closed=True)
-        pts = np.vstack([pts, shell.points[outside]])
-    return pts, (lo, hi)
+        return domain.lower, domain.upper
+    width = kernel.buffer_width(t_max, 1e-4)
+    return domain.lower - width, domain.upper + width
 
 
-def _march(points, ids, kernel, times, gen, births=None, cull=None):
+def window_content(points, domain):
+    """The rows of points in the closed window; on a torus all of them."""
+    if domain.is_torus:
+        return points
+    return points[in_box(points, domain.lower, domain.upper, closed=True)]
+
+
+def _march(points, ids, kernel, times, gen, births=None):
     """The batch engine: step replica rows through the times by Markov
     increments; returns one (points, ids) pair per time.
 
     points and ids are the rows of a replica batch and their replica ids.
     births, when given, is (points, ids, birth times) with the times in
     [0, times[-1]]; each newborn takes its first (partial) step in the
-    interval containing its birth.  cull is an optional (lo, hi) box
-    outside which rows are dropped after every step.  Stream layout per
-    step: the kernel's draws for the rows alive, then for the births due.
+    interval containing its birth.  Stream layout per step: the kernel's
+    draws for the rows alive, then for the births due.
     """
     out = []
     prev = 0.0
@@ -179,9 +135,6 @@ def _march(points, ids, kernel, times, gen, births=None, cull=None):
                 born, bids = born[alive], bids[alive]
                 points = np.vstack([points, born]) if len(points) else born
                 ids = np.concatenate([ids, bids])
-        if cull is not None and len(points):
-            inside = in_box(points, cull[0], cull[1], closed=True)
-            points, ids = points[inside], ids[inside]
         out.append((points, ids))
         prev = t
     return out
@@ -211,37 +164,26 @@ def march_chunks(start, kernel, times, values, n_samples, rng, threads=1,
     return run_chunks(worker, n_samples, rng, threads, rows)
 
 
-def _snapshots(pts, kernel, times, gen, births=None, cull=None):
-    """One Configuration per time: the one-replica _march, reporting the
-    window content when a cull box is set."""
+def _snapshots(pts, kernel, times, gen, births=None):
+    """One Configuration per time: the window content of the one-replica
+    _march."""
     domain = kernel.domain
     ids = np.zeros(len(pts), dtype=np.intp)
-    steps = _march(pts, ids, kernel, times, gen, births, cull)
-    if cull is None:
-        return [Configuration(p, domain) for p, _ in steps]
-    return [Configuration(p[in_box(p, domain.lower, domain.upper,
-                                   closed=True)], domain)
-            for p, _ in steps]
+    return [Configuration(window_content(p, domain), domain)
+            for p, _ in _march(pts, ids, kernel, times, gen, births)]
 
 
-def evolve_snapshot(config, kernel, times, rng, buffer=None):
+def evolve_snapshot(config, kernel, times, rng):
     """Propagate every particle independently; one Configuration per time.
 
     No immigration; dead particles are removed.  On a torus the evolution
-    is exact.  On full space buffer (default Buffer()) seeds the collar,
-    particles past it are culled, and snapshots report the window content
-    only; buffer_leakage_bound, not called here, bounds only the expected
-    discards past the collar.
+    is exact.  On full space the start is finite: all of its particles
+    move in R^d, and the snapshots are the window content.
     """
     times = check_times(times)
     if kernel.domain != config.domain:
         raise ValueError("kernel and configuration domains differ")
-    if buffer is not None and config.domain.is_torus:
-        raise ValueError("Buffer boundary requires full-space mode")
-    gen = rng.child(1).generator()
-    pts, cull = _seed_buffer(config, kernel, times[-1], rng,
-                             buffer or Buffer())
-    return _snapshots(pts, kernel, times, gen, cull=cull)
+    return _snapshots(config.points, kernel, times, rng.child(1).generator())
 
 
 def evolve_with_immigration(config, kernel, z, times, rng):
@@ -249,9 +191,10 @@ def evolve_with_immigration(config, kernel, z, times, rng):
 
     Initial particles evolve with killing; immigrants are born at the
     points of a space-time Poisson process with intensity
-    killing_rate(x) * z dx dt over the simulation box (the torus cell, or
-    window + Buffer() collar on full space) and evolve from their birth
-    times under the same kernel.
+    killing_rate(x) * z dx dt on collar_box (the torus cell, or the window
+    and its collar on full space) and evolve from their birth times under
+    the same kernel.  A conservative kernel has no killing to balance and
+    is refused.
     """
     times = check_times(times)
     if not z > 0:
@@ -259,19 +202,14 @@ def evolve_with_immigration(config, kernel, z, times, rng):
     if kernel.domain != config.domain:
         raise ValueError("kernel and configuration domains differ")
     if kernel.conservative:
-        warnings.warn("conservative kernel: immigration rate is zero, "
-                      "degenerating to evolve_snapshot")
-        return evolve_snapshot(config, kernel, times, rng)
+        raise ValueError("immigration balances killing; kernel must kill")
     domain = config.domain
-    rain = kernel.rate.scaled(z)
     gen = rng.child(1).generator()
-    pts, cull = _seed_buffer(config, kernel, times[-1], rng.child(3),
-                             Buffer())
-    lo, hi = cull or (domain.lower, domain.upper)
-    ipts, itimes = sample_poisson_space_time(domain, rain, times[-1],
-                                             rng.child(2), lo=lo, hi=hi)
+    ipts, itimes = sample_poisson_space_time(
+        domain, kernel.rate.scaled(z), times[-1], rng.child(2),
+        *collar_box(domain, kernel, times[-1]))
     births = ipts, np.zeros(len(ipts), dtype=np.intp), itimes
-    return _snapshots(pts, kernel, times, gen, births, cull)
+    return _snapshots(config.points, kernel, times, gen, births)
 
 
 def glauber_evolve(config, a, z, times, rng):
@@ -337,7 +275,8 @@ class EventStream:
         return EventStream(events, float(head["horizon"]))
 
     def snapshot(self, config, t):
-        """Replay events up to and including time t from the start config."""
+        """Replay events up to and including time t from the start config;
+        the window content of the result, as evolve_snapshot reports."""
         live = {tuple(row): None for row in config.points}
         for e in self.events:
             if e.time > t:
@@ -349,8 +288,9 @@ class EventStream:
             else:
                 live.pop(e.point, None)
                 live[e.target] = None
-        pts = np.array(list(live), dtype=float).reshape(-1, config.domain.dim)
-        return Configuration(pts, config.domain)
+        domain = config.domain
+        pts = np.array(list(live), dtype=float).reshape(-1, domain.dim)
+        return Configuration(window_content(pts, domain), domain)
 
 
 def event_stream(config, model, horizon, rng):

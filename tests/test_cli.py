@@ -786,13 +786,24 @@ def _imported(args, cwd):
     return res, names
 
 
+def _evolve_cfg(**blocks):
+    # MARKOV_CFG's blocks that evolve reads, with the given ones replaced
+    cfg = {k: v for k, v in MARKOV_CFG.items()
+           if k not in ("observables", "samples")}
+    return dict(cfg, **blocks)
+
+
 def test_start_up_loads_no_scipy(tmp_path):
-    # scipy.special is imported where a jump series or a certificate needs
-    # it, scipy.optimize where a tail constant does: importing freedyn,
-    # --help and a config error load numpy alone
+    # scipy.special is imported where a jump series, a collar width or a
+    # certificate needs it, scipy.optimize where a tail constant does:
+    # importing freedyn, --help, a config error and a full-space evolve of
+    # a fixed start (finite, so it needs no collar) load numpy alone
+    evolve = write_config(tmp_path, "evolve.json", _evolve_cfg())
     runs = [(["-c", "import freedyn.cli"], 0),
             (["-m", "freedyn.cli", "--help"], 0),
-            (["-m", "freedyn.cli", "laplace", "--config", "nope.json"], 2)]
+            (["-m", "freedyn.cli", "laplace", "--config", "nope.json"], 2),
+            (["-m", "freedyn.cli", "evolve", "--config", evolve, "--out",
+              "out"], 0)]
     for args, code in runs:
         res, names = _imported(args, str(tmp_path))
         assert res.returncode == code, res.stderr
@@ -888,9 +899,8 @@ def test_sample_poisson_csv_is_an_evolve_start(tmp_path):
 
 
 def test_empty_full_space_start_with_immigration_evolves(tmp_path):
-    # an empty start has density 0; the collar width still comes from the
-    # kernel, so the immigrants rain on a finite box (it used to be
-    # infinite, and evolve exited 2 with "lam value too large")
+    # an empty start still has a finite rain box: the window and the
+    # kernel's collar (for the death kernel, the window itself)
     cfg = {
         "domain": {"mode": "fullspace", "window": [[0.0], [5.0]]},
         "kernel": {"variant": "death", "rate": 1.0},
@@ -908,6 +918,21 @@ def test_empty_full_space_start_with_immigration_evolves(tmp_path):
     rep = json.loads((out / "ev_evolve.json").read_text())["report"]
     assert rep["initial_points"] == 0
     assert len(rep["snapshot_points"]) == 1
+
+
+@pytest.mark.parametrize("command", ["evolve", "laplace"])
+def test_immigration_with_a_conservative_kernel_exits_2(tmp_path, command):
+    # immigration balances killing, and a brownian kernel kills nothing:
+    # both commands refuse the blocks, with one message
+    dyn = {"times": [0.5], "mode": "submarkov_immigration", "z": 2.0}
+    cfg = dict(MARKOV_CFG, dynamics=dyn) if command == "laplace" \
+        else _evolve_cfg(dynamics=dyn)
+    path = write_config(tmp_path, "cfg.json", cfg)
+    res = run_cli([command, "--config", path, "--out", "out"],
+                  str(tmp_path))
+    assert res.returncode == 2
+    assert res.stderr == ("config error: immigration balances killing; "
+                          "kernel must kill\n")
 
 
 def test_glauber_evolve_with_zero_intensity_is_pure_death(tmp_path):
@@ -950,8 +975,8 @@ _EVOLVE_BYTES = {
         {"domain": _FULL, "kernel": {"variant": "brownian"},
          "dynamics": {"times": _TIMES, "mode": "conservative"},
          "start": _FIXED},
-        "ae84b390826fe963e7eb47d2a11ea7f614cbe89bfa3ac927decec76c6dc71fd0",
-        "e1f116e3fd5ac87fe4fff44f60bf1b4a0749aba9d1a7e6ecb00d8b682c78fe64",
+        "949c7c16e9650c7794378844dff305845a57f7ac0fcc965a18e20e28c2bf7e78",
+        "382a2120f73a7dd85ea0ef8253414e4475e820464c9c99a89a1c86f21bba7026",
         None),
     "conservative-kawasaki-torus": (
         {"domain": _TORUS,
@@ -968,8 +993,8 @@ _EVOLVE_BYTES = {
          "dynamics": {"times": _TIMES, "mode": "submarkov_immigration",
                       "z": 2.0},
          "start": _POISSON},
-        "d8055a411e42816b76e73b5f37ef611334b9f1bcbe589a0e546e643774e8e2d0",
-        "48b82cb01dbed692990057a598c984a3cabf2c87513895441d92b028b1b418ac",
+        "3405bd543cc4cc2ca273975e5c6a668b420e7d5d0f5766cb0fdf4aa0d432175b",
+        "f800ebeddef04936153f2e7cb3e8217ae1ecf873edea5b20c4129becbb798637",
         None),
     "glauber-torus": (
         {"domain": _TORUS,

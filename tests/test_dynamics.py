@@ -6,16 +6,16 @@ import numpy as np
 import pytest
 
 from freedyn.dynamics import (
-    Buffer,
     EventStream,
     GlauberDynamics,
+    collar_box,
     event_stream,
     evolve_snapshot,
     evolve_with_immigration,
     glauber_evolve,
 )
-from freedyn.kernels import (DeathKernel, GaussianProfile, KawasakiKernel,
-                             KilledBrownianKernel)
+from freedyn.kernels import (BrownianKernel, DeathKernel, GaussianProfile,
+                             KawasakiKernel, KilledBrownianKernel)
 from freedyn.pointproc import (Configuration, PoissonMeasure, RngStream,
                                mean_se, pair_into)
 from freedyn.space import Domain
@@ -35,8 +35,7 @@ class TestEvolveSnapshot:
     def test_near_zero_time_is_identity(self):
         cfg = fixed_config(10)
         for kernel in (DeathKernel(D1, 1.0), KawasakiKernel(D1, GaussianProfile(1, 1.0, 0.5))):
-            snaps = evolve_snapshot(cfg, kernel, (1e-12,), RngStream(1),
-                                    Buffer(width=0.5, intensity=0.0))
+            snaps = evolve_snapshot(cfg, kernel, (1e-12,), RngStream(1))
             assert np.allclose(snaps[0].points, cfg.points, atol=1e-5)
             assert len(snaps[0]) == len(cfg)
 
@@ -98,9 +97,10 @@ class TestImmigration:
         DeathKernel(D1, 1.0), KilledBrownianKernel(D1, 1.0, h_kill=0.1)],
         ids=["death", "killed_brownian"])
     def test_empty_start_default_buffer(self, kernel):
-        # density 0 still takes the kernel's collar width, so the rain box
-        # is finite; the mean count is z |W| (1 - e^{-at}) up to the leakage
-        # (a constant killing rate is exact on any grid, so h_kill is coarse)
+        # immigrants rain on the window and the kernel's collar, so those
+        # born outside can drift in; the mean count is z |W| (1 - e^{-at})
+        # up to the 1e-4 tail past the collar (a constant killing rate is
+        # exact on any grid, so h_kill is coarse)
         empty = Configuration(np.empty((0, 1)), D1)
         rng = RngStream(17)
         counts = [
@@ -111,6 +111,73 @@ class TestImmigration:
         se = np.std(counts, ddof=1) / math.sqrt(len(counts))
         expected = 2.0 * 5.0 * (1.0 - math.exp(-1.0))
         assert abs(mean - expected) <= 3 * se, (mean, se, expected)
+
+
+def _phi(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def _window_mass(x, var):
+    # P(x + sqrt(var) Z in [0, 5]) for standard normal Z
+    if var == 0.0:
+        return float(0.0 <= x <= 5.0)
+    s = math.sqrt(var)
+    return _phi((5.0 - x) / s) - _phi(-x / s)
+
+
+class TestFullSpaceStartsMatchClosedForms:
+    """On full space a fixed start is finite, and a random start is drawn
+    on the window plus the kernel's collar: the window count at t = 1 is
+    the closed form of independent particles in all of R^d."""
+
+    def test_fixed_start_brownian(self):
+        cfg = fixed_config(10)
+        exact = sum(_window_mass(x, 1.0) for x in cfg.points[:, 0])
+        assert abs(exact - 8.043) < 5e-4
+        kernel = BrownianKernel(D1)
+        rng = RngStream(9)
+        counts = [len(evolve_snapshot(cfg, kernel, (1.0,), rng.child(i))[0])
+                  for i in range(4000)]
+        m, se = mean_se(np.array(counts, dtype=float))
+        assert abs(m - exact) <= 3 * se, (m, se, exact)
+
+    def test_fixed_start_kawasaki_marching_and_events(self):
+        # mass 1: Poisson(1) jumps by t = 1, each a standard normal step
+        cfg = fixed_config(10)
+        exact = sum(math.exp(-1.0) / math.factorial(n) * _window_mass(x, n)
+                    for x in cfg.points[:, 0] for n in range(40))
+        assert abs(exact - 8.563) < 5e-4
+        kernel = KawasakiKernel(D1, GaussianProfile(1, 1.0, 1.0))
+        rng = RngStream(21)
+        marching = [len(evolve_snapshot(cfg, kernel, (1.0,),
+                                        rng.child(i))[0])
+                    for i in range(4000)]
+        events = [len(event_stream(cfg, kernel, 1.0,
+                                   rng.child(i)).snapshot(cfg, 1.0))
+                  for i in range(4000)]
+        for counts in (marching, events):
+            m, se = mean_se(np.array(counts, dtype=float))
+            assert abs(m - exact) <= 3 * se, (m, se, exact)
+
+    def test_poisson_start_brownian_mean_and_variance(self):
+        # a Poisson(2) start on the collar box evolves to Poisson(2) on the
+        # window: mean and variance z |W| = 10
+        kernel = BrownianKernel(D1)
+        measure = PoissonMeasure(Domain.fullspace(*collar_box(D1, kernel,
+                                                              1.0)), 2.0)
+        rng = RngStream(11)
+        counts = np.empty(8000)
+        for i in range(len(counts)):
+            start = Configuration(measure.sample(rng.child(0, i)).points, D1)
+            counts[i] = len(evolve_snapshot(start, kernel, (1.0,),
+                                            rng.child(1, i))[0])
+        m, se = mean_se(counts)
+        assert abs(m - 10.0) <= 3 * se, (m, se)
+        # standard error of the sample variance from the 4th moment
+        dev = counts - counts.mean()
+        s2 = float(np.var(counts, ddof=1))
+        se2 = math.sqrt(max(np.mean(dev ** 4) - s2 ** 2, 0.0) / len(counts))
+        assert abs(s2 - 10.0) <= 3 * se2, (s2, se2)
 
 
 class TestGlauberEvolve:

@@ -77,7 +77,7 @@ from freedyn.pointproc import (CHUNK, BoundedField, Configuration,
                                sample_poisson_space_time,
                                sample_space_time_batch)
 from freedyn.scaling import NeymanScottMeasure, _chunk_joint_values
-from freedyn.space import Domain, in_box
+from freedyn.space import Domain
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +276,7 @@ def ref_sample_poisson_space_time(domain, rate, horizon, rng, lo=None,
     return pts[order], times[order]
 
 
-def ref_march(points, kernel, times, gen, immigrants=None, cull=None):
+def ref_march(points, kernel, times, gen, immigrants=None):
     # the one-replica engine of evolve_snapshot and evolve_with_immigration
     dim = kernel.domain.dim
     pts = np.asarray(points, dtype=float).reshape(-1, dim)
@@ -294,9 +294,6 @@ def ref_march(points, kernel, times, gen, immigrants=None, cull=None):
                                                       t - itimes[sel], gen)
                 born = born[balive]
                 pts = np.vstack([pts, born]) if len(pts) else born
-        if cull is not None and len(pts):
-            inside = in_box(pts, cull[0], cull[1], closed=True)
-            pts = pts[inside]
         snaps.append(np.array(pts, copy=True))
         prev = t
     return snaps
@@ -1016,17 +1013,15 @@ def test_one_replica_engine_matches_reference(dim, mode, seed):
     times = (0.3, 0.7, 1.6)
     rain = sample_poisson_space_time(domain, 2.0, times[-1],
                                      RngStream(seed, 2))
-    cull = None if domain.is_torus else (domain.lower - 4.0,
-                                         domain.upper + 4.0)
     for name, kernel in _engine_kernels(domain).items():
         for births in (None, rain):
             ids = np.zeros(len(pts), dtype=np.intp)
             engine_births = None if births is None else \
                 (births[0], np.zeros(len(births[0]), dtype=np.intp), births[1])
             got = _march(pts, ids, kernel, times, np.random.default_rng(seed),
-                         engine_births, cull)
+                         engine_births)
             want = ref_march(pts, kernel, times, np.random.default_rng(seed),
-                             births, cull)
+                             births)
             for (g_pts, g_ids), w_pts in zip(got, want, strict=True):
                 _same(g_pts, w_pts)
                 assert np.array_equal(g_ids, np.zeros(len(w_pts)))

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from freedyn.dynamics import (Buffer, GlauberDynamics, evolve_snapshot,
-                              glauber_evolve)
+from freedyn.dynamics import GlauberDynamics, evolve_snapshot, glauber_evolve
 from freedyn.functions import NumericFunction, TestFunction, support_box
 from freedyn.kernels import BrownianKernel, DeathKernel, GaussianProfile, KawasakiKernel
 from freedyn.observables import (
@@ -506,11 +505,9 @@ def per_replica_fd(F, config, spec, h, n_replicas, rng):
                                    rng.child(r))
             diffs[r] = F(snaps[0]) - base
     else:
-        # an infinite collar culls nothing: the jumps evolve in all of R^d
-        buffer = None if config.domain.is_torus \
-            else Buffer(width=math.inf, intensity=0.0)
+        # a fixed start is finite: its jumps evolve in all of R^d
         for r in range(n_replicas):
-            snaps = evolve_snapshot(config, spec, (h,), rng.child(r), buffer)
+            snaps = evolve_snapshot(config, spec, (h,), rng.child(r))
             diffs[r] = F(snaps[0]) - base
     return (float(np.mean(diffs) / h),
             float(np.std(diffs, ddof=1) / math.sqrt(n_replicas) / h))
